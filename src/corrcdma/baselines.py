@@ -171,25 +171,17 @@ def fixed_load_comparison(matrix: TransitionMatrix, run_pair) -> CompressionComp
     return _make_comparison(p_corr, p_comp, entropy, "fixed_load_bsc")
 
 
-SATURATION_RULES = ("crossing", "stable", "last_above")
-
-
-def saturation_position(ber_by_position, threshold_factor: float = 1.2,
-                        rule: str = "crossing") -> float:
+def saturation_position(ber_by_position, threshold_factor: float = 1.2) -> float:
     """Relative word position where the per-position BER settles.
 
-    The default "crossing" rule returns the first position (0-based,
-    scanning from the word start) whose BER is at or below threshold_factor
-    times the minimum BER, divided by the word length: the point where the
-    elevated word-start region has decayed to the floor. Converged curves
-    are elevated near BOTH word edges (each boundary symbol has a single
-    neighbor), so the crossing rule deliberately ignores the word tail.
-
-    rule="stable" instead demands every subsequent position under the
-    threshold (on tail-elevated curves this reports 1.0);
-    rule="last_above" reports the position of the last offending value.
-    All three agree on monotone-decreasing curves. 0 means saturated from
-    the start; an all-zero curve returns 0.
+    Returns the first position (0-based, scanning from the word start)
+    whose BER is at or below threshold_factor times the minimum BER,
+    divided by the word length: the point where the elevated word-start
+    region has decayed to the floor. Converged curves are elevated near
+    BOTH word edges (each boundary symbol has a single neighbor), so the
+    scan deliberately ignores the word tail; demanding every later position
+    under the threshold would report 1.0 on such curves. 0 means saturated
+    from the start; an all-zero curve returns 0.
     """
     ber = np.asarray(ber_by_position, dtype=np.float64)
     if ber.ndim != 1 or ber.size < 2:
@@ -198,22 +190,10 @@ def saturation_position(ber_by_position, threshold_factor: float = 1.2,
         raise ValueError("BER values must be >= 0")
     if threshold_factor <= 1.0:
         raise ValueError(f"threshold_factor must exceed 1, got {threshold_factor}")
-    if rule not in SATURATION_RULES:
-        raise ValueError(f"rule must be one of {SATURATION_RULES}, got {rule!r}")
     if not ber.any():
         return 0.0
     threshold = threshold_factor * float(ber.min())
-    if rule == "crossing":
-        return int(np.nonzero(ber <= threshold)[0][0]) / ber.size
-    above = np.nonzero(ber > threshold)[0]
-    if above.size == 0:
-        return 0.0
-    last_above = int(above[-1])
-    if rule == "last_above":
-        return last_above / ber.size
-    if last_above == ber.size - 1:
-        return 1.0
-    return (last_above + 1) / ber.size
+    return int(np.nonzero(ber <= threshold)[0][0]) / ber.size
 
 
 def fit_loglog_slope(lengths, positions):

@@ -8,13 +8,7 @@ Gaussian noise.
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass
-
 import numpy as np
-
-FIXTURE_MAGIC = b"CDMAFIX\x00"
-FIXTURE_VERSION = 1
 
 
 class SpreadingMatrix:
@@ -49,25 +43,6 @@ class SpreadingMatrix:
         return self.chips.shape[1]
 
 
-@dataclass(frozen=True)
-class ChannelConfig:
-    """Static channel parameters; load is the user-per-chip ratio K/N."""
-
-    spread_factor: int
-    n_users: int
-    sigma: float
-
-    def __post_init__(self):
-        if self.spread_factor < 1 or self.n_users < 1:
-            raise ValueError("spread_factor and n_users must be >= 1")
-        if self.sigma < 0.0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-
-    @property
-    def load(self) -> float:
-        return self.n_users / self.spread_factor
-
-
 def generate_spreading(spread_factor: int, n_users: int,
                        rng: np.random.Generator) -> SpreadingMatrix:
     """Draw independent fair +-1 chips for every (chip, user) slot."""
@@ -96,48 +71,3 @@ def transmit(spreading: SpreadingMatrix, block: np.ndarray, sigma: float,
     if sigma == 0.0:
         return signal
     return signal + sigma * rng.standard_normal(signal.shape)
-
-
-def save_fixture(path, spreading: SpreadingMatrix, samples: np.ndarray,
-                 sigma: float, seed: int) -> None:
-    """Dump (chips, received samples) to a small versioned binary file.
-
-    Layout: magic, uint32 version, uint32 N, K, L, float64 sigma,
-    uint64 seed, then row-major int8 chips and float64 samples.
-    """
-    y = np.ascontiguousarray(samples, dtype=np.float64)
-    if y.shape[0] != spreading.spread_factor:
-        raise ValueError("samples row count must equal the spreading factor")
-    header = struct.pack(
-        "<8sIIIIdQ", FIXTURE_MAGIC, FIXTURE_VERSION,
-        spreading.spread_factor, spreading.n_users, y.shape[1],
-        float(sigma), seed)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(spreading.chips).tobytes())
-        fh.write(y.tobytes())
-
-
-def load_fixture(path):
-    """Read a fixture written by save_fixture.
-
-    Returns (spreading, samples, sigma, seed); rejects bad magic, unknown
-    versions, and truncated payloads.
-    """
-    header_size = struct.calcsize("<8sIIIIdQ")
-    with open(path, "rb") as fh:
-        header = fh.read(header_size)
-        if len(header) != header_size:
-            raise ValueError("fixture file truncated in header")
-        magic, version, n, k, l, sigma, seed = struct.unpack("<8sIIIIdQ", header)
-        if magic != FIXTURE_MAGIC:
-            raise ValueError("not a channel fixture file")
-        if version != FIXTURE_VERSION:
-            raise ValueError(f"unsupported fixture version {version}")
-        chip_bytes = fh.read(n * k)
-        sample_bytes = fh.read(n * l * 8)
-        if len(chip_bytes) != n * k or len(sample_bytes) != n * l * 8:
-            raise ValueError("fixture file truncated in payload")
-    chips = np.frombuffer(chip_bytes, dtype=np.int8).reshape(n, k)
-    samples = np.frombuffer(sample_bytes, dtype=np.float64).reshape(n, l)
-    return SpreadingMatrix(chips), samples, sigma, seed

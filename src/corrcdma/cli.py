@@ -29,6 +29,7 @@ from .baselines import (
 )
 from .detectors import local_bias
 from .harness import (
+    CSV_COLUMNS,
     ExperimentConfig,
     default_workers,
     length_scaling_study,
@@ -340,17 +341,7 @@ def cmd_compare_compression(args) -> int:
 # plot data
 
 
-_FAMILIES = {
-    ("position", "relative_position", "errors", "bits", "ber", "std_err"):
-        "ber_profile",
-    ("lambda2", "correlation_length", "p_corr", "p_plain", "normalized",
-     "errors_corr", "errors_plain", "bits_total"): "normalized_sweep",
-    ("length", "saturation_position"): "length_scaling",
-    ("lambda2", "rel_delta", "feasible", "reason", "p_corr", "p_plain",
-     "normalized"): "mismatch_surface",
-    ("lambda2", "entropy_bits", "epsilon", "p_corr", "p_comp", "ratio",
-     "rate", "protocol", "ensemble", "seed"): "compression_comparison",
-}
+_FAMILIES = {columns: family for family, columns in CSV_COLUMNS.items()}
 
 
 def _detect_family(path, columns) -> str:

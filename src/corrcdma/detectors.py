@@ -16,12 +16,12 @@ Three detector families live here:
 The bias field is exactly zero when the assumed source is memoryless, so
 the correlation-aware detectors reduce bit-for-bit to their plain
 counterparts in that case; the reduction is load-bearing for tests and is
-preserved by running both through the same engine.
+preserved by running all iterative detectors through the same engine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +29,12 @@ from .channel import SpreadingMatrix
 from .markov import TransitionMatrix, estimate_transition, iid_matrix
 
 SCHEDULES = ("PUS", "SUS", "BFUS", "RSUS")
+
+# Biases are clamped to |m| <= 1 - CLAMP_EPS before atanh, so a saturated
+# neighbor prior yields a large but finite correction.
+CLAMP_EPS = 1e-12
+# Additive smoothing of the blind transition estimator.
+PSEUDO_COUNT = 1.0
 
 
 class DetectorDivergence(RuntimeError):
@@ -73,17 +79,13 @@ class DetectorOptions:
     """Knobs shared by all iterative detectors.
 
     max_iters caps both the per-position iteration count of the plain MUD
-    and the outer-iteration count of the correlated variants. clamp_eps is
-    the saturation cap: biases are clamped to |m| <= 1 - clamp_eps before
-    atanh. pseudo_count is the additive smoothing of the blind transition
-    estimator. schedule_rng feeds the RSUS shuffle only.
+    and the outer-iteration count of the correlated variants. blind applies
+    to the correlated MUD only. schedule_rng feeds the RSUS shuffle only.
     """
 
     max_iters: int = 50
     schedule: str = "SUS"
     blind: bool = False
-    clamp_eps: float = 1e-12
-    pseudo_count: float = 1.0
     schedule_rng: np.random.Generator | None = None
     track_bounds: bool = False
 
@@ -92,10 +94,6 @@ class DetectorOptions:
             raise ValueError("max_iters must be >= 1")
         if self.schedule not in SCHEDULES:
             raise ValueError(f"schedule must be one of {SCHEDULES}, got {self.schedule!r}")
-        if not 0.0 < self.clamp_eps < 1.0:
-            raise ValueError("clamp_eps must lie in (0, 1)")
-        if self.pseudo_count < 0.0:
-            raise ValueError("pseudo_count must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -106,7 +104,8 @@ class DetectionResult:
     or iterated field plus any bias) and the beliefs it induces. iters and
     converged are per symbol position. estimated_matrix is the last blind
     estimate when blind mode ran, else None. bounds holds per-iteration
-    (Q_min, Q_max, A_min, A_max, max|eta|) rows when tracking was requested.
+    (Q_min, Q_max, A_min, A_max, max|eta|) rows when tracking was requested
+    for a MUD variant.
     """
 
     bits: np.ndarray
@@ -116,34 +115,6 @@ class DetectionResult:
     outer_iterations: int
     estimated_matrix: TransitionMatrix | None = None
     bounds: list | None = None
-
-
-@dataclass(frozen=True)
-class DetectorState:
-    """One symbol position's iteration state for the plain MUD.
-
-    soft = tanh of the field; soft_power is its mean square over users;
-    precision is the inverse effective interference-plus-noise variance;
-    field_gain multiplies the matched-filter field in the update;
-    interference is the running interference estimate being cancelled.
-    soft_power and precision are None until the first step runs.
-    """
-
-    field: np.ndarray
-    soft: np.ndarray
-    matched_field: np.ndarray
-    interference: np.ndarray
-    field_gain: float
-    iteration: int
-    soft_power: float | None = None
-    precision: float | None = None
-
-
-def init_detector_state(matched_field: np.ndarray) -> DetectorState:
-    h0 = np.asarray(matched_field, dtype=np.float64)
-    return DetectorState(
-        field=h0.copy(), soft=np.tanh(h0), matched_field=h0,
-        interference=np.zeros_like(h0), field_gain=0.0, iteration=0)
 
 
 def sumf(spreading: SpreadingMatrix, received: np.ndarray) -> SoftField:
@@ -170,17 +141,28 @@ def _bias_from_neighbors(q_prev: np.ndarray, q_next: np.ndarray,
     Chains the left belief forward and the right belief backward through
     the transition matrix: p(b) proportional to
     [sum_a q_prev(a) T_ab] * [sum_c T_bc q_next(c)], then returns
-    m = 2 p(+1)/(p(+1) + p(-1)) - 1. Inputs are (K, 2) belief pairs.
+    m = 2 p(+1)/(p(+1) + p(-1)) - 1. Inputs are (..., 2) belief pairs.
     """
     t = matrix.matrix
-    left = q_prev @ t          # (K, 2), entry b: sum_a q_prev(a) T_ab
-    right = q_next @ t.T       # (K, 2), entry b: sum_c T_bc q_next(c)
+    left = q_prev @ t          # entry b: sum_a q_prev(a) T_ab
+    right = q_next @ t.T       # entry b: sum_c T_bc q_next(c)
     p = left * right
     total = p.sum(axis=-1)
     if np.any(total == 0.0):
         raise ValueError("degenerate transition matrix: both symbol hypotheses "
                          "have zero probability (zero row in the matrix)")
     return 2.0 * p[..., 1] / total - 1.0
+
+
+def _pad_with_stationary(probs: np.ndarray, matrix: TransitionMatrix) -> np.ndarray:
+    """(K, L + 2, 2) copy of the beliefs with the stationary distribution of
+    the matrix standing in for the missing neighbor at either word edge.
+    Column l of the block is column l + 1 of the result."""
+    n_users, word_len = probs.shape[:2]
+    padded = np.empty((n_users, word_len + 2, 2))
+    padded[:, 0] = padded[:, -1] = matrix.stationary()
+    padded[:, 1:-1] = probs
+    return padded
 
 
 def local_bias(probs: np.ndarray, matrix: TransitionMatrix, position: int) -> np.ndarray:
@@ -194,48 +176,12 @@ def local_bias(probs: np.ndarray, matrix: TransitionMatrix, position: int) -> np
     q = np.asarray(probs, dtype=np.float64)
     if q.ndim != 3 or q.shape[2] != 2:
         raise ValueError(f"probs must have shape (K, L, 2), got {q.shape}")
-    n_users, word_len = q.shape[:2]
+    word_len = q.shape[1]
     if not 0 <= position < word_len:
         raise ValueError(f"position {position} outside word of length {word_len}")
-    mu = matrix.stationary()
-    q_prev = q[:, position - 1, :] if position > 0 \
-        else np.broadcast_to(mu, (n_users, 2))
-    q_next = q[:, position + 1, :] if position < word_len - 1 \
-        else np.broadcast_to(mu, (n_users, 2))
-    return _bias_from_neighbors(q_prev, q_next, matrix)
-
-
-def _bias_all_positions(probs: np.ndarray, matrix: TransitionMatrix) -> np.ndarray:
-    """All-column bias, every column from the same belief snapshot."""
-    n_users, word_len = probs.shape[:2]
-    mu = matrix.stationary()
-    q_prev = np.empty_like(probs)
-    q_prev[:, 0, :] = mu
-    q_prev[:, 1:, :] = probs[:, :-1, :]
-    q_next = np.empty_like(probs)
-    q_next[:, -1, :] = mu
-    q_next[:, :-1, :] = probs[:, 1:, :]
-    t = matrix.matrix
-    p = np.einsum("kla,ab->klb", q_prev, t) * np.einsum("klc,bc->klb", q_next, t)
-    total = p.sum(axis=-1)
-    if np.any(total == 0.0):
-        raise ValueError("degenerate transition matrix: both symbol hypotheses "
-                         "have zero probability (zero row in the matrix)")
-    return 2.0 * p[..., 1] / total - 1.0
-
-
-def sumf_biased_decide(field: np.ndarray, bias: np.ndarray, load: float,
-                       sigma: float, clamp_eps: float = 1e-12) -> np.ndarray:
-    """Matched-filter hard decision with the additive prior correction.
-
-    Decides sign(field + (load + sigma^2) * atanh(bias)); the scale matches
-    the effective interference-plus-noise variance seen by the matched
-    filter, so the prior term is commensurate with the field. bias is
-    clamped to |m| <= 1 - clamp_eps first.
-    """
-    cap = 1.0 - clamp_eps
-    xi = (load + sigma * sigma) * np.arctanh(np.clip(bias, -cap, cap))
-    return hard_decisions(np.asarray(field) + xi)
+    padded = _pad_with_stationary(q, matrix)
+    return _bias_from_neighbors(padded[:, position], padded[:, position + 2],
+                                matrix)
 
 
 def _step_arrays(soft, matched, interference, gain, corr, load, sigma):
@@ -258,105 +204,77 @@ def _step_arrays(soft, matched, interference, gain, corr, load, sigma):
     return field_new, interference_new, gain_new, q_pow, precision
 
 
-def mud_step(state: DetectorState, corr: np.ndarray, load: float, sigma: float,
-             bias: np.ndarray | None = None) -> DetectorState:
-    """Advance one symbol position's detector state by one iteration.
-
-    corr is the K x K code correlation matrix, load = K/N. When bias is
-    given it is added inside the tanh that produces the new soft decisions.
-    Raises DetectorDivergence if the update leaves the finite range.
-    """
-    if sigma <= 0.0:
-        raise ValueError("iterative detection requires sigma > 0")
-    h_new, u_new, r_new, q_pow, prec = _step_arrays(
-        state.soft[:, None], state.matched_field[:, None],
-        state.interference[:, None], np.array([state.field_gain]),
-        corr, load, sigma)
-    h_new = h_new[:, 0]
-    if not np.all(np.isfinite(h_new)):
-        raise DetectorDivergence(state.iteration)
-    eff = h_new if bias is None else h_new + bias
-    return DetectorState(
-        field=h_new, soft=np.tanh(eff), matched_field=state.matched_field,
-        interference=u_new[:, 0], field_gain=float(r_new[0]),
-        iteration=state.iteration + 1,
-        soft_power=float(q_pow[0]), precision=float(prec[0]))
-
-
 def _sweep_order(word_len, schedule, forward, rng):
-    if schedule in ("SUS",) or (schedule == "BFUS" and forward):
+    if schedule == "SUS" or (schedule == "BFUS" and forward):
         return range(word_len)
     if schedule == "BFUS":
         return range(word_len - 1, -1, -1)
     return rng.permutation(word_len)
 
 
-def _bias_sweep(probs, xi, h_field, soft, assumed, schedule, forward, rng,
-                scale, cap):
+def _bias_sweep(probs, xi, field, assumed, schedule, forward, rng, scale):
     """Recompute the bias correction over the block, in schedule order.
 
-    Updates xi, soft and probs in place; columns visited later in a sweep
-    see the already-refreshed beliefs of earlier columns (that is the whole
-    difference between the schedules). Returns a boolean (L,) mask of
-    columns whose correction changed bitwise.
+    Updates xi in place. PUS computes every column from the same belief
+    snapshot; the other schedules refresh each visited column's beliefs
+    from field + xi, so columns visited later in a sweep see the new
+    beliefs of earlier columns (that is the whole difference between the
+    schedules). Returns a boolean (L,) mask of columns whose correction
+    changed bitwise.
     """
-    word_len = probs.shape[1]
-    changed = np.zeros(word_len, dtype=bool)
+    cap = 1.0 - CLAMP_EPS
+    padded = _pad_with_stationary(probs, assumed)
     if schedule == "PUS":
-        m = _bias_all_positions(probs, assumed)
+        m = _bias_from_neighbors(padded[:, :-2], padded[:, 2:], assumed)
         xi_new = scale * np.arctanh(np.clip(m, -cap, cap))
         changed = np.any(xi_new != xi, axis=0)
         xi[:] = xi_new
-        soft[:] = np.tanh(h_field + xi)
-        probs[:] = soft_to_probs(soft)
         return changed
-    mu = assumed.stationary()
-    t = assumed.matrix
-    n_users = probs.shape[0]
-    edge = np.broadcast_to(mu, (n_users, 2))
+    word_len = probs.shape[1]
+    changed = np.zeros(word_len, dtype=bool)
     for l in _sweep_order(word_len, schedule, forward, rng):
-        q_prev = probs[:, l - 1, :] if l > 0 else edge
-        q_next = probs[:, l + 1, :] if l < word_len - 1 else edge
-        m = _bias_from_neighbors(q_prev, q_next, assumed)
+        m = _bias_from_neighbors(padded[:, l], padded[:, l + 2], assumed)
         xi_col = scale * np.arctanh(np.clip(m, -cap, cap))
         if np.any(xi_col != xi[:, l]):
             changed[l] = True
             xi[:, l] = xi_col
-        s = np.tanh(h_field[:, l] + xi[:, l])
-        soft[:, l] = s
-        probs[:, l, 0] = (1.0 - s) / 2.0
-        probs[:, l, 1] = (1.0 + s) / 2.0
+        s = np.tanh(field[:, l] + xi[:, l])
+        padded[:, l + 1, 0] = (1.0 - s) / 2.0
+        padded[:, l + 1, 1] = (1.0 + s) / 2.0
     return changed
 
 
-def _run_engine(spreading, received, sigma, opts, assumed=None):
-    """Lockstep iterative detection of all symbol columns.
+def _run_engine(spreading, received, sigma, opts, assumed=None, iterate=True):
+    """Lockstep detection of all symbol columns.
 
+    With iterate=True every outer iteration starts with a synchronous MUD
+    step; with iterate=False the matched-filter field is never updated and
+    only the bias correction is refined (the correlated SUMF), scaled by
+    the matched filter's interference-plus-noise variance load + sigma^2.
     Plain mode (assumed is None) iterates every column independently until
     its hard decisions repeat; the bias field stays identically zero.
-    Correlated mode interleaves a bias sweep after each synchronous step
-    and stops at a global hard-decision fixed point. Columns whose
-    decisions repeated are frozen (their state stops being committed) and
-    thaw again if a later sweep changes their correction; with a memoryless
-    assumed matrix no correction ever changes, which makes the two modes
-    produce bitwise identical results.
+    Correlated mode runs a bias sweep in every outer iteration and stops
+    at a global hard-decision fixed point. Columns whose decisions repeated
+    are frozen (their state stops being committed) and thaw again if a
+    later sweep changes their correction; with a memoryless assumed matrix
+    no correction ever changes, which makes the two modes produce bitwise
+    identical results.
     """
-    if sigma <= 0.0:
+    if iterate and sigma <= 0.0:
         raise ValueError("iterative detection requires sigma > 0")
     opts = opts or DetectorOptions()
     corr = spreading.corr
     load = spreading.n_users / spreading.spread_factor
-    matched = sumf(spreading, received)
-    h0 = matched.field
-    n_users, word_len = h0.shape
+    h0 = sumf(spreading, received).field
+    word_len = h0.shape[1]
 
     correlated = assumed is not None
-    blind = correlated and opts.blind
+    blind = correlated and iterate and opts.blind
     assumed_now = iid_matrix() if blind else assumed
+    scale = 1.0 if iterate else load + sigma * sigma
     rng = opts.schedule_rng
     if rng is None and opts.schedule == "RSUS":
         rng = np.random.default_rng(0)
-    cap = 1.0 - opts.clamp_eps
 
     h = h0.copy()
     xi = np.zeros_like(h)
@@ -368,27 +286,27 @@ def _run_engine(spreading, received, sigma, opts, assumed=None):
     iters = np.zeros(word_len, dtype=np.int64)
     converged = np.zeros(word_len, dtype=bool)
     forward = True
-    bounds = [] if opts.track_bounds else None
+    bounds = [] if opts.track_bounds and iterate else None
     outer = 0
 
     for t in range(opts.max_iters):
-        h_new, u_new, g_new, q_pow, prec = _step_arrays(
-            soft, h0, interference, gain, corr, load, sigma)
-        if not np.all(np.isfinite(h_new[:, active])):
-            raise DetectorDivergence(t)
-        h[:, active] = h_new[:, active]
-        interference[:, active] = u_new[:, active]
-        gain[active] = g_new[active]
+        if iterate:
+            h_new, u_new, g_new, q_pow, prec = _step_arrays(
+                soft, h0, interference, gain, corr, load, sigma)
+            if not np.all(np.isfinite(h_new[:, active])):
+                raise DetectorDivergence(t)
+            h[:, active] = h_new[:, active]
+            interference[:, active] = u_new[:, active]
+            gain[active] = g_new[active]
         iters[active] += 1
         outer = t + 1
 
         if correlated:
-            soft = np.tanh(h + xi)
-            probs = soft_to_probs(soft)
+            probs = soft_to_probs(np.tanh(h + xi))
             if blind and t > 0:
-                assumed_now = estimate_transition(probs, opts.pseudo_count)
-            changed = _bias_sweep(probs, xi, h, soft, assumed_now,
-                                  opts.schedule, forward, rng, 1.0, cap)
+                assumed_now = estimate_transition(probs, PSEUDO_COUNT)
+            changed = _bias_sweep(probs, xi, h, assumed_now, opts.schedule,
+                                  forward, rng, scale)
             if opts.schedule == "BFUS":
                 forward = not forward
             thawed = changed & ~active
@@ -410,10 +328,9 @@ def _run_engine(spreading, received, sigma, opts, assumed=None):
         if same.all() or not active.any():
             break
 
-    result_soft = SoftField(h + xi, soft_to_probs(soft))
     return DetectionResult(
-        bits=prev_dec, soft=result_soft, iters=iters, converged=converged,
-        outer_iterations=outer,
+        bits=prev_dec, soft=SoftField(h + xi, soft_to_probs(soft)),
+        iters=iters, converged=converged, outer_iterations=outer,
         estimated_matrix=assumed_now if blind else None,
         bounds=bounds)
 
@@ -426,14 +343,12 @@ def mud_detect(spreading: SpreadingMatrix, received: np.ndarray, sigma: float,
     its hard decisions repeat between consecutive iterations or max_iters
     is hit; non-convergence is flagged per position, never raised.
     """
-    return _run_engine(spreading, received, sigma, opts, assumed=None)
+    return _run_engine(spreading, received, sigma, opts)
 
 
 def correlated_mud_detect(spreading: SpreadingMatrix, received: np.ndarray,
                           matrix: TransitionMatrix, sigma: float,
-                          opts: DetectorOptions | None = None,
-                          schedule: str | None = None,
-                          blind: bool | None = None) -> DetectionResult:
+                          opts: DetectorOptions | None = None) -> DetectionResult:
     """Iterative multiuser detection with the neighbor-prior correction.
 
     After every synchronous iteration the per-symbol beliefs are refreshed
@@ -444,14 +359,6 @@ def correlated_mud_detect(spreading: SpreadingMatrix, received: np.ndarray,
     beliefs each outer iteration, starting from the memoryless matrix.
     Terminates at a global hard-decision fixed point or max_iters.
     """
-    opts = opts or DetectorOptions()
-    overrides = {}
-    if schedule is not None:
-        overrides["schedule"] = schedule
-    if blind is not None:
-        overrides["blind"] = blind
-    if overrides:
-        opts = replace(opts, **overrides)
     return _run_engine(spreading, received, sigma, opts, assumed=matrix)
 
 
@@ -465,44 +372,12 @@ def correlated_sumf_detect(spreading: SpreadingMatrix, received: np.ndarray,
     (load + sigma^2) * atanh(m) in schedule order, refreshing each column's
     beliefs from the biased field as it goes, and decisions are
     sign(field + correction). Sweeps repeat until the hard decisions reach
-    a fixed point or max_iters.
+    a fixed point or max_iters; iters and converged are per position, as
+    for the MUD variants. Blind mode does not apply, and sigma = 0 is
+    allowed.
     """
-    opts = opts or DetectorOptions()
-    matched = sumf(spreading, received)
-    h = matched.field
-    load = spreading.n_users / spreading.spread_factor
-    scale = load + sigma * sigma
-    cap = 1.0 - opts.clamp_eps
-    rng = opts.schedule_rng
-    if rng is None and opts.schedule == "RSUS":
-        rng = np.random.default_rng(0)
-
-    xi = np.zeros_like(h)
-    soft = np.tanh(h + xi)
-    probs = soft_to_probs(soft)
-    prev_dec = hard_decisions(h + xi)
-    word_len = h.shape[1]
-    forward = True
-    passes = 0
-    done = False
-    for t in range(opts.max_iters):
-        _bias_sweep(probs, xi, h, soft, matrix, opts.schedule, forward, rng,
-                    scale, cap)
-        if opts.schedule == "BFUS":
-            forward = not forward
-        passes = t + 1
-        dec = hard_decisions(h + xi)
-        if np.array_equal(dec, prev_dec):
-            prev_dec = dec
-            done = True
-            break
-        prev_dec = dec
-
-    return DetectionResult(
-        bits=prev_dec, soft=SoftField(h + xi, soft_to_probs(np.tanh(h + xi))),
-        iters=np.full(word_len, passes, dtype=np.int64),
-        converged=np.full(word_len, done),
-        outer_iterations=passes)
+    return _run_engine(spreading, received, sigma, opts, assumed=matrix,
+                       iterate=False)
 
 
 def sumf_detect(spreading: SpreadingMatrix, received: np.ndarray) -> DetectionResult:

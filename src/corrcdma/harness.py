@@ -85,8 +85,13 @@ class ExperimentConfig:
             raise ValueError("spread_factor and n_users must be >= 1")
         if self.sigma < 0.0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if self.sigma == 0.0 and self.variant in ("plain_mud", "correlated_mud"):
+            raise ValueError(f"variant {self.variant} requires sigma > 0")
         if self.word_length < 1:
             raise ValueError("word_length must be >= 1")
+        if self.blind and self.word_length < 2:
+            raise ValueError("blind mode estimates transitions and needs "
+                             "word_length >= 2")
         if not isinstance(self.matrix, TransitionMatrix):
             raise ValueError("matrix must be a TransitionMatrix")
         if self.variant not in VARIANTS:
@@ -504,6 +509,22 @@ def make_pair_runner(config: ExperimentConfig, workers: int | None = None):
 # ---------------------------------------------------------------------------
 # CSV persistence
 
+# Column row of every result file, by family; the plot-data reader detects a
+# file's family from its column row.
+CSV_COLUMNS = {
+    "ber_profile": ("position", "relative_position", "errors", "bits", "ber",
+                    "std_err"),
+    "normalized_sweep": ("lambda2", "correlation_length", "p_corr",
+                         "p_plain", "normalized", "errors_corr",
+                         "errors_plain", "bits_total"),
+    "length_scaling": ("length", "saturation_position"),
+    "mismatch_surface": ("lambda2", "rel_delta", "feasible", "reason",
+                         "p_corr", "p_plain", "normalized"),
+    "compression_comparison": ("lambda2", "entropy_bits", "epsilon", "p_corr",
+                               "p_comp", "ratio", "rate", "protocol",
+                               "ensemble", "seed"),
+}
+
 
 def _format_cell(value) -> str:
     if isinstance(value, bool):
@@ -543,33 +564,27 @@ def write_ber_csv(path, report: BerReport):
         for l in range(length)
     ]
     _write_csv(path, report.config, report.summary(),
-               ("position", "relative_position", "errors", "bits", "ber",
-                "std_err"), rows)
+               CSV_COLUMNS["ber_profile"], rows)
 
 
 def write_sweep_csv(path, config: ExperimentConfig, points):
     rows = [(p.lambda2, p.correlation_length, p.p_corr, p.p_plain,
              p.normalized, p.errors_corr, p.errors_plain, p.bits_total)
             for p in points]
-    _write_csv(path, config, None,
-               ("lambda2", "correlation_length", "p_corr", "p_plain",
-                "normalized", "errors_corr", "errors_plain", "bits_total"),
-               rows)
+    _write_csv(path, config, None, CSV_COLUMNS["normalized_sweep"], rows)
 
 
 def write_length_csv(path, config: ExperimentConfig, result: LengthScalingResult):
     rows = list(zip(result.lengths, result.positions))
     _write_csv(path, config,
                {"slope": result.slope, "intercept": result.intercept},
-               ("length", "saturation_position"), rows)
+               CSV_COLUMNS["length_scaling"], rows)
 
 
 def write_mismatch_csv(path, config: ExperimentConfig, points):
     rows = [(p.lambda2, p.rel_delta, p.feasible, p.reason or "", p.p_corr,
              p.p_plain, p.normalized) for p in points]
-    _write_csv(path, config, None,
-               ("lambda2", "rel_delta", "feasible", "reason", "p_corr",
-                "p_plain", "normalized"), rows)
+    _write_csv(path, config, None, CSV_COLUMNS["mismatch_surface"], rows)
 
 
 def write_comparison_csv(path, config: ExperimentConfig, rows):
@@ -577,9 +592,8 @@ def write_comparison_csv(path, config: ExperimentConfig, rows):
     flat = [(lam, entropy, eps, c.p_corr, c.p_comp, c.ratio, c.rate,
              c.protocol, config.ensemble, config.seed)
             for lam, entropy, eps, c in rows]
-    _write_csv(path, config, None,
-               ("lambda2", "entropy_bits", "epsilon", "p_corr", "p_comp",
-                "ratio", "rate", "protocol", "ensemble", "seed"), flat)
+    _write_csv(path, config, None, CSV_COLUMNS["compression_comparison"],
+               flat)
 
 
 def read_csv_with_header(path):

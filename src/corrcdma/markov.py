@@ -180,15 +180,6 @@ def estimate_transition(beliefs: np.ndarray, pseudo_count: float = 1.0) -> Trans
     return TransitionMatrix(t_hat)
 
 
-def hard_beliefs(block: np.ndarray) -> np.ndarray:
-    """Indicator probability pairs (K, L, 2) for a +-1 symbol block."""
-    b = np.asarray(block)
-    q = np.zeros(b.shape + (2,), dtype=np.float64)
-    q[..., 0] = b < 0
-    q[..., 1] = b > 0
-    return q
-
-
 def perturb_element(t: TransitionMatrix, rel_delta: float) -> TransitionMatrix:
     """Scale the (-1, -1) element by (1 + rel_delta) and renormalize row -1.
 

@@ -290,41 +290,23 @@ def _crossing_oracle(ber, factor):
     raise AssertionError("minimum itself is under threshold by construction")
 
 
-def _stable_oracle(ber, factor):
-    # Direct restatement: first start-index whose whole tail stays under
-    # threshold.
-    ber = np.asarray(ber, dtype=float)
-    if not ber.any():
-        return 0.0
-    threshold = factor * ber.min()
-    for start in range(ber.size):
-        if np.all(ber[start:] <= threshold):
-            return start / ber.size
-    return 1.0
-
-
 def test_saturation_hand_example():
     ber = [0.10, 0.05, 0.030, 0.024, 0.024, 0.024]
     assert saturation_position(ber, 1.2) == 0.5
-    # monotone curve: every rule reads the same position
-    assert saturation_position(ber, 1.2, rule="stable") == 0.5
 
 
 def test_saturation_trivial_cases():
     assert saturation_position([0.07, 0.07, 0.07, 0.07], 1.2) == 0.0
     assert saturation_position([0.0, 0.0, 0.0], 1.2) == 0.0
-    # under the stable rule a still-elevated last position never settles
-    assert saturation_position([0.01, 0.01, 0.05], 1.2, rule="stable") == 1.0
+    # a still-elevated last position does not move the crossing
     assert saturation_position([0.01, 0.01, 0.05], 1.2) == 0.0
 
 
 def test_saturation_tail_elevated_curve():
-    # Both word edges elevated: the crossing rule reads the head width,
-    # the stable rule gives up at 1.
+    # Both word edges elevated: the crossing reads the head width and
+    # ignores the elevated tail.
     ber = [0.10, 0.05, 0.030, 0.024, 0.024, 0.050]
     assert saturation_position(ber, 1.2) == 0.5
-    assert saturation_position(ber, 1.2, rule="stable") == 1.0
-    assert saturation_position(ber, 1.2, rule="last_above") == 5 / 6
 
 
 def test_saturation_matches_oracles_on_random_curves():
@@ -334,22 +316,14 @@ def test_saturation_matches_oracles_on_random_curves():
         ber = rng.uniform(0.0, 0.2, size=size)
         factor = float(rng.uniform(1.05, 2.0))
         assert saturation_position(ber, factor) == _crossing_oracle(ber, factor)
-        assert saturation_position(ber, factor, rule="stable") == \
-            _stable_oracle(ber, factor)
 
 
 def test_saturation_scaling_invariance():
     rng = np.random.default_rng(23)
     for _ in range(100):
         ber = rng.uniform(0.001, 0.2, size=25)
-        for rule in ("crossing", "stable", "last_above"):
-            base = saturation_position(ber, 1.2, rule=rule)
-            assert saturation_position(7.3 * ber, 1.2, rule=rule) == base
-
-
-def test_saturation_last_above_rule():
-    ber = [0.10, 0.05, 0.030, 0.024, 0.024, 0.024]
-    assert saturation_position(ber, 1.2, rule="last_above") == 2 / 6
+        base = saturation_position(ber, 1.2)
+        assert saturation_position(7.3 * ber, 1.2) == base
 
 
 def test_saturation_validation():
@@ -359,8 +333,6 @@ def test_saturation_validation():
         saturation_position([0.1, -0.1], 1.2)
     with pytest.raises(ValueError):
         saturation_position([0.1, 0.2], 1.0)
-    with pytest.raises(ValueError):
-        saturation_position([0.1, 0.2], 1.2, rule="sideways")
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from corrcdma.channel import (
-    ChannelConfig,
-    SpreadingMatrix,
-    generate_spreading,
-    load_fixture,
-    save_fixture,
-    transmit,
-)
+from corrcdma.channel import SpreadingMatrix, generate_spreading, transmit
+from corrcdma.harness import ExperimentConfig
 from corrcdma.markov import generate_block, make_symmetric_matrix
 
 
@@ -60,15 +54,20 @@ class TestSpreading:
 
 
 class TestConfig:
+    # the channel parameters (N, K, sigma) are carried by ExperimentConfig;
+    # the channel entry points validate them again on direct use
+
     def test_load(self):
-        cfg = ChannelConfig(1000, 800, 0.8)
+        cfg = ExperimentConfig(spread_factor=1000, n_users=800, sigma=0.8)
         assert cfg.load == 0.8
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ChannelConfig(10, 0, 0.5)
+            generate_spreading(10, 0, np.random.default_rng(0))
+        s = generate_spreading(10, 5, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            ChannelConfig(10, 5, -0.1)
+            transmit(s, np.ones((5, 2), dtype=np.int8), -0.1,
+                     np.random.default_rng(0))
 
 
 class TestTransmit:
@@ -117,47 +116,3 @@ class TestTransmit:
         s = generate_spreading(10, 4, np.random.default_rng(16))
         with pytest.raises(ValueError):
             transmit(s, np.ones((5, 2), dtype=np.int8), 0.1, np.random.default_rng(0))
-
-
-class TestFixture:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(17)
-        s = generate_spreading(40, 16, rng)
-        b = generate_block(make_symmetric_matrix(0.8), 16, 12, rng)
-        y = transmit(s, b, 0.7, rng)
-        path = tmp_path / "word.fix"
-        save_fixture(path, s, y, 0.7, seed=123456789)
-        s2, y2, sigma, seed = load_fixture(path)
-        assert np.array_equal(s2.chips, s.chips)
-        assert np.array_equal(y2, y)
-        assert sigma == 0.7
-        assert seed == 123456789
-
-    def test_rejects_garbage(self, tmp_path):
-        path = tmp_path / "bad.fix"
-        path.write_bytes(b"not a fixture at all, much too short")
-        with pytest.raises(ValueError):
-            load_fixture(path)
-
-    def test_rejects_wrong_version(self, tmp_path):
-        rng = np.random.default_rng(18)
-        s = generate_spreading(8, 2, rng)
-        y = transmit(s, np.ones((2, 3), dtype=np.int8), 0.0, rng)
-        path = tmp_path / "v.fix"
-        save_fixture(path, s, y, 0.0, seed=1)
-        raw = bytearray(path.read_bytes())
-        raw[8] = 99  # version field follows the 8-byte magic
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError):
-            load_fixture(path)
-
-    def test_rejects_truncation(self, tmp_path):
-        rng = np.random.default_rng(19)
-        s = generate_spreading(8, 2, rng)
-        y = transmit(s, np.ones((2, 3), dtype=np.int8), 0.0, rng)
-        path = tmp_path / "t.fix"
-        save_fixture(path, s, y, 0.0, seed=1)
-        raw = path.read_bytes()
-        path.write_bytes(raw[: len(raw) - 5])
-        with pytest.raises(ValueError):
-            load_fixture(path)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from corrcdma.channel import generate_spreading, transmit
+from corrcdma.channel import SpreadingMatrix, generate_spreading, transmit
 from corrcdma.detectors import (
     DetectionResult,
     DetectorDivergence,
@@ -13,13 +13,10 @@ from corrcdma.detectors import (
     correlated_mud_detect,
     correlated_sumf_detect,
     hard_decisions,
-    init_detector_state,
     local_bias,
     mud_detect,
-    mud_step,
     soft_to_probs,
     sumf,
-    sumf_biased_decide,
     sumf_detect,
 )
 from corrcdma.markov import (
@@ -37,6 +34,14 @@ def make_instance(seed, spread, users, word_len, sigma, lam=0.0):
     s = generate_spreading(spread, users, rng)
     y = transmit(s, block, sigma, rng)
     return t, block, s, y
+
+
+def single_user_fields(fields):
+    """One user with all-plus chips over N = 4 and received samples whose
+    matched-filter field is the given per-position values."""
+    s = SpreadingMatrix(np.ones((4, 1), dtype=np.int8))
+    y = np.tile(np.asarray(fields, dtype=float) / 2.0, (4, 1))
+    return s, y
 
 
 def scalar_reference_steps(h0, corr, load, sigma, n_steps):
@@ -175,34 +180,53 @@ class TestLocalBias:
 
 
 class TestBiasedDecision:
+    # correlated SUMF decisions sign(field + (load + sigma^2) * atanh(m));
+    # one user over N = 4 chips gives load 0.25, so with sigma = 0.8 the
+    # correction scale is 0.89. Both neighbors certainly +1 at
+    # lambda2 = 0.8 give m = 2*81/82 - 1.
+    CORRECTION = (0.25 + 0.64) * math.atanh(2.0 * 0.81 / 0.82 - 1.0)
+
     def test_zero_bias_is_plain_sign(self):
-        h = np.array([-0.3, 0.2, 0.0])
-        np.testing.assert_array_equal(
-            sumf_biased_decide(h, np.zeros(3), 0.8, 0.8), [-1, 1, 1])
+        s, y = single_user_fields([-0.3, 0.2, 0.0])
+        res = correlated_sumf_detect(s, y, iid_matrix(), 0.8)
+        np.testing.assert_array_equal(res.bits, [[-1, 1, 1]])
 
     def test_strong_bias_overrides_weak_field(self):
-        # correction (0.8 + 0.64) * atanh(0.97561) = 1.44 * 2.1972 = 3.164
-        m = 2.0 * 0.81 / 0.82 - 1.0
-        correction = (0.8 + 0.64) * math.atanh(m)
-        assert abs(correction - 3.164) < 2e-3
-        assert sumf_biased_decide(np.array([-0.1]), np.array([m]), 0.8, 0.8)[0] == 1
+        # correction 0.89 * atanh(0.97561) = 0.89 * 2.1972 = 1.956
+        assert abs(self.CORRECTION - 1.956) < 1e-3
+        s, y = single_user_fields([50.0, -0.1, 50.0])
+        res = correlated_sumf_detect(s, y, make_symmetric_matrix(0.8), 0.8)
+        assert res.bits[0, 1] == 1
+        assert abs(res.soft.field[0, 1] - (-0.1 + self.CORRECTION)) < 1e-12
 
     def test_weak_bias_keeps_strong_field(self):
-        correction = (0.8 + 0.64) * math.atanh(0.5)
-        assert abs(correction - 0.791) < 1e-3
-        assert sumf_biased_decide(np.array([-5.0]), np.array([0.5]), 0.8, 0.8)[0] == -1
+        s, y = single_user_fields([50.0, -5.0, 50.0])
+        res = correlated_sumf_detect(s, y, make_symmetric_matrix(0.8), 0.8)
+        assert res.bits[0, 1] == -1
+        assert abs(res.soft.field[0, 1] - (-5.0 + self.CORRECTION)) < 1e-12
 
     def test_saturated_bias_clamped_finite(self):
-        out = sumf_biased_decide(np.array([-50.0]), np.array([1.0]), 0.8, 0.8)
-        assert out[0] in (-1, 1)
+        # frozen source and certain neighbors drive |m| to 1: the clamp keeps
+        # the correction finite, so the strong field still decides
+        s, y = single_user_fields([50.0, -50.0, 50.0])
+        res = correlated_sumf_detect(s, y, make_symmetric_matrix(1.0), 0.8)
+        assert np.all(np.isfinite(res.soft.field))
+        np.testing.assert_array_equal(res.bits, [[1, -1, 1]])
 
 
 class TestMudStep:
+    # the synchronous update, checked through mud_detect against hand
+    # arithmetic and the scalar transcription above
+
     def test_zero_soft_substitution(self):
-        state = init_detector_state(np.zeros(4))
-        nxt = mud_step(state, np.eye(4), 0.5, 0.8)
-        assert nxt.soft_power == 0.0
-        assert abs(nxt.precision - 1.0 / (0.64 + 0.5)) < 1e-15
+        # zero matched field: soft power 0, precision 1 / (sigma^2 + load)
+        s = generate_spreading(8, 4, np.random.default_rng(0))
+        res = mud_detect(s, np.zeros((8, 1)), 0.8,
+                         DetectorOptions(max_iters=1, track_bounds=True))
+        q_lo, q_hi, a_lo, a_hi, _ = res.bounds[0]
+        assert q_lo == q_hi == 0.0
+        assert abs(a_lo - 1.0 / (0.64 + 0.5)) < 1e-15
+        assert abs(a_hi - 1.0 / (0.64 + 0.5)) < 1e-15
 
     def test_two_hand_steps_single_user(self):
         # explicit arithmetic for K=1, corr [[1]], sigma 0.8, load 0.5, h0 = 1
@@ -220,38 +244,54 @@ class TestMudStep:
         r1 = a1 + a1 * load * (1 - q1) * r0
         h2 = r1 * 1.0 - u1 + a1 * eta1
 
-        state = init_detector_state(np.array([1.0]))
-        s1 = mud_step(state, np.array([[1.0]]), load, sigma)
-        s2 = mud_step(s1, np.array([[1.0]]), load, sigma)
-        assert abs(s1.field[0] - h1) < 1e-14
-        assert abs(s1.field_gain - r0) < 1e-14
-        assert abs(s2.field[0] - h2) < 1e-14
-        assert abs(s2.interference[0] - u1) < 1e-14
+        (h_1, _, _, _, r_0, _), (h_2, _, _, _, _, u_1) = scalar_reference_steps(
+            np.array([1.0]), np.array([[1.0]]), load, sigma, 2)
+        assert abs(h_1[0] - h1) < 1e-14
+        assert abs(r_0 - r0) < 1e-14
+        assert abs(h_2[0] - h2) < 1e-14
+        assert abs(u_1[0] - u1) < 1e-14
+
+        # the engine's first step on the same numbers (N = 2, one user)
+        s = SpreadingMatrix(np.ones((2, 1), dtype=np.int8))
+        y = np.full((2, 1), 1.0 / math.sqrt(2.0))
+        res = mud_detect(s, y, sigma, DetectorOptions(max_iters=1))
+        assert abs(res.soft.field[0, 0] - h1) < 1e-14
 
     def test_matches_scalar_transcription(self):
-        rng = np.random.default_rng(6)
-        _, _, s, y = make_instance(6, 24, 5, 1, 0.7)
-        h0 = sumf(s, y).field[:, 0]
-        ref = scalar_reference_steps(h0, s.corr, 5 / 24, 0.7, 4)
-        state = init_detector_state(h0)
-        for h_ref, eta_ref, q_ref, a_ref, r_ref, u_ref in ref:
-            state = mud_step(state, s.corr, 5 / 24, 0.7)
-            np.testing.assert_allclose(state.field, h_ref, rtol=1e-12, atol=1e-13)
-            np.testing.assert_allclose(state.soft, eta_ref, rtol=1e-12, atol=1e-13)
-            np.testing.assert_allclose(state.interference, u_ref, rtol=1e-12, atol=1e-13)
-            assert abs(state.soft_power - q_ref) < 1e-13
-            assert abs(state.precision - a_ref) < 1e-13
-            assert abs(state.field_gain - r_ref) < 1e-13
+        # per-iteration soft power and precision, final field and soft
+        # decisions of single-column runs against the scalar oracle
+        deepest = 0
+        for seed in range(10):
+            _, _, s, y = make_instance(20 + seed, 20, 16, 1, 0.7)
+            h0 = sumf(s, y).field[:, 0]
+            res = mud_detect(s, y, 0.7, DetectorOptions(track_bounds=True))
+            steps = int(res.iters[0])
+            deepest = max(deepest, steps)
+            ref = scalar_reference_steps(h0, s.corr, 16 / 20, 0.7, steps)
+            for (q_lo, q_hi, a_lo, a_hi, _), step in zip(res.bounds, ref):
+                assert q_lo == q_hi and a_lo == a_hi
+                assert abs(q_lo - step[2]) < 1e-13
+                assert abs(a_lo - step[3]) < 1e-13
+            h_ref, eta_ref = ref[-1][:2]
+            np.testing.assert_allclose(res.soft.field[:, 0], h_ref,
+                                       rtol=1e-12, atol=1e-13)
+            np.testing.assert_allclose(np.tanh(res.soft.field[:, 0]), eta_ref,
+                                       rtol=1e-12, atol=1e-13)
+        assert deepest >= 3
 
     def test_divergence_raises(self):
-        state = init_detector_state(np.array([np.inf, 1.0]))
+        # an infinite received sample makes the first update non-finite
+        s = generate_spreading(4, 2, np.random.default_rng(0))
+        y = np.zeros((4, 1))
+        y[0, 0] = np.inf
         with pytest.raises(DetectorDivergence) as err:
-            mud_step(state, np.eye(2), 0.5, 0.5)
+            mud_detect(s, y, 0.5)
         assert err.value.iteration == 0
 
     def test_requires_positive_sigma(self):
+        _, _, s, y = make_instance(21, 20, 5, 4, 0.5)
         with pytest.raises(ValueError):
-            mud_step(init_detector_state(np.ones(2)), np.eye(2), 0.5, 0.0)
+            mud_detect(s, y, 0.0)
 
 
 class TestMudDetect:
@@ -264,41 +304,34 @@ class TestMudDetect:
         assert bad <= 1  # >= 99% of trials decode perfectly at this easy point
 
     def test_matches_per_column_steps(self):
-        # engine processes columns in lockstep; must agree with manual
-        # per-column iteration of the public step
+        # engine processes columns in lockstep; must agree with the scalar
+        # oracle iterated column by column under the same stop rule
         _, _, s, y = make_instance(7, 40, 8, 6, 0.6)
         res = mud_detect(s, y, 0.6, DetectorOptions(max_iters=50))
         h0 = sumf(s, y).field
         load = 8 / 40
         for l in range(6):
-            state = init_detector_state(h0[:, l])
-            prev = hard_decisions(state.soft)
-            steps = 0
-            for _ in range(50):
-                state = mud_step(state, s.corr, load, 0.6)
-                steps += 1
-                dec = hard_decisions(state.soft)
+            ref = scalar_reference_steps(h0[:, l], s.corr, load, 0.6, 50)
+            prev = hard_decisions(np.tanh(h0[:, l]))
+            for steps, (h_ref, eta_ref, *_) in enumerate(ref, start=1):
+                dec = hard_decisions(eta_ref)
                 if np.array_equal(dec, prev):
                     break
                 prev = dec
             assert steps == res.iters[l]
             np.testing.assert_array_equal(dec, res.bits[:, l])
-            np.testing.assert_allclose(state.field, res.soft.field[:, l],
+            np.testing.assert_allclose(h_ref, res.soft.field[:, l],
                                        rtol=1e-10, atol=1e-12)
 
     def test_fixed_point_stable_one_extra_step(self):
         _, _, s, y = make_instance(8, 60, 12, 1, 0.5)
         h0 = sumf(s, y).field[:, 0]
-        state = init_detector_state(h0)
-        prev = hard_decisions(state.soft)
-        for _ in range(50):
-            state = mud_step(state, s.corr, 0.2, 0.5)
-            dec = hard_decisions(state.soft)
-            if np.array_equal(dec, prev):
-                break
-            prev = dec
-        extra = mud_step(state, s.corr, 0.2, 0.5)
-        np.testing.assert_array_equal(hard_decisions(extra.soft), dec)
+        res = mud_detect(s, y, 0.5)
+        assert res.converged[0]
+        steps = int(res.iters[0])
+        ref = scalar_reference_steps(h0, s.corr, 0.2, 0.5, steps + 1)
+        extra = hard_decisions(ref[steps][1])
+        np.testing.assert_array_equal(extra, res.bits[:, 0])
 
     def test_iteration_reporting(self):
         _, _, s, y = make_instance(9, 80, 30, 10, 0.8)
@@ -352,8 +385,8 @@ class TestCorrelatedReduction:
             _, _, s, y = make_instance(300 + seed, 50, 35, 12, 0.8, lam=0.8)
             plain = mud_detect(s, y, 0.8)
             for schedule in SCHEDULES:
-                corr = correlated_mud_detect(s, y, iid_matrix(), 0.8,
-                                             schedule=schedule)
+                corr = correlated_mud_detect(
+                    s, y, iid_matrix(), 0.8, DetectorOptions(schedule=schedule))
                 assert np.array_equal(plain.bits, corr.bits)
                 assert np.array_equal(plain.soft.field, corr.soft.field)
                 assert np.array_equal(plain.iters, corr.iters)
@@ -415,8 +448,10 @@ class TestCorrelatedMud:
             block = generate_block(t, 30, 40, rng)
             s = generate_spreading(40, 30, rng)
             y = transmit(s, block, 0.8, rng)
-            sus = correlated_mud_detect(s, y, t, 0.8, schedule="SUS")
-            pus = correlated_mud_detect(s, y, t, 0.8, schedule="PUS")
+            sus = correlated_mud_detect(s, y, t, 0.8,
+                                        DetectorOptions(schedule="SUS"))
+            pus = correlated_mud_detect(s, y, t, 0.8,
+                                        DetectorOptions(schedule="PUS"))
             diffs += int(not np.array_equal(sus.soft.field, pus.soft.field))
         assert diffs > 0
 
@@ -439,7 +474,7 @@ class TestCorrelatedMud:
         block = generate_block(t, 60, 100, rng)
         s = generate_spreading(200, 60, rng)
         y = transmit(s, block, 0.6, rng)
-        res = correlated_mud_detect(s, y, t, 0.6, blind=True)
+        res = correlated_mud_detect(s, y, t, 0.6, DetectorOptions(blind=True))
         assert res.estimated_matrix is not None
         assert abs(res.estimated_matrix.lambda2 - 0.8) < 0.15
 
@@ -454,7 +489,8 @@ class TestCorrelatedMud:
             y = transmit(s, block, 0.8, rng)
             plain_errors += int(np.sum(mud_detect(s, y, 0.8).bits != block))
             blind_errors += int(np.sum(
-                correlated_mud_detect(s, y, t, 0.8, blind=True).bits != block))
+                correlated_mud_detect(s, y, t, 0.8, DetectorOptions(blind=True)
+                                      ).bits != block))
         assert blind_errors < plain_errors
 
     def test_requires_positive_sigma(self):
@@ -478,6 +514,32 @@ class TestCorrelatedSumf:
                 correlated_sumf_detect(s, y, t, 0.8).bits != block))
         assert corr_errors < plain_errors
 
+    def test_accepts_zero_sigma(self):
+        # the sigma > 0 requirement belongs to the MUD step only
+        t = make_symmetric_matrix(0.8)
+        _, block, s, y = make_instance(22, 64, 4, 10, 0.0, lam=0.8)
+        res = correlated_sumf_detect(s, y, t, 0.0)
+        assert res.bits.shape == block.shape
+        assert np.all(np.isfinite(res.soft.field))
+
+    def test_pus_sweep_matches_local_bias(self):
+        # one PUS sweep takes every column's correction from the matched
+        # beliefs through the same formula as the public local_bias oracle,
+        # bit for bit
+        t = TransitionMatrix([[0.9, 0.1], [0.3, 0.7]])
+        mismatches = 0
+        for seed in range(20):
+            _, _, s, y = make_instance(1000 + seed, 40, 30, 12, 0.8, lam=0.8)
+            res = correlated_sumf_detect(
+                s, y, t, 0.8, DetectorOptions(schedule="PUS", max_iters=1))
+            matched = sumf(s, y)
+            scale = 30 / 40 + 0.8 * 0.8
+            for l in range(12):
+                xi = scale * np.arctanh(local_bias(matched.probs, t, l))
+                mismatches += int(np.count_nonzero(
+                    matched.field[:, l] + xi != res.soft.field[:, l]))
+        assert mismatches == 0
+
     def test_reports_convergence(self):
         t = make_symmetric_matrix(0.8)
         _, block, s, y = make_instance(18, 60, 20, 15, 0.8, lam=0.8)
@@ -492,10 +554,6 @@ class TestOptions:
             DetectorOptions(max_iters=0)
         with pytest.raises(ValueError):
             DetectorOptions(schedule="ZIGZAG")
-        with pytest.raises(ValueError):
-            DetectorOptions(clamp_eps=0.0)
-        with pytest.raises(ValueError):
-            DetectorOptions(pseudo_count=-1.0)
 
     def test_soft_to_probs_pairs(self):
         rng = np.random.default_rng(19)

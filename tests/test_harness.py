@@ -50,7 +50,9 @@ def small_config(**overrides):
 def test_config_rejects_out_of_range_fields():
     for bad in (dict(sigma=-0.1), dict(ensemble=0), dict(seed=-1),
                 dict(max_iters=0), dict(word_length=0), dict(n_users=0),
-                dict(variant="mf"), dict(schedule="diagonal")):
+                dict(variant="mf"), dict(schedule="diagonal"),
+                dict(sigma=0.0), dict(sigma=0.0, variant="plain_mud"),
+                dict(blind=True, word_length=1)):
         with pytest.raises(ValueError):
             small_config(**bad)
 

@@ -7,12 +7,20 @@ from corrcdma.markov import (
     TransitionMatrix,
     estimate_transition,
     generate_block,
-    hard_beliefs,
     iid_matrix,
     make_symmetric_matrix,
     perturb_element,
     source_stats,
 )
+
+
+def hard_beliefs(block):
+    """Indicator probability pairs (K, L, 2) for a +-1 symbol block."""
+    b = np.asarray(block)
+    q = np.zeros(b.shape + (2,), dtype=np.float64)
+    q[..., 0] = b < 0
+    q[..., 1] = b > 0
+    return q
 
 
 def random_matrix(rng):
