@@ -38,6 +38,7 @@ from .harness import (
     mismatch_study,
     monte_carlo,
     normalized_ber_sweep,
+    paired_arms,
     read_csv_with_header,
     write_ber_csv,
     write_comparison_csv,
@@ -223,6 +224,8 @@ def cmd_sweep(args) -> int:
         deltas = None
         if args.kind == "mismatch":
             deltas = _parse_value_list(args.deltas, "--deltas", float)
+        if args.kind != "length":
+            paired_arms(config)  # validates the MUD arms these sweeps run
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -286,6 +289,7 @@ def cmd_compare_compression(args) -> int:
         base_beta = config.load if args.base_beta is None else args.base_beta
         if base_beta <= 0:
             raise ValueError("--base-beta must be > 0")
+        paired_arms(config)  # validates the MUD arms both protocols run
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -514,15 +518,10 @@ def _selftest_checks():
             stay = rng.uniform(0.05, 0.95, size=2)
             matrix = TransitionMatrix(
                 np.array([[stay[0], 1 - stay[0]], [1 - stay[1], stay[1]]]))
-            probs = np.zeros((1, 3, 2))
             for left in (-1, 1):
                 for right in (-1, 1):
-                    probs[0, 0, (left + 1) // 2] = 1.0
-                    probs[0, 0, 1 - (left + 1) // 2] = 0.0
-                    probs[0, 2, (right + 1) // 2] = 1.0
-                    probs[0, 2, 1 - (right + 1) // 2] = 0.0
-                    probs[0, 1] = 0.5
-                    got = local_bias(probs, matrix, 1)[0]
+                    soft = np.array([[left, 0.0, right]], dtype=float)
+                    got = local_bias(soft, matrix, 1)[0]
                     up = matrix.prob(left, 1) * matrix.prob(1, right)
                     down = matrix.prob(left, -1) * matrix.prob(-1, right)
                     want = (up - down) / (up + down)

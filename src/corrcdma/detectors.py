@@ -54,7 +54,11 @@ def soft_to_probs(soft: np.ndarray) -> np.ndarray:
     """Probability pairs (..., 2) from soft decisions in [-1, 1]:
     index 0 holds P(-1) = (1 - soft)/2, index 1 holds P(+1)."""
     s = np.asarray(soft, dtype=np.float64)
-    return np.stack(((1.0 - s) / 2.0, (1.0 + s) / 2.0), axis=-1)
+    probs = np.empty(s.shape + (2,))
+    np.subtract(1.0, s, out=probs[..., 0])
+    np.add(1.0, s, out=probs[..., 1])
+    probs /= 2.0
+    return probs
 
 
 @dataclass(frozen=True)
@@ -105,7 +109,9 @@ class DetectionResult:
     converged are per symbol position. estimated_matrix is the last blind
     estimate when blind mode ran, else None. bounds holds per-iteration
     (Q_min, Q_max, A_min, A_max, max|eta|) rows when tracking was requested
-    for a MUD variant.
+    for a MUD variant: the soft power Q and precision A range over the
+    columns the MUD step updated in that iteration (frozen columns are
+    skipped), max|eta| over the whole block.
     """
 
     bits: np.ndarray
@@ -134,114 +140,199 @@ def sumf(spreading: SpreadingMatrix, received: np.ndarray) -> SoftField:
     return SoftField.from_field(h)
 
 
-def _bias_from_neighbors(q_prev: np.ndarray, q_next: np.ndarray,
-                         matrix: TransitionMatrix) -> np.ndarray:
-    """Posterior mean of a symbol given its two neighbors' beliefs.
+def _neighbour_model(matrix: TransitionMatrix):
+    """Closed-form neighbour terms of the assumed matrix.
 
-    Chains the left belief forward and the right belief backward through
-    the transition matrix: p(b) proportional to
-    [sum_a q_prev(a) T_ab] * [sum_c T_bc q_next(c)], then returns
-    m = 2 p(+1)/(p(+1) + p(-1)) - 1. Inputs are (..., 2) belief pairs.
+    With beliefs q(s) = ((1 - s)/2, (1 + s)/2) of a neighbour whose soft
+    value is s, the left term of hypothesis b, sum_a q_a(s) T_ab, and the
+    right term, sum_c T_bc q_c(s), are both affine in s:
+    w[b, 0] + w[b, 1] * s. Returns the (2, 2, 1) weights w of the left and
+    of the right term (b = 0 for -1, 1 for +1; the trailing axis
+    broadcasts over users) and the soft value pi(+1) - pi(-1) of the
+    stationary distribution, which stands in for the missing neighbour at
+    either word edge.
     """
     t = matrix.matrix
-    left = q_prev @ t          # entry b: sum_a q_prev(a) T_ab
-    right = q_next @ t.T       # entry b: sum_c T_bc q_next(c)
-    p = left * right
-    total = p.sum(axis=-1)
-    if np.any(total == 0.0):
+    left = np.stack(((t[0] + t[1]) / 2.0, (t[1] - t[0]) / 2.0), axis=1)
+    right = np.stack(((t[:, 0] + t[:, 1]) / 2.0,
+                      (t[:, 1] - t[:, 0]) / 2.0), axis=1)
+    pi = matrix.stationary()
+    return left[:, :, None], right[:, :, None], pi[1] - pi[0]
+
+
+def _terms(s, weights, out):
+    """The (minus, plus) neighbour terms of the soft values s (a scalar or
+    a 1-D array), written to the (2, n) array out."""
+    np.multiply(weights[:, 1], s, out=out)
+    return np.add(out, weights[:, 0], out=out)
+
+
+def _message(left, right, total):
+    """Posterior mean of a symbol given its two neighbours' terms.
+
+    p(b) = left(b) * right(b) and m = (p(+1) - p(-1)) / (p(+1) + p(-1)).
+    The normaliser goes to total, which the caller checks for zeros with
+    _check_totals; m is written over left[1] and returned, and left[0] is
+    clobbered.
+    """
+    p = np.multiply(left, right, out=left)
+    np.add(p[1], p[0], out=total)
+    np.subtract(p[1], p[0], out=p[1])
+    return np.divide(p[1], total, out=p[1])
+
+
+def _check_totals(total):
+    if not total.all():
         raise ValueError("degenerate transition matrix: both symbol hypotheses "
                          "have zero probability (zero row in the matrix)")
-    return 2.0 * p[..., 1] / total - 1.0
 
 
-def _pad_with_stationary(probs: np.ndarray, matrix: TransitionMatrix) -> np.ndarray:
-    """(K, L + 2, 2) copy of the beliefs with the stationary distribution of
-    the matrix standing in for the missing neighbor at either word edge.
-    Column l of the block is column l + 1 of the result."""
-    n_users, word_len = probs.shape[:2]
-    padded = np.empty((n_users, word_len + 2, 2))
-    padded[:, 0] = padded[:, -1] = matrix.stationary()
-    padded[:, 1:-1] = probs
-    return padded
+def _correction(m, scale, out):
+    """scale * atanh(m) with m clamped to |m| <= 1 - CLAMP_EPS, into out."""
+    cap = 1.0 - CLAMP_EPS
+    np.maximum(m, -cap, out=out)
+    np.minimum(out, cap, out=out)
+    np.arctanh(out, out=out)
+    if scale != 1.0:
+        np.multiply(out, scale, out=out)
 
 
-def local_bias(probs: np.ndarray, matrix: TransitionMatrix, position: int) -> np.ndarray:
-    """Local bias of one symbol column from its neighbors' beliefs.
+def local_bias(soft: np.ndarray, matrix: TransitionMatrix, position: int) -> np.ndarray:
+    """Local bias of one symbol column from its neighbors' soft values.
 
-    probs is the (K, L, 2) belief array of the whole block; position is the
+    soft is the (K, L) array of soft decisions in [-1, 1] of the whole
+    block (a hard neighbor is +-1, an uninformed one 0); position is the
     0-based column. A missing neighbor at either word edge is replaced by
     the stationary distribution of the assumed matrix. Returns the (K,)
-    vector of biases in [-1, 1].
+    vector of biases in [-1, 1], computed by the same message function as
+    the detectors' bias sweeps.
     """
-    q = np.asarray(probs, dtype=np.float64)
-    if q.ndim != 3 or q.shape[2] != 2:
-        raise ValueError(f"probs must have shape (K, L, 2), got {q.shape}")
-    word_len = q.shape[1]
+    s = np.asarray(soft, dtype=np.float64)
+    if s.ndim != 2:
+        raise ValueError(f"soft must have shape (K, L), got {s.shape}")
+    n_users, word_len = s.shape
     if not 0 <= position < word_len:
         raise ValueError(f"position {position} outside word of length {word_len}")
-    padded = _pad_with_stationary(q, matrix)
-    return _bias_from_neighbors(padded[:, position], padded[:, position + 2],
-                                matrix)
+    left_w, right_w, edge = _neighbour_model(matrix)
+    prev = s[:, position - 1] if position > 0 else edge
+    after = s[:, position + 1] if position < word_len - 1 else edge
+    work = np.empty((5, n_users))
+    with np.errstate(invalid="ignore"):  # 0/0 only where _check_totals raises
+        m = _message(_terms(prev, left_w, work[0:2]),
+                     _terms(after, right_w, work[2:4]), work[4])
+    _check_totals(work[4])
+    return m
 
 
-def _step_arrays(soft, matched, interference, gain, corr, load, sigma):
-    """One synchronous MUD update for a batch of independent columns.
-
-    soft, matched, interference are (K, M); gain is (M,). Returns the new
-    field, interference, gain and the per-column soft power and precision.
-    The interference sum runs over all users including the self term (unit
-    diagonal of corr); the final + precision * soft adds the own tentative
-    estimate back, leaving the cavity field. Without that retraction the
-    update subtracts each user's own signal and the iteration oscillates
-    instead of converging.
-    """
-    q_pow = np.mean(soft * soft, axis=0)                 # (M,)
-    precision = 1.0 / (sigma * sigma + load * (1.0 - q_pow))
-    carry = load * (1.0 - q_pow) * precision
-    interference_new = precision * (corr @ soft) + carry * interference
-    gain_new = precision + carry * gain
-    field_new = gain_new * matched - interference_new + precision * soft
-    return field_new, interference_new, gain_new, q_pow, precision
-
-
-def _sweep_order(word_len, schedule, forward, rng):
-    if schedule == "SUS" or (schedule == "BFUS" and forward):
-        return range(word_len)
-    if schedule == "BFUS":
-        return range(word_len - 1, -1, -1)
-    return rng.permutation(word_len)
-
-
-def _bias_sweep(probs, xi, field, assumed, schedule, forward, rng, scale):
+def _bias_sweep(padded, field, xi, model, schedule, forward, rng, scale,
+                work, row):
     """Recompute the bias correction over the block, in schedule order.
 
-    Updates xi in place. PUS computes every column from the same belief
-    snapshot; the other schedules refresh each visited column's beliefs
-    from field + xi, so columns visited later in a sweep see the new
-    beliefs of earlier columns (that is the whole difference between the
-    schedules). Returns a boolean (L,) mask of columns whose correction
-    changed bitwise.
+    Arrays are column-major: row l of the (L, K) arrays is symbol column
+    l, and padded is (L + 2, K) with the current soft values in rows
+    1..L. Updates xi in place. PUS computes every column from the same
+    soft snapshot in whole-block operations. The other schedules refresh
+    each visited column's soft value in padded from field + correction,
+    so columns visited later in a sweep see the new values of earlier
+    columns (that is the whole difference between the schedules). In an
+    ordered sweep the neighbour not yet visited still holds its snapshot
+    value, so that side is computed for all columns at once; RSUS
+    computes both sides per column. work is two (2, L, K) scratch pairs
+    for neighbour terms, the second of which also takes the normalisers
+    and the new correction; row is two (2, K) pairs. Returns a boolean
+    (L,) mask of columns whose correction changed bitwise.
     """
-    cap = 1.0 - CLAMP_EPS
-    padded = _pad_with_stationary(probs, assumed)
+    left_w, right_w, edge = model
+    padded[0] = padded[-1] = edge
+    word_len = field.shape[0]
+
+    def every_column(neighbours, weights, out):
+        size = neighbours.size
+        return _terms(neighbours.reshape(size), weights,
+                      out.reshape(2, size)).reshape(out.shape)
+
+    pair, spare = work
+    totals, xi_new = spare
     if schedule == "PUS":
-        m = _bias_from_neighbors(padded[:, :-2], padded[:, 2:], assumed)
-        xi_new = scale * np.arctanh(np.clip(m, -cap, cap))
-        changed = np.any(xi_new != xi, axis=0)
-        xi[:] = xi_new
-        return changed
-    word_len = probs.shape[1]
-    changed = np.zeros(word_len, dtype=bool)
-    for l in _sweep_order(word_len, schedule, forward, rng):
-        m = _bias_from_neighbors(padded[:, l], padded[:, l + 2], assumed)
-        xi_col = scale * np.arctanh(np.clip(m, -cap, cap))
-        if np.any(xi_col != xi[:, l]):
-            changed[l] = True
-            xi[:, l] = xi_col
-        s = np.tanh(field[:, l] + xi[:, l])
-        padded[:, l + 1, 0] = (1.0 - s) / 2.0
-        padded[:, l + 1, 1] = (1.0 + s) / 2.0
+        # the right terms are spent once multiplied in, so their buffers
+        # take the normalisers and the new correction
+        m = _message(every_column(padded[:-2], left_w, pair),
+                     every_column(padded[2:], right_w, spare), totals)
+        _check_totals(totals)
+        _correction(m, scale, xi_new)
+        return _commit(xi, xi_new)
+    far_left = far_right = None
+    if schedule == "RSUS":
+        order = rng.permutation(word_len)
+    elif forward:
+        order = range(word_len)
+        far_right = every_column(padded[2:], right_w, pair)
+    else:
+        order = range(word_len - 1, -1, -1)
+        far_left = every_column(padded[:-2], left_w, pair)
+    for l in order:
+        left = (_terms(padded[l], left_w, row[0]) if far_left is None
+                else far_left[:, l])
+        right = (_terms(padded[l + 2], right_w, row[1]) if far_right is None
+                 else far_right[:, l])
+        _correction(_message(left, right, totals[l]), scale, xi_new[l])
+        np.add(field[l], xi_new[l], out=padded[l + 1])
+        np.tanh(padded[l + 1], out=padded[l + 1])
+    _check_totals(totals)
+    return _commit(xi, xi_new)
+
+
+def _commit(xi, xi_new):
+    """Copy the new correction into xi; the mask of columns it changed."""
+    changed = np.any(xi_new != xi, axis=1)
+    np.copyto(xi, xi_new)
     return changed
+
+
+def _mud_step(cols, soft, matched, field, interference, gain, corr, load,
+              sigma, work, finite, iteration):
+    """One synchronous MUD update of the symbol columns cols, committed in
+    place.
+
+    The (L, K) arrays hold one symbol column per row; the columns are
+    gathered into the work buffers, so only they pay for the K x K
+    product. The interference sum runs over all users including the self
+    term (unit diagonal of corr); the final + precision * soft adds the
+    own tentative estimate back, leaving the cavity field. Without that
+    retraction the update subtracts each user's own signal and the
+    iteration oscillates instead of converging. Returns the per-column
+    soft power and precision.
+    """
+    n = cols.size
+    # mode="clip" writes straight into the work buffer ("raise" would stage
+    # the gather in a fresh array); cols are valid row indices
+    pair, spare = work
+    s = np.take(soft, cols, axis=0, out=pair[0, :n], mode="clip")
+    u_new = pair[1, :n]
+    # a running sum adds the users in index order, the order a reduction
+    # over the users axis of a (K, L) array takes, so the soft power does
+    # not depend on the layout
+    np.multiply(s, s, out=u_new)
+    q_pow = np.add.accumulate(u_new, axis=1, out=u_new)[:, -1] / s.shape[1]
+    precision = 1.0 / (sigma * sigma + load * (1.0 - q_pow))
+    carry = load * (1.0 - q_pow) * precision
+    np.matmul(corr, s.T, out=u_new.T)
+    u_new *= precision[:, None]
+    u_old = np.take(interference, cols, axis=0, out=spare[0, :n], mode="clip")
+    u_old *= carry[:, None]
+    u_new += u_old
+    gain_new = precision + carry * gain[cols]
+    h_new = np.take(matched, cols, axis=0, out=spare[0, :n], mode="clip")
+    h_new *= gain_new[:, None]
+    h_new -= u_new
+    s *= precision[:, None]
+    h_new += s
+    if not np.isfinite(h_new, out=finite[:n]).all():
+        raise DetectorDivergence(iteration)
+    field[cols] = h_new
+    interference[cols] = u_new
+    gain[cols] = gain_new
+    return q_pow, precision
 
 
 def _run_engine(spreading, received, sigma, opts, assumed=None, iterate=True):
@@ -255,33 +346,51 @@ def _run_engine(spreading, received, sigma, opts, assumed=None, iterate=True):
     its hard decisions repeat; the bias field stays identically zero.
     Correlated mode runs a bias sweep in every outer iteration and stops
     at a global hard-decision fixed point. Columns whose decisions repeated
-    are frozen (their state stops being committed) and thaw again if a
-    later sweep changes their correction; with a memoryless assumed matrix
-    no correction ever changes, which makes the two modes produce bitwise
-    identical results.
+    are frozen (the step skips them, so their state stays as committed)
+    and thaw again if a later sweep changes their correction; with a
+    memoryless assumed matrix no correction ever changes, which makes the
+    two modes produce bitwise identical results.
+
+    The state is held column-major, one (K,) row per symbol column, in
+    arrays allocated once per call; results are transposed back to (K, L).
     """
     if iterate and sigma <= 0.0:
         raise ValueError("iterative detection requires sigma > 0")
     opts = opts or DetectorOptions()
     corr = spreading.corr
     load = spreading.n_users / spreading.spread_factor
-    h0 = sumf(spreading, received).field
-    word_len = h0.shape[1]
+    matched = sumf(spreading, received).field
+    n_users, word_len = matched.shape
 
     correlated = assumed is not None
     blind = correlated and iterate and opts.blind
     assumed_now = iid_matrix() if blind else assumed
+    model = _neighbour_model(assumed_now) if correlated else None
     scale = 1.0 if iterate else load + sigma * sigma
     rng = opts.schedule_rng
     if rng is None and opts.schedule == "RSUS":
         rng = np.random.default_rng(0)
 
-    h = h0.copy()
-    xi = np.zeros_like(h)
-    interference = np.zeros_like(h)
+    # Every (L, K) array of the run is carved from one block: nothing that
+    # grows with L * K is allocated inside the loop, and the single block
+    # keeps the heap from fragmenting across trials (separate buffers raised
+    # the peak resident memory of a C7 ensemble by one Gram matrix, 5 MB).
+    block = np.empty((9 * word_len + 2, n_users))
+    h0, h, xi, interference, pair, spare, padded = np.split(
+        block, np.cumsum([1, 1, 1, 1, 2, 2]) * word_len)
+    h0[:] = matched.T
+    h[:] = h0
+    xi[:] = 0.0
+    interference[:] = 0.0
+    work = (pair.reshape(2, word_len, n_users),
+            spare.reshape(2, word_len, n_users))
+    soft = padded[1:-1]
     gain = np.zeros(word_len)
-    soft = np.tanh(h + xi)
-    prev_dec = hard_decisions(soft)
+    row = np.empty((2, 2, n_users))
+    finite = np.empty((word_len, n_users), dtype=bool)
+    np.tanh(np.add(h, xi, out=soft), out=soft)
+    prev_dec = soft >= 0.0
+    dec = np.empty_like(prev_dec)
     active = np.ones(word_len, dtype=bool)
     iters = np.zeros(word_len, dtype=np.int64)
     converged = np.zeros(word_len, dtype=bool)
@@ -291,22 +400,20 @@ def _run_engine(spreading, received, sigma, opts, assumed=None, iterate=True):
 
     for t in range(opts.max_iters):
         if iterate:
-            h_new, u_new, g_new, q_pow, prec = _step_arrays(
-                soft, h0, interference, gain, corr, load, sigma)
-            if not np.all(np.isfinite(h_new[:, active])):
-                raise DetectorDivergence(t)
-            h[:, active] = h_new[:, active]
-            interference[:, active] = u_new[:, active]
-            gain[active] = g_new[active]
+            q_pow, prec = _mud_step(np.flatnonzero(active), soft, h0, h,
+                                    interference, gain, corr, load, sigma,
+                                    work, finite, t)
         iters[active] += 1
         outer = t + 1
 
         if correlated:
-            probs = soft_to_probs(np.tanh(h + xi))
+            np.tanh(np.add(h, xi, out=soft), out=soft)
             if blind and t > 0:
-                assumed_now = estimate_transition(probs, PSEUDO_COUNT)
-            changed = _bias_sweep(probs, xi, h, assumed_now, opts.schedule,
-                                  forward, rng, scale)
+                assumed_now = estimate_transition(soft_to_probs(soft.T),
+                                                  PSEUDO_COUNT)
+                model = _neighbour_model(assumed_now)
+            changed = _bias_sweep(padded, h, xi, model, opts.schedule,
+                                  forward, rng, scale, work, row)
             if opts.schedule == "BFUS":
                 forward = not forward
             thawed = changed & ~active
@@ -314,22 +421,24 @@ def _run_engine(spreading, received, sigma, opts, assumed=None, iterate=True):
                 active |= thawed
                 converged &= ~thawed
 
-        soft = np.tanh(h + xi)
+        np.tanh(np.add(h, xi, out=soft), out=soft)
         if bounds is not None:
             bounds.append((float(q_pow.min()), float(q_pow.max()),
                            float(prec.min()), float(prec.max()),
                            float(np.abs(soft).max())))
-        dec = hard_decisions(soft)
-        same = np.all(dec == prev_dec, axis=0)
+        np.greater_equal(soft, 0.0, out=dec)
+        same = np.all(dec == prev_dec, axis=1)
         newly = active & same
         converged |= newly
         active &= ~newly
-        prev_dec = dec
+        prev_dec, dec = dec, prev_dec
         if same.all() or not active.any():
             break
 
     return DetectionResult(
-        bits=prev_dec, soft=SoftField(h + xi, soft_to_probs(soft)),
+        bits=np.ascontiguousarray(hard_decisions(soft.T)),
+        soft=SoftField(np.add(h, xi, out=work[0][0]).T.copy(),
+                       soft_to_probs(soft.T)),
         iters=iters, converged=converged, outer_iterations=outer,
         estimated_matrix=assumed_now if blind else None,
         bounds=bounds)

@@ -353,6 +353,18 @@ def _normalized(p_corr: float, p_plain: float) -> float:
     return p_corr / p_plain
 
 
+def paired_arms(config: ExperimentConfig) -> tuple[ExperimentConfig, ExperimentConfig]:
+    """The correlated-MUD and plain-MUD arms of a paired study.
+
+    The lambda2 and mismatch sweeps and both compression protocols run
+    these two arms whatever config.variant is, on identical realizations;
+    the plain arm never carries a mismatch. Building them validates both,
+    so a config the arms reject (sigma = 0) fails before any run.
+    """
+    return (replace(config, variant="correlated_mud"),
+            replace(config, variant="plain_mud", mismatch=0.0))
+
+
 def normalized_ber_sweep(config: ExperimentConfig, lambda2_values,
                          workers: int | None = None,
                          run_report=None) -> list[SweepPoint]:
@@ -372,8 +384,9 @@ def normalized_ber_sweep(config: ExperimentConfig, lambda2_values,
         if not 0.0 <= lam < 1.0:
             raise ValueError(f"lambda2 must lie in [0, 1), got {lam}")
         base = replace(config, matrix=make_symmetric_matrix(lam))
-        corr = run_report(replace(base, variant="correlated_mud"))
-        plain = run_report(replace(base, variant="plain_mud", mismatch=0.0))
+        corr_arm, plain_arm = paired_arms(base)
+        corr = run_report(corr_arm)
+        plain = run_report(plain_arm)
         points.append(SweepPoint(
             lambda2=lam,
             correlation_length=source_stats(base.matrix).correlation_length,
@@ -462,13 +475,11 @@ def mismatch_study(config: ExperimentConfig, rel_deltas, lambda2_values,
                     reason=str(exc), p_corr=float("nan"),
                     p_plain=float("nan"), normalized=float("nan")))
                 continue
+            corr_arm, plain_arm = paired_arms(
+                replace(config, matrix=matrix, mismatch=delta))
             if plain is None:
-                plain = run_report(replace(config, matrix=matrix,
-                                           variant="plain_mud",
-                                           mismatch=0.0))
-            corr = run_report(replace(config, matrix=matrix,
-                                      variant="correlated_mud",
-                                      mismatch=delta))
+                plain = run_report(plain_arm)
+            corr = run_report(corr_arm)
             points.append(MismatchPoint(
                 lambda2=lam, rel_delta=delta, feasible=True, reason=None,
                 p_corr=corr.aggregate, p_plain=plain.aggregate,
@@ -489,19 +500,21 @@ def make_ber_runner(config: ExperimentConfig, workers: int | None = None):
     so different arms run on paired realizations.
     """
     def run_ber(matrix, n_users, sigma, correlated):
-        variant = "correlated_mud" if correlated else "plain_mud"
-        cfg = replace(config, matrix=matrix, n_users=int(n_users),
-                      sigma=float(sigma), variant=variant, mismatch=0.0)
-        return monte_carlo(cfg, workers).aggregate
+        corr_arm, plain_arm = paired_arms(replace(
+            config, matrix=matrix, n_users=int(n_users), sigma=float(sigma),
+            mismatch=0.0))
+        return monte_carlo(corr_arm if correlated else plain_arm,
+                           workers).aggregate
     return run_ber
 
 
 def make_pair_runner(config: ExperimentConfig, workers: int | None = None):
     """Adapt monte_carlo to the fixed-load protocol's run_pair contract."""
+    corr_arm, plain_arm = paired_arms(config)
+
     def run_pair():
-        corr = monte_carlo(replace(config, variant="correlated_mud"), workers)
-        plain = monte_carlo(replace(config, variant="plain_mud",
-                                    mismatch=0.0), workers)
+        corr = monte_carlo(corr_arm, workers)
+        plain = monte_carlo(plain_arm, workers)
         return corr.aggregate, plain.aggregate
     return run_pair
 

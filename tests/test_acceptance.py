@@ -18,6 +18,7 @@ from dataclasses import replace
 from itertools import product
 
 import numpy as np
+import pytest
 
 import conftest
 
@@ -53,6 +54,8 @@ from corrcdma.markov import (
     make_symmetric_matrix,
     source_stats,
 )
+
+pytestmark = pytest.mark.acceptance
 
 
 def _report(criterion: str, passed: bool, detail: str) -> bool:
@@ -90,7 +93,7 @@ def test_criterion_01_reduction_identity():
 
 
 def test_criterion_02_bias_oracle():
-    """local_bias with hard neighbor indicators equals the enumerated
+    """local_bias with hard neighbors (soft values +-1) equals the enumerated
     conditional posterior mean for 4 neighbor configs x 20 matrices."""
     rng = np.random.default_rng(102)
     worst = 0.0
@@ -99,11 +102,8 @@ def test_criterion_02_bias_oracle():
         matrix = TransitionMatrix(np.array([[stay[0], 1.0 - stay[0]],
                                             [1.0 - stay[1], stay[1]]]))
         for left, right in product((-1, 1), repeat=2):
-            probs = np.zeros((1, 3, 2))
-            probs[0, 0, (left + 1) // 2] = 1.0
-            probs[0, 2, (right + 1) // 2] = 1.0
-            probs[0, 1] = 0.5
-            got = float(local_bias(probs, matrix, 1)[0])
+            soft = np.array([[left, 0.0, right]], dtype=float)
+            got = float(local_bias(soft, matrix, 1)[0])
             up = matrix.prob(left, 1) * matrix.prob(1, right)
             down = matrix.prob(left, -1) * matrix.prob(-1, right)
             want = (up - down) / (up + down)

@@ -154,6 +154,38 @@ def test_sweep_requires_values(tmp_path, capsys):
     assert "--values" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["sweep", "lambda2", "--values", "0.5"],
+    ["sweep", "mismatch", "--values", "0.5", "--deltas", "0.1"],
+    ["compare-compression", "fixed"],
+    ["compare-compression", "bandwidth", "--values", "0.5"],
+])
+@pytest.mark.parametrize("dry_run", [True, False])
+def test_paired_commands_reject_zero_sigma_up_front(tmp_path, capsys,
+                                                    command, dry_run):
+    # these commands run the MUD arms whatever --variant says, so a SUMF
+    # variant does not make sigma = 0 valid
+    out = tmp_path / "zero"
+    code = main([*command, *TINY, "--sigma", "0", "--variant", "plain_sumf",
+                 "--out-dir", str(out), *(["--dry-run"] if dry_run else [])])
+    assert code == 2
+    assert "requires sigma > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_length_sweep_keeps_the_config_variant(tmp_path, capsys):
+    # the length study runs config.variant, which may be a SUMF at sigma = 0
+    assert main(["sweep", "length", "--values", "8,16,32", *TINY,
+                 "--sigma", "0", "--variant", "plain_sumf",
+                 "--dry-run"]) == 0
+    assert "config valid" in capsys.readouterr().out
+    out = tmp_path / "len0"
+    assert main(["sweep", "length", "--values", "8,16,32", *TINY,
+                 "--sigma", "0", "--variant", "plain_sumf",
+                 "--out-dir", str(out)]) == 0
+    assert (out / "sweep_length.csv").exists()
+
+
 def test_mismatch_sweep_records_infeasible_points(tmp_path, capsys):
     out = tmp_path / "mis"
     assert main(["sweep", "mismatch", "--values", "0.5,0.9", "--deltas",

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from corrcdma import detectors
 from corrcdma.channel import SpreadingMatrix, generate_spreading, transmit
 from corrcdma.detectors import (
     DetectionResult,
@@ -112,25 +113,24 @@ class TestSumf:
 
 
 class TestLocalBias:
+    # local_bias takes the (K, L) soft values of the block: a neighbor
+    # certainly -1 or +1 has soft value -1 or +1, an uninformed one 0
+
     def test_iid_matrix_zero(self):
         rng = np.random.default_rng(4)
-        p = rng.random((6, 9))
-        probs = np.stack([1.0 - p, p], axis=-1)
+        soft = rng.uniform(-1.0, 1.0, (6, 9))
         for l in range(9):
-            assert np.all(local_bias(probs, iid_matrix(), l) == 0.0)
+            assert np.all(local_bias(soft, iid_matrix(), l) == 0.0)
 
     def test_hand_value_certain_neighbors(self):
         # lambda2 = 0.8, both neighbors certainly +1:
         # p(+1) = 0.9 * 0.9, p(-1) = 0.1 * 0.1, m = 2*81/82 - 1
-        probs = np.zeros((1, 3, 2))
-        probs[:, :, 1] = 1.0
-        m = local_bias(probs, make_symmetric_matrix(0.8), 1)
+        m = local_bias(np.ones((1, 3)), make_symmetric_matrix(0.8), 1)
         assert abs(m[0] - (2.0 * 0.81 / 0.82 - 1.0)) < 1e-12
         assert abs(m[0] - 0.97561) < 5e-6
 
     def test_uniform_neighbors_symmetric_zero(self):
-        probs = np.full((3, 5, 2), 0.5)
-        m = local_bias(probs, make_symmetric_matrix(0.8), 2)
+        m = local_bias(np.zeros((3, 5)), make_symmetric_matrix(0.8), 2)
         assert np.all(np.abs(m) < 1e-12)
 
     def test_enumeration_oracle(self):
@@ -143,40 +143,55 @@ class TestLocalBias:
             t = TransitionMatrix([[a, 1 - a], [1 - b, b]])
             for prev in (-1, 1):
                 for nxt in (-1, 1):
-                    probs = np.zeros((1, 3, 2))
-                    probs[0, 0, idx[prev]] = 1.0
-                    probs[0, 2, idx[nxt]] = 1.0
-                    probs[0, 1, :] = 0.5
+                    soft = np.array([[prev, 0.0, nxt]])
                     w_plus = t.matrix[idx[prev], 1] * t.matrix[1, idx[nxt]]
                     w_minus = t.matrix[idx[prev], 0] * t.matrix[0, idx[nxt]]
                     exact = (w_plus - w_minus) / (w_plus + w_minus)
-                    m = local_bias(probs, t, 1)[0]
+                    m = local_bias(soft, t, 1)[0]
                     assert abs(m - exact) < 1e-12
+
+    def test_matches_belief_pair_formula(self):
+        # the closed form against the belief-pair chain
+        # p(b) = [sum_a q_prev(a) T_ab] * [sum_c T_bc q_next(c)]
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            a, b = rng.uniform(0.05, 0.95, 2)
+            t = TransitionMatrix([[a, 1 - a], [1 - b, b]])
+            soft = rng.uniform(-1.0, 1.0, (5, 4))
+            probs = soft_to_probs(soft)
+            for l in (1, 2):
+                p = (probs[:, l - 1] @ t.matrix) * (probs[:, l + 1] @ t.matrix.T)
+                expected = (p[:, 1] - p[:, 0]) / p.sum(axis=1)
+                np.testing.assert_allclose(local_bias(soft, t, l), expected,
+                                           rtol=0, atol=1e-14)
 
     def test_boundary_uses_stationary(self):
         t = TransitionMatrix([[0.9, 0.1], [0.2, 0.8]])
         mu = t.stationary()
-        probs = np.full((2, 4, 2), 0.5)
-        probs[:, 1, 0], probs[:, 1, 1] = 0.3, 0.7
-        m_edge = local_bias(probs, t, 0)
+        soft = np.zeros((2, 4))
+        soft[:, 1] = 0.4  # beliefs (0.3, 0.7)
+        m_edge = local_bias(soft, t, 0)
         left = mu @ t.matrix
-        right = probs[:, 1, :] @ t.matrix.T
+        right = np.array([0.3, 0.7]) @ t.matrix.T
         p = left * right
-        expected = 2.0 * p[:, 1] / p.sum(axis=1) - 1.0
+        expected = 2.0 * p[1] / p.sum() - 1.0
         np.testing.assert_allclose(m_edge, expected, atol=1e-12)
+        m_last = local_bias(soft[:, ::-1], t, 3)
+        p = (np.array([0.3, 0.7]) @ t.matrix) * (t.matrix @ mu)
+        np.testing.assert_allclose(m_last, 2.0 * p[1] / p.sum() - 1.0,
+                                   atol=1e-12)
 
     def test_degenerate_matrix_raises(self):
-        probs = np.zeros((1, 3, 2))
-        probs[0, 0, 0] = 1.0  # prev certainly -1
-        probs[0, 2, 1] = 1.0  # next certainly +1
-        probs[0, 1, :] = 0.5
+        # prev certainly -1, next certainly +1
+        soft = np.array([[-1.0, 0.0, 1.0]])
         with pytest.raises(ValueError):
-            local_bias(probs, make_symmetric_matrix(1.0), 1)
+            local_bias(soft, make_symmetric_matrix(1.0), 1)
 
     def test_position_out_of_range(self):
-        probs = np.full((1, 3, 2), 0.5)
         with pytest.raises(ValueError):
-            local_bias(probs, iid_matrix(), 3)
+            local_bias(np.zeros((1, 3)), iid_matrix(), 3)
+        with pytest.raises(ValueError):
+            local_bias(np.zeros((1, 3, 2)), iid_matrix(), 1)
 
 
 class TestBiasedDecision:
@@ -379,25 +394,171 @@ class TestMudDetect:
         np.testing.assert_array_equal(res.bits, -flipped.bits)
 
 
+# (spread factor, users, word length): the C1 size and the edge shapes the
+# column sweeps special-case (a one- or two-column word, a single user)
+REDUCTION_SHAPES = [(50, 35, 12), (40, 20, 1), (40, 20, 2), (16, 1, 9)]
+
+
+def schedule_opts(schedule, **kwargs):
+    rng = np.random.default_rng(3) if schedule == "RSUS" else None
+    return DetectorOptions(schedule=schedule, schedule_rng=rng, **kwargs)
+
+
+def assert_same_detection(a, b):
+    assert np.array_equal(a.bits, b.bits)
+    assert np.array_equal(a.soft.field, b.soft.field)
+    assert np.array_equal(a.iters, b.iters)
+    assert np.array_equal(a.converged, b.converged)
+
+
+def reduction_instances(first_seed):
+    for shape in REDUCTION_SHAPES:
+        for seed in range(10 if shape == REDUCTION_SHAPES[0] else 4):
+            yield make_instance(first_seed + seed, *shape, 0.8, lam=0.8)
+
+
 class TestCorrelatedReduction:
     def test_mud_bit_identical_with_memoryless_matrix(self):
-        for seed in range(10):
-            _, _, s, y = make_instance(300 + seed, 50, 35, 12, 0.8, lam=0.8)
+        for _, _, s, y in reduction_instances(300):
             plain = mud_detect(s, y, 0.8)
             for schedule in SCHEDULES:
+                corr = correlated_mud_detect(s, y, iid_matrix(), 0.8,
+                                             schedule_opts(schedule))
+                assert_same_detection(plain, corr)
+
+    def test_blind_first_iteration_is_memoryless(self):
+        # blind mode starts from the memoryless matrix, so its first outer
+        # iteration is the plain one, whatever matrix is passed in
+        for _, _, s, y in reduction_instances(350):
+            plain = mud_detect(s, y, 0.8, DetectorOptions(max_iters=1))
+            for schedule in SCHEDULES:
                 corr = correlated_mud_detect(
-                    s, y, iid_matrix(), 0.8, DetectorOptions(schedule=schedule))
-                assert np.array_equal(plain.bits, corr.bits)
-                assert np.array_equal(plain.soft.field, corr.soft.field)
-                assert np.array_equal(plain.iters, corr.iters)
-                assert np.array_equal(plain.converged, corr.converged)
+                    s, y, make_symmetric_matrix(0.8), 0.8,
+                    schedule_opts(schedule, blind=True, max_iters=1))
+                assert_same_detection(plain, corr)
+                assert corr.estimated_matrix == iid_matrix()
 
     def test_sumf_identical_with_memoryless_matrix(self):
-        for seed in range(10):
-            _, _, s, y = make_instance(400 + seed, 50, 35, 12, 0.8, lam=0.8)
+        # one sweep finds every correction unchanged (zero), so each column
+        # counts one iteration and converges on the matched-filter decisions
+        for _, _, s, y in reduction_instances(400):
             plain = sumf_detect(s, y)
-            corr = correlated_sumf_detect(s, y, iid_matrix(), 0.8)
-            assert np.array_equal(plain.bits, corr.bits)
+            for schedule in SCHEDULES:
+                for blind in (False, True):
+                    corr = correlated_sumf_detect(
+                        s, y, iid_matrix(), 0.8,
+                        schedule_opts(schedule, blind=blind))
+                    assert np.array_equal(plain.bits, corr.bits)
+                    assert np.array_equal(plain.soft.field, corr.soft.field)
+                    assert np.array_equal(plain.converged, corr.converged)
+                    assert np.all(corr.iters == 1)
+
+
+class TestFreezeAndCap:
+    # A column whose hard decisions repeat is frozen: the MUD step skips it,
+    # so its committed state stays as it was, until a sweep changes its
+    # correction (thaw). iters counts the iterations a column was active.
+
+    DETECTORS = [("plain", None)] + [("mud", sch) for sch in SCHEDULES] \
+        + [("sumf", sch) for sch in SCHEDULES]
+
+    @staticmethod
+    def run(kind, schedule, s, y, max_iters):
+        t = make_symmetric_matrix(0.8)
+        if kind == "plain":
+            return mud_detect(s, y, 0.8, DetectorOptions(max_iters=max_iters))
+        opts = schedule_opts(schedule, max_iters=max_iters)
+        if kind == "mud":
+            return correlated_mud_detect(s, y, t, 0.8, opts)
+        return correlated_sumf_detect(s, y, t, 0.8, opts)
+
+    @pytest.mark.parametrize("kind,schedule", DETECTORS)
+    def test_flags_at_caps_one_and_two(self, kind, schedule):
+        for seed in range(3):
+            _, _, s, y = make_instance(1100 + seed, 40, 32, 15, 0.8, lam=0.8)
+            first = self.run(kind, schedule, s, y, 1)
+            second = self.run(kind, schedule, s, y, 2)
+            start = hard_decisions(sumf(s, y).field)
+            assert first.outer_iterations == 1
+            assert np.all(first.iters == 1)
+            # a column is converged exactly when its last two decision
+            # vectors agree
+            np.testing.assert_array_equal(
+                first.converged, np.all(first.bits == start, axis=0))
+            if second.outer_iterations == 1:
+                assert np.all(first.converged)
+                continue
+            np.testing.assert_array_equal(
+                second.converged, np.all(second.bits == first.bits, axis=0))
+            np.testing.assert_array_equal(second.iters, 1 + ~first.converged)
+
+    def test_plain_frozen_columns_keep_their_field(self):
+        # plain MUD has no correction, so a column frozen after iteration n
+        # keeps its field bitwise for the rest of the run
+        for seed in range(3):
+            _, _, s, y = make_instance(1200 + seed, 40, 32, 15, 0.8)
+            full = mud_detect(s, y, 0.8)
+            runs = [mud_detect(s, y, 0.8, DetectorOptions(max_iters=n))
+                    for n in range(1, full.outer_iterations + 1)]
+            assert runs[-1].outer_iterations == full.outer_iterations
+            assert_same_detection(runs[-1], full)
+            for now, after in zip(runs, runs[1:]):
+                frozen = now.converged
+                np.testing.assert_array_equal(after.iters,
+                                              now.iters + ~frozen)
+                assert np.all(after.converged[frozen])
+                assert np.array_equal(after.soft.field[:, frozen],
+                                      now.soft.field[:, frozen])
+
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_correlated_state_frozen_until_thawed(self, schedule,
+                                                  monkeypatch):
+        # spy on the engine: every MUD step leaves the field, interference
+        # and gain of the columns it skips bitwise as they were, a skipped
+        # column is only stepped again after a sweep changed its correction,
+        # and iters counts the steps each column took part in
+        steps, sweeps = [], []
+        real_step, real_sweep = detectors._mud_step, detectors._bias_sweep
+
+        def step(cols, soft, matched, field, interference, gain, *rest):
+            before = (field.copy(), interference.copy(), gain.copy())
+            out = real_step(cols, soft, matched, field, interference, gain,
+                            *rest)
+            steps.append((cols.copy(), before,
+                          (field.copy(), interference.copy(), gain.copy())))
+            return out
+
+        def sweep(*args):
+            changed = real_sweep(*args)
+            sweeps.append(changed.copy())
+            return changed
+
+        monkeypatch.setattr(detectors, "_mud_step", step)
+        monkeypatch.setattr(detectors, "_bias_sweep", sweep)
+        thaws = 0
+        for seed in range(4):
+            steps.clear()
+            sweeps.clear()
+            _, _, s, y = make_instance(1300 + seed, 40, 32, 15, 0.8, lam=0.8)
+            res = correlated_mud_detect(s, y, make_symmetric_matrix(0.8), 0.8,
+                                        schedule_opts(schedule))
+            assert len(steps) == len(sweeps) == res.outer_iterations
+            word_len = res.bits.shape[1]
+            taken = np.zeros(word_len, dtype=np.int64)
+            was = np.ones(word_len, dtype=bool)
+            for t, (cols, before, after) in enumerate(steps):
+                now = np.zeros(word_len, dtype=bool)
+                now[cols] = True
+                taken += now
+                for old, new in zip(before, after):
+                    assert np.array_equal(old[~now], new[~now])
+                if t > 0:
+                    resumed = now & ~was
+                    assert np.all(sweeps[t - 1][resumed])
+                    thaws += int(resumed.sum())
+                was = now
+            np.testing.assert_array_equal(res.iters, taken)
+        assert thaws > 0
 
 
 class TestCorrelatedMud:
@@ -524,8 +685,8 @@ class TestCorrelatedSumf:
 
     def test_pus_sweep_matches_local_bias(self):
         # one PUS sweep takes every column's correction from the matched
-        # beliefs through the same formula as the public local_bias oracle,
-        # bit for bit
+        # soft values through the same formula as the public local_bias
+        # oracle, bit for bit
         t = TransitionMatrix([[0.9, 0.1], [0.3, 0.7]])
         mismatches = 0
         for seed in range(20):
@@ -533,12 +694,41 @@ class TestCorrelatedSumf:
             res = correlated_sumf_detect(
                 s, y, t, 0.8, DetectorOptions(schedule="PUS", max_iters=1))
             matched = sumf(s, y)
+            soft = np.tanh(matched.field)
             scale = 30 / 40 + 0.8 * 0.8
             for l in range(12):
-                xi = scale * np.arctanh(local_bias(matched.probs, t, l))
+                xi = scale * np.arctanh(local_bias(soft, t, l))
                 mismatches += int(np.count_nonzero(
                     matched.field[:, l] + xi != res.soft.field[:, l]))
         assert mismatches == 0
+
+    @pytest.mark.parametrize("schedule", ["SUS", "BFUS", "RSUS"])
+    def test_sequential_sweeps_match_local_bias(self, schedule):
+        # two sweeps (BFUS: forward, then backward) replayed column by
+        # column with the local_bias oracle, each visited column's soft
+        # value refreshed before the next is visited, bit for bit
+        t = TransitionMatrix([[0.9, 0.1], [0.3, 0.7]])
+        scale = 30 / 40 + 0.8 * 0.8
+        for seed in range(5):
+            _, _, s, y = make_instance(1400 + seed, 40, 30, 12, 0.8, lam=0.8)
+            res = correlated_sumf_detect(s, y, t, 0.8,
+                                         schedule_opts(schedule, max_iters=2))
+            assert res.outer_iterations == 2
+            field = sumf(s, y).field
+            xi = np.zeros_like(field)
+            rng = np.random.default_rng(3)
+            for sweep in range(2):
+                soft = np.tanh(field + xi)
+                if schedule == "RSUS":
+                    order = rng.permutation(12)
+                elif schedule == "BFUS" and sweep == 1:
+                    order = range(11, -1, -1)
+                else:
+                    order = range(12)
+                for l in order:
+                    xi[:, l] = scale * np.arctanh(local_bias(soft, t, l))
+                    soft[:, l] = np.tanh(field[:, l] + xi[:, l])
+            assert np.array_equal(field + xi, res.soft.field)
 
     def test_reports_convergence(self):
         t = make_symmetric_matrix(0.8)
