@@ -12,14 +12,18 @@ import numpy as np
 
 
 class SpreadingMatrix:
-    """N x K matrix of +-1 chips with its cached code correlation matrix.
+    """N x K matrix of +-1 chips with its code correlation matrix.
 
-    corr[k, j] = (1/N) sum_mu chips[mu, k] * chips[mu, j]; unit diagonal by
-    construction. corr is the O(K^2) operand of the iterative detector, so it
-    is computed once here.
+    chips is the int8 matrix and float_chips the same chips as float64: the
+    one conversion that transmit, the matched filter and the correlation
+    matrix all read. corr[k, j] = (1/N) sum_mu chips[mu, k] * chips[mu, j]
+    (unit diagonal) is the O(K^2) operand of the iterative detectors only,
+    so it is computed on first access and cached: matched-filter runs never
+    build it. Its entries are sums of +-1 products, exact in any summation
+    order.
     """
 
-    __slots__ = ("chips", "corr")
+    __slots__ = ("chips", "float_chips", "_corr")
 
     def __init__(self, chips):
         c = np.asarray(chips)
@@ -30,9 +34,15 @@ class SpreadingMatrix:
         c = c.astype(np.int8, copy=True)
         c.flags.writeable = False
         self.chips = c
-        w = (c.astype(np.float64).T @ c.astype(np.float64)) / c.shape[0]
-        w.flags.writeable = False
-        self.corr = w
+        self.float_chips = c.astype(np.float64)
+        self.float_chips.flags.writeable = False
+        self._corr = None
+
+    @property
+    def corr(self) -> np.ndarray:
+        if self._corr is None:
+            self._corr = _gram(self.float_chips)
+        return self._corr
 
     @property
     def spread_factor(self) -> int:
@@ -41,6 +51,17 @@ class SpreadingMatrix:
     @property
     def n_users(self) -> int:
         return self.chips.shape[1]
+
+
+def _gram(float_chips: np.ndarray) -> np.ndarray:
+    """(1/N) float_chips.T @ float_chips, read-only.
+
+    Both operands are views of one buffer, so numpy computes the symmetric
+    product (half the flops of a general one).
+    """
+    w = (float_chips.T @ float_chips) / float_chips.shape[0]
+    w.flags.writeable = False
+    return w
 
 
 def generate_spreading(spread_factor: int, n_users: int,
@@ -67,7 +88,7 @@ def transmit(spreading: SpreadingMatrix, block: np.ndarray, sigma: float,
     if sigma < 0.0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     n = spreading.spread_factor
-    signal = (spreading.chips.astype(np.float64) @ b.astype(np.float64)) / np.sqrt(n)
+    signal = (spreading.float_chips @ b.astype(np.float64)) / np.sqrt(n)
     if sigma == 0.0:
         return signal
     return signal + sigma * rng.standard_normal(signal.shape)

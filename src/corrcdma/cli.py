@@ -31,7 +31,10 @@ from .detectors import local_bias
 from .harness import (
     CSV_COLUMNS,
     ExperimentConfig,
+    check_workers,
     default_workers,
+    lambda2_arms,
+    length_configs,
     length_scaling_study,
     make_ber_runner,
     make_pair_runner,
@@ -109,7 +112,9 @@ def _resolve_config(args) -> ExperimentConfig:
 
 
 def _resolve_workers(args):
-    return args.workers if args.workers is not None else default_workers()
+    if args.workers is None:
+        return default_workers()
+    return check_workers(args.workers, "--workers")
 
 
 def _parse_value_list(text, option, cast=float):
@@ -224,8 +229,13 @@ def cmd_sweep(args) -> int:
         deltas = None
         if args.kind == "mismatch":
             deltas = _parse_value_list(args.deltas, "--deltas", float)
-        if args.kind != "length":
-            paired_arms(config)  # validates the MUD arms these sweeps run
+        # build every run the sweep makes, which validates each of them
+        if args.kind == "lambda2":
+            lambda2_arms(config, values)
+        elif args.kind == "length":
+            length_configs(config, values)
+        else:
+            paired_arms(config)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

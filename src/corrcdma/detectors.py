@@ -136,7 +136,7 @@ def sumf(spreading: SpreadingMatrix, received: np.ndarray) -> SoftField:
         raise ValueError(
             f"received shape {y.shape} incompatible with spreading factor "
             f"{spreading.spread_factor}")
-    h = (spreading.chips.astype(np.float64).T @ y) / np.sqrt(spreading.spread_factor)
+    h = (spreading.float_chips.T @ y) / np.sqrt(spreading.spread_factor)
     return SoftField.from_field(h)
 
 
@@ -357,7 +357,9 @@ def _run_engine(spreading, received, sigma, opts, assumed=None, iterate=True):
     if iterate and sigma <= 0.0:
         raise ValueError("iterative detection requires sigma > 0")
     opts = opts or DetectorOptions()
-    corr = spreading.corr
+    # only the MUD step reads the correlation matrix, which is built on first
+    # access; the correlated SUMF never builds it
+    corr = spreading.corr if iterate else None
     load = spreading.n_users / spreading.spread_factor
     matched = sumf(spreading, received).field
     n_users, word_len = matched.shape

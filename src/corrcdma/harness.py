@@ -292,8 +292,7 @@ def monte_carlo(config: ExperimentConfig, workers: int | None = None) -> BerRepo
     Counts are integers and their summation commutative, so the report is
     bit-identical for any worker count.
     """
-    if workers is not None and workers < 1:
-        raise ValueError("workers must be >= 1")
+    check_workers(workers)
     payloads = [(config, index) for index in range(config.ensemble)]
     if workers is None or workers == 1 or config.ensemble == 1:
         outcomes = [run_trial(config, index) for _, index in payloads]
@@ -365,6 +364,22 @@ def paired_arms(config: ExperimentConfig) -> tuple[ExperimentConfig, ExperimentC
             replace(config, variant="plain_mud", mismatch=0.0))
 
 
+def lambda2_arms(config: ExperimentConfig, lambda2_values) -> list[tuple]:
+    """(lambda2, correlated arm, plain arm) for every point of a sweep.
+
+    Every value is checked to lie in [0, 1) and every arm is built, and so
+    validated, before the sweep runs any of them.
+    """
+    arms = []
+    for lam in lambda2_values:
+        lam = float(lam)
+        if not 0.0 <= lam < 1.0:
+            raise ValueError(f"lambda2 must lie in [0, 1), got {lam}")
+        arms.append((lam, *paired_arms(
+            replace(config, matrix=make_symmetric_matrix(lam)))))
+    return arms
+
+
 def normalized_ber_sweep(config: ExperimentConfig, lambda2_values,
                          workers: int | None = None,
                          run_report=None) -> list[SweepPoint]:
@@ -376,20 +391,16 @@ def normalized_ber_sweep(config: ExperimentConfig, lambda2_values,
     mismatch apply to the correlated arm. run_report may wrap or replace
     the per-arm Monte-Carlo (persistence hooks, testing).
     """
+    arms = lambda2_arms(config, lambda2_values)
     if run_report is None:
         run_report = lambda cfg: monte_carlo(cfg, workers)
     points = []
-    for lam in lambda2_values:
-        lam = float(lam)
-        if not 0.0 <= lam < 1.0:
-            raise ValueError(f"lambda2 must lie in [0, 1), got {lam}")
-        base = replace(config, matrix=make_symmetric_matrix(lam))
-        corr_arm, plain_arm = paired_arms(base)
+    for lam, corr_arm, plain_arm in arms:
         corr = run_report(corr_arm)
         plain = run_report(plain_arm)
         points.append(SweepPoint(
             lambda2=lam,
-            correlation_length=source_stats(base.matrix).correlation_length,
+            correlation_length=source_stats(corr_arm.matrix).correlation_length,
             p_corr=corr.aggregate, p_plain=plain.aggregate,
             normalized=_normalized(corr.aggregate, plain.aggregate),
             errors_corr=corr.errors_total, errors_plain=plain.errors_total,
@@ -407,6 +418,16 @@ class LengthScalingResult:
     intercept: float
 
 
+def length_configs(config: ExperimentConfig, lengths) -> list[ExperimentConfig]:
+    """One config per word length of a length study, all built (and so
+    validated) before the study runs any of them; at least 3 distinct
+    lengths are required for the fit."""
+    lengths = [int(l) for l in lengths]
+    if len(set(lengths)) < 3:
+        raise ValueError("need at least 3 distinct word lengths")
+    return [replace(config, word_length=length) for length in lengths]
+
+
 def length_scaling_study(config: ExperimentConfig, lengths,
                          threshold_factor: float = 1.2,
                          workers: int | None = None,
@@ -419,14 +440,13 @@ def length_scaling_study(config: ExperimentConfig, lengths,
     positions are excluded from the fit with a warning; fewer than two
     usable points abort with ValueError.
     """
-    lengths = [int(l) for l in lengths]
-    if len(set(lengths)) < 3:
-        raise ValueError("need at least 3 distinct word lengths")
+    configs = length_configs(config, lengths)
     if run_report is None:
         run_report = lambda cfg: monte_carlo(cfg, workers)
+    lengths = [cfg.word_length for cfg in configs]
     positions = []
-    for length in lengths:
-        report = run_report(replace(config, word_length=length))
+    for cfg in configs:
+        report = run_report(cfg)
         positions.append(saturation_position(report.per_position,
                                              threshold_factor))
     slope, intercept = fit_loglog_slope(lengths, positions)
@@ -634,12 +654,22 @@ def read_csv_with_header(path):
     return header, table[0], table[1:]
 
 
+def check_workers(workers: int | None, name: str = "workers") -> int | None:
+    """The worker budget itself; None (serial) or at least 1, else ValueError
+    naming its source."""
+    if workers is not None and workers < 1:
+        raise ValueError(f"{name} must be >= 1, got {workers}")
+    return workers
+
+
 def default_workers() -> int | None:
     """Worker budget from the CORRCDMA_WORKERS environment variable."""
     raw = os.environ.get("CORRCDMA_WORKERS")
     if raw is None or not raw.strip():
         return None
-    value = int(raw)
-    if value < 1:
-        raise ValueError("CORRCDMA_WORKERS must be >= 1")
-    return value
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError(
+            f"CORRCDMA_WORKERS must be an integer, got {raw!r}") from None
+    return check_workers(value, "CORRCDMA_WORKERS")

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from corrcdma import channel
 from corrcdma.channel import SpreadingMatrix, generate_spreading, transmit
+from corrcdma.detectors import (
+    correlated_mud_detect,
+    correlated_sumf_detect,
+    mud_detect,
+    sumf_detect,
+)
 from corrcdma.harness import ExperimentConfig
 from corrcdma.markov import generate_block, make_symmetric_matrix
 
@@ -25,7 +32,23 @@ class TestSpreading:
         for k in range(6):
             for j in range(6):
                 ref = sum(int(s.chips[mu, k]) * int(s.chips[mu, j]) for mu in range(32)) / 32
-                assert abs(s.corr[k, j] - ref) < 1e-12
+                assert s.corr[k, j] == ref
+
+    def test_corr_is_exact_integer_gram(self):
+        # sums of +-1 products are exact in float64 whatever the summation
+        # order, so the float Gram equals the integer one bit for bit
+        for n, k, seed in ((37, 23, 17), (1, 5, 18), (3, 1, 19), (101, 203, 20)):
+            s = generate_spreading(n, k, np.random.default_rng(seed))
+            want = (s.chips.astype(np.int64).T @ s.chips) / n
+            assert s.corr.dtype == np.float64
+            assert np.array_equal(s.corr.view(np.int64), want.view(np.int64))
+
+    def test_corr_cached_and_read_only(self):
+        s = generate_spreading(37, 23, np.random.default_rng(21))
+        assert s.corr is s.corr
+        assert not s.corr.flags.writeable
+        assert not s.float_chips.flags.writeable
+        assert np.array_equal(s.float_chips, s.chips)
 
     def test_corr_symmetric_unit_diagonal(self):
         s = generate_spreading(100, 30, np.random.default_rng(4))
@@ -93,7 +116,15 @@ class TestTransmit:
         for mu in range(8):
             ref = sum(int(s.chips[mu, k]) for k in range(5)) / math.sqrt(8)
             for l in range(3):
-                assert abs(y[mu, l] - ref) < 1e-12
+                assert y[mu, l] == ref
+
+    def test_noiseless_is_the_float64_product(self):
+        s = generate_spreading(37, 23, np.random.default_rng(22))
+        b = generate_block(make_symmetric_matrix(0.5), 23, 11,
+                           np.random.default_rng(23))
+        y = transmit(s, b, 0.0, np.random.default_rng(0))
+        want = (s.chips.astype(np.float64) @ b.astype(np.float64)) / np.sqrt(37)
+        assert np.array_equal(y.view(np.int64), want.view(np.int64))
 
     def test_noiseless_deterministic(self):
         s = generate_spreading(30, 12, np.random.default_rng(11))
@@ -116,3 +147,40 @@ class TestTransmit:
         s = generate_spreading(10, 4, np.random.default_rng(16))
         with pytest.raises(ValueError):
             transmit(s, np.ones((5, 2), dtype=np.int8), 0.1, np.random.default_rng(0))
+
+
+class TestGramOnDemand:
+    """Only the MUD step reads corr, so only the MUD detectors build it, and
+    once per spreading matrix however often they run on it."""
+
+    DETECTORS = {
+        "plain_sumf": (lambda s, y, t: sumf_detect(s, y), 0),
+        "correlated_sumf": (
+            lambda s, y, t: correlated_sumf_detect(s, y, t, 0.6), 0),
+        "plain_mud": (lambda s, y, t: mud_detect(s, y, 0.6), 1),
+        "correlated_mud": (
+            lambda s, y, t: correlated_mud_detect(s, y, t, 0.6), 1),
+    }
+
+    @pytest.mark.parametrize("variant", sorted(DETECTORS))
+    def test_gram_builds(self, monkeypatch, variant):
+        built = []
+        gram = channel._gram
+
+        def spy(float_chips):
+            built.append(float_chips)
+            return gram(float_chips)
+
+        monkeypatch.setattr(channel, "_gram", spy)
+        detect, expected = self.DETECTORS[variant]
+        rng = np.random.default_rng(24)
+        t = make_symmetric_matrix(0.7)
+        for _ in range(2):  # each realization gets its own matrix
+            b = generate_block(t, 20, 9, rng)
+            s = generate_spreading(40, 20, rng)
+            y = transmit(s, b, 0.6, rng)
+            before = len(built)
+            detect(s, y, t)
+            detect(s, y, t)
+            assert len(built) - before == expected
+            assert all(f is s.float_chips for f in built[before:])

@@ -130,6 +130,33 @@ def test_invalid_worker_environment_is_reported(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate"],
+    ["sweep", "lambda2", "--values", "0.5"],
+    ["compare-compression", "fixed"],
+], ids=["simulate", "sweep-lambda2", "compare-fixed"])
+@pytest.mark.parametrize("workers, env, message", [
+    ("0", None, "--workers must be >= 1"),
+    ("-2", None, "--workers must be >= 1"),
+    (None, "abc", "CORRCDMA_WORKERS must be an integer"),
+], ids=["flag-zero", "flag-negative", "env-text"])
+@pytest.mark.parametrize("dry_run", [True, False], ids=["dry", "run"])
+def test_worker_budget_is_checked_up_front(tmp_path, capsys, monkeypatch,
+                                           command, workers, env, message,
+                                           dry_run):
+    if env is None:
+        monkeypatch.delenv("CORRCDMA_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("CORRCDMA_WORKERS", env)
+    out = tmp_path / "workers"
+    code = main([*command, *TINY, "--out-dir", str(out),
+                 *(["--workers", workers] if workers else []),
+                 *(["--dry-run"] if dry_run else [])])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -170,6 +197,26 @@ def test_paired_commands_reject_zero_sigma_up_front(tmp_path, capsys,
                  "--out-dir", str(out), *(["--dry-run"] if dry_run else [])])
     assert code == 2
     assert "requires sigma > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, message", [
+    (["sweep", "lambda2", "--values", "0.5,1.0"],
+     "lambda2 must lie in [0, 1), got 1.0"),
+    (["sweep", "length", "--values", "5,10"],
+     "need at least 3 distinct word lengths"),
+    (["sweep", "length", "--values", "5,10,0"],
+     "word_length must be >= 1"),
+], ids=["lambda2-one", "length-two", "length-zero"])
+@pytest.mark.parametrize("dry_run", [True, False], ids=["dry", "run"])
+def test_sweep_values_are_checked_up_front(tmp_path, capsys, command,
+                                           message, dry_run):
+    # every sweep value is checked before the first point runs
+    out = tmp_path / "values"
+    code = main([*command, *TINY, "--out-dir", str(out),
+                 *(["--dry-run"] if dry_run else [])])
+    assert code == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -275,10 +275,13 @@ def test_sweep_at_zero_correlation_is_exactly_one():
 
 
 def test_sweep_validates_eigenvalue_range():
+    # every value is checked before the first arm runs
     cfg = small_config(ensemble=1)
+    ran = []
     for bad in (-0.1, 1.0, 1.5):
-        with pytest.raises(ValueError):
-            normalized_ber_sweep(cfg, [bad])
+        with pytest.raises(ValueError, match=f"got {bad}"):
+            normalized_ber_sweep(cfg, [0.5, bad], run_report=ran.append)
+    assert ran == []
 
 
 def test_sweep_reports_correlation_length():
@@ -323,6 +326,14 @@ def test_length_study_aborts_on_flat_curves():
 def test_length_study_needs_three_distinct_lengths():
     with pytest.raises(ValueError):
         length_scaling_study(small_config(), [10, 10, 10])
+
+
+def test_length_study_checks_every_length_before_running():
+    ran = []
+    with pytest.raises(ValueError, match="word_length must be >= 1"):
+        length_scaling_study(small_config(ensemble=1), [10, 20, 0],
+                             run_report=ran.append)
+    assert ran == []
 
 
 def test_mismatch_study_records_infeasible_points():
@@ -466,5 +477,8 @@ def test_default_workers_reads_environment(monkeypatch):
     monkeypatch.setenv("CORRCDMA_WORKERS", "3")
     assert default_workers() == 3
     monkeypatch.setenv("CORRCDMA_WORKERS", "0")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="CORRCDMA_WORKERS must be >= 1"):
+        default_workers()
+    monkeypatch.setenv("CORRCDMA_WORKERS", "abc")
+    with pytest.raises(ValueError, match="CORRCDMA_WORKERS must be an integer"):
         default_workers()
