@@ -109,6 +109,34 @@ def _make_comparison(p_corr, p_comp, rate, protocol):
     return CompressionComparison(p_corr, p_comp, ratio, rate, protocol)
 
 
+def compression_point(matrix: TransitionMatrix, rate_excess: float = 0.0,
+                      spread_factor=None, base_beta=None):
+    """Check one comparison point; returns (entropy_bits, rate, users).
+
+    rate is (1 + rate_excess) * H_b. users is None unless spread_factor and
+    base_beta are given (the bandwidth protocol), then it is the user count
+    pair (round(N * base_beta), round(N * base_beta * rate)) of the full and
+    the reduced load. Raises ValueError for a negative rate_excess, a
+    source of zero entropy, a rate above 1 or a load that rounds to no user.
+    """
+    if rate_excess < 0.0:
+        raise ValueError(f"rate_excess must be >= 0, got {rate_excess}")
+    entropy = source_stats(matrix).entropy_bits
+    if entropy <= 0.0:
+        raise ValueError("source entropy is zero: nothing to transmit after compression")
+    rate = (1.0 + rate_excess) * entropy
+    if rate > 1.0:
+        raise ValueError(f"effective rate (1+eps)*H_b = {rate:.4f} exceeds 1")
+    if base_beta is None:
+        return entropy, rate, None
+    users = (int(round(spread_factor * base_beta)),
+             int(round(spread_factor * base_beta * rate)))
+    if min(users) < 1:
+        raise ValueError(
+            f"infeasible load: round({spread_factor} * {base_beta} * {rate:.4f}) < 1 user")
+    return entropy, rate, users
+
+
 def bandwidth_expansion_comparison(matrix: TransitionMatrix, spread_factor: int,
                                    base_beta: float, sigma: float,
                                    rate_excess: float, run_ber,
@@ -134,21 +162,10 @@ def bandwidth_expansion_comparison(matrix: TransitionMatrix, spread_factor: int,
     1/r instead. In both cases
     ratio = amplification_factor * p_corr / p_reduced.
     """
-    if rate_excess < 0.0:
-        raise ValueError(f"rate_excess must be >= 0, got {rate_excess}")
     if amplification not in AMPLIFICATIONS:
         raise ValueError(f"amplification must be one of {AMPLIFICATIONS}")
-    entropy = source_stats(matrix).entropy_bits
-    if entropy <= 0.0:
-        raise ValueError("source entropy is zero: nothing to transmit after compression")
-    rate = (1.0 + rate_excess) * entropy
-    if rate > 1.0:
-        raise ValueError(f"effective rate (1+eps)*H_b = {rate:.4f} exceeds 1")
-    n_users = int(round(spread_factor * base_beta))
-    reduced_users = int(round(spread_factor * base_beta * rate))
-    if n_users < 1 or reduced_users < 1:
-        raise ValueError(
-            f"infeasible load: round({spread_factor} * {base_beta} * {rate:.4f}) < 1 user")
+    entropy, rate, (n_users, reduced_users) = compression_point(
+        matrix, rate_excess, spread_factor, base_beta)
     p_corr = float(run_ber(matrix, n_users, sigma, True))
     p_reduced = float(run_ber(iid_matrix(), reduced_users, sigma, False))
     amp = entropy if amplification == "entropy" else rate
@@ -165,7 +182,7 @@ def fixed_load_comparison(matrix: TransitionMatrix, run_pair) -> CompressionComp
     binary symmetric channel feeding an ideal source decoder; the decoder's
     residual error is the compression alternative's cost.
     """
-    entropy = source_stats(matrix).entropy_bits
+    entropy, _, _ = compression_point(matrix)
     p_corr, p_plain = (float(x) for x in run_pair())
     p_comp = bsc_residual_error(entropy, p_plain)
     return _make_comparison(p_corr, p_comp, entropy, "fixed_load_bsc")

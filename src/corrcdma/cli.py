@@ -24,6 +24,7 @@ from .baselines import (
     bandwidth_expansion_comparison,
     binary_entropy,
     bsc_residual_error,
+    compression_point,
     fixed_load_comparison,
     inverse_binary_entropy,
 )
@@ -38,6 +39,7 @@ from .harness import (
     length_scaling_study,
     make_ber_runner,
     make_pair_runner,
+    mismatch_arms,
     mismatch_study,
     monte_carlo,
     normalized_ber_sweep,
@@ -49,7 +51,7 @@ from .harness import (
     write_mismatch_csv,
     write_sweep_csv,
 )
-from .markov import TransitionMatrix, make_symmetric_matrix, source_stats
+from .markov import TransitionMatrix, make_symmetric_matrix
 
 # Flag spelling -> config key; every config key can come from the file or
 # the command line, and the command line wins.
@@ -222,20 +224,17 @@ def cmd_sweep(args) -> int:
     try:
         config = _resolve_config(args)
         workers = _resolve_workers(args)
-        if args.kind == "length":
-            values = _parse_value_list(args.values, "--values", int)
-        else:
-            values = _parse_value_list(args.values, "--values", float)
-        deltas = None
-        if args.kind == "mismatch":
-            deltas = _parse_value_list(args.deltas, "--deltas", float)
+        values = _parse_value_list(args.values, "--values",
+                                   int if args.kind == "length" else float)
         # build every run the sweep makes, which validates each of them
+        deltas = None
         if args.kind == "lambda2":
             lambda2_arms(config, values)
         elif args.kind == "length":
             length_configs(config, values)
         else:
-            paired_arms(config)
+            deltas = _parse_value_list(args.deltas, "--deltas", float)
+            mismatch_arms(config, deltas, values)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -289,10 +288,8 @@ def cmd_compare_compression(args) -> int:
     try:
         config = _resolve_config(args)
         workers = _resolve_workers(args)
-        if args.values is None:
-            values = [config.matrix.lambda2]
-        else:
-            values = _parse_value_list(args.values, "--values", float)
+        values = ([config.matrix.lambda2] if args.values is None
+                  else _parse_value_list(args.values, "--values", float))
         epsilons = _parse_value_list(args.epsilon, "--epsilon", float)
         if any(eps < 0 for eps in epsilons):
             raise ValueError("--epsilon values must be >= 0")
@@ -300,6 +297,14 @@ def cmd_compare_compression(args) -> int:
         if base_beta <= 0:
             raise ValueError("--base-beta must be > 0")
         paired_arms(config)  # validates the MUD arms both protocols run
+        # every point the protocol runs, checked by the protocol's own checks
+        points = []
+        for lam in values:
+            matrix = make_symmetric_matrix(lam)
+            entropy = compression_point(matrix)[0]
+            for eps in epsilons if args.protocol == "bandwidth" else ():
+                compression_point(matrix, eps, config.spread_factor, base_beta)
+            points.append((lam, matrix, entropy))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -315,9 +320,7 @@ def cmd_compare_compression(args) -> int:
         if args.protocol == "bandwidth":
             run_ber = make_ber_runner(config, workers)
             print("lambda2  epsilon  p_corr    p_comp    ratio")
-            for lam in values:
-                matrix = make_symmetric_matrix(lam)
-                entropy = source_stats(matrix).entropy_bits
+            for lam, matrix, entropy in points:
                 for eps in epsilons:
                     comparison = bandwidth_expansion_comparison(
                         matrix, config.spread_factor, base_beta,
@@ -328,9 +331,7 @@ def cmd_compare_compression(args) -> int:
             name = "comparison_bandwidth.csv"
         else:
             print("sigma  beta   lambda2  p_corr    p_comp    ratio")
-            for lam in values:
-                matrix = make_symmetric_matrix(lam)
-                entropy = source_stats(matrix).entropy_bits
+            for lam, matrix, entropy in points:
                 pair = make_pair_runner(replace(config, matrix=matrix),
                                         workers)
                 comparison = fixed_load_comparison(matrix, pair)

@@ -50,34 +50,6 @@ def hard_decisions(x: np.ndarray) -> np.ndarray:
     return np.where(np.asarray(x) >= 0, 1, -1).astype(np.int8)
 
 
-def soft_to_probs(soft: np.ndarray) -> np.ndarray:
-    """Probability pairs (..., 2) from soft decisions in [-1, 1]:
-    index 0 holds P(-1) = (1 - soft)/2, index 1 holds P(+1)."""
-    s = np.asarray(soft, dtype=np.float64)
-    probs = np.empty(s.shape + (2,))
-    np.subtract(1.0, s, out=probs[..., 0])
-    np.add(1.0, s, out=probs[..., 1])
-    probs /= 2.0
-    return probs
-
-
-@dataclass(frozen=True)
-class SoftField:
-    """Per-symbol real fields and the symbol beliefs they induce.
-
-    probs[..., 0] is the belief in -1, probs[..., 1] in +1; the pair sums
-    to 1 by construction.
-    """
-
-    field: np.ndarray   # (K, L)
-    probs: np.ndarray   # (K, L, 2)
-
-    @classmethod
-    def from_field(cls, field: np.ndarray) -> "SoftField":
-        f = np.asarray(field, dtype=np.float64)
-        return cls(f, soft_to_probs(np.tanh(f)))
-
-
 @dataclass(frozen=True)
 class DetectorOptions:
     """Knobs shared by all iterative detectors.
@@ -104,18 +76,18 @@ class DetectorOptions:
 class DetectionResult:
     """Joint output of a detector run.
 
-    bits is K x L of +-1; soft carries the final effective field (matched
-    or iterated field plus any bias) and the beliefs it induces. iters and
-    converged are per symbol position. estimated_matrix is the last blind
-    estimate when blind mode ran, else None. bounds holds per-iteration
-    (Q_min, Q_max, A_min, A_max, max|eta|) rows when tracking was requested
-    for a MUD variant: the soft power Q and precision A range over the
-    columns the MUD step updated in that iteration (frozen columns are
-    skipped), max|eta| over the whole block.
+    bits is K x L of +-1; field is the K x L final effective field (matched
+    or iterated field plus any bias): bits are its signs and its tanh the
+    soft values. iters and converged are per symbol position.
+    estimated_matrix is the last blind estimate when blind mode ran, else
+    None. bounds holds per-iteration (Q_min, Q_max, A_min, A_max, max|eta|)
+    rows when tracking was requested for a MUD variant: the soft power Q
+    and precision A range over the columns the MUD step updated in that
+    iteration (frozen columns are skipped), max|eta| over the whole block.
     """
 
     bits: np.ndarray
-    soft: SoftField
+    field: np.ndarray
     iters: np.ndarray
     converged: np.ndarray
     outer_iterations: int
@@ -123,8 +95,8 @@ class DetectionResult:
     bounds: list | None = None
 
 
-def sumf(spreading: SpreadingMatrix, received: np.ndarray) -> SoftField:
-    """Matched-filter front end.
+def sumf(spreading: SpreadingMatrix, received: np.ndarray) -> np.ndarray:
+    """Matched-filter front end: the (K, L) field.
 
     Correlates every received symbol column with each user's chip sequence:
     field[k, l] = (1/sqrt(N)) sum_mu received[mu, l] * chips[mu, k]. With
@@ -136,8 +108,7 @@ def sumf(spreading: SpreadingMatrix, received: np.ndarray) -> SoftField:
         raise ValueError(
             f"received shape {y.shape} incompatible with spreading factor "
             f"{spreading.spread_factor}")
-    h = (spreading.float_chips.T @ y) / np.sqrt(spreading.spread_factor)
-    return SoftField.from_field(h)
+    return (spreading.float_chips.T @ y) / np.sqrt(spreading.spread_factor)
 
 
 def _neighbour_model(matrix: TransitionMatrix):
@@ -361,7 +332,7 @@ def _run_engine(spreading, received, sigma, opts, assumed=None, iterate=True):
     # access; the correlated SUMF never builds it
     corr = spreading.corr if iterate else None
     load = spreading.n_users / spreading.spread_factor
-    matched = sumf(spreading, received).field
+    matched = sumf(spreading, received)
     n_users, word_len = matched.shape
 
     correlated = assumed is not None
@@ -411,8 +382,7 @@ def _run_engine(spreading, received, sigma, opts, assumed=None, iterate=True):
         if correlated:
             np.tanh(np.add(h, xi, out=soft), out=soft)
             if blind and t > 0:
-                assumed_now = estimate_transition(soft_to_probs(soft.T),
-                                                  PSEUDO_COUNT)
+                assumed_now = estimate_transition(soft.T, PSEUDO_COUNT)
                 model = _neighbour_model(assumed_now)
             changed = _bias_sweep(padded, h, xi, model, opts.schedule,
                                   forward, rng, scale, work, row)
@@ -439,8 +409,7 @@ def _run_engine(spreading, received, sigma, opts, assumed=None, iterate=True):
 
     return DetectionResult(
         bits=np.ascontiguousarray(hard_decisions(soft.T)),
-        soft=SoftField(np.add(h, xi, out=work[0][0]).T.copy(),
-                       soft_to_probs(soft.T)),
+        field=np.add(h, xi, out=work[0][0]).T.copy(),
         iters=iters, converged=converged, outer_iterations=outer,
         estimated_matrix=assumed_now if blind else None,
         bounds=bounds)
@@ -494,8 +463,8 @@ def correlated_sumf_detect(spreading: SpreadingMatrix, received: np.ndarray,
 def sumf_detect(spreading: SpreadingMatrix, received: np.ndarray) -> DetectionResult:
     """Plain matched-filter hard decisions, position by position."""
     matched = sumf(spreading, received)
-    word_len = matched.field.shape[1]
+    word_len = matched.shape[1]
     return DetectionResult(
-        bits=hard_decisions(matched.field), soft=matched,
+        bits=hard_decisions(matched), field=matched,
         iters=np.zeros(word_len, dtype=np.int64),
         converged=np.ones(word_len, dtype=bool), outer_iterations=0)

@@ -111,12 +111,6 @@ class ExperimentConfig:
     def load(self) -> float:
         return self.n_users / self.spread_factor
 
-    @classmethod
-    def from_load(cls, spread_factor: int, load: float, **kwargs) -> "ExperimentConfig":
-        """Build with the user count rounded from a target load."""
-        n_users = int(round(spread_factor * load))
-        return cls(spread_factor=spread_factor, n_users=n_users, **kwargs)
-
     def detector_matrix(self) -> TransitionMatrix:
         if self.mismatch == 0.0:
             return self.matrix
@@ -468,6 +462,29 @@ class MismatchPoint:
     normalized: float
 
 
+def mismatch_arms(config: ExperimentConfig, rel_deltas,
+                  lambda2_values) -> list[tuple]:
+    """(lambda2, plain arm, points) for every lambda2 of a mismatch study.
+
+    points holds a (delta, correlated arm, reason) entry per perturbation;
+    an infeasible one (an element pushed out of [0, 1]) has no arm and its
+    validation message as reason. Every lambda2 and every arm is checked
+    before the study runs any of them.
+    """
+    arms = []
+    for lam in map(float, lambda2_values):
+        corr_arm, plain_arm = paired_arms(replace(
+            config, matrix=make_symmetric_matrix(lam), mismatch=0.0))
+        points = []
+        for delta in map(float, rel_deltas):
+            try:
+                points.append((delta, replace(corr_arm, mismatch=delta), None))
+            except ValueError as exc:  # the perturbation leaves [0, 1]
+                points.append((delta, None, str(exc)))
+        arms.append((lam, plain_arm, points))
+    return arms
+
+
 def mismatch_study(config: ExperimentConfig, rel_deltas, lambda2_values,
                    workers: int | None = None,
                    run_report=None) -> list[MismatchPoint]:
@@ -478,25 +495,19 @@ def mismatch_study(config: ExperimentConfig, rel_deltas, lambda2_values,
     out of [0, 1]) are skipped with the validation message recorded.
     run_report may wrap or replace the per-arm Monte-Carlo.
     """
+    arms = mismatch_arms(config, rel_deltas, lambda2_values)
     if run_report is None:
         run_report = lambda cfg: monte_carlo(cfg, workers)
     points = []
-    for lam in lambda2_values:
-        lam = float(lam)
-        matrix = make_symmetric_matrix(lam)
+    for lam, plain_arm, deltas in arms:
         plain = None
-        for delta in rel_deltas:
-            delta = float(delta)
-            try:
-                perturb_element(matrix, delta)
-            except ValueError as exc:
+        for delta, corr_arm, reason in deltas:
+            if corr_arm is None:
                 points.append(MismatchPoint(
                     lambda2=lam, rel_delta=delta, feasible=False,
-                    reason=str(exc), p_corr=float("nan"),
+                    reason=reason, p_corr=float("nan"),
                     p_plain=float("nan"), normalized=float("nan")))
                 continue
-            corr_arm, plain_arm = paired_arms(
-                replace(config, matrix=matrix, mismatch=delta))
             if plain is None:
                 plain = run_report(plain_arm)
             corr = run_report(corr_arm)

@@ -158,23 +158,30 @@ def generate_block(t: TransitionMatrix, n_users: int, word_len: int,
     return block
 
 
-def estimate_transition(beliefs: np.ndarray, pseudo_count: float = 1.0) -> TransitionMatrix:
-    """Estimate a transition matrix from per-symbol probability pairs.
+def estimate_transition(soft: np.ndarray, pseudo_count: float = 1.0) -> TransitionMatrix:
+    """Estimate a transition matrix from per-symbol soft values.
 
-    ``beliefs`` has shape (n_users, word_len, 2) with beliefs[..., 0] = P(-1)
-    and beliefs[..., 1] = P(+1); each pair must sum to 1. Expected transition
+    ``soft`` has shape (n_users, word_len) with entries in [-1, 1]; a soft
+    value s stands for the beliefs P(-1) = (1 - s)/2 and P(+1) = (1 + s)/2,
+    so a hard +-1 block counts its own transitions. Expected transition
     counts are accumulated over all adjacent symbol pairs of every word and
     row-normalized after adding ``pseudo_count`` to each of the four cells.
     A row with zero total count (possible only at pseudo_count = 0) falls
     back to (0.5, 0.5).
     """
-    q = np.asarray(beliefs, dtype=np.float64)
-    if q.ndim != 3 or q.shape[2] != 2:
-        raise ValueError(f"beliefs must have shape (K, L, 2), got {q.shape}")
-    if q.shape[0] * (q.shape[1] - 1) == 0:
+    s = np.asarray(soft, dtype=np.float64)
+    if s.ndim != 2:
+        raise ValueError(f"soft must have shape (K, L), got {s.shape}")
+    if s.shape[0] * (s.shape[1] - 1) == 0:
         raise ValueError("no transitions observable: need K >= 1 and L >= 2")
-    counts = np.einsum("kla,klb->ab", q[:, :-1, :], q[:, 1:, :])
-    counts = counts + pseudo_count
+    if np.any(np.abs(s) > 1.0):
+        raise ValueError("soft values must lie in [-1, 1]")
+    # a fresh C-ordered array whatever the layout of soft: one einsum order
+    q = np.empty(s.shape + (2,))
+    np.subtract(1.0, s, out=q[..., 0])
+    np.add(1.0, s, out=q[..., 1])
+    q /= 2.0
+    counts = np.einsum("kla,klb->ab", q[:, :-1, :], q[:, 1:, :]) + pseudo_count
     totals = counts.sum(axis=1, keepdims=True)
     t_hat = np.where(totals > 0.0, counts / np.where(totals > 0.0, totals, 1.0), 0.5)
     return TransitionMatrix(t_hat)

@@ -10,6 +10,7 @@ from corrcdma.baselines import (
     bandwidth_expansion_comparison,
     binary_entropy,
     bsc_residual_error,
+    compression_point,
     fit_loglog_slope,
     fixed_load_comparison,
     inverse_binary_entropy,
@@ -245,6 +246,41 @@ def test_bandwidth_expansion_domain_errors():
         bandwidth_expansion_comparison(matrix, 500, 0.8, 0.8, 0.0,
                                        _RecordingRunner([0.1, 0.1]),
                                        amplification="bogus")
+
+
+def test_compression_point_quantities():
+    matrix = make_symmetric_matrix(0.8)
+    entropy = source_stats(matrix).entropy_bits
+    assert compression_point(matrix) == (entropy, entropy, None)
+    got = compression_point(matrix, 0.05, 500, 0.8)
+    assert got == (entropy, 1.05 * entropy,
+                   (400, int(round(500 * 0.8 * 1.05 * entropy))))
+
+
+@pytest.mark.parametrize("args, message", [
+    ((make_symmetric_matrix(0.8), -0.01), "rate_excess must be >= 0"),
+    ((make_symmetric_matrix(1.0),), "entropy is zero"),
+    ((make_symmetric_matrix(-1.0),), "entropy is zero"),
+    ((make_symmetric_matrix(0.1), 0.05), "exceeds 1"),
+    ((make_symmetric_matrix(0.8), 0.0, 4, 0.25), "infeasible load"),
+    ((make_symmetric_matrix(0.8), 0.0, 500, 0.0), "infeasible load"),
+])
+def test_compression_point_rejects(args, message):
+    with pytest.raises(ValueError, match=message):
+        compression_point(*args)
+
+
+def test_protocols_check_the_point_before_running():
+    runner = _RecordingRunner([0.1, 0.1])
+    with pytest.raises(ValueError, match="exceeds 1"):
+        bandwidth_expansion_comparison(iid_matrix(), 500, 0.8, 0.8, 0.1,
+                                       runner)
+    assert runner.calls == []
+    ran = []
+    with pytest.raises(ValueError, match="entropy is zero"):
+        fixed_load_comparison(make_symmetric_matrix(1.0),
+                              lambda: ran.append(1) or (0.1, 0.1))
+    assert ran == []
 
 
 def test_fixed_load_comparison_arithmetic():

@@ -220,6 +220,31 @@ def test_sweep_values_are_checked_up_front(tmp_path, capsys, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, message", [
+    (["sweep", "mismatch", "--values", "0.5,1.5", "--deltas", "0.1"],
+     "lambda2 must lie in [-1, 1], got 1.5"),
+    (["compare-compression", "fixed", "--values", "0.5,1.5"],
+     "lambda2 must lie in [-1, 1], got 1.5"),
+    (["compare-compression", "fixed", "--values", "0.5,1.0"],
+     "source entropy is zero"),
+    (["compare-compression", "bandwidth", "--values", "0.5,0.0",
+      "--epsilon", "0.1"], "exceeds 1"),
+    (["compare-compression", "bandwidth", "--values", "0.5",
+      "--base-beta", "0.005"], "infeasible load"),
+], ids=["mismatch-lambda2", "fixed-lambda2", "fixed-entropy",
+        "bandwidth-rate", "bandwidth-load"])
+@pytest.mark.parametrize("dry_run", [True, False], ids=["dry", "run"])
+def test_every_point_is_checked_up_front(tmp_path, capsys, command, message,
+                                         dry_run):
+    # the first point is valid: the command must fail before running it
+    out = tmp_path / "points"
+    code = main([*command, *TINY, "--out-dir", str(out),
+                 *(["--dry-run"] if dry_run else [])])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_length_sweep_keeps_the_config_variant(tmp_path, capsys):
     # the length study runs config.variant, which may be a SUMF at sigma = 0
     assert main(["sweep", "length", "--values", "8,16,32", *TINY,

@@ -10,13 +10,11 @@ from corrcdma.detectors import (
     DetectorDivergence,
     DetectorOptions,
     SCHEDULES,
-    SoftField,
     correlated_mud_detect,
     correlated_sumf_detect,
     hard_decisions,
     local_bias,
     mud_detect,
-    soft_to_probs,
     sumf,
     sumf_detect,
 )
@@ -84,27 +82,25 @@ class TestSumf:
         rng = np.random.default_rng(0)
         s = generate_spreading(16, 1, rng)
         y = transmit(s, np.ones((1, 3), dtype=np.int8), 0.0, rng)
-        field = sumf(s, y).field
+        field = sumf(s, y)
         assert np.all(field == 1.0)
 
     def test_decomposition_oracle(self):
         # noiseless field = own symbol + correlation-weighted interference
         t, block, s, y = make_instance(1, 32, 7, 5, 0.0)
-        field = sumf(s, y).field
+        field = sumf(s, y)
         for k in range(7):
             for l in range(5):
                 ref = block[k, l] + sum(
                     s.corr[k, j] * block[j, l] for j in range(7) if j != k)
                 assert abs(field[k, l] - ref) < 1e-12
 
-    def test_zero_field_uniform_probs(self):
-        soft = SoftField.from_field(np.zeros((2, 3)))
-        assert np.all(soft.probs == 0.5)
-
-    def test_probs_sum_to_one(self):
+    def test_returns_the_field_array(self):
         _, _, s, y = make_instance(2, 64, 12, 8, 0.8)
-        probs = sumf(s, y).probs
-        np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
+        field = sumf(s, y)
+        assert isinstance(field, np.ndarray)
+        assert field.shape == (12, 8) and field.dtype == np.float64
+        assert np.array_equal(sumf_detect(s, y).field, field)
 
     def test_shape_mismatch(self):
         _, _, s, _ = make_instance(3, 16, 4, 3, 0.5)
@@ -158,7 +154,7 @@ class TestLocalBias:
             a, b = rng.uniform(0.05, 0.95, 2)
             t = TransitionMatrix([[a, 1 - a], [1 - b, b]])
             soft = rng.uniform(-1.0, 1.0, (5, 4))
-            probs = soft_to_probs(soft)
+            probs = np.stack(((1.0 - soft) / 2.0, (1.0 + soft) / 2.0), axis=-1)
             for l in (1, 2):
                 p = (probs[:, l - 1] @ t.matrix) * (probs[:, l + 1] @ t.matrix.T)
                 expected = (p[:, 1] - p[:, 0]) / p.sum(axis=1)
@@ -212,20 +208,20 @@ class TestBiasedDecision:
         s, y = single_user_fields([50.0, -0.1, 50.0])
         res = correlated_sumf_detect(s, y, make_symmetric_matrix(0.8), 0.8)
         assert res.bits[0, 1] == 1
-        assert abs(res.soft.field[0, 1] - (-0.1 + self.CORRECTION)) < 1e-12
+        assert abs(res.field[0, 1] - (-0.1 + self.CORRECTION)) < 1e-12
 
     def test_weak_bias_keeps_strong_field(self):
         s, y = single_user_fields([50.0, -5.0, 50.0])
         res = correlated_sumf_detect(s, y, make_symmetric_matrix(0.8), 0.8)
         assert res.bits[0, 1] == -1
-        assert abs(res.soft.field[0, 1] - (-5.0 + self.CORRECTION)) < 1e-12
+        assert abs(res.field[0, 1] - (-5.0 + self.CORRECTION)) < 1e-12
 
     def test_saturated_bias_clamped_finite(self):
         # frozen source and certain neighbors drive |m| to 1: the clamp keeps
         # the correction finite, so the strong field still decides
         s, y = single_user_fields([50.0, -50.0, 50.0])
         res = correlated_sumf_detect(s, y, make_symmetric_matrix(1.0), 0.8)
-        assert np.all(np.isfinite(res.soft.field))
+        assert np.all(np.isfinite(res.field))
         np.testing.assert_array_equal(res.bits, [[1, -1, 1]])
 
 
@@ -270,7 +266,7 @@ class TestMudStep:
         s = SpreadingMatrix(np.ones((2, 1), dtype=np.int8))
         y = np.full((2, 1), 1.0 / math.sqrt(2.0))
         res = mud_detect(s, y, sigma, DetectorOptions(max_iters=1))
-        assert abs(res.soft.field[0, 0] - h1) < 1e-14
+        assert abs(res.field[0, 0] - h1) < 1e-14
 
     def test_matches_scalar_transcription(self):
         # per-iteration soft power and precision, final field and soft
@@ -278,7 +274,7 @@ class TestMudStep:
         deepest = 0
         for seed in range(10):
             _, _, s, y = make_instance(20 + seed, 20, 16, 1, 0.7)
-            h0 = sumf(s, y).field[:, 0]
+            h0 = sumf(s, y)[:, 0]
             res = mud_detect(s, y, 0.7, DetectorOptions(track_bounds=True))
             steps = int(res.iters[0])
             deepest = max(deepest, steps)
@@ -288,9 +284,9 @@ class TestMudStep:
                 assert abs(q_lo - step[2]) < 1e-13
                 assert abs(a_lo - step[3]) < 1e-13
             h_ref, eta_ref = ref[-1][:2]
-            np.testing.assert_allclose(res.soft.field[:, 0], h_ref,
+            np.testing.assert_allclose(res.field[:, 0], h_ref,
                                        rtol=1e-12, atol=1e-13)
-            np.testing.assert_allclose(np.tanh(res.soft.field[:, 0]), eta_ref,
+            np.testing.assert_allclose(np.tanh(res.field[:, 0]), eta_ref,
                                        rtol=1e-12, atol=1e-13)
         assert deepest >= 3
 
@@ -323,7 +319,7 @@ class TestMudDetect:
         # oracle iterated column by column under the same stop rule
         _, _, s, y = make_instance(7, 40, 8, 6, 0.6)
         res = mud_detect(s, y, 0.6, DetectorOptions(max_iters=50))
-        h0 = sumf(s, y).field
+        h0 = sumf(s, y)
         load = 8 / 40
         for l in range(6):
             ref = scalar_reference_steps(h0[:, l], s.corr, load, 0.6, 50)
@@ -335,12 +331,12 @@ class TestMudDetect:
                 prev = dec
             assert steps == res.iters[l]
             np.testing.assert_array_equal(dec, res.bits[:, l])
-            np.testing.assert_allclose(h_ref, res.soft.field[:, l],
+            np.testing.assert_allclose(h_ref, res.field[:, l],
                                        rtol=1e-10, atol=1e-12)
 
     def test_fixed_point_stable_one_extra_step(self):
         _, _, s, y = make_instance(8, 60, 12, 1, 0.5)
-        h0 = sumf(s, y).field[:, 0]
+        h0 = sumf(s, y)[:, 0]
         res = mud_detect(s, y, 0.5)
         assert res.converged[0]
         steps = int(res.iters[0])
@@ -367,7 +363,7 @@ class TestMudDetect:
         a = mud_detect(s, y, 0.8)
         b = mud_detect(s, y, 0.8)
         assert np.array_equal(a.bits, b.bits)
-        assert np.array_equal(a.soft.field, b.soft.field)
+        assert np.array_equal(a.field, b.field)
         assert np.array_equal(a.iters, b.iters)
 
     def test_bounds_invariants(self):
@@ -406,7 +402,7 @@ def schedule_opts(schedule, **kwargs):
 
 def assert_same_detection(a, b):
     assert np.array_equal(a.bits, b.bits)
-    assert np.array_equal(a.soft.field, b.soft.field)
+    assert np.array_equal(a.field, b.field)
     assert np.array_equal(a.iters, b.iters)
     assert np.array_equal(a.converged, b.converged)
 
@@ -449,7 +445,7 @@ class TestCorrelatedReduction:
                         s, y, iid_matrix(), 0.8,
                         schedule_opts(schedule, blind=blind))
                     assert np.array_equal(plain.bits, corr.bits)
-                    assert np.array_equal(plain.soft.field, corr.soft.field)
+                    assert np.array_equal(plain.field, corr.field)
                     assert np.array_equal(plain.converged, corr.converged)
                     assert np.all(corr.iters == 1)
 
@@ -478,7 +474,7 @@ class TestFreezeAndCap:
             _, _, s, y = make_instance(1100 + seed, 40, 32, 15, 0.8, lam=0.8)
             first = self.run(kind, schedule, s, y, 1)
             second = self.run(kind, schedule, s, y, 2)
-            start = hard_decisions(sumf(s, y).field)
+            start = hard_decisions(sumf(s, y))
             assert first.outer_iterations == 1
             assert np.all(first.iters == 1)
             # a column is converged exactly when its last two decision
@@ -507,8 +503,8 @@ class TestFreezeAndCap:
                 np.testing.assert_array_equal(after.iters,
                                               now.iters + ~frozen)
                 assert np.all(after.converged[frozen])
-                assert np.array_equal(after.soft.field[:, frozen],
-                                      now.soft.field[:, frozen])
+                assert np.array_equal(after.field[:, frozen],
+                                      now.field[:, frozen])
 
     @pytest.mark.parametrize("schedule", SCHEDULES)
     def test_correlated_state_frozen_until_thawed(self, schedule,
@@ -613,7 +609,7 @@ class TestCorrelatedMud:
                                         DetectorOptions(schedule="SUS"))
             pus = correlated_mud_detect(s, y, t, 0.8,
                                         DetectorOptions(schedule="PUS"))
-            diffs += int(not np.array_equal(sus.soft.field, pus.soft.field))
+            diffs += int(not np.array_equal(sus.field, pus.field))
         assert diffs > 0
 
     def test_rsus_uses_supplied_stream(self):
@@ -627,7 +623,7 @@ class TestCorrelatedMud:
             s, y, t, 0.8,
             opts=DetectorOptions(schedule="RSUS",
                                  schedule_rng=np.random.default_rng(1)))
-        assert np.array_equal(r1.soft.field, r2.soft.field)
+        assert np.array_equal(r1.field, r2.field)
 
     def test_blind_estimates_matrix(self):
         t = make_symmetric_matrix(0.8)
@@ -681,7 +677,7 @@ class TestCorrelatedSumf:
         _, block, s, y = make_instance(22, 64, 4, 10, 0.0, lam=0.8)
         res = correlated_sumf_detect(s, y, t, 0.0)
         assert res.bits.shape == block.shape
-        assert np.all(np.isfinite(res.soft.field))
+        assert np.all(np.isfinite(res.field))
 
     def test_pus_sweep_matches_local_bias(self):
         # one PUS sweep takes every column's correction from the matched
@@ -694,12 +690,12 @@ class TestCorrelatedSumf:
             res = correlated_sumf_detect(
                 s, y, t, 0.8, DetectorOptions(schedule="PUS", max_iters=1))
             matched = sumf(s, y)
-            soft = np.tanh(matched.field)
+            soft = np.tanh(matched)
             scale = 30 / 40 + 0.8 * 0.8
             for l in range(12):
                 xi = scale * np.arctanh(local_bias(soft, t, l))
                 mismatches += int(np.count_nonzero(
-                    matched.field[:, l] + xi != res.soft.field[:, l]))
+                    matched[:, l] + xi != res.field[:, l]))
         assert mismatches == 0
 
     @pytest.mark.parametrize("schedule", ["SUS", "BFUS", "RSUS"])
@@ -714,7 +710,7 @@ class TestCorrelatedSumf:
             res = correlated_sumf_detect(s, y, t, 0.8,
                                          schedule_opts(schedule, max_iters=2))
             assert res.outer_iterations == 2
-            field = sumf(s, y).field
+            field = sumf(s, y)
             xi = np.zeros_like(field)
             rng = np.random.default_rng(3)
             for sweep in range(2):
@@ -728,7 +724,7 @@ class TestCorrelatedSumf:
                 for l in order:
                     xi[:, l] = scale * np.arctanh(local_bias(soft, t, l))
                     soft[:, l] = np.tanh(field[:, l] + xi[:, l])
-            assert np.array_equal(field + xi, res.soft.field)
+            assert np.array_equal(field + xi, res.field)
 
     def test_reports_convergence(self):
         t = make_symmetric_matrix(0.8)
@@ -744,10 +740,3 @@ class TestOptions:
             DetectorOptions(max_iters=0)
         with pytest.raises(ValueError):
             DetectorOptions(schedule="ZIGZAG")
-
-    def test_soft_to_probs_pairs(self):
-        rng = np.random.default_rng(19)
-        s = rng.uniform(-1, 1, (4, 6))
-        probs = soft_to_probs(s)
-        np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
-        np.testing.assert_allclose(probs[..., 1] - probs[..., 0], s, atol=1e-12)

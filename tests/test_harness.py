@@ -68,11 +68,13 @@ def test_config_requires_transition_matrix_instance():
         small_config(matrix=np.eye(2))
 
 
-def test_from_load_rounds_user_count():
-    cfg = ExperimentConfig.from_load(250, 0.8, ensemble=1)
+def test_from_dict_load_rounds_user_count():
+    cfg = ExperimentConfig.from_dict({"spread_factor": 250, "load": 0.8,
+                                      "ensemble": 1})
     assert cfg.n_users == 200
     assert cfg.load == pytest.approx(0.8)
-    assert ExperimentConfig.from_load(3, 0.5, ensemble=1).n_users == 2
+    assert ExperimentConfig.from_dict({"spread_factor": 3, "load": 0.5,
+                                       "ensemble": 1}).n_users == 2
 
 
 def test_beta_above_one_is_supported():
@@ -343,6 +345,35 @@ def test_mismatch_study_records_infeasible_points():
     assert not point.feasible
     assert point.reason and "0.9" in point.reason or point.reason
     assert np.isnan(point.p_corr) and np.isnan(point.normalized)
+
+
+def test_mismatch_study_checks_every_eigenvalue_before_running():
+    ran = []
+    with pytest.raises(ValueError, match="lambda2 must lie in"):
+        mismatch_study(small_config(ensemble=1), [0.1], [0.5, 1.5],
+                       run_report=ran.append)
+    assert ran == []
+
+
+def test_mismatch_study_runs_each_plain_arm_once_per_eigenvalue():
+    # the plain arm runs at the first feasible delta, then serves the rest
+    ran = []
+
+    def record(cfg):
+        ran.append((cfg.variant, cfg.matrix.lambda2, cfg.mismatch))
+        return SimpleNamespace(aggregate=0.1)
+
+    mismatch_study(small_config(ensemble=1), [0.1, -0.05, 0.05], [0.9, 0.3],
+                   run_report=record)
+    assert ran == [
+        ("plain_mud", pytest.approx(0.9), 0.0),
+        ("correlated_mud", pytest.approx(0.9), -0.05),
+        ("correlated_mud", pytest.approx(0.9), 0.05),
+        ("plain_mud", pytest.approx(0.3), 0.0),
+        ("correlated_mud", pytest.approx(0.3), 0.1),
+        ("correlated_mud", pytest.approx(0.3), -0.05),
+        ("correlated_mud", pytest.approx(0.3), 0.05),
+    ]
 
 
 def test_mismatch_study_zero_delta_matches_sweep():

@@ -14,15 +14,6 @@ from corrcdma.markov import (
 )
 
 
-def hard_beliefs(block):
-    """Indicator probability pairs (K, L, 2) for a +-1 symbol block."""
-    b = np.asarray(block)
-    q = np.zeros(b.shape + (2,), dtype=np.float64)
-    q[..., 0] = b < 0
-    q[..., 1] = b > 0
-    return q
-
-
 def random_matrix(rng):
     a, b = rng.random(2)
     return TransitionMatrix([[a, 1.0 - a], [b, 1.0 - b]])
@@ -210,16 +201,18 @@ class TestGeneration:
 
 
 class TestEstimation:
+    # a +-1 block is its own soft value: its belief pairs are indicators
+
     def test_hand_count_three_symbols(self):
         # single word +1 +1 -1: one stay in +1, one drop to -1, nothing from -1
-        q = hard_beliefs(np.array([[1, 1, -1]], dtype=np.int8))
-        t_hat = estimate_transition(q, pseudo_count=0.0)
+        t_hat = estimate_transition(np.array([[1, 1, -1]], dtype=np.int8),
+                                    pseudo_count=0.0)
         np.testing.assert_allclose(t_hat.matrix[1], [0.5, 0.5], atol=1e-15)
         np.testing.assert_allclose(t_hat.matrix[0], [0.5, 0.5], atol=1e-15)  # zero-row fallback
 
     def test_pseudocount_arithmetic(self):
-        q = hard_beliefs(np.array([[1, 1, 1]], dtype=np.int8))
-        t_hat = estimate_transition(q, pseudo_count=1.0)
+        t_hat = estimate_transition(np.array([[1, 1, 1]], dtype=np.int8),
+                                    pseudo_count=1.0)
         np.testing.assert_allclose(t_hat.matrix, [[0.5, 0.5], [0.25, 0.75]], atol=1e-15)
 
     def test_recovers_empirical_counts(self):
@@ -228,28 +221,61 @@ class TestEstimation:
         block = generate_block(t, 200, 60, rng)
         counts = TestGeneration.count_transitions(block)
         expected = counts / counts.sum(axis=1, keepdims=True)
-        t_hat = estimate_transition(hard_beliefs(block), pseudo_count=0.0)
+        t_hat = estimate_transition(block, pseudo_count=0.0)
         assert np.array_equal(t_hat.matrix, expected)
 
     def test_uniform_beliefs_give_iid(self):
-        q = np.full((5, 10, 2), 0.5)
+        soft = np.zeros((5, 10))
         for c in (0.0, 1.0, 3.5):
-            assert np.array_equal(estimate_transition(q, pseudo_count=c).matrix,
+            assert np.array_equal(estimate_transition(soft, pseudo_count=c).matrix,
                                   iid_matrix().matrix)
+
+    def test_soft_value_pairs(self):
+        # soft value s stands for the pair ((1 - s)/2, (1 + s)/2): the
+        # counts equal those of the explicit pairs, summed symbol by symbol
+        rng = np.random.default_rng(19)
+        for _ in range(20):
+            soft = rng.uniform(-1.0, 1.0, (4, 6))
+            pairs = [[((1.0 - s) / 2.0, (1.0 + s) / 2.0) for s in word]
+                     for word in soft]
+            counts = np.full((2, 2), 0.5)
+            for word in pairs:
+                for prev, after in zip(word[:-1], word[1:]):
+                    for a in range(2):
+                        for b in range(2):
+                            counts[a, b] += prev[a] * after[b]
+            expected = counts / counts.sum(axis=1, keepdims=True)
+            np.testing.assert_allclose(
+                estimate_transition(soft, pseudo_count=0.5).matrix, expected,
+                rtol=0, atol=1e-14)
+
+    def test_layout_does_not_change_the_estimate(self):
+        # the blind detector passes a transposed view of its (L, K) state
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            soft = np.tanh(rng.normal(0.0, 2.0, (30, 17))).T
+            assert np.array_equal(
+                estimate_transition(soft).matrix,
+                estimate_transition(np.ascontiguousarray(soft)).matrix)
 
     def test_soft_beliefs_row_stochastic(self):
         rng = np.random.default_rng(31)
         for _ in range(50):
-            p = rng.random((8, 12))
-            q = np.stack([1.0 - p, p], axis=-1)
-            rows = estimate_transition(q).matrix.sum(axis=1)
+            soft = rng.uniform(-1.0, 1.0, (8, 12))
+            rows = estimate_transition(soft).matrix.sum(axis=1)
             np.testing.assert_allclose(rows, 1.0, atol=1e-12)
 
     def test_no_transitions_raises(self):
         with pytest.raises(ValueError):
-            estimate_transition(np.full((4, 1, 2), 0.5))
+            estimate_transition(np.zeros((4, 1)))
         with pytest.raises(ValueError):
-            estimate_transition(np.full((3, 4), 0.5))
+            estimate_transition(np.zeros((0, 4)))
+
+    def test_rejects_belief_pairs_and_out_of_range_values(self):
+        with pytest.raises(ValueError, match=r"shape \(K, L\)"):
+            estimate_transition(np.full((3, 4, 2), 0.5))
+        with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+            estimate_transition(np.array([[0.5, 1.5, -0.2]]))
 
 
 class TestPerturbation:
