@@ -12,8 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import suppress
 from dataclasses import replace
 from datetime import datetime, timezone
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -126,13 +128,17 @@ def _parse_value_list(text, option, cast=float):
 
 
 class _OutputSet:
-    """Files written by one command, removable as a unit on failure."""
+    """Files written by one command, removable as a unit on failure, with
+    the directories made for them."""
 
     def __init__(self, out_dir):
         self.out_dir = Path(out_dir)
         self.paths = []
+        self.made = []  # directories target created, innermost first
 
     def target(self, name) -> Path:
+        self.made += takewhile(lambda d: not d.exists(),
+                               (self.out_dir, *self.out_dir.parents))
         self.out_dir.mkdir(parents=True, exist_ok=True)
         path = self.out_dir / name
         self.paths.append(path)
@@ -141,6 +147,9 @@ class _OutputSet:
     def discard(self):
         for path in self.paths:
             path.unlink(missing_ok=True)
+        for directory in self.made:
+            with suppress(OSError):  # something else wrote into it
+                directory.rmdir()
 
     def validate(self):
         for path in self.paths:

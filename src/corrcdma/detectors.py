@@ -132,8 +132,8 @@ def _neighbour_model(matrix: TransitionMatrix):
 
 
 def _terms(s, weights, out):
-    """The (minus, plus) neighbour terms of the soft values s (a scalar or
-    a 1-D array), written to the (2, n) array out."""
+    """The (minus, plus) neighbour terms of the soft values s, written to
+    out: (2, n) for a scalar or an (n,) s, (L, 2, n) for an (L, 1, n) s."""
     np.multiply(weights[:, 1], s, out=out)
     return np.add(out, weights[:, 0], out=out)
 
@@ -142,14 +142,16 @@ def _message(left, right, total):
     """Posterior mean of a symbol given its two neighbours' terms.
 
     p(b) = left(b) * right(b) and m = (p(+1) - p(-1)) / (p(+1) + p(-1)).
+    left and right are (..., 2, n), the pair on the second-to-last axis.
     The normaliser goes to total, which the caller checks for zeros with
-    _check_totals; m is written over left[1] and returned, and left[0] is
-    clobbered.
+    _check_totals; m is written over the plus row of left and returned,
+    and the minus row is clobbered.
     """
     p = np.multiply(left, right, out=left)
-    np.add(p[1], p[0], out=total)
-    np.subtract(p[1], p[0], out=p[1])
-    return np.divide(p[1], total, out=p[1])
+    p0, p1 = p[..., 0, :], p[..., 1, :]
+    np.add(p1, p0, out=total)
+    np.subtract(p1, p0, out=p1)
+    return np.divide(p1, total, out=p1)
 
 
 def _check_totals(total):
@@ -196,90 +198,117 @@ def local_bias(soft: np.ndarray, matrix: TransitionMatrix, position: int) -> np.
 
 
 def _bias_sweep(padded, field, xi, model, schedule, forward, rng, scale,
-                work, row):
+                work):
     """Recompute the bias correction over the block, in schedule order.
 
-    Arrays are column-major: row l of the (L, K) arrays is symbol column
-    l, and padded is (L + 2, K) with the current soft values in rows
-    1..L. Updates xi in place. PUS computes every column from the same
-    soft snapshot in whole-block operations. The other schedules refresh
-    each visited column's soft value in padded from field + correction,
-    so columns visited later in a sweep see the new values of earlier
-    columns (that is the whole difference between the schedules). In an
-    ordered sweep the neighbour not yet visited still holds its snapshot
-    value, so that side is computed for all columns at once; RSUS
-    computes both sides per column. work is two (2, L, K) scratch pairs
-    for neighbour terms, the second of which also takes the normalisers
-    and the new correction; row is two (2, K) pairs. Returns a boolean
-    (L,) mask of columns whose correction changed bitwise.
+    Arrays are column-major and hold a group of realizations side by
+    side: padded[l + 1], field[l] and xi[l] are the (B, K) users of symbol
+    column l of every trial, padded is (L + 2, B, K) with the current soft
+    values in rows 1..L, and a trial's users never meet another trial's,
+    so the trials of a group are independent. Updates xi in place. PUS
+    computes every column from the same soft snapshot in whole-block
+    operations. The other schedules refresh each visited column's soft
+    value in padded to tanh(field + correction), so columns visited later
+    in a sweep see the new values of earlier columns (that is the whole
+    difference between the schedules); after one of them every row of
+    padded holds tanh(field + xi). In an ordered sweep the neighbour not
+    yet visited still holds its snapshot value, so that side is computed
+    for all columns at once, into an (L, 2, W) array whose row l is the
+    (minus, plus) pair of column l; RSUS computes both sides per column.
+    work is scratch of at least 4 L W floats, W = B K. Returns the boolean
+    (L, B) mask of the columns whose correction changed bitwise, per trial.
     """
     left_w, right_w, edge = model
+    n_rows, n_trials, n_users = padded.shape
+    word_len, width = n_rows - 2, n_trials * n_users
+    padded = padded.reshape(n_rows, width)
     padded[0] = padded[-1] = edge
-    word_len = field.shape[0]
-
-    def every_column(neighbours, weights, out):
-        size = neighbours.size
-        return _terms(neighbours.reshape(size), weights,
-                      out.reshape(2, size)).reshape(out.shape)
-
-    pair, spare = work
-    totals, xi_new = spare
+    field = field.reshape(word_len, width)
+    block = word_len * width
+    pairs = work[:2 * block].reshape(word_len, 2, width)
     if schedule == "PUS":
-        # the right terms are spent once multiplied in, so their buffers
-        # take the normalisers and the new correction
-        m = _message(every_column(padded[:-2], left_w, pair),
-                     every_column(padded[2:], right_w, spare), totals)
+        # the right terms are spent once multiplied in, so their rows take
+        # the normalisers and the new correction
+        right = work[2 * block:4 * block].reshape(word_len, 2, width)
+        totals, xi_new = right[:, 0], right[:, 1]
+        m = _message(_terms(padded[:-2, None], left_w, pairs),
+                     _terms(padded[2:, None], right_w, right), totals)
         _check_totals(totals)
         _correction(m, scale, xi_new)
         return _commit(xi, xi_new)
-    far_left = far_right = None
+    totals = work[2 * block:3 * block].reshape(word_len, width)
+    xi_new = work[3 * block:4 * block].reshape(word_len, width)
+    # near is the side visited last (rows padded[l + offset], read fresh
+    # per column) and far the side not yet visited (all columns at once);
+    # RSUS reads both sides fresh, the left one into left
+    near, left = np.empty((2, 2, width))
     if schedule == "RSUS":
-        order = rng.permutation(word_len)
+        order, near_w, offset = rng.permutation(word_len), right_w, 2
+        far = None
     elif forward:
-        order = range(word_len)
-        far_right = every_column(padded[2:], right_w, pair)
+        order, near_w, offset = range(word_len), left_w, 0
+        far = _terms(padded[2:, None], right_w, pairs)
     else:
-        order = range(word_len - 1, -1, -1)
-        far_left = every_column(padded[:-2], left_w, pair)
+        order, near_w, offset = range(word_len - 1, -1, -1), right_w, 2
+        far = _terms(padded[:-2, None], left_w, pairs)
+    # the message and correction of every column, inlined: at small widths
+    # a sweep costs its numpy calls, not their arithmetic
+    w0, w1 = near_w[:, 0], near_w[:, 1]
+    p0, p1 = near
+    cap = 1.0 - CLAMP_EPS
     for l in order:
-        left = (_terms(padded[l], left_w, row[0]) if far_left is None
-                else far_left[:, l])
-        right = (_terms(padded[l + 2], right_w, row[1]) if far_right is None
-                 else far_right[:, l])
-        _correction(_message(left, right, totals[l]), scale, xi_new[l])
-        np.add(field[l], xi_new[l], out=padded[l + 1])
-        np.tanh(padded[l + 1], out=padded[l + 1])
+        np.multiply(w1, padded[l + offset], out=near)
+        np.add(near, w0, out=near)
+        if far is None:
+            np.multiply(near, _terms(padded[l], left_w, left), out=near)
+        else:
+            np.multiply(near, far[l], out=near)
+        total, x, s = totals[l], xi_new[l], padded[l + 1]
+        np.add(p1, p0, out=total)
+        np.subtract(p1, p0, out=p1)
+        np.divide(p1, total, out=p1)
+        np.maximum(p1, -cap, out=x)
+        np.minimum(x, cap, out=x)
+        np.arctanh(x, out=x)
+        if scale != 1.0:
+            np.multiply(x, scale, out=x)
+        np.add(field[l], x, out=s)
+        np.tanh(s, out=s)
     _check_totals(totals)
     return _commit(xi, xi_new)
 
 
 def _commit(xi, xi_new):
-    """Copy the new correction into xi; the mask of columns it changed."""
-    changed = np.any(xi_new != xi, axis=1)
+    """Copy the new (L, W) correction into the (L, B, K) xi; the (L, B)
+    mask of the columns it changed, per trial."""
+    xi_new = xi_new.reshape(xi.shape)
+    changed = np.any(xi_new != xi, axis=2)
     np.copyto(xi, xi_new)
     return changed
 
 
 def _mud_step(cols, soft, matched, field, interference, gain, corr, load,
               sigma, work, finite, iteration):
-    """One synchronous MUD update of the symbol columns cols, committed in
-    place.
+    """One synchronous MUD update of the symbol columns cols of one
+    realization, committed in place.
 
-    The (L, K) arrays hold one symbol column per row; the columns are
-    gathered into the work buffers, so only they pay for the K x K
-    product. The interference sum runs over all users including the self
-    term (unit diagonal of corr); the final + precision * soft adds the
-    own tentative estimate back, leaving the cavity field. Without that
-    retraction the update subtracts each user's own signal and the
+    The arrays hold one (K,) row per symbol column and trial (row
+    l * B + b is column l of trial b of a group of B, so a lone
+    realization's rows are its columns), and cols are the rows of this
+    step's realization, whose correlation matrix is corr. The rows are
+    gathered into the (3, L, K) work buffer, so only they pay for the
+    K x K product. The interference sum runs over all users including the
+    self term (unit diagonal of corr); the final + precision * soft adds
+    the own tentative estimate back, leaving the cavity field. Without
+    that retraction the update subtracts each user's own signal and the
     iteration oscillates instead of converging. Returns the per-column
     soft power and precision.
     """
     n = cols.size
     # mode="clip" writes straight into the work buffer ("raise" would stage
     # the gather in a fresh array); cols are valid row indices
-    pair, spare = work
-    s = np.take(soft, cols, axis=0, out=pair[0, :n], mode="clip")
-    u_new = pair[1, :n]
+    s = np.take(soft, cols, axis=0, out=work[0, :n], mode="clip")
+    u_new = work[1, :n]
     # a running sum adds the users in index order, the order a reduction
     # over the users axis of a (K, L) array takes, so the soft power does
     # not depend on the layout
@@ -289,11 +318,11 @@ def _mud_step(cols, soft, matched, field, interference, gain, corr, load,
     carry = load * (1.0 - q_pow) * precision
     np.matmul(corr, s.T, out=u_new.T)
     u_new *= precision[:, None]
-    u_old = np.take(interference, cols, axis=0, out=spare[0, :n], mode="clip")
+    u_old = np.take(interference, cols, axis=0, out=work[2, :n], mode="clip")
     u_old *= carry[:, None]
     u_new += u_old
     gain_new = precision + carry * gain[cols]
-    h_new = np.take(matched, cols, axis=0, out=spare[0, :n], mode="clip")
+    h_new = np.take(matched, cols, axis=0, out=work[2, :n], mode="clip")
     h_new *= gain_new[:, None]
     h_new -= u_new
     s *= precision[:, None]
@@ -306,113 +335,171 @@ def _mud_step(cols, soft, matched, field, interference, gain, corr, load,
     return q_pow, precision
 
 
-def _run_engine(spreading, received, sigma, opts, assumed=None, iterate=True):
-    """Lockstep detection of all symbol columns.
+def _run_engine(fields, corrs, load, sigma, opts, assumed=None, iterate=True):
+    """Lockstep detection of every symbol column of a group of realizations.
 
-    With iterate=True every outer iteration starts with a synchronous MUD
-    step; with iterate=False the matched-filter field is never updated and
-    only the bias correction is refined (the correlated SUMF), scaled by
-    the matched filter's interference-plus-noise variance load + sigma^2.
-    Plain mode (assumed is None) iterates every column independently until
-    its hard decisions repeat; the bias field stays identically zero.
-    Correlated mode runs a bias sweep in every outer iteration and stops
-    at a global hard-decision fixed point. Columns whose decisions repeated
-    are frozen (the step skips them, so their state stays as committed)
-    and thaw again if a later sweep changes their correction; with a
-    memoryless assumed matrix no correction ever changes, which makes the
-    two modes produce bitwise identical results.
+    fields holds the (K, L) matched-filter fields of B realizations of one
+    size and corrs their code correlation matrices (read only when
+    iterate). With iterate=True every outer iteration starts with a
+    synchronous MUD step of each realization; with iterate=False the
+    matched-filter field is never updated and only the bias correction is
+    refined (the correlated SUMF), scaled by the matched filter's
+    interference-plus-noise variance load + sigma^2. Plain mode (assumed
+    is None) iterates every column independently until its hard decisions
+    repeat; the bias field stays identically zero. Correlated mode runs a
+    bias sweep in every outer iteration and stops at a global
+    hard-decision fixed point. Columns whose decisions repeated are frozen
+    (the step skips them, so their state stays as committed) and thaw
+    again if a later sweep changes their correction; with a memoryless
+    assumed matrix no correction ever changes, which makes the two modes
+    produce bitwise identical results.
 
-    The state is held column-major, one (K,) row per symbol column, in
-    arrays allocated once per call; results are transposed back to (K, L).
+    Each realization keeps its own active columns, counts and stop rule:
+    one that stops, or diverges, leaves the group, and the last trial of
+    the group moves into its slot, so the others run on at a narrower
+    width in the same arrays. Trials never mix, so every result equals a
+    run of its realization alone, bit for bit. The RSUS shuffle and the
+    blind estimate are per realization, so those runs take one at a time.
+
+    Returns, per realization, its DetectionResult or the
+    DetectorDivergence its MUD step raised.
     """
     if iterate and sigma <= 0.0:
         raise ValueError("iterative detection requires sigma > 0")
     opts = opts or DetectorOptions()
-    # only the MUD step reads the correlation matrix, which is built on first
-    # access; the correlated SUMF never builds it
-    corr = spreading.corr if iterate else None
-    load = spreading.n_users / spreading.spread_factor
-    matched = sumf(spreading, received)
-    n_users, word_len = matched.shape
-
     correlated = assumed is not None
     blind = correlated and iterate and opts.blind
+    n_trials = len(fields)
+    if n_trials > 1 and correlated and (blind or opts.schedule == "RSUS"):
+        raise ValueError("RSUS and blind runs detect one realization at a "
+                         "time")
     assumed_now = iid_matrix() if blind else assumed
     model = _neighbour_model(assumed_now) if correlated else None
     scale = 1.0 if iterate else load + sigma * sigma
     rng = opts.schedule_rng
     if rng is None and opts.schedule == "RSUS":
         rng = np.random.default_rng(0)
+    n_users, word_len = fields[0].shape
 
-    # Every (L, K) array of the run is carved from one block: nothing that
-    # grows with L * K is allocated inside the loop, and the single block
-    # keeps the heap from fragmenting across trials (separate buffers raised
-    # the peak resident memory of a C7 ensemble by one Gram matrix, 5 MB).
-    block = np.empty((9 * word_len + 2, n_users))
-    h0, h, xi, interference, pair, spare, padded = np.split(
-        block, np.cumsum([1, 1, 1, 1, 2, 2]) * word_len)
-    h0[:] = matched.T
+    # Every (L, B, K) array of the run is carved from one block: nothing
+    # that grows with L * K is allocated inside the loop, and the single
+    # block keeps the heap from fragmenting across trials (separate buffers
+    # raised the peak resident memory of a C7 ensemble by one Gram matrix,
+    # 5 MB).
+    block = np.empty((9 * word_len + 2, n_trials, n_users))
+    h0, h, xi, interference, work, padded = np.split(
+        block, np.cumsum([1, 1, 1, 1, 4]) * word_len)
+    work = work.reshape(-1)
+    step_work = work[:3 * word_len * n_users].reshape(3, word_len, n_users)
+    soft = padded[1:-1]
+    for b, field in enumerate(fields):
+        h0[:, b] = field.T
     h[:] = h0
     xi[:] = 0.0
     interference[:] = 0.0
-    work = (pair.reshape(2, word_len, n_users),
-            spare.reshape(2, word_len, n_users))
-    soft = padded[1:-1]
-    gain = np.zeros(word_len)
-    row = np.empty((2, 2, n_users))
+    gain = np.zeros((word_len, n_trials))
     finite = np.empty((word_len, n_users), dtype=bool)
     np.tanh(np.add(h, xi, out=soft), out=soft)
     prev_dec = soft >= 0.0
     dec = np.empty_like(prev_dec)
-    active = np.ones(word_len, dtype=bool)
-    iters = np.zeros(word_len, dtype=np.int64)
-    converged = np.zeros(word_len, dtype=bool)
+    active = np.ones((word_len, n_trials), dtype=bool)
+    iters = np.zeros((word_len, n_trials), dtype=np.int64)
+    converged = np.zeros((word_len, n_trials), dtype=bool)
+    # rows of the (L * B, K) views the MUD step indexes, by slot
+    rows = [np.arange(word_len) * n_trials + b for b in range(n_trials)]
+    flat = [a.reshape(word_len * n_trials, n_users)
+            for a in (soft, h0, h, interference)]
+    trials = list(range(n_trials))  # the trial in each slot
+    bounds = ([[] for _ in range(n_trials)]
+              if opts.track_bounds and iterate else None)
+    results = [None] * n_trials
     forward = True
-    bounds = [] if opts.track_bounds and iterate else None
-    outer = 0
+
+    def leave(slot, outcome):
+        # record the trial in slot and move the group's last trial into it
+        results[trials[slot]] = outcome
+        last = len(trials) - 1
+        if slot != last:
+            for a in (h0, h, xi, interference, padded, prev_dec, gain,
+                      active, iters, converged):
+                a[:, slot] = a[:, last]
+            trials[slot] = trials[last]
+        trials.pop()
 
     for t in range(opts.max_iters):
         if iterate:
-            q_pow, prec = _mud_step(np.flatnonzero(active), soft, h0, h,
-                                    interference, gain, corr, load, sigma,
-                                    work, finite, t)
-        iters[active] += 1
-        outer = t + 1
+            stats = {}
+            # from the last slot down, so a trial that diverges leaves
+            # without moving one not yet stepped
+            for slot in range(len(trials) - 1, -1, -1):
+                try:
+                    stats[trials[slot]] = _mud_step(
+                        rows[slot][active[:, slot]], *flat, gain.reshape(-1),
+                        corrs[trials[slot]], load, sigma, step_work, finite, t)
+                except DetectorDivergence as exc:
+                    leave(slot, exc)
+            if not trials:
+                break
+        n = len(trials)
+        sl = np.s_[:, :n]
+        iters[sl] += active[sl]
 
         if correlated:
-            np.tanh(np.add(h, xi, out=soft), out=soft)
+            np.tanh(np.add(h[sl], xi[sl], out=soft[sl]), out=soft[sl])
             if blind and t > 0:
-                assumed_now = estimate_transition(soft.T, PSEUDO_COUNT)
+                assumed_now = estimate_transition(soft[:, 0].T, PSEUDO_COUNT)
                 model = _neighbour_model(assumed_now)
-            changed = _bias_sweep(padded, h, xi, model, opts.schedule,
-                                  forward, rng, scale, work, row)
+            changed = _bias_sweep(padded[sl], h[sl], xi[sl], model,
+                                  opts.schedule, forward, rng, scale, work)
             if opts.schedule == "BFUS":
                 forward = not forward
-            thawed = changed & ~active
+            thawed = changed & ~active[sl]
             if np.any(thawed):
-                active |= thawed
-                converged &= ~thawed
-
-        np.tanh(np.add(h, xi, out=soft), out=soft)
+                active[sl] |= thawed
+                converged[sl] &= ~thawed
+        if not correlated or opts.schedule == "PUS":
+            # an ordered sweep has already left tanh(h + xi) in every row
+            np.tanh(np.add(h[sl], xi[sl], out=soft[sl]), out=soft[sl])
         if bounds is not None:
-            bounds.append((float(q_pow.min()), float(q_pow.max()),
-                           float(prec.min()), float(prec.max()),
-                           float(np.abs(soft).max())))
-        np.greater_equal(soft, 0.0, out=dec)
-        same = np.all(dec == prev_dec, axis=1)
-        newly = active & same
-        converged |= newly
-        active &= ~newly
+            for slot, trial in enumerate(trials):
+                q_pow, prec = stats[trial]
+                bounds[trial].append((float(q_pow.min()), float(q_pow.max()),
+                                      float(prec.min()), float(prec.max()),
+                                      float(np.abs(soft[:, slot]).max())))
+        np.greater_equal(soft[sl], 0.0, out=dec[sl])
+        same = np.all(dec[sl] == prev_dec[sl], axis=2)
+        newly = active[sl] & same
+        converged[sl] |= newly
+        active[sl] &= ~newly
         prev_dec, dec = dec, prev_dec
-        if same.all() or not active.any():
+        done = same.all(axis=0) | ~active[sl].any(axis=0)
+        if t == opts.max_iters - 1:
+            done[:] = True
+        for slot in np.flatnonzero(done)[::-1]:
+            trial = trials[slot]
+            leave(slot, DetectionResult(
+                bits=np.ascontiguousarray(hard_decisions(soft[:, slot].T)),
+                field=np.add(h[:, slot], xi[:, slot]).T.copy(),
+                iters=iters[:, slot].copy(),
+                converged=converged[:, slot].copy(), outer_iterations=t + 1,
+                estimated_matrix=assumed_now if blind else None,
+                bounds=None if bounds is None else bounds[trial]))
+        if not trials:
             break
+    return results
 
-    return DetectionResult(
-        bits=np.ascontiguousarray(hard_decisions(soft.T)),
-        field=np.add(h, xi, out=work[0][0]).T.copy(),
-        iters=iters, converged=converged, outer_iterations=outer,
-        estimated_matrix=assumed_now if blind else None,
-        bounds=bounds)
+
+def _detect_one(spreading, received, sigma, opts, assumed=None, iterate=True):
+    """The engine on one realization; raises its DetectorDivergence."""
+    # only the MUD step reads the correlation matrix, which is built on first
+    # access; the correlated SUMF never builds it
+    corr = spreading.corr if iterate else None
+    load = spreading.n_users / spreading.spread_factor
+    (result,) = _run_engine([sumf(spreading, received)], [corr], load, sigma,
+                            opts, assumed, iterate)
+    if isinstance(result, DetectorDivergence):
+        raise result
+    return result
 
 
 def mud_detect(spreading: SpreadingMatrix, received: np.ndarray, sigma: float,
@@ -423,7 +510,7 @@ def mud_detect(spreading: SpreadingMatrix, received: np.ndarray, sigma: float,
     its hard decisions repeat between consecutive iterations or max_iters
     is hit; non-convergence is flagged per position, never raised.
     """
-    return _run_engine(spreading, received, sigma, opts)
+    return _detect_one(spreading, received, sigma, opts)
 
 
 def correlated_mud_detect(spreading: SpreadingMatrix, received: np.ndarray,
@@ -439,7 +526,7 @@ def correlated_mud_detect(spreading: SpreadingMatrix, received: np.ndarray,
     beliefs each outer iteration, starting from the memoryless matrix.
     Terminates at a global hard-decision fixed point or max_iters.
     """
-    return _run_engine(spreading, received, sigma, opts, assumed=matrix)
+    return _detect_one(spreading, received, sigma, opts, assumed=matrix)
 
 
 def correlated_sumf_detect(spreading: SpreadingMatrix, received: np.ndarray,
@@ -456,7 +543,7 @@ def correlated_sumf_detect(spreading: SpreadingMatrix, received: np.ndarray,
     for the MUD variants. Blind mode does not apply, and sigma = 0 is
     allowed.
     """
-    return _run_engine(spreading, received, sigma, opts, assumed=matrix,
+    return _detect_one(spreading, received, sigma, opts, assumed=matrix,
                        iterate=False)
 
 

@@ -2,9 +2,9 @@
 
 Every trial's randomness is derived from (master seed, trial index, stream
 id), so a report is a pure function of its config: reruns are bit-identical
-regardless of worker count or completion order, and two variants run with
-the same config fields see exactly the same source blocks, spreading codes
-and noise. That paired-seed discipline makes every normalized quantity
+regardless of worker count, trial grouping or completion order, and two
+variants run with the same config fields see exactly the same source
+blocks, spreading codes and noise. That paired-seed discipline makes every normalized quantity
 (correlated over plain detection) reflect only the detectors' differences.
 
 Per-position error counts are summed as integers, so aggregation is exact
@@ -29,10 +29,9 @@ from .detectors import (
     SCHEDULES,
     DetectorDivergence,
     DetectorOptions,
-    correlated_mud_detect,
-    correlated_sumf_detect,
-    mud_detect,
-    sumf_detect,
+    _run_engine,
+    hard_decisions,
+    sumf,
 )
 from .markov import (
     TransitionMatrix,
@@ -46,6 +45,14 @@ STREAM_CHANNEL = 0
 STREAM_SCHEDULE = 1
 
 VARIANTS = ("plain_mud", "correlated_mud", "plain_sumf", "correlated_sumf")
+MUD_VARIANTS = ("plain_mud", "correlated_mud")
+
+# Users per lockstep group of trials. On a 2-core x86-64 machine (AVX-512,
+# numpy 2.4) an SUS bias sweep over 80 columns of W users cost about 60,
+# 45, 32, 27 and 25 ns per user and column at W = 200, 400, 800, 1,000 and
+# 1,600: below about 1,000 users the numpy call overhead dominates, above
+# it a larger group only adds memory.
+GROUP_USERS = 1000
 
 _BOOL_KEYS = ("blind",)
 _INT_KEYS = ("spread_factor", "n_users", "word_length", "ensemble", "seed",
@@ -85,7 +92,7 @@ class ExperimentConfig:
             raise ValueError("spread_factor and n_users must be >= 1")
         if self.sigma < 0.0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-        if self.sigma == 0.0 and self.variant in ("plain_mud", "correlated_mud"):
+        if self.sigma == 0.0 and self.variant in MUD_VARIANTS:
             raise ValueError(f"variant {self.variant} requires sigma > 0")
         if self.word_length < 1:
             raise ValueError("word_length must be >= 1")
@@ -233,67 +240,115 @@ def _detector_options(config: ExperimentConfig, trial_index: int) -> DetectorOpt
                            blind=config.blind, schedule_rng=schedule_rng)
 
 
-def run_trial(config: ExperimentConfig, trial_index: int) -> TrialOutcome:
-    """One ensemble sample: generate, transmit, detect, count errors.
+def _lockstep(config: ExperimentConfig) -> bool:
+    """Whether trials of config can share one detection engine run: an
+    RSUS shuffle and a blind estimate belong to one realization."""
+    return not ((config.variant in ("correlated_mud", "correlated_sumf")
+                 and config.schedule == "RSUS")
+                or (config.variant == "correlated_mud" and config.blind))
 
-    A deterministic function of (config.seed, trial_index). The channel
-    stream is drawn in a fixed order (source block, spreading chips, noise)
-    so every detector variant sees identical realizations; RSUS shuffles
-    come from a separate stream so the other schedules stay untouched by
-    the variant choice.
+
+def _realization(config: ExperimentConfig, trial_index: int):
+    """What detection needs of one trial: its source block, matched field
+    and, for the MUD variants, code correlation matrix.
+
+    The channel stream is drawn in a fixed order (source block, spreading
+    chips, noise), so every detector variant sees identical realizations;
+    the chips and the received samples are dropped once read.
     """
     rng = _trial_rng(config, trial_index, STREAM_CHANNEL)
     block = generate_block(config.matrix, config.n_users, config.word_length, rng)
     spreading = generate_spreading(config.spread_factor, config.n_users, rng)
-    received = transmit(spreading, block, config.sigma, rng)
+    matched = sumf(spreading, transmit(spreading, block, config.sigma, rng))
+    corr = spreading.corr if config.variant in MUD_VARIANTS else None
+    return block, matched, corr
 
-    opts = _detector_options(config, trial_index)
-    diverged = False
-    try:
-        if config.variant == "plain_mud":
-            result = mud_detect(spreading, received, config.sigma, opts)
-        elif config.variant == "correlated_mud":
-            result = correlated_mud_detect(spreading, received,
-                                           config.detector_matrix(),
-                                           config.sigma, opts)
-        elif config.variant == "correlated_sumf":
-            result = correlated_sumf_detect(spreading, received,
-                                            config.detector_matrix(),
-                                            config.sigma, opts)
+
+def run_trials(config: ExperimentConfig, indices) -> list[TrialOutcome]:
+    """The ensemble samples of trial indices, detected in lockstep.
+
+    Each trial is a deterministic function of (config.seed, index): the
+    group only shares the detection engine's arrays, so the outcomes equal
+    those of the trials run one at a time. RSUS shuffles come from a
+    separate stream per trial, so the other schedules stay untouched by
+    the variant choice; RSUS and blind runs detect one trial at a time. A
+    trial whose detector diverges still counts, with the matched-filter
+    decisions.
+    """
+    indices = list(indices)
+    if len(indices) > 1 and not _lockstep(config):
+        return [run_trials(config, [index])[0] for index in indices]
+    blocks, fields, corrs = zip(*(_realization(config, index)
+                                  for index in indices))
+    if config.variant == "plain_sumf":
+        results = [None] * len(indices)
+    else:
+        results = _run_engine(
+            fields, corrs, config.load, config.sigma,
+            _detector_options(config, indices[0]),
+            assumed=(None if config.variant == "plain_mud"
+                     else config.detector_matrix()),
+            iterate=config.variant in MUD_VARIANTS)
+    outcomes = []
+    for block, matched, result in zip(blocks, fields, results):
+        diverged = isinstance(result, DetectorDivergence)
+        if result is None or diverged:  # the matched filter's decisions
+            bits = hard_decisions(matched)
+            iters = np.zeros(config.word_length, dtype=np.int64)
+            unconverged = config.word_length if diverged else 0
         else:
-            result = sumf_detect(spreading, received)
-    except DetectorDivergence:
-        # The trial still counts: fall back to the matched-filter decisions.
-        result = sumf_detect(spreading, received)
-        diverged = True
-
-    errors = np.asarray(result.bits != block).sum(axis=0, dtype=np.int64)
-    unconverged = int(np.count_nonzero(~result.converged)) if not diverged \
-        else config.word_length
-    return TrialOutcome(errors_by_position=errors,
-                        iters=np.asarray(result.iters, dtype=np.int64),
-                        unconverged_positions=unconverged, diverged=diverged)
+            bits, iters = result.bits, result.iters
+            unconverged = int(np.count_nonzero(~result.converged))
+        outcomes.append(TrialOutcome(
+            errors_by_position=(bits != block).sum(axis=0, dtype=np.int64),
+            iters=iters, unconverged_positions=unconverged,
+            diverged=diverged))
+    return outcomes
 
 
-def _trial_worker(payload):
-    config, trial_index = payload
-    return run_trial(config, trial_index)
+def run_trial(config: ExperimentConfig, trial_index: int) -> TrialOutcome:
+    """One ensemble sample: generate, transmit, detect, count errors; a
+    deterministic function of (config.seed, trial_index)."""
+    return run_trials(config, [trial_index])[0]
+
+
+def group_size(config: ExperimentConfig, workers: int | None = None) -> int:
+    """Trials per detection engine run in monte_carlo.
+
+    Small trials spend the bias sweep on numpy call overhead, so trials run
+    in lockstep until the group holds about GROUP_USERS users, but no group
+    exceeds a worker's share of the ensemble.
+    """
+    if not _lockstep(config):
+        return 1
+    share = -(-config.ensemble // (workers or 1))
+    return min(share, max(1, GROUP_USERS // config.n_users))
+
+
+def _group_worker(payload):
+    config, indices = payload
+    return run_trials(config, indices)
 
 
 def monte_carlo(config: ExperimentConfig, workers: int | None = None) -> BerReport:
-    """Aggregate run_trial over the ensemble, optionally across processes.
+    """Aggregate the ensemble's trials, in groups, optionally across
+    processes.
 
-    Counts are integers and their summation commutative, so the report is
-    bit-identical for any worker count.
+    Counts are integers and their summation commutative, and a trial's
+    outcome does not depend on its group, so the report is bit-identical
+    for any worker count.
     """
     check_workers(workers)
-    payloads = [(config, index) for index in range(config.ensemble)]
-    if workers is None or workers == 1 or config.ensemble == 1:
-        outcomes = [run_trial(config, index) for _, index in payloads]
+    size = group_size(config, workers)
+    payloads = [(config, range(start, min(start + size, config.ensemble)))
+                for start in range(0, config.ensemble, size)]
+    if workers is None or workers == 1 or len(payloads) == 1:
+        groups = map(_group_worker, payloads)
     else:
-        chunk = max(1, config.ensemble // (workers * 4))
+        chunk = max(1, len(payloads) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_trial_worker, payloads, chunksize=chunk))
+            groups = list(pool.map(_group_worker, payloads, chunksize=chunk))
+    outcomes = [outcome for group in groups for outcome in group]
 
     errors = np.zeros(config.word_length, dtype=np.int64)
     iters_all = []

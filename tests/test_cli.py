@@ -357,7 +357,7 @@ def test_plotdata_schema_mismatch_names_the_column(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "ber" in err and "wrong" not in err.split("offending")[0]
-    assert not list(plot_dir.glob("*")) if plot_dir.exists() else True
+    assert not plot_dir.exists()
 
 
 def test_plotdata_missing_input_fails(tmp_path, capsys):
@@ -376,6 +376,28 @@ def test_plotdata_failure_removes_earlier_outputs(tmp_path):
     code = main(["plotdata", str(run_dir / "ber.csv"), str(bad),
                  "--out-dir", str(plot_dir)])
     assert code == 2
-    # the first input's emitted files must not survive the second's failure
+    # the first input's emitted files must not survive the second's failure,
+    # nor the output directory the run created for them
     assert not (plot_dir / "ber.dat").exists()
     assert not (plot_dir / "ber.gp").exists()
+    assert not plot_dir.exists()
+
+
+def test_failure_keeps_an_existing_out_dir(tmp_path):
+    run_dir = tmp_path / "run"
+    assert main(["simulate", *TINY, "--out-dir", str(run_dir)]) == 0
+    bad = tmp_path / "bad.csv"
+    bad.write_text("# corrcdma=0\nnot_a_column\n1\n")
+    plot_dir = tmp_path / "plots"
+    plot_dir.mkdir()
+    (plot_dir / "notes.txt").write_text("kept")
+    code = main(["plotdata", str(run_dir / "ber.csv"), str(bad),
+                 "--out-dir", str(plot_dir / "a" / "b")])
+    assert code == 2
+    # the directories the run made go, the one that was there stays
+    assert sorted(p.name for p in plot_dir.iterdir()) == ["notes.txt"]
+    assert (plot_dir / "notes.txt").read_text() == "kept"
+    code = main(["plotdata", str(run_dir / "ber.csv"), str(bad),
+                 "--out-dir", str(plot_dir)])
+    assert code == 2
+    assert sorted(p.name for p in plot_dir.iterdir()) == ["notes.txt"]

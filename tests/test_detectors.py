@@ -557,6 +557,88 @@ class TestFreezeAndCap:
         assert thaws > 0
 
 
+class TestLockstep:
+    # the engine runs a group of realizations side by side in one set of
+    # arrays (the property tests check groups against lone runs)
+
+    @pytest.mark.parametrize("schedule,forward", [
+        ("SUS", True), ("BFUS", True), ("BFUS", False), ("RSUS", True)])
+    @pytest.mark.parametrize("scale", [1.0, 1.39])
+    def test_ordered_sweep_leaves_tanh_of_field(self, schedule, forward,
+                                                scale):
+        # every soft row an ordered sweep leaves is tanh(field + xi) bit for
+        # bit, so the engine does not recompute it after the sweep
+        model = detectors._neighbour_model(
+            TransitionMatrix([[0.9, 0.1], [0.3, 0.7]]))
+        trials = 1 if schedule == "RSUS" else 3
+        for seed in range(5):
+            rng = np.random.default_rng(1500 + seed)
+            field = 2.0 * rng.standard_normal((12, trials, 10))
+            xi = rng.standard_normal((12, trials, 10))
+            padded = np.zeros((14, trials, 10))
+            padded[1:-1] = np.tanh(field + xi)
+            detectors._bias_sweep(padded, field, xi, model, schedule, forward,
+                                  rng, scale, np.empty(4 * padded[1:-1].size))
+            assert np.array_equal(padded[1:-1], np.tanh(field + xi))
+
+    def test_sweep_reports_changes_per_trial(self):
+        # a trial whose corrections are already the sweep's reports no
+        # change, whatever its group-mates do
+        model = detectors._neighbour_model(make_symmetric_matrix(0.8))
+        rng = np.random.default_rng(1550)
+        field = rng.standard_normal((12, 2, 10))
+        xi = np.zeros_like(field)
+        padded = np.zeros((14, 2, 10))
+        padded[1:-1] = np.tanh(field)
+        work = np.empty(4 * field.size)
+        detectors._bias_sweep(padded, field, xi, model, "PUS", True, None,
+                              1.0, work)
+        xi[:, 1] = 0.0
+        changed = detectors._bias_sweep(padded, field, xi, model, "PUS",
+                                        True, None, 1.0, work)
+        assert changed.shape == (12, 2)
+        assert not changed[:, 0].any() and changed[:, 1].all()
+
+    def test_divergence_leaves_the_others_running(self, monkeypatch):
+        # a NaN written into one trial's soft values before its second step
+        # makes that trial diverge; the rest of the group, whose slots move
+        # as trials leave, still equals their lone runs
+        t = make_symmetric_matrix(0.8)
+        fields, corrs = [], []
+        for seed in range(4):
+            _, _, s, y = make_instance(1600 + seed, 40, 32, 15, 0.8, lam=0.8)
+            fields.append(sumf(s, y))
+            corrs.append(s.corr)
+        opts = DetectorOptions(schedule="SUS")
+        alone = [detectors._run_engine([f], [c], 0.8, 0.8, opts, t)[0]
+                 for f, c in zip(fields, corrs)]
+        real_step = detectors._mud_step
+
+        def step(cols, soft, *rest):
+            corr, iteration = rest[4], rest[-1]
+            if corr is corrs[1] and iteration == 1:
+                soft[cols[0], 0] = np.nan
+            return real_step(cols, soft, *rest)
+
+        monkeypatch.setattr(detectors, "_mud_step", step)
+        together = detectors._run_engine(fields, corrs, 0.8, 0.8, opts, t)
+        assert isinstance(together[1], DetectorDivergence)
+        assert together[1].iteration == 1
+        for b in (0, 2, 3):
+            assert_same_detection(together[b], alone[b])
+            assert np.array_equal(together[b].converged, alone[b].converged)
+            assert together[b].outer_iterations == alone[b].outer_iterations
+
+    def test_rsus_and_blind_groups_are_refused(self):
+        t = make_symmetric_matrix(0.8)
+        _, _, s, y = make_instance(1700, 40, 32, 15, 0.8, lam=0.8)
+        fields, corrs = [sumf(s, y)] * 2, [s.corr] * 2
+        for opts in (DetectorOptions(schedule="RSUS"),
+                     DetectorOptions(blind=True)):
+            with pytest.raises(ValueError):
+                detectors._run_engine(fields, corrs, 0.8, 0.8, opts, t)
+
+
 class TestCorrelatedMud:
     def test_correction_overrides_isolated_flip(self):
         # single user, clean channel, frozen source: one inverted field

@@ -174,13 +174,13 @@ def test_random_schedule_is_deterministic_and_distinct():
 
 
 def test_divergent_trial_falls_back_to_matched_filter(monkeypatch):
-    from corrcdma import harness as mod
+    from corrcdma import detectors
     from corrcdma.detectors import DetectorDivergence, sumf_detect
 
     def blow_up(*args, **kwargs):
         raise DetectorDivergence("forced")
 
-    monkeypatch.setattr(mod, "mud_detect", blow_up)
+    monkeypatch.setattr(detectors, "_mud_step", blow_up)
     cfg = small_config(variant="plain_mud")
     outcome = run_trial(cfg, 0)
     assert outcome.diverged
@@ -198,6 +198,61 @@ def test_divergent_trial_falls_back_to_matched_filter(monkeypatch):
 
     report = monte_carlo(cfg)
     assert report.divergences == cfg.ensemble
+
+
+def test_divergence_inside_a_group_falls_back_for_that_trial_only(
+        monkeypatch):
+    from corrcdma import detectors, harness
+    from corrcdma.channel import generate_spreading, transmit
+    from corrcdma.detectors import sumf_detect
+    from corrcdma.markov import generate_block
+
+    cfg = small_config(ensemble=3)
+    assert harness.group_size(cfg) == 3
+    alone = [run_trial(cfg, index) for index in range(3)]
+    real_step = detectors._mud_step
+
+    def step(cols, soft, *rest):
+        # at the first step every column is active, so the rows of slot b
+        # start at row b; slot 1 holds trial 1
+        if rest[-1] == 0 and cols[0] == 1:
+            soft[cols[0], 0] = np.nan
+        return real_step(cols, soft, *rest)
+
+    monkeypatch.setattr(detectors, "_mud_step", step)
+    outcomes = harness.run_trials(cfg, range(3))
+    assert outcomes[1].diverged
+    assert outcomes[1].unconverged_positions == cfg.word_length
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1, 0]))
+    block = generate_block(cfg.matrix, cfg.n_users, cfg.word_length, rng)
+    spreading = generate_spreading(cfg.spread_factor, cfg.n_users, rng)
+    received = transmit(spreading, block, cfg.sigma, rng)
+    expected = (sumf_detect(spreading, received).bits != block).sum(axis=0)
+    assert np.array_equal(outcomes[1].errors_by_position, expected)
+    for index in (0, 2):
+        assert not outcomes[index].diverged
+        assert np.array_equal(outcomes[index].errors_by_position,
+                              alone[index].errors_by_position)
+        assert np.array_equal(outcomes[index].iters, alone[index].iters)
+        assert (outcomes[index].unconverged_positions
+                == alone[index].unconverged_positions)
+    assert monte_carlo(cfg).divergences == 1
+
+
+def test_group_size_rule():
+    from corrcdma.harness import group_size
+
+    c6 = ExperimentConfig(spread_factor=250, n_users=200, word_length=10,
+                          ensemble=8)
+    assert group_size(c6, 2) == 4  # a worker's share of the ensemble
+    assert group_size(c6) == 5     # about 1,000 users
+    c7 = ExperimentConfig(spread_factor=1000, n_users=800, ensemble=100)
+    assert group_size(c7) == group_size(c7, 2) == 1
+    # an RSUS shuffle and a blind estimate belong to one realization
+    assert group_size(replace(c6, schedule="RSUS"), 2) == 1
+    assert group_size(replace(c6, blind=True), 2) == 1
+    assert group_size(replace(c6, variant="plain_mud", schedule="RSUS"),
+                      2) == 4
 
 
 # ---------------------------------------------------------------------------

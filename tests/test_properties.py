@@ -5,19 +5,28 @@ the detector settings; the runs are derandomized, so every test run checks
 the same examples.
 """
 
+import dataclasses
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corrcdma import harness
 from corrcdma.channel import generate_spreading, transmit
 from corrcdma.detectors import (
     SCHEDULES,
+    DetectorDivergence,
     DetectorOptions,
+    _run_engine,
     correlated_mud_detect,
     correlated_sumf_detect,
+    hard_decisions,
     mud_detect,
+    sumf,
     sumf_detect,
 )
+from corrcdma.harness import VARIANTS, ExperimentConfig, monte_carlo, run_trial
 from corrcdma.markov import generate_block, iid_matrix, make_symmetric_matrix
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None,
@@ -105,3 +114,118 @@ def test_negated_signal_negates_the_detection(instance, variant, lam,
     assert np.array_equal(run[1].field, -run[0].field)
     assert np.array_equal(run[1].bits, -run[0].bits)
     assert np.array_equal(run[1].iters, run[0].iters)
+
+
+# ---------------------------------------------------------------------------
+# trials in lockstep: a group of realizations shares the engine's arrays
+# only, so every trial's result is the one it has alone
+
+
+@st.composite
+def groups(draw):
+    """(kind, fields, corrs, load, sigma, matrix, options) of a group of
+    same-size toy realizations; RSUS and blind groups hold one."""
+    kind = draw(st.sampled_from(("plain", "mud", "sumf")))
+    schedule = draw(st.sampled_from(SCHEDULES))
+    blind = kind == "mud" and draw(st.booleans())
+    spread = draw(st.integers(2, 24))
+    users = draw(st.integers(1, 24))  # K > N included: overloaded instances
+    word_len = draw(st.integers(2 if blind else 1, 8))
+    sigma = draw(st.sampled_from((0.3, 0.8, 1.5)))
+    matrix = make_symmetric_matrix(draw(st.sampled_from((0.0, 0.5, 0.9))))
+    alone = kind != "plain" and (blind or schedule == "RSUS")
+    size = 1 if alone else draw(st.integers(1, 5))
+    # the schedule stream's seed: every run draws from a fresh stream
+    opts = dict(max_iters=draw(st.integers(1, 50)), schedule=schedule,
+                blind=blind, track_bounds=True,
+                schedule_rng=draw(st.integers(0, 2**16)))
+    fields, corrs = [], []
+    for _ in range(size):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        block = generate_block(matrix, users, word_len, rng)
+        spreading = generate_spreading(spread, users, rng)
+        fields.append(sumf(spreading, transmit(spreading, block, sigma, rng)))
+        corrs.append(spreading.corr)
+    return kind, fields, corrs, users / spread, sigma, matrix, opts
+
+
+def engine_runs(kind, fields, corrs, load, sigma, matrix, opts):
+    opts = DetectorOptions(**{
+        **opts, "schedule_rng": np.random.default_rng(opts["schedule_rng"])})
+    return _run_engine(fields, corrs, load, sigma, opts,
+                       assumed=None if kind == "plain" else matrix,
+                       iterate=kind != "sumf")
+
+
+@settings(PROPERTY_SETTINGS, max_examples=150)
+@given(groups())
+def test_grouped_engine_equals_single_runs(group):
+    kind, fields, corrs, load, sigma, matrix, opts = group
+    together = engine_runs(*group)
+    for field, corr, result in zip(fields, corrs, together):
+        (alone,) = engine_runs(kind, [field], [corr], load, sigma, matrix,
+                               opts)
+        if isinstance(alone, DetectorDivergence):
+            assert isinstance(result, DetectorDivergence)
+            assert result.iteration == alone.iteration
+            continue
+        assert_same(result, alone)
+        # the bits are the signs of the field the run returns
+        assert np.array_equal(result.bits, hard_decisions(result.field))
+        assert np.array_equal(result.converged, alone.converged)
+        assert result.outer_iterations == alone.outer_iterations
+        assert result.bounds == alone.bounds
+        if alone.estimated_matrix is None:
+            assert result.estimated_matrix is None
+        else:
+            assert np.array_equal(result.estimated_matrix.matrix,
+                                  alone.estimated_matrix.matrix)
+
+
+@st.composite
+def configs(draw):
+    """A toy ExperimentConfig of any variant, schedule and blind flag."""
+    blind = draw(st.booleans())
+    return ExperimentConfig(
+        spread_factor=draw(st.integers(2, 20)),
+        n_users=draw(st.integers(1, 16)),
+        sigma=draw(st.sampled_from((0.3, 0.8, 1.5))),
+        word_length=draw(st.integers(2 if blind else 1, 8)),
+        matrix=make_symmetric_matrix(draw(st.sampled_from((0.0, 0.5, 0.9)))),
+        variant=draw(st.sampled_from(VARIANTS)),
+        schedule=draw(st.sampled_from(SCHEDULES)), blind=blind,
+        ensemble=draw(st.integers(1, 6)), seed=draw(st.integers(0, 2**16)),
+        max_iters=draw(st.integers(1, 30)))
+
+
+def assert_same_outcome(a, b):
+    assert np.array_equal(a.errors_by_position, b.errors_by_position)
+    assert np.array_equal(a.iters, b.iters)
+    assert a.unconverged_positions == b.unconverged_positions
+    assert a.diverged == b.diverged
+
+
+@PROPERTY_SETTINGS
+@given(configs(), st.lists(st.integers(0, 50), min_size=1, max_size=5))
+def test_run_trials_equals_run_trial(config, indices):
+    outcomes = harness.run_trials(config, indices)
+    assert len(outcomes) == len(indices)
+    for index, outcome in zip(indices, outcomes):
+        assert_same_outcome(outcome, run_trial(config, index))
+
+
+def assert_same_report(a, b):
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+
+
+@settings(PROPERTY_SETTINGS, max_examples=25)
+@given(configs(), st.sampled_from((1, 20, 50)))
+def test_report_independent_of_workers_and_groups(config, group_users):
+    serial = monte_carlo(config)
+    assert_same_report(serial, monte_carlo(config, workers=1))
+    assert_same_report(serial, monte_carlo(config, workers=2))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "GROUP_USERS", group_users)
+        assert_same_report(serial, monte_carlo(config))
