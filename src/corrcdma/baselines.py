@@ -101,12 +101,12 @@ class CompressionComparison:
             raise ValueError("ratio inconsistent with p_corr/p_comp")
 
 
-def _make_comparison(p_corr, p_comp, rate, protocol):
-    if p_comp > 0.0:
-        ratio = p_corr / p_comp
-    else:
-        ratio = 1.0 if p_corr == 0.0 else math.inf
-    return CompressionComparison(p_corr, p_comp, ratio, rate, protocol)
+def error_ratio(numerator: float, denominator: float) -> float:
+    """numerator / denominator of two error rates, zero-safe: two error-free
+    arms tie at 1, and errors against an error-free arm give inf."""
+    if denominator == 0.0:
+        return 1.0 if numerator == 0.0 else math.inf
+    return numerator / denominator
 
 
 def compression_point(matrix: TransitionMatrix, rate_excess: float = 0.0,
@@ -117,7 +117,8 @@ def compression_point(matrix: TransitionMatrix, rate_excess: float = 0.0,
     base_beta are given (the bandwidth protocol), then it is the user count
     pair (round(N * base_beta), round(N * base_beta * rate)) of the full and
     the reduced load. Raises ValueError for a negative rate_excess, a
-    source of zero entropy, a rate above 1 or a load that rounds to no user.
+    source of zero entropy, a rate above 1, a non-finite base_beta or a load
+    that rounds to no user.
     """
     if rate_excess < 0.0:
         raise ValueError(f"rate_excess must be >= 0, got {rate_excess}")
@@ -129,6 +130,8 @@ def compression_point(matrix: TransitionMatrix, rate_excess: float = 0.0,
         raise ValueError(f"effective rate (1+eps)*H_b = {rate:.4f} exceeds 1")
     if base_beta is None:
         return entropy, rate, None
+    if not math.isfinite(base_beta):
+        raise ValueError(f"base_beta must be finite, got {base_beta}")
     users = (int(round(spread_factor * base_beta)),
              int(round(spread_factor * base_beta * rate)))
     if min(users) < 1:
@@ -169,8 +172,9 @@ def bandwidth_expansion_comparison(matrix: TransitionMatrix, spread_factor: int,
     p_corr = float(run_ber(matrix, n_users, sigma, True))
     p_reduced = float(run_ber(iid_matrix(), reduced_users, sigma, False))
     amp = entropy if amplification == "entropy" else rate
-    p_comp = p_reduced / amp
-    return _make_comparison(p_corr, min(p_comp, 1.0), rate, "bandwidth_expansion")
+    p_comp = min(p_reduced / amp, 1.0)
+    return CompressionComparison(p_corr, p_comp, error_ratio(p_corr, p_comp),
+                                 rate, "bandwidth_expansion")
 
 
 def fixed_load_comparison(matrix: TransitionMatrix, run_pair) -> CompressionComparison:
@@ -185,7 +189,16 @@ def fixed_load_comparison(matrix: TransitionMatrix, run_pair) -> CompressionComp
     entropy, _, _ = compression_point(matrix)
     p_corr, p_plain = (float(x) for x in run_pair())
     p_comp = bsc_residual_error(entropy, p_plain)
-    return _make_comparison(p_corr, p_comp, entropy, "fixed_load_bsc")
+    return CompressionComparison(p_corr, p_comp, error_ratio(p_corr, p_comp),
+                                 entropy, "fixed_load_bsc")
+
+
+def check_threshold_factor(threshold_factor: float) -> None:
+    """ValueError unless threshold_factor is a finite number above 1 (NaN
+    fails)."""
+    if not 1.0 < threshold_factor < math.inf:
+        raise ValueError("threshold_factor must be finite and exceed 1, got "
+                         f"{threshold_factor}")
 
 
 def saturation_position(ber_by_position, threshold_factor: float = 1.2) -> float:
@@ -205,8 +218,7 @@ def saturation_position(ber_by_position, threshold_factor: float = 1.2) -> float
         raise ValueError("need a 1-d array of at least 2 per-position values")
     if np.any(ber < 0.0):
         raise ValueError("BER values must be >= 0")
-    if threshold_factor <= 1.0:
-        raise ValueError(f"threshold_factor must exceed 1, got {threshold_factor}")
+    check_threshold_factor(threshold_factor)
     if not ber.any():
         return 0.0
     threshold = threshold_factor * float(ber.min())

@@ -10,11 +10,13 @@ failure the partial outputs are removed and the exit status is nonzero.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from contextlib import suppress
 from dataclasses import replace
 from datetime import datetime, timezone
+from functools import partial
 from itertools import takewhile
 from pathlib import Path
 
@@ -33,6 +35,7 @@ from .baselines import (
 from .detectors import local_bias
 from .harness import (
     CSV_COLUMNS,
+    SHORTHANDS,
     ExperimentConfig,
     check_workers,
     default_workers,
@@ -54,31 +57,6 @@ from .harness import (
     write_sweep_csv,
 )
 from .markov import TransitionMatrix, make_symmetric_matrix
-
-# Flag spelling -> config key; every config key can come from the file or
-# the command line, and the command line wins.
-_CONFIG_FLAGS = (
-    ("--spread-factor", "spread_factor"),
-    ("--n-users", "n_users"),
-    ("--load", "load"),
-    ("--sigma", "sigma"),
-    ("--word-length", "word_length"),
-    ("--lambda2", "lambda2"),
-    ("--matrix", "matrix"),
-    ("--variant", "variant"),
-    ("--schedule", "schedule"),
-    ("--blind", "blind"),
-    ("--mismatch", "mismatch"),
-    ("--ensemble", "ensemble"),
-    ("--seed", "seed"),
-    ("--max-iters", "max_iters"),
-)
-
-# A flag override displaces the file-side value of its exclusive twin, so
-# "--load 0.5" beats a config file that pinned n_users.
-_EXCLUSIVE_TWINS = {"lambda2": "matrix", "matrix": "lambda2",
-                    "load": "n_users", "n_users": "load"}
-
 
 def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
@@ -104,13 +82,24 @@ def _load_config_file(path) -> dict:
     return data
 
 
+def _config_keys() -> list[str]:
+    """Every config key, each with a flag: the ExperimentConfig fields, then
+    the shorthands."""
+    return ([f.name for f in dataclasses.fields(ExperimentConfig)]
+            + list(SHORTHANDS))
+
+
 def _resolve_config(args) -> ExperimentConfig:
+    """The config file's keys overridden by the flags given. A flag also
+    displaces the file-side value of the key it excludes, so "--load 0.5"
+    beats a config file that pinned n_users."""
     file_data = _load_config_file(args.config) if args.config else {}
-    flag_data = {key: getattr(args, key) for _, key in _CONFIG_FLAGS
+    flag_data = {key: getattr(args, key) for key in _config_keys()
                  if getattr(args, key) is not None}
-    for key, twin in _EXCLUSIVE_TWINS.items():
-        if key in flag_data and twin not in flag_data:
-            file_data.pop(twin, None)
+    for key, (name, _) in SHORTHANDS.items():
+        for flag, twin in ((key, name), (name, key)):
+            if flag in flag_data and twin not in flag_data:
+                file_data.pop(twin, None)
     file_data.update(flag_data)
     return ExperimentConfig.from_dict(file_data)
 
@@ -199,63 +188,82 @@ def _capturing_runner(outputs: _OutputSet, workers):
 # subcommands
 
 
-def cmd_simulate(args) -> int:
+def _run_experiment(args, command: str, plan) -> int:
+    """The lifecycle of an experiment command.
+
+    The config, the worker budget and, through plan(config), every run the
+    command will make are checked before anything runs; an error there
+    exits 2 and writes nothing. plan returns (note, run): --dry-run prints
+    the config and the note, if any, and exits 0. Otherwise
+    run(outputs, workers) writes the outputs and returns a function giving
+    the closing line, printed once the outputs are validated and the
+    manifest is written. A failure before that removes every output and
+    exits 1.
+    """
     try:
         config = _resolve_config(args)
         workers = _resolve_workers(args)
+        note, run = plan(config)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.dry_run:
         _print_config(config)
+        if note is not None:
+            print(note)
         return 0
     outputs = _OutputSet(args.out_dir)
     started = _timestamp()
     try:
-        report = monte_carlo(config, workers)
-        write_ber_csv(outputs.target("ber.csv"), report)
+        closing = run(outputs, workers)
         outputs.validate()
-        _write_manifest(outputs, "simulate", config, started)
+        _write_manifest(outputs, command, config, started)
     except Exception as exc:
         outputs.discard()
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(f"aggregate BER {report.aggregate:.6f} "
-          f"({report.errors_total} errors / {report.bits_total} bits)")
-    print(f"iterations median {report.iters_median:g} max {report.iters_max}; "
-          f"unconverged positions {report.unconverged_positions}; "
-          f"divergences {report.divergences}")
-    print(f"wrote {outputs.out_dir / 'ber.csv'}")
+    print(closing())
     return 0
 
 
+def cmd_simulate(args) -> int:
+    def run(config, outputs, workers):
+        report = monte_carlo(config, workers)
+        path = outputs.target("ber.csv")
+        write_ber_csv(path, report)
+        print(f"aggregate BER {report.aggregate:.6f} "
+              f"({report.errors_total} errors / {report.bits_total} bits)")
+        print(f"iterations median {report.iters_median:g} "
+              f"max {report.iters_max}; "
+              f"unconverged positions {report.unconverged_positions}; "
+              f"divergences {report.divergences}")
+        return lambda: f"wrote {path}"
+
+    return _run_experiment(args, "simulate",
+                           lambda config: (None, partial(run, config)))
+
+
 def cmd_sweep(args) -> int:
-    try:
-        config = _resolve_config(args)
-        workers = _resolve_workers(args)
+    kind = args.kind
+
+    def plan(config):
         values = _parse_value_list(args.values, "--values",
-                                   int if args.kind == "length" else float)
+                                   int if kind == "length" else float)
         # build every run the sweep makes, which validates each of them
         deltas = None
-        if args.kind == "lambda2":
+        if kind == "lambda2":
             lambda2_arms(config, values)
-        elif args.kind == "length":
-            length_configs(config, values)
+        elif kind == "length":
+            length_configs(config, values, args.threshold_factor)
         else:
             deltas = _parse_value_list(args.deltas, "--deltas", float)
             mismatch_arms(config, deltas, values)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.dry_run:
-        _print_config(config)
-        print(f"  sweep kind={args.kind} values={values} deltas={deltas}")
-        return 0
-    outputs = _OutputSet(args.out_dir)
-    started = _timestamp()
-    capture = _capturing_runner(outputs, workers)
-    try:
-        if args.kind == "lambda2":
+        note = f"  sweep kind={kind} values={values} deltas={deltas}"
+        return note, partial(run, config, values, deltas)
+
+    def run(config, values, deltas, outputs, workers):
+        capture = _capturing_runner(outputs, workers)
+        if kind == "lambda2":
             points = normalized_ber_sweep(config, values, run_report=capture)
             write_sweep_csv(outputs.target("sweep_lambda2.csv"), config,
                             points)
@@ -263,7 +271,7 @@ def cmd_sweep(args) -> int:
                 print(f"lambda2 {point.lambda2:g} normalized "
                       f"{point.normalized:.4f} "
                       f"(corr {point.p_corr:.5f} / plain {point.p_plain:.5f})")
-        elif args.kind == "length":
+        elif kind == "length":
             result = length_scaling_study(config, values,
                                           args.threshold_factor,
                                           run_report=capture)
@@ -283,27 +291,22 @@ def cmd_sweep(args) -> int:
                        else f"infeasible ({point.reason})")
                 print(f"lambda2 {point.lambda2:g} delta "
                       f"{point.rel_delta:+g} {tag}")
-        outputs.validate()
-        _write_manifest(outputs, f"sweep-{args.kind}", config, started)
-    except Exception as exc:
-        outputs.discard()
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(f"wrote {len(outputs.paths)} files to {outputs.out_dir}")
-    return 0
+        return lambda: f"wrote {len(outputs.paths)} files to {outputs.out_dir}"
+
+    return _run_experiment(args, f"sweep-{kind}", plan)
 
 
 def cmd_compare_compression(args) -> int:
-    try:
-        config = _resolve_config(args)
-        workers = _resolve_workers(args)
+    protocol = args.protocol
+
+    def plan(config):
         values = ([config.matrix.lambda2] if args.values is None
                   else _parse_value_list(args.values, "--values", float))
         epsilons = _parse_value_list(args.epsilon, "--epsilon", float)
         if any(eps < 0 for eps in epsilons):
             raise ValueError("--epsilon values must be >= 0")
         base_beta = config.load if args.base_beta is None else args.base_beta
-        if base_beta <= 0:
+        if not base_beta > 0:
             raise ValueError("--base-beta must be > 0")
         paired_arms(config)  # validates the MUD arms both protocols run
         # every point the protocol runs, checked by the protocol's own checks
@@ -311,22 +314,16 @@ def cmd_compare_compression(args) -> int:
         for lam in values:
             matrix = make_symmetric_matrix(lam)
             entropy = compression_point(matrix)[0]
-            for eps in epsilons if args.protocol == "bandwidth" else ():
+            for eps in epsilons if protocol == "bandwidth" else ():
                 compression_point(matrix, eps, config.spread_factor, base_beta)
             points.append((lam, matrix, entropy))
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.dry_run:
-        _print_config(config)
-        print(f"  protocol={args.protocol} values={values} "
-              f"epsilons={epsilons} base_beta={base_beta:g}")
-        return 0
-    outputs = _OutputSet(args.out_dir)
-    started = _timestamp()
-    rows = []
-    try:
-        if args.protocol == "bandwidth":
+        note = (f"  protocol={protocol} values={values} "
+                f"epsilons={epsilons} base_beta={base_beta:g}")
+        return note, partial(run, config, points, epsilons, base_beta)
+
+    def run(config, points, epsilons, base_beta, outputs, workers):
+        rows = []
+        if protocol == "bandwidth":
             run_ber = make_ber_runner(config, workers)
             print("lambda2  epsilon  p_corr    p_comp    ratio")
             for lam, matrix, entropy in points:
@@ -337,7 +334,6 @@ def cmd_compare_compression(args) -> int:
                     rows.append((lam, entropy, eps, comparison))
                     print(f"{lam:<8g} {eps:<8g} {comparison.p_corr:<9.5f} "
                           f"{comparison.p_comp:<9.5f} {comparison.ratio:.4f}")
-            name = "comparison_bandwidth.csv"
         else:
             print("sigma  beta   lambda2  p_corr    p_comp    ratio")
             for lam, matrix, entropy in points:
@@ -348,17 +344,11 @@ def cmd_compare_compression(args) -> int:
                 print(f"{config.sigma:<6g} {config.load:<6g} {lam:<8g} "
                       f"{comparison.p_corr:<9.5f} {comparison.p_comp:<9.5f} "
                       f"{comparison.ratio:.4f}")
-            name = "comparison_fixed.csv"
-        write_comparison_csv(outputs.target(name), config, rows)
-        outputs.validate()
-        _write_manifest(outputs, f"compare-compression-{args.protocol}",
-                        config, started)
-    except Exception as exc:
-        outputs.discard()
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(f"wrote {outputs.out_dir / name}")
-    return 0
+        path = outputs.target(f"comparison_{protocol}.csv")
+        write_comparison_csv(path, config, rows)
+        return lambda: f"wrote {path}"
+
+    return _run_experiment(args, f"compare-compression-{protocol}", plan)
 
 
 # ---------------------------------------------------------------------------
@@ -613,9 +603,9 @@ def cmd_selftest(args) -> int:
 def _add_common(parser):
     parser.add_argument("--config", default=None,
                         help="config file: key=value lines or a JSON object")
-    for flag, key in _CONFIG_FLAGS:
-        parser.add_argument(flag, dest=key, default=None,
-                            help=f"override config key {key}")
+    for key in _config_keys():
+        parser.add_argument("--" + key.replace("_", "-"), dest=key,
+                            default=None, help=f"override config key {key}")
     parser.add_argument("--out-dir", default=".",
                         help="directory for CSV and manifest outputs")
     parser.add_argument("--workers", type=int, default=None,

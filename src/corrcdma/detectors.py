@@ -117,38 +117,41 @@ def _neighbour_model(matrix: TransitionMatrix):
     With beliefs q(s) = ((1 - s)/2, (1 + s)/2) of a neighbour whose soft
     value is s, the left term of hypothesis b, sum_a q_a(s) T_ab, and the
     right term, sum_c T_bc q_c(s), are both affine in s:
-    w[b, 0] + w[b, 1] * s. Returns the (2, 2, 1) weights w of the left and
-    of the right term (b = 0 for -1, 1 for +1; the trailing axis
-    broadcasts over users) and the soft value pi(+1) - pi(-1) of the
+    w0[b] + w1[b] * s. Returns the weights (w0, w1) of the left and of the
+    right term, each a (2, 1) array (b = 0 for -1, 1 for +1; the trailing
+    axis broadcasts over users), and the soft value pi(+1) - pi(-1) of the
     stationary distribution, which stands in for the missing neighbour at
     either word edge.
     """
     t = matrix.matrix
-    left = np.stack(((t[0] + t[1]) / 2.0, (t[1] - t[0]) / 2.0), axis=1)
-    right = np.stack(((t[:, 0] + t[:, 1]) / 2.0,
-                      (t[:, 1] - t[:, 0]) / 2.0), axis=1)
+    left = ((t[0] + t[1]) / 2.0, (t[1] - t[0]) / 2.0)
+    right = ((t[:, 0] + t[:, 1]) / 2.0, (t[:, 1] - t[:, 0]) / 2.0)
     pi = matrix.stationary()
-    return left[:, :, None], right[:, :, None], pi[1] - pi[0]
+    return ([w[:, None] for w in left], [w[:, None] for w in right],
+            pi[1] - pi[0])
 
 
 def _terms(s, weights, out):
     """The (minus, plus) neighbour terms of the soft values s, written to
     out: (2, n) for a scalar or an (n,) s, (L, 2, n) for an (L, 1, n) s."""
-    np.multiply(weights[:, 1], s, out=out)
-    return np.add(out, weights[:, 0], out=out)
+    w0, w1 = weights
+    np.multiply(w1, s, out=out)
+    return np.add(out, w0, out=out)
 
 
-def _message(left, right, total):
+def _message(own, other, total, rows=None):
     """Posterior mean of a symbol given its two neighbours' terms.
 
-    p(b) = left(b) * right(b) and m = (p(+1) - p(-1)) / (p(+1) + p(-1)).
-    left and right are (..., 2, n), the pair on the second-to-last axis.
-    The normaliser goes to total, which the caller checks for zeros with
-    _check_totals; m is written over the plus row of left and returned,
-    and the minus row is clobbered.
+    p(b) = own(b) * other(b) and m = (p(+1) - p(-1)) / (p(+1) + p(-1)).
+    own and other are the left and right terms in either order, each
+    (..., 2, n) with the pair on the second-to-last axis. The normaliser
+    goes to total, which the caller checks for zeros with _check_totals; m
+    is written over the plus row of own and returned, and the minus row is
+    clobbered. rows may hold the (minus, plus) views of own, taken once by
+    a caller that reuses own for every column.
     """
-    p = np.multiply(left, right, out=left)
-    p0, p1 = p[..., 0, :], p[..., 1, :]
+    p = np.multiply(own, other, out=own)
+    p0, p1 = (p[..., 0, :], p[..., 1, :]) if rows is None else rows
     np.add(p1, p0, out=total)
     np.subtract(p1, p0, out=p1)
     return np.divide(p1, total, out=p1)
@@ -251,29 +254,14 @@ def _bias_sweep(padded, field, xi, model, schedule, forward, rng, scale,
     else:
         order, near_w, offset = range(word_len - 1, -1, -1), right_w, 2
         far = _terms(padded[:-2, None], left_w, pairs)
-    # the message and correction of every column, inlined: at small widths
-    # a sweep costs its numpy calls, not their arithmetic
-    w0, w1 = near_w[:, 0], near_w[:, 1]
-    p0, p1 = near
-    cap = 1.0 - CLAMP_EPS
+    rows = near[0], near[1]
     for l in order:
-        np.multiply(w1, padded[l + offset], out=near)
-        np.add(near, w0, out=near)
-        if far is None:
-            np.multiply(near, _terms(padded[l], left_w, left), out=near)
-        else:
-            np.multiply(near, far[l], out=near)
-        total, x, s = totals[l], xi_new[l], padded[l + 1]
-        np.add(p1, p0, out=total)
-        np.subtract(p1, p0, out=p1)
-        np.divide(p1, total, out=p1)
-        np.maximum(p1, -cap, out=x)
-        np.minimum(x, cap, out=x)
-        np.arctanh(x, out=x)
-        if scale != 1.0:
-            np.multiply(x, scale, out=x)
-        np.add(field[l], x, out=s)
-        np.tanh(s, out=s)
+        other = _terms(padded[l], left_w, left) if far is None else far[l]
+        m = _message(_terms(padded[l + offset], near_w, near), other,
+                     totals[l], rows)
+        x, s = xi_new[l], padded[l + 1]
+        _correction(m, scale, x)
+        np.tanh(np.add(field[l], x, out=s), out=s)
     _check_totals(totals)
     return _commit(xi, xi_new)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -23,7 +24,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .baselines import fit_loglog_slope, saturation_position
+from .baselines import (
+    check_threshold_factor,
+    error_ratio,
+    fit_loglog_slope,
+    saturation_position,
+)
 from .channel import generate_spreading, transmit
 from .detectors import (
     SCHEDULES,
@@ -54,13 +60,6 @@ MUD_VARIANTS = ("plain_mud", "correlated_mud")
 # it a larger group only adds memory.
 GROUP_USERS = 1000
 
-_BOOL_KEYS = ("blind",)
-_INT_KEYS = ("spread_factor", "n_users", "word_length", "ensemble", "seed",
-             "max_iters")
-_FLOAT_KEYS = ("sigma", "mismatch")
-_STR_KEYS = ("variant", "schedule")
-
-
 def _default_matrix() -> TransitionMatrix:
     return make_symmetric_matrix(0.8)
 
@@ -90,8 +89,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.spread_factor < 1 or self.n_users < 1:
             raise ValueError("spread_factor and n_users must be >= 1")
-        if self.sigma < 0.0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError(
+                f"sigma must be finite and >= 0, got {self.sigma}")
         if self.sigma == 0.0 and self.variant in MUD_VARIANTS:
             raise ValueError(f"variant {self.variant} requires sigma > 0")
         if self.word_length < 1:
@@ -134,44 +134,35 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         """Build from string-or-typed key/value pairs.
 
-        Accepts either lambda2 (symmetric matrix shorthand) or an explicit
-        flat matrix, and either n_users or load (rounded against
-        spread_factor). Unknown keys are rejected by name.
+        The keys are the field names, each value cast by its field's type,
+        plus the SHORTHANDS, each of which excludes the field it sets.
+        Unknown keys are rejected by name.
         """
         data = dict(data)
+        for key, (name, _) in SHORTHANDS.items():
+            if key in data and name in data:
+                raise ValueError(f"config specifies both {key} and {name}")
         kwargs = {}
-        if "lambda2" in data and "matrix" in data:
-            raise ValueError("config specifies both lambda2 and matrix")
-        if "lambda2" in data:
-            kwargs["matrix"] = make_symmetric_matrix(float(data.pop("lambda2")))
-        elif "matrix" in data:
-            raw = data.pop("matrix")
-            kwargs["matrix"] = raw if isinstance(raw, TransitionMatrix) \
-                else TransitionMatrix.from_flat(str(raw))
-        if "load" in data and "n_users" in data:
-            raise ValueError("config specifies both load and n_users")
-        load = data.pop("load", None)
-        for key in _INT_KEYS:
+        for f in dataclasses.fields(cls):
+            if f.name in data:
+                kwargs[f.name] = _cast(f.type, data.pop(f.name), f.name)
+        for key, (name, expand) in SHORTHANDS.items():
             if key in data:
-                kwargs[key] = int(data.pop(key))
-        for key in _FLOAT_KEYS:
-            if key in data:
-                kwargs[key] = float(data.pop(key))
-        for key in _STR_KEYS:
-            if key in data:
-                kwargs[key] = str(data.pop(key))
-        for key in _BOOL_KEYS:
-            if key in data:
-                kwargs[key] = _parse_bool(data.pop(key), key)
+                kwargs[name] = expand(_cast("float", data.pop(key), key),
+                                      kwargs)
         if data:
             raise ValueError(f"unknown config key: {sorted(data)[0]}")
-        if load is not None:
-            spread = kwargs.get("spread_factor", cls.spread_factor)
-            kwargs["n_users"] = int(round(spread * float(load)))
         return cls(**kwargs)
 
 
-def _parse_bool(value, key):
+def _parse_float(value):
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"expects a finite number, got {value!r}")
+    return number
+
+
+def _parse_bool(value):
     if isinstance(value, bool):
         return value
     text = str(value).strip().lower()
@@ -179,7 +170,36 @@ def _parse_bool(value, key):
         return True
     if text in ("0", "false", "no", "off"):
         return False
-    raise ValueError(f"config key {key} expects a boolean, got {value!r}")
+    raise ValueError(f"expects a boolean, got {value!r}")
+
+
+# How from_dict casts a value, by the type name its field declares.
+_CASTS = {
+    "int": int,
+    "float": _parse_float,
+    "str": str,
+    "bool": _parse_bool,
+    "TransitionMatrix": lambda value: (
+        value if isinstance(value, TransitionMatrix)
+        else TransitionMatrix.from_flat(str(value))),
+}
+
+
+def _cast(kind: str, value, key: str):
+    """value cast to the type named kind, else ValueError naming key."""
+    try:
+        return _CASTS[kind](value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"config key {key}: {exc}") from None
+
+
+# Config keys that are not fields: key -> (the field it sets, its value from
+# the key's number and the fields cast so far).
+SHORTHANDS = {
+    "lambda2": ("matrix", lambda lam, kwargs: make_symmetric_matrix(lam)),
+    "load": ("n_users", lambda load, kwargs: int(round(
+        kwargs.get("spread_factor", ExperimentConfig.spread_factor) * load))),
+}
 
 
 @dataclass(frozen=True)
@@ -395,12 +415,6 @@ class SweepPoint:
     bits_total: int
 
 
-def _normalized(p_corr: float, p_plain: float) -> float:
-    if p_plain == 0.0:
-        return 1.0 if p_corr == 0.0 else float("inf")
-    return p_corr / p_plain
-
-
 def paired_arms(config: ExperimentConfig) -> tuple[ExperimentConfig, ExperimentConfig]:
     """The correlated-MUD and plain-MUD arms of a paired study.
 
@@ -451,7 +465,7 @@ def normalized_ber_sweep(config: ExperimentConfig, lambda2_values,
             lambda2=lam,
             correlation_length=source_stats(corr_arm.matrix).correlation_length,
             p_corr=corr.aggregate, p_plain=plain.aggregate,
-            normalized=_normalized(corr.aggregate, plain.aggregate),
+            normalized=error_ratio(corr.aggregate, plain.aggregate),
             errors_corr=corr.errors_total, errors_plain=plain.errors_total,
             bits_total=corr.bits_total))
     return points
@@ -467,10 +481,13 @@ class LengthScalingResult:
     intercept: float
 
 
-def length_configs(config: ExperimentConfig, lengths) -> list[ExperimentConfig]:
+def length_configs(config: ExperimentConfig, lengths,
+                   threshold_factor: float = 1.2) -> list[ExperimentConfig]:
     """One config per word length of a length study, all built (and so
-    validated) before the study runs any of them; at least 3 distinct
-    lengths are required for the fit."""
+    validated), and the saturation threshold factor checked, before the
+    study runs any of them; at least 3 distinct lengths are required for
+    the fit."""
+    check_threshold_factor(threshold_factor)
     lengths = [int(l) for l in lengths]
     if len(set(lengths)) < 3:
         raise ValueError("need at least 3 distinct word lengths")
@@ -489,7 +506,7 @@ def length_scaling_study(config: ExperimentConfig, lengths,
     positions are excluded from the fit with a warning; fewer than two
     usable points abort with ValueError.
     """
-    configs = length_configs(config, lengths)
+    configs = length_configs(config, lengths, threshold_factor)
     if run_report is None:
         run_report = lambda cfg: monte_carlo(cfg, workers)
     lengths = [cfg.word_length for cfg in configs]
@@ -569,7 +586,7 @@ def mismatch_study(config: ExperimentConfig, rel_deltas, lambda2_values,
             points.append(MismatchPoint(
                 lambda2=lam, rel_delta=delta, feasible=True, reason=None,
                 p_corr=corr.aggregate, p_plain=plain.aggregate,
-                normalized=_normalized(corr.aggregate, plain.aggregate)))
+                normalized=error_ratio(corr.aggregate, plain.aggregate)))
     return points
 
 

@@ -33,7 +33,8 @@ class TransitionMatrix:
         t = np.array(probs, dtype=np.float64)
         if t.shape != (2, 2):
             raise ValueError(f"transition matrix must be 2x2, got shape {t.shape}")
-        if np.any(t < 0.0) or np.any(t > 1.0):
+        # written so that NaN entries fail
+        if not np.all((t >= 0.0) & (t <= 1.0)):
             raise ValueError(f"transition probabilities outside [0, 1]: {t.tolist()}")
         rows = t.sum(axis=1)
         if np.any(np.abs(rows - 1.0) > ROW_SUM_TOL):
@@ -63,14 +64,15 @@ class TransitionMatrix:
         """Stationary distribution (mu_minus, mu_plus) solving mu @ T = mu.
 
         Unique whenever |lambda2| < 1; for the frozen chain (identity matrix)
-        the convention (0.5, 0.5) is returned.
+        the convention (0.5, 0.5) is returned. Both entries are divided out
+        of the same total, so mirroring the matrix (swapping -1 and +1)
+        mirrors the distribution exactly.
         """
         up = float(self._t[0, 1])    # P(-1 -> +1)
         down = float(self._t[1, 0])  # P(+1 -> -1)
         if up + down == 0.0:
             return np.array([0.5, 0.5])
-        mu_minus = down / (up + down)
-        return np.array([mu_minus, 1.0 - mu_minus])
+        return np.array([down / (up + down), up / (up + down)])
 
     def to_flat(self) -> str:
         """Serialize as four decimal numbers, row-major, row -1 first."""

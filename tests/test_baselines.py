@@ -264,6 +264,8 @@ def test_compression_point_quantities():
     ((make_symmetric_matrix(0.1), 0.05), "exceeds 1"),
     ((make_symmetric_matrix(0.8), 0.0, 4, 0.25), "infeasible load"),
     ((make_symmetric_matrix(0.8), 0.0, 500, 0.0), "infeasible load"),
+    ((make_symmetric_matrix(0.8), 0.0, 500, math.inf), "must be finite"),
+    ((make_symmetric_matrix(0.8), 0.0, 500, math.nan), "must be finite"),
 ])
 def test_compression_point_rejects(args, message):
     with pytest.raises(ValueError, match=message):
@@ -367,8 +369,9 @@ def test_saturation_validation():
         saturation_position([0.1], 1.2)
     with pytest.raises(ValueError):
         saturation_position([0.1, -0.1], 1.2)
-    with pytest.raises(ValueError):
-        saturation_position([0.1, 0.2], 1.0)
+    for factor in (1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="threshold_factor"):
+            saturation_position([0.1, 0.2], factor)
 
 
 # ---------------------------------------------------------------------------

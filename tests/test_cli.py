@@ -5,13 +5,14 @@ the files left on disk: outputs must appear exactly on success and never
 linger after a failure.
 """
 
+import dataclasses
 import json
 
 import pytest
 
 from corrcdma import __version__
 from corrcdma.cli import build_parser, main
-from corrcdma.harness import read_csv_with_header
+from corrcdma.harness import SHORTHANDS, ExperimentConfig, read_csv_with_header
 
 TINY = ["--spread-factor", "60", "--n-users", "30", "--word-length", "10",
         "--ensemble", "2", "--seed", "7"]
@@ -155,6 +156,62 @@ def test_worker_budget_is_checked_up_front(tmp_path, capsys, monkeypatch,
     assert code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", *TINY, "--matrix", "nan,0.5,0.5,0.5"], "outside [0, 1]"),
+    (["simulate", *TINY, "--sigma", "nan"], "config key sigma"),
+    (["simulate", *TINY, "--sigma", "inf"], "config key sigma"),
+    (["simulate", "--spread-factor", "60", "--load", "inf", "--ensemble", "2"],
+     "config key load"),
+    (["simulate", *TINY, "--lambda2", "1.5"], "lambda2 must lie in [-1, 1]"),
+    (["sweep", "length", "--values", "8,16,32", *TINY,
+      "--threshold-factor", "1.0"], "threshold_factor must be finite"),
+    (["sweep", "length", "--values", "8,16,32", *TINY,
+      "--threshold-factor", "nan"], "threshold_factor must be finite"),
+    (["compare-compression", "bandwidth", *TINY, "--base-beta", "inf"],
+     "base_beta must be finite"),
+    (["compare-compression", "bandwidth", *TINY, "--base-beta", "nan"],
+     "--base-beta must be > 0"),
+    (["compare-compression", "bandwidth", *TINY, "--epsilon", "-0.1"],
+     "--epsilon values must be >= 0"),
+], ids=["matrix-nan", "sigma-nan", "sigma-inf", "load-inf", "lambda2-range",
+        "threshold-one", "threshold-nan", "base-beta-inf", "base-beta-nan",
+        "epsilon-negative"])
+@pytest.mark.parametrize("dry_run", [True, False], ids=["dry", "run"])
+def test_rejected_input_exits_2_and_writes_nothing(tmp_path, capsys, argv,
+                                                   message, dry_run):
+    out = tmp_path / "rejected"
+    code = main([*argv, "--out-dir", str(out),
+                 *(["--dry-run"] if dry_run else [])])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_flags_are_the_config_keys(tmp_path, capsys):
+    # every ExperimentConfig field and shorthand has its flag, and nothing
+    # else does; each key set from a file gives the config its flag gives
+    samples = {"spread_factor": "40", "n_users": "24", "load": "0.5",
+               "sigma": "0.3", "word_length": "6", "lambda2": "0.6",
+               "matrix": "0.7,0.3,0.4,0.6", "variant": "plain_mud",
+               "schedule": "BFUS", "blind": "true", "mismatch": "0.05",
+               "ensemble": "3", "seed": "11", "max_iters": "9"}
+    keys = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert set(samples) == keys | set(SHORTHANDS)
+    dests = set(vars(build_parser().parse_args(["simulate"])))
+    others = {"command", "func", "config", "out_dir", "workers", "dry_run"}
+    assert dests - others == set(samples)
+    main(["simulate", "--dry-run"])
+    default = capsys.readouterr().out
+    for key, value in samples.items():
+        config = tmp_path / f"{key}.txt"
+        config.write_text(f"{key}={value}\n")
+        assert main(["simulate", "--config", str(config), "--dry-run"]) == 0
+        from_file = capsys.readouterr().out
+        flag = "--" + key.replace("_", "-")
+        assert main(["simulate", flag, value, "--dry-run"]) == 0
+        assert capsys.readouterr().out == from_file != default
 
 
 # ---------------------------------------------------------------------------

@@ -52,9 +52,23 @@ def test_config_rejects_out_of_range_fields():
                 dict(max_iters=0), dict(word_length=0), dict(n_users=0),
                 dict(variant="mf"), dict(schedule="diagonal"),
                 dict(sigma=0.0), dict(sigma=0.0, variant="plain_mud"),
-                dict(blind=True, word_length=1)):
+                dict(blind=True, word_length=1), dict(sigma=np.nan),
+                dict(sigma=np.inf), dict(sigma=-np.inf),
+                dict(sigma=np.nan, variant="plain_sumf")):
         with pytest.raises(ValueError):
             small_config(**bad)
+
+
+@pytest.mark.parametrize("data, key", [
+    ({"sigma": "nan"}, "sigma"),
+    ({"load": "inf"}, "load"),
+    ({"lambda2": "nan"}, "lambda2"),
+    ({"seed": float("inf")}, "seed"),
+    ({"ensemble": [3]}, "ensemble"),
+], ids=["sigma-nan", "load-inf", "lambda2-nan", "seed-inf", "ensemble-list"])
+def test_from_dict_names_the_key_of_a_value_it_cannot_cast(data, key):
+    with pytest.raises(ValueError, match=f"config key {key}"):
+        ExperimentConfig.from_dict(data)
 
 
 def test_config_rejects_infeasible_mismatch_eagerly():
@@ -370,6 +384,15 @@ def test_length_study_recovers_injected_inverse_length_law():
     assert result.positions == tuple(3 / l for l in (10, 20, 40, 80))
     assert result.slope == pytest.approx(-1.0, abs=1e-12)
     assert result.intercept == pytest.approx(np.log(3.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("factor", [1.0, 0.5, np.nan, np.inf])
+def test_length_study_checks_the_threshold_before_any_run(factor):
+    ran = []
+    with pytest.raises(ValueError, match="threshold_factor"):
+        length_scaling_study(small_config(ensemble=1), [10, 20, 40], factor,
+                             run_report=ran.append)
+    assert ran == []
 
 
 def test_length_study_aborts_on_flat_curves():

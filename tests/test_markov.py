@@ -43,6 +43,9 @@ class TestConstruction:
             TransitionMatrix([[1.1, -0.1], [0.5, 0.5]])
         with pytest.raises(ValueError):
             TransitionMatrix([[0.5, 0.5]])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="outside"):
+                TransitionMatrix([[bad, 0.5], [0.5, 0.5]])
 
     def test_lambda2_matches_eigendecomposition(self):
         # independent oracle: numpy eigenvalues of the same matrix
@@ -95,6 +98,17 @@ class TestStats:
             mu = t.stationary()
             assert abs(mu.sum() - 1.0) < 1e-12
             np.testing.assert_allclose(mu @ t.matrix, mu, atol=1e-12)
+
+    def test_mirrored_matrix_has_the_mirrored_stationary_distribution(self):
+        # swapping -1 and +1 swaps the distribution bit for bit, so the
+        # detectors' edge value pi(+1) - pi(-1) is exactly negated
+        rng = np.random.default_rng(29)
+        for _ in range(1000):
+            t = random_matrix(rng)
+            mirrored = TransitionMatrix(t.matrix[::-1, ::-1])
+            mu, nu = t.stationary(), mirrored.stationary()
+            assert np.array_equal(nu, mu[::-1])
+            assert nu[1] - nu[0] == -(mu[1] - mu[0])
 
     def test_stationary_identity_convention(self):
         np.testing.assert_allclose(make_symmetric_matrix(1.0).stationary(), [0.5, 0.5])

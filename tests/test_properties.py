@@ -83,8 +83,9 @@ def test_memoryless_correlated_sumf_is_plain_sumf(instance, schedule, blind):
     assert np.all(plain.iters == 0) and np.all(corr.iters == 1)
 
 
-def detect(variant, spreading, received, sigma, matrix, schedule, seed):
-    opts = options(schedule, False, seed)
+def detect(variant, spreading, received, sigma, matrix, schedule, seed,
+           blind=False):
+    opts = options(schedule, blind, seed)
     if variant == "plain_mud":
         return mud_detect(spreading, received, sigma, opts)
     if variant == "correlated_mud":
@@ -97,23 +98,29 @@ def detect(variant, spreading, received, sigma, matrix, schedule, seed):
 
 @PROPERTY_SETTINGS
 @given(instances(),
-       st.sampled_from(("plain_mud", "correlated_mud", "plain_sumf",
-                        "correlated_sumf")),
+       st.sampled_from((("plain_mud", False), ("correlated_mud", False),
+                        ("correlated_mud", True), ("plain_sumf", False),
+                        ("correlated_sumf", False))),
        st.sampled_from((-0.6, 0.0, 0.5, 0.9)), st.sampled_from(SCHEDULES),
        st.integers(0, 2**16))
-def test_negated_signal_negates_the_detection(instance, variant, lam,
-                                              schedule, seed):
+def test_negated_signal_negates_the_detection(instance, arm, lam, schedule,
+                                              seed):
     # a symmetric matrix treats -1 and +1 alike, so every detector is odd in
-    # the received signal (blind mode is left out: its estimates need not be
-    # symmetric, and the stationary edge value of a mirrored matrix is
-    # negated only up to rounding)
+    # the received signal; in blind mode the negated signal's estimates are
+    # the mirrored matrices, whose neighbour terms and stationary edge value
+    # are exactly mirrored
     spreading, received, sigma = instance
+    variant, blind = arm
+    blind = blind and received.shape[1] >= 2
     matrix = make_symmetric_matrix(lam)
-    run = [detect(variant, spreading, y, sigma, matrix, schedule, seed)
+    run = [detect(variant, spreading, y, sigma, matrix, schedule, seed, blind)
            for y in (received, -received)]
     assert np.array_equal(run[1].field, -run[0].field)
     assert np.array_equal(run[1].bits, -run[0].bits)
     assert np.array_equal(run[1].iters, run[0].iters)
+    if blind:
+        assert np.array_equal(run[1].estimated_matrix.matrix,
+                              run[0].estimated_matrix.matrix[::-1, ::-1])
 
 
 # ---------------------------------------------------------------------------
