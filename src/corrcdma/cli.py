@@ -148,7 +148,8 @@ class _OutputSet:
                 read_csv_with_header(path)
 
 
-def _write_manifest(outputs: _OutputSet, command: str, config, started: str):
+def _write_manifest(outputs: _OutputSet, command: str, config, started: str,
+                    workers=None):
     names = sorted(path.name for path in outputs.paths)
     path = outputs.target("manifest.json")
     payload = {
@@ -159,6 +160,7 @@ def _write_manifest(outputs: _OutputSet, command: str, config, started: str):
         "finished": _timestamp(),
         "outputs": names,
         "version": __version__,
+        "workers": workers,
     }
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
@@ -217,7 +219,7 @@ def _run_experiment(args, command: str, plan) -> int:
     try:
         closing = run(outputs, workers)
         outputs.validate()
-        _write_manifest(outputs, command, config, started)
+        _write_manifest(outputs, command, config, started, workers)
     except Exception as exc:
         outputs.discard()
         print(f"error: {exc}", file=sys.stderr)
@@ -296,13 +298,23 @@ def cmd_sweep(args) -> int:
     return _run_experiment(args, f"sweep-{kind}", plan)
 
 
+# The compare-compression flags only the bandwidth protocol reads.
+_BANDWIDTH_FLAGS = ("epsilon", "base_beta", "amplification")
+
+
 def cmd_compare_compression(args) -> int:
     protocol = args.protocol
 
     def plan(config):
+        if protocol == "fixed":
+            for dest in _BANDWIDTH_FLAGS:
+                if getattr(args, dest) is not None:
+                    raise ValueError(f"--{dest.replace('_', '-')} applies "
+                                     f"only to the bandwidth protocol")
         values = ([config.matrix.lambda2] if args.values is None
                   else _parse_value_list(args.values, "--values", float))
-        epsilons = _parse_value_list(args.epsilon, "--epsilon", float)
+        epsilons = _parse_value_list(
+            "0" if args.epsilon is None else args.epsilon, "--epsilon", float)
         if any(eps < 0 for eps in epsilons):
             raise ValueError("--epsilon values must be >= 0")
         base_beta = config.load if args.base_beta is None else args.base_beta
@@ -317,8 +329,9 @@ def cmd_compare_compression(args) -> int:
             for eps in epsilons if protocol == "bandwidth" else ():
                 compression_point(matrix, eps, config.spread_factor, base_beta)
             points.append((lam, matrix, entropy))
-        note = (f"  protocol={protocol} values={values} "
-                f"epsilons={epsilons} base_beta={base_beta:g}")
+        note = f"  protocol={protocol} values={values}"
+        if protocol == "bandwidth":
+            note += f" epsilons={epsilons} base_beta={base_beta:g}"
         return note, partial(run, config, points, epsilons, base_beta)
 
     def run(config, points, epsilons, base_beta, outputs, workers):
@@ -330,7 +343,8 @@ def cmd_compare_compression(args) -> int:
                 for eps in epsilons:
                     comparison = bandwidth_expansion_comparison(
                         matrix, config.spread_factor, base_beta,
-                        config.sigma, eps, run_ber, args.amplification)
+                        config.sigma, eps, run_ber,
+                        args.amplification or "entropy")
                     rows.append((lam, entropy, eps, comparison))
                     print(f"{lam:<8g} {eps:<8g} {comparison.p_corr:<9.5f} "
                           f"{comparison.p_comp:<9.5f} {comparison.ratio:.4f}")
@@ -649,13 +663,16 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--values", default=None,
                          help="eigenvalues to compare at "
                               "(default: the config matrix)")
-    compare.add_argument("--epsilon", default="0",
-                         help="rate excess values for protocol=bandwidth")
+    compare.add_argument("--epsilon", default=None,
+                         help="rate excess values for protocol=bandwidth "
+                              "(default: 0)")
     compare.add_argument("--base-beta", type=float, default=None,
-                         help="uncompressed load (default: config load)")
+                         help="uncompressed load for protocol=bandwidth "
+                              "(default: config load)")
     compare.add_argument("--amplification", choices=AMPLIFICATIONS,
-                         default="entropy",
-                         help="per-source-bit error accounting variant")
+                         default=None,
+                         help="per-source-bit error accounting variant for "
+                              "protocol=bandwidth (default: entropy)")
     compare.set_defaults(func=cmd_compare_compression)
 
     plotdata = commands.add_parser(

@@ -13,12 +13,14 @@ and commutative; all rates derive from the final counts.
 
 from __future__ import annotations
 
+import atexit
 import csv
 import dataclasses
 import io
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -350,13 +352,61 @@ def _group_worker(payload):
     return run_trials(config, indices)
 
 
+# The process's one worker pool, as (executor, worker count, pid of the
+# process that made it), or None: made by the first parallel monte_carlo
+# call and reused by every later call with the same count. It is shared
+# without a lock, so parallel calls must come from one thread at a time.
+_pool = None
+
+
+def _worker_pool(workers: int) -> ProcessPoolExecutor:
+    """This process's pool of `workers` processes, made on first use.
+
+    A pool of another size is shut down before the new one forks, so at
+    most one pool is alive. A pool inherited through fork belongs to the
+    parent and is dropped unused.
+    """
+    global _pool
+    if _pool is not None:
+        executor, count, pid = _pool
+        if pid != os.getpid():
+            _pool = None
+        elif count == workers:
+            return executor
+        else:
+            shutdown_pool()
+    executor = ProcessPoolExecutor(max_workers=workers)
+    _pool = (executor, workers, os.getpid())
+    return executor
+
+
+def shutdown_pool() -> None:
+    """Shut down and forget this process's worker pool, if it has one.
+
+    Registered to run at interpreter exit, so the pool's end does not rest
+    on concurrent.futures' own exit hook.
+    """
+    global _pool
+    pool, _pool = _pool, None
+    if pool is not None and pool[2] == os.getpid():
+        pool[0].shutdown()
+
+
+atexit.register(shutdown_pool)
+
+
 def monte_carlo(config: ExperimentConfig, workers: int | None = None) -> BerReport:
     """Aggregate the ensemble's trials, in groups, optionally across
     processes.
 
     Counts are integers and their summation commutative, and a trial's
     outcome does not depend on its group, so the report is bit-identical
-    for any worker count.
+    for any worker count. The worker processes are forked once per process
+    and worker count, by the first parallel call, and every later call
+    reuses them; code patched in this process after that fork is not seen
+    by the workers, so a caller that patches worker-side code must run
+    serially. A pool that breaks (a worker died) raises BrokenProcessPool
+    and is dropped, and the next parallel call forks a fresh one.
     """
     check_workers(workers)
     size = group_size(config, workers)
@@ -366,8 +416,12 @@ def monte_carlo(config: ExperimentConfig, workers: int | None = None) -> BerRepo
         groups = map(_group_worker, payloads)
     else:
         chunk = max(1, len(payloads) // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            groups = list(pool.map(_group_worker, payloads, chunksize=chunk))
+        try:
+            groups = list(_worker_pool(workers).map(
+                _group_worker, payloads, chunksize=chunk))
+        except BrokenProcessPool:
+            shutdown_pool()
+            raise
     outcomes = [outcome for group in groups for outcome in group]
 
     errors = np.zeros(config.word_length, dtype=np.int64)

@@ -7,9 +7,14 @@ linger after a failure.
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import corrcdma
 from corrcdma import __version__
 from corrcdma.cli import build_parser, main
 from corrcdma.harness import SHORTHANDS, ExperimentConfig, read_csv_with_header
@@ -35,7 +40,8 @@ def test_selftest_passes(capsys):
 # simulate
 
 
-def test_simulate_writes_csv_and_manifest(tmp_path, capsys):
+def test_simulate_writes_csv_and_manifest(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("CORRCDMA_WORKERS", raising=False)
     out = tmp_path / "run"
     assert main(["simulate", *TINY, "--out-dir", str(out)]) == 0
     stdout = capsys.readouterr().out
@@ -51,8 +57,49 @@ def test_simulate_writes_csv_and_manifest(tmp_path, capsys):
     assert manifest["seed"] == 7
     assert manifest["outputs"] == ["ber.csv"]
     assert manifest["config"]["n_users"] == 30
+    assert manifest["workers"] is None  # serial
     for name in manifest["outputs"]:
         assert (out / name).exists()
+
+
+@pytest.mark.parametrize("flag, env, expected", [
+    ("2", None, 2), (None, "3", 3), ("1", "3", 1)],
+    ids=["flag", "env", "flag-over-env"])
+def test_manifest_records_the_worker_budget(tmp_path, monkeypatch, flag, env,
+                                            expected):
+    monkeypatch.delenv("CORRCDMA_WORKERS", raising=False)
+    if env is not None:
+        monkeypatch.setenv("CORRCDMA_WORKERS", env)
+    out = tmp_path / "run"
+    assert main(["simulate", *TINY, "--out-dir", str(out),
+                 *(["--workers", flag] if flag else [])]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["workers"] == expected
+
+
+def test_parallel_run_exits_and_leaves_no_workers(tmp_path):
+    # the pool kept alive for the run must neither hold the interpreter
+    # open at exit nor outlive it
+    script = ("import multiprocessing, sys\n"
+              "from corrcdma.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "print('workers', *(p.pid for p in "
+              "multiprocessing.active_children()))\n"
+              "sys.exit(code)\n")
+    src = str(Path(corrcdma.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "simulate", *TINY, "--ensemble", "4",
+         "--workers", "2", "--out-dir", str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "run" / "ber.csv").exists()
+    label, *pids = proc.stdout.splitlines()[-1].split()
+    assert label == "workers" and len(pids) == 2  # the pool was alive
+    for pid in map(int, pids):
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def test_simulate_rerun_is_byte_identical(tmp_path):
@@ -175,9 +222,20 @@ def test_worker_budget_is_checked_up_front(tmp_path, capsys, monkeypatch,
      "--base-beta must be > 0"),
     (["compare-compression", "bandwidth", *TINY, "--epsilon", "-0.1"],
      "--epsilon values must be >= 0"),
+    (["compare-compression", "fixed", *TINY, "--base-beta", "inf"],
+     "--base-beta applies only to the bandwidth protocol"),
+    (["compare-compression", "fixed", *TINY, "--base-beta", "0.5"],
+     "--base-beta applies only to the bandwidth protocol"),
+    (["compare-compression", "fixed", *TINY, "--epsilon", "0.5"],
+     "--epsilon applies only to the bandwidth protocol"),
+    (["compare-compression", "fixed", *TINY, "--epsilon", "0"],
+     "--epsilon applies only to the bandwidth protocol"),
+    (["compare-compression", "fixed", *TINY, "--amplification", "rate"],
+     "--amplification applies only to the bandwidth protocol"),
 ], ids=["matrix-nan", "sigma-nan", "sigma-inf", "load-inf", "lambda2-range",
         "threshold-one", "threshold-nan", "base-beta-inf", "base-beta-nan",
-        "epsilon-negative"])
+        "epsilon-negative", "fixed-base-beta-inf", "fixed-base-beta",
+        "fixed-epsilon", "fixed-epsilon-zero", "fixed-amplification"])
 @pytest.mark.parametrize("dry_run", [True, False], ids=["dry", "run"])
 def test_rejected_input_exits_2_and_writes_nothing(tmp_path, capsys, argv,
                                                    message, dry_run):
@@ -361,6 +419,16 @@ def test_bandwidth_comparison_sweeps_epsilon(tmp_path, capsys):
     assert len(rows) == 2
     assert [float(r[columns.index("epsilon")]) for r in rows] == [0.0, 0.05]
     assert rows[0][columns.index("protocol")] == "bandwidth_expansion"
+
+
+def test_bandwidth_flags_are_read_by_bandwidth(capsys):
+    assert main(["compare-compression", "bandwidth", *TINY, "--epsilon",
+                 "0.05", "--base-beta", "0.4", "--amplification", "rate",
+                 "--dry-run"]) == 0
+    assert "epsilons=[0.05] base_beta=0.4" in capsys.readouterr().out
+    assert main(["compare-compression", "fixed", *TINY, "--dry-run"]) == 0
+    note = capsys.readouterr().out.splitlines()[-1]
+    assert "protocol=fixed" in note and "epsilon" not in note
 
 
 def test_negative_rate_excess_is_a_usage_error(tmp_path, capsys):

@@ -6,13 +6,19 @@ with different worker counts, and check the exact count identities the
 report claims.
 """
 
+import multiprocessing
 import os
+import signal
+import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from corrcdma import cli, harness
 from corrcdma.harness import (
     BerReport,
     ExperimentConfig,
@@ -322,6 +328,111 @@ def test_worker_count_does_not_change_the_report():
 def test_workers_must_be_positive():
     with pytest.raises(ValueError):
         monte_carlo(small_config(), workers=0)
+
+
+# ---------------------------------------------------------------------------
+# the worker pool: one per process, reused by every parallel call
+
+
+def assert_same_report(a, b):
+    assert np.array_equal(a.errors_by_position, b.errors_by_position)
+    assert a.summary() == b.summary()
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Every pool monte_carlo makes during the test, in order; no pool is
+    cached before the test or left after it."""
+    made = []
+
+    class Spy(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            self.workers = max_workers
+            self.closed = False
+            # the earlier pools still open when this one is made
+            self.others_open = [pool for pool in made if not pool.closed]
+            made.append(self)
+            super().__init__(max_workers)
+
+        def shutdown(self, *args, **kwargs):
+            self.closed = True
+            super().shutdown(*args, **kwargs)
+
+    harness.shutdown_pool()
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Spy)
+    yield made
+    harness.shutdown_pool()
+
+
+def test_parallel_calls_reuse_one_pool(pools):
+    cfg = small_config()
+    serial = monte_carlo(cfg)
+    for _ in range(3):
+        assert_same_report(serial, monte_carlo(cfg, workers=2))
+    assert len(pools) == 1
+
+
+def test_every_arm_of_a_command_shares_one_pool(pools, tmp_path, capsys):
+    assert cli.main(["sweep", "length", "--values", "8,10,12,16",
+                     "--spread-factor", "60", "--n-users", "30",
+                     "--ensemble", "4", "--seed", "3", "--workers", "2",
+                     "--out-dir", str(tmp_path / "len")]) == 0
+    assert len(pools) == 1
+
+
+def test_switching_worker_count_shuts_the_old_pool_first(pools):
+    cfg = small_config()
+    serial = monte_carlo(cfg)
+    for workers in (2, 3, 2):
+        assert_same_report(serial, monte_carlo(cfg, workers=workers))
+        assert len(multiprocessing.active_children()) <= workers
+    assert [pool.workers for pool in pools] == [2, 3, 2]
+    assert [pool.others_open for pool in pools] == [[], [], []]
+    assert [pool.closed for pool in pools] == [True, True, False]
+
+
+def test_broken_pool_is_dropped(pools):
+    cfg = small_config()
+    serial = monte_carlo(cfg)
+    monte_carlo(cfg, workers=2)
+    (broken,) = pools
+    victim = min(broken._processes)
+    os.kill(victim, signal.SIGKILL)
+    # the pool has seen the death once it has reaped the dead worker
+    deadline = time.monotonic() + 30
+    while time.monotonic() < deadline:
+        try:
+            os.kill(victim, 0)
+        except ProcessLookupError:
+            break
+        time.sleep(0.01)
+    else:
+        pytest.fail("the pool never reaped its killed worker")
+    with pytest.raises(BrokenProcessPool):
+        monte_carlo(cfg, workers=2)
+    assert_same_report(serial, monte_carlo(cfg, workers=2))
+    assert len(pools) == 2 and broken.closed and not pools[1].others_open
+
+
+def test_pool_of_another_process_is_not_used(pools):
+    class Foreign:
+        def __getattr__(self, name):
+            raise AssertionError(f"used the foreign pool's {name}")
+
+    cfg = small_config()
+    serial = monte_carlo(cfg)
+    # what a child forked by this process would inherit
+    harness._pool = (Foreign(), 2, os.getpid() + 1)
+    assert_same_report(serial, monte_carlo(cfg, workers=2))
+    assert len(pools) == 1 and harness._pool[0] is pools[0]
+
+
+def test_shutdown_leaves_no_worker_processes(pools):
+    monte_carlo(small_config(), workers=2)
+    assert len(multiprocessing.active_children()) == 2
+    harness.shutdown_pool()
+    assert multiprocessing.active_children() == []
+    harness.shutdown_pool()  # nothing left to shut down
 
 
 def test_standard_errors_shrink_with_ensemble():
