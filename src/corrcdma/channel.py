@@ -57,9 +57,11 @@ def _gram(float_chips: np.ndarray) -> np.ndarray:
     """(1/N) float_chips.T @ float_chips, read-only.
 
     Both operands are views of one buffer, so numpy computes the symmetric
-    product (half the flops of a general one).
+    product (half the flops of a general one). The division is in place,
+    so no second K x K array exists even briefly.
     """
-    w = (float_chips.T @ float_chips) / float_chips.shape[0]
+    w = float_chips.T @ float_chips
+    w /= float_chips.shape[0]
     w.flags.writeable = False
     return w
 

@@ -40,13 +40,15 @@ from .harness import (
     check_workers,
     default_workers,
     lambda2_arms,
+    lambda2_runs,
     length_configs,
     length_scaling_study,
     make_ber_runner,
-    make_pair_runner,
     mismatch_arms,
+    mismatch_runs,
     mismatch_study,
     monte_carlo,
+    monte_carlo_arms,
     normalized_ber_sweep,
     paired_arms,
     read_csv_with_header,
@@ -126,10 +128,12 @@ class _OutputSet:
         self.made = []  # directories target created, innermost first
 
     def target(self, name) -> Path:
+        path = self.out_dir / name
+        if path in self.paths:
+            raise ValueError(f"{name} would be written twice")
         self.made += takewhile(lambda d: not d.exists(),
                                (self.out_dir, *self.out_dir.parents))
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        path = self.out_dir / name
         self.paths.append(path)
         return path
 
@@ -173,17 +177,37 @@ def _print_config(config: ExperimentConfig):
         print(f"  {key}={value}")
 
 
-def _capturing_runner(outputs: _OutputSet, workers):
-    """Monte-Carlo wrapper that persists each arm's per-position report."""
+def _arm_file(cfg) -> str:
+    """The per-position BER file of one sweep arm."""
+    return (f"ber_{cfg.variant}_lam{cfg.matrix.lambda2:g}"
+            f"_L{cfg.word_length}_d{cfg.mismatch:g}.csv")
 
-    def run(cfg):
-        report = monte_carlo(cfg, workers)
-        name = (f"ber_{cfg.variant}_lam{cfg.matrix.lambda2:g}"
-                f"_L{cfg.word_length}_d{cfg.mismatch:g}.csv")
-        write_ber_csv(outputs.target(name), report)
-        return report
 
-    return run
+def _check_arm_files(runs):
+    """ValueError naming the sweep points of the first two runs that
+    would write the same per-arm file."""
+    def point(cfg):
+        return (f"lambda2={cfg.matrix.lambda2:.15g} "
+                f"delta={cfg.mismatch:.15g} length={cfg.word_length}")
+
+    seen = {}
+    for cfg in runs:
+        name = _arm_file(cfg)
+        if name in seen:
+            first, second = point(seen[name]), point(cfg)
+            points = (f"sweep point {first} is listed twice" if first == second
+                      else f"sweep points {first} and {second}")
+            raise ValueError(f"{points}: both would write {name}")
+        seen[name] = cfg
+
+
+def _persisted_reports(outputs: _OutputSet, runs, workers):
+    """Every run's report from one joint Monte-Carlo, each written to its
+    per-arm file; returns the lookup from config to report."""
+    reports = dict(zip(runs, monte_carlo_arms(runs, workers)))
+    for cfg, report in reports.items():
+        write_ber_csv(outputs.target(_arm_file(cfg)), report)
+    return reports.__getitem__
 
 
 # ---------------------------------------------------------------------------
@@ -251,22 +275,24 @@ def cmd_sweep(args) -> int:
     def plan(config):
         values = _parse_value_list(args.values, "--values",
                                    int if kind == "length" else float)
-        # build every run the sweep makes, which validates each of them
+        # build every run the sweep makes, which validates each of them,
+        # and check that their per-arm files have distinct names
         deltas = None
         if kind == "lambda2":
-            lambda2_arms(config, values)
+            runs = lambda2_runs(lambda2_arms(config, values))
         elif kind == "length":
-            length_configs(config, values, args.threshold_factor)
+            runs = length_configs(config, values, args.threshold_factor)
         else:
             deltas = _parse_value_list(args.deltas, "--deltas", float)
-            mismatch_arms(config, deltas, values)
+            runs = mismatch_runs(mismatch_arms(config, deltas, values))
+        _check_arm_files(runs)
         note = f"  sweep kind={kind} values={values} deltas={deltas}"
-        return note, partial(run, config, values, deltas)
+        return note, partial(run, config, values, deltas, runs)
 
-    def run(config, values, deltas, outputs, workers):
-        capture = _capturing_runner(outputs, workers)
+    def run(config, values, deltas, runs, outputs, workers):
+        report_of = _persisted_reports(outputs, runs, workers)
         if kind == "lambda2":
-            points = normalized_ber_sweep(config, values, run_report=capture)
+            points = normalized_ber_sweep(config, values, run_report=report_of)
             write_sweep_csv(outputs.target("sweep_lambda2.csv"), config,
                             points)
             for point in points:
@@ -276,7 +302,7 @@ def cmd_sweep(args) -> int:
         elif kind == "length":
             result = length_scaling_study(config, values,
                                           args.threshold_factor,
-                                          run_report=capture)
+                                          run_report=report_of)
             write_length_csv(outputs.target("sweep_length.csv"), config,
                              result)
             for length, position in zip(result.lengths, result.positions):
@@ -285,7 +311,7 @@ def cmd_sweep(args) -> int:
                   f"(intercept {result.intercept:.4f})")
         else:
             points = mismatch_study(config, deltas, values,
-                                    run_report=capture)
+                                    run_report=report_of)
             write_mismatch_csv(outputs.target("sweep_mismatch.csv"), config,
                                points)
             for point in points:
@@ -349,11 +375,15 @@ def cmd_compare_compression(args) -> int:
                     print(f"{lam:<8g} {eps:<8g} {comparison.p_corr:<9.5f} "
                           f"{comparison.p_comp:<9.5f} {comparison.ratio:.4f}")
         else:
+            # every point's paired arms in one joint run
+            reports = iter(monte_carlo_arms(
+                [cfg for _, matrix, _ in points
+                 for cfg in paired_arms(replace(config, matrix=matrix))],
+                workers))
             print("sigma  beta   lambda2  p_corr    p_comp    ratio")
             for lam, matrix, entropy in points:
-                pair = make_pair_runner(replace(config, matrix=matrix),
-                                        workers)
-                comparison = fixed_load_comparison(matrix, pair)
+                pair = (next(reports).aggregate, next(reports).aggregate)
+                comparison = fixed_load_comparison(matrix, lambda: pair)
                 rows.append((lam, entropy, 0.0, comparison))
                 print(f"{config.sigma:<6g} {config.load:<6g} {lam:<8g} "
                       f"{comparison.p_corr:<9.5f} {comparison.p_comp:<9.5f} "
@@ -499,9 +529,15 @@ def cmd_plotdata(args) -> int:
     outputs = _OutputSet(args.out_dir)
     started = _timestamp()
     try:
+        stems = {}
         for path in args.inputs:
             if not Path(path).exists():
                 raise ValueError(f"{path}: no such input file")
+            stem = Path(path).stem
+            if stem in stems:
+                raise ValueError(f"{stems[stem]} and {path} would both "
+                                 f"write {stem}.dat and {stem}.gp")
+            stems[stem] = path
         if args.dry_run:
             print(f"{len(args.inputs)} input files readable")
             return 0

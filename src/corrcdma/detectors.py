@@ -111,24 +111,30 @@ def sumf(spreading: SpreadingMatrix, received: np.ndarray) -> np.ndarray:
     return (spreading.float_chips.T @ y) / np.sqrt(spreading.spread_factor)
 
 
-def _neighbour_model(matrix: TransitionMatrix):
-    """Closed-form neighbour terms of the assumed matrix.
+def _neighbour_model(matrix: TransitionMatrix) -> np.ndarray:
+    """Closed-form neighbour terms of the assumed matrix, as a (9, 1) array.
 
     With beliefs q(s) = ((1 - s)/2, (1 + s)/2) of a neighbour whose soft
     value is s, the left term of hypothesis b, sum_a q_a(s) T_ab, and the
     right term, sum_c T_bc q_c(s), are both affine in s:
-    w0[b] + w1[b] * s. Returns the weights (w0, w1) of the left and of the
-    right term, each a (2, 1) array (b = 0 for -1, 1 for +1; the trailing
-    axis broadcasts over users), and the soft value pi(+1) - pi(-1) of the
-    stationary distribution, which stands in for the missing neighbour at
-    either word edge.
+    w0[b] + w1[b] * s. Rows 0-1 hold w0 and rows 2-3 w1 of the left term
+    (b = 0 for -1, 1 for +1), rows 4-7 the same of the right term, and row
+    8 the soft value pi(+1) - pi(-1) of the stationary distribution, which
+    stands in for the missing neighbour at either word edge. The trailing
+    axis broadcasts over users; _model_terms splits the rows.
     """
     t = matrix.matrix
-    left = ((t[0] + t[1]) / 2.0, (t[1] - t[0]) / 2.0)
-    right = ((t[:, 0] + t[:, 1]) / 2.0, (t[:, 1] - t[:, 0]) / 2.0)
     pi = matrix.stationary()
-    return ([w[:, None] for w in left], [w[:, None] for w in right],
-            pi[1] - pi[0])
+    return np.concatenate([(t[0] + t[1]) / 2.0, (t[1] - t[0]) / 2.0,
+                           (t[:, 0] + t[:, 1]) / 2.0,
+                           (t[:, 1] - t[:, 0]) / 2.0,
+                           [pi[1] - pi[0]]])[:, None]
+
+
+def _model_terms(model):
+    """The (w0, w1) weights of the left and of the right term and the edge
+    value of a (9, W) neighbour model, W being 1 or one column per user."""
+    return (model[0:2], model[2:4]), (model[4:6], model[6:8]), model[8]
 
 
 def _terms(s, weights, out):
@@ -189,7 +195,7 @@ def local_bias(soft: np.ndarray, matrix: TransitionMatrix, position: int) -> np.
     n_users, word_len = s.shape
     if not 0 <= position < word_len:
         raise ValueError(f"position {position} outside word of length {word_len}")
-    left_w, right_w, edge = _neighbour_model(matrix)
+    left_w, right_w, edge = _model_terms(_neighbour_model(matrix))
     prev = s[:, position - 1] if position > 0 else edge
     after = s[:, position + 1] if position < word_len - 1 else edge
     work = np.empty((5, n_users))
@@ -218,12 +224,14 @@ def _bias_sweep(padded, field, xi, model, schedule, forward, rng, scale,
     yet visited still holds its snapshot value, so that side is computed
     for all columns at once, into an (L, 2, W) array whose row l is the
     (minus, plus) pair of column l; RSUS computes both sides per column.
-    work is scratch of at least 4 L W floats, W = B K. Returns the boolean
-    (L, B) mask of the columns whose correction changed bitwise, per trial.
+    model is one (9, 1) _neighbour_model for every trial, or a (9, B, K)
+    array holding each trial's own. work is scratch of at least 4 L W
+    floats, W = B K. Returns the boolean (L, B) mask of the columns whose
+    correction changed bitwise, per trial.
     """
-    left_w, right_w, edge = model
     n_rows, n_trials, n_users = padded.shape
     word_len, width = n_rows - 2, n_trials * n_users
+    left_w, right_w, edge = _model_terms(model.reshape(len(model), -1))
     padded = padded.reshape(n_rows, width)
     padded[0] = padded[-1] = edge
     field = field.reshape(word_len, width)
@@ -327,8 +335,10 @@ def _run_engine(fields, corrs, load, sigma, opts, assumed=None, iterate=True):
     """Lockstep detection of every symbol column of a group of realizations.
 
     fields holds the (K, L) matched-filter fields of B realizations of one
-    size and corrs their code correlation matrices (read only when
-    iterate). With iterate=True every outer iteration starts with a
+    size, corrs their code correlation matrices (read only when iterate)
+    and assumed, in correlated mode, the transition matrix each
+    realization's detector assumes, so arms that assume different matrices
+    share one run. With iterate=True every outer iteration starts with a
     synchronous MUD step of each realization; with iterate=False the
     matched-filter field is never updated and only the bias correction is
     refined (the correlated SUMF), scaled by the matched filter's
@@ -340,7 +350,9 @@ def _run_engine(fields, corrs, load, sigma, opts, assumed=None, iterate=True):
     (the step skips them, so their state stays as committed) and thaw
     again if a later sweep changes their correction; with a memoryless
     assumed matrix no correction ever changes, which makes the two modes
-    produce bitwise identical results.
+    produce bitwise identical results. Each slot holds its own matrix's
+    neighbour weights and edge value, one copy per user, so every element
+    sees the scalars a lone run of its realization would.
 
     Each realization keeps its own active columns, counts and stop rule:
     one that stops, or diverges, leaves the group, and the last trial of
@@ -361,8 +373,7 @@ def _run_engine(fields, corrs, load, sigma, opts, assumed=None, iterate=True):
     if n_trials > 1 and correlated and (blind or opts.schedule == "RSUS"):
         raise ValueError("RSUS and blind runs detect one realization at a "
                          "time")
-    assumed_now = iid_matrix() if blind else assumed
-    model = _neighbour_model(assumed_now) if correlated else None
+    assumed_now = iid_matrix() if blind else None  # the blind estimate
     scale = 1.0 if iterate else load + sigma * sigma
     rng = opts.schedule_rng
     if rng is None and opts.schedule == "RSUS":
@@ -374,9 +385,9 @@ def _run_engine(fields, corrs, load, sigma, opts, assumed=None, iterate=True):
     # block keeps the heap from fragmenting across trials (separate buffers
     # raised the peak resident memory of a C7 ensemble by one Gram matrix,
     # 5 MB).
-    block = np.empty((9 * word_len + 2, n_trials, n_users))
-    h0, h, xi, interference, work, padded = np.split(
-        block, np.cumsum([1, 1, 1, 1, 4]) * word_len)
+    block = np.empty((9 * word_len + 11, n_trials, n_users))
+    h0, h, xi, interference, work, padded, model = np.split(
+        block, [*np.cumsum([1, 1, 1, 1, 4]) * word_len, 9 * word_len + 2])
     work = work.reshape(-1)
     step_work = work[:3 * word_len * n_users].reshape(3, word_len, n_users)
     soft = padded[1:-1]
@@ -386,6 +397,8 @@ def _run_engine(fields, corrs, load, sigma, opts, assumed=None, iterate=True):
     xi[:] = 0.0
     interference[:] = 0.0
     gain = np.zeros((word_len, n_trials))
+    for b, matrix in enumerate(assumed if correlated else ()):
+        model[:, b] = _neighbour_model(assumed_now if blind else matrix)
     finite = np.empty((word_len, n_users), dtype=bool)
     np.tanh(np.add(h, xi, out=soft), out=soft)
     prev_dec = soft >= 0.0
@@ -408,8 +421,8 @@ def _run_engine(fields, corrs, load, sigma, opts, assumed=None, iterate=True):
         results[trials[slot]] = outcome
         last = len(trials) - 1
         if slot != last:
-            for a in (h0, h, xi, interference, padded, prev_dec, gain,
-                      active, iters, converged):
+            for a in (h0, h, xi, interference, padded, model, prev_dec,
+                      gain, active, iters, converged):
                 a[:, slot] = a[:, last]
             trials[slot] = trials[last]
         trials.pop()
@@ -436,8 +449,8 @@ def _run_engine(fields, corrs, load, sigma, opts, assumed=None, iterate=True):
             np.tanh(np.add(h[sl], xi[sl], out=soft[sl]), out=soft[sl])
             if blind and t > 0:
                 assumed_now = estimate_transition(soft[:, 0].T, PSEUDO_COUNT)
-                model = _neighbour_model(assumed_now)
-            changed = _bias_sweep(padded[sl], h[sl], xi[sl], model,
+                model[:, 0] = _neighbour_model(assumed_now)
+            changed = _bias_sweep(padded[sl], h[sl], xi[sl], model[sl],
                                   opts.schedule, forward, rng, scale, work)
             if opts.schedule == "BFUS":
                 forward = not forward
@@ -484,7 +497,8 @@ def _detect_one(spreading, received, sigma, opts, assumed=None, iterate=True):
     corr = spreading.corr if iterate else None
     load = spreading.n_users / spreading.spread_factor
     (result,) = _run_engine([sumf(spreading, received)], [corr], load, sigma,
-                            opts, assumed, iterate)
+                            opts, None if assumed is None else [assumed],
+                            iterate)
     if isinstance(result, DetectorDivergence):
         raise result
     return result

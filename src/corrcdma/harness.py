@@ -2,10 +2,12 @@
 
 Every trial's randomness is derived from (master seed, trial index, stream
 id), so a report is a pure function of its config: reruns are bit-identical
-regardless of worker count, trial grouping or completion order, and two
-variants run with the same config fields see exactly the same source
-blocks, spreading codes and noise. That paired-seed discipline makes every normalized quantity
-(correlated over plain detection) reflect only the detectors' differences.
+regardless of worker count, trial grouping, the other arms of a joint run
+or completion order. The arms of a paired study run jointly: each trial's
+realization (source block, spreading codes and noise) is drawn once and
+detected by every arm that shares its channel fields, so pairing holds by
+construction and every normalized quantity (correlated over plain
+detection) reflects only the detectors' differences.
 
 Per-position error counts are summed as integers, so aggregation is exact
 and commutative; all rates derive from the final counts.
@@ -19,6 +21,7 @@ import dataclasses
 import io
 import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
@@ -55,11 +58,14 @@ STREAM_SCHEDULE = 1
 VARIANTS = ("plain_mud", "correlated_mud", "plain_sumf", "correlated_sumf")
 MUD_VARIANTS = ("plain_mud", "correlated_mud")
 
-# Users per lockstep group of trials. On a 2-core x86-64 machine (AVX-512,
+# Users per lockstep group of slots, one slot being one arm on one trial's
+# realization; a group may span arms (a sweep's correlated arms at several
+# eigenvalues) as well as trials. On a 2-core x86-64 machine (AVX-512,
 # numpy 2.4) an SUS bias sweep over 80 columns of W users cost about 60,
 # 45, 32, 27 and 25 ns per user and column at W = 200, 400, 800, 1,000 and
 # 1,600: below about 1,000 users the numpy call overhead dominates, above
-# it a larger group only adds memory.
+# it a larger group only adds memory (a 1,200-user group of three C4 arms
+# raised the peak resident memory of a sweep by 9.6 MB).
 GROUP_USERS = 1000
 
 def _default_matrix() -> TransitionMatrix:
@@ -270,9 +276,25 @@ def _lockstep(config: ExperimentConfig) -> bool:
                 or (config.variant == "correlated_mud" and config.blind))
 
 
-def _realization(config: ExperimentConfig, trial_index: int):
+def _channel(config: ExperimentConfig) -> tuple:
+    """The fields that fix a trial's realization, with its index: arms that
+    agree on them see the same source block, chips and noise."""
+    return (config.seed, config.matrix, config.spread_factor, config.n_users,
+            config.word_length, config.sigma)
+
+
+def _engine_kind(config: ExperimentConfig) -> tuple:
+    """The fields one detection engine run needs equal across its slots;
+    the slots may differ in their realization and in the matrix their
+    detector assumes."""
+    return (config.variant, config.schedule, config.blind, config.max_iters,
+            config.spread_factor, config.n_users, config.word_length,
+            config.sigma)
+
+
+def _realization(config: ExperimentConfig, trial_index: int, with_corr: bool):
     """What detection needs of one trial: its source block, matched field
-    and, for the MUD variants, code correlation matrix.
+    and, if with_corr, code correlation matrix.
 
     The channel stream is drawn in a fixed order (source block, spreading
     chips, noise), so every detector variant sees identical realizations;
@@ -282,8 +304,71 @@ def _realization(config: ExperimentConfig, trial_index: int):
     block = generate_block(config.matrix, config.n_users, config.word_length, rng)
     spreading = generate_spreading(config.spread_factor, config.n_users, rng)
     matched = sumf(spreading, transmit(spreading, block, config.sigma, rng))
-    corr = spreading.corr if config.variant in MUD_VARIANTS else None
-    return block, matched, corr
+    return block, matched, spreading.corr if with_corr else None
+
+
+def _detect(slots):
+    """Detection results of slots, (config, trial index, realization)
+    triples of one engine kind, in one engine run; None for the plain
+    matched filter, which only slices."""
+    config, index, _ = slots[0]
+    if config.variant == "plain_sumf":
+        return [None] * len(slots)
+    return _run_engine(
+        [matched for _, _, (_, matched, _) in slots],
+        [corr for _, _, (_, _, corr) in slots], config.load, config.sigma,
+        _detector_options(config, index),
+        assumed=(None if config.variant == "plain_mud"
+                 else [cfg.detector_matrix() for cfg, _, _ in slots]),
+        iterate=config.variant in MUD_VARIANTS)
+
+
+def _outcome(config: ExperimentConfig, realization, result) -> TrialOutcome:
+    """A trial's error counts from its detection result; a trial whose
+    detector diverged, like the plain matched filter, counts the
+    matched-filter decisions."""
+    block, matched, _ = realization
+    diverged = isinstance(result, DetectorDivergence)
+    if result is None or diverged:
+        bits = hard_decisions(matched)
+        iters = np.zeros(config.word_length, dtype=np.int64)
+        unconverged = config.word_length if diverged else 0
+    else:
+        bits, iters = result.bits, result.iters
+        unconverged = int(np.count_nonzero(~result.converged))
+    return TrialOutcome(
+        errors_by_position=(bits != block).sum(axis=0, dtype=np.int64),
+        iters=iters, unconverged_positions=unconverged, diverged=diverged)
+
+
+def _detect_realizations(payload) -> list[list[TrialOutcome]]:
+    """The outcomes of every arm on every realization of payload.
+
+    payload holds (trial index, arms) pairs, the arms being configs with
+    the same channel fields. Each realization is drawn once, and the arms
+    of one engine kind are detected together, in lockstep across arms and
+    realizations, at most GROUP_USERS users per engine run (RSUS and blind
+    arms one realization at a time). A slot's result does not depend on its
+    group, so each outcome equals its trial run alone. Returns, per
+    realization, its arms' outcomes in order.
+    """
+    kinds = {}  # engine kind -> ((realization, arm) place, slot) pairs
+    for r, (index, arms) in enumerate(payload):
+        realization = _realization(
+            arms[0], index, any(cfg.variant in MUD_VARIANTS for cfg in arms))
+        for a, cfg in enumerate(arms):
+            kinds.setdefault(_engine_kind(cfg), []).append(
+                ((r, a), (cfg, index, realization)))
+    outcomes = [[None] * len(arms) for _, arms in payload]
+    for slots in kinds.values():
+        first = slots[0][1][0]
+        size = max(1, GROUP_USERS // first.n_users) if _lockstep(first) else 1
+        for start in range(0, len(slots), size):
+            group = slots[start:start + size]
+            results = _detect([slot for _, slot in group])
+            for ((r, a), (cfg, _, realization)), result in zip(group, results):
+                outcomes[r][a] = _outcome(cfg, realization, result)
+    return outcomes
 
 
 def run_trials(config: ExperimentConfig, indices) -> list[TrialOutcome]:
@@ -297,35 +382,8 @@ def run_trials(config: ExperimentConfig, indices) -> list[TrialOutcome]:
     trial whose detector diverges still counts, with the matched-filter
     decisions.
     """
-    indices = list(indices)
-    if len(indices) > 1 and not _lockstep(config):
-        return [run_trials(config, [index])[0] for index in indices]
-    blocks, fields, corrs = zip(*(_realization(config, index)
-                                  for index in indices))
-    if config.variant == "plain_sumf":
-        results = [None] * len(indices)
-    else:
-        results = _run_engine(
-            fields, corrs, config.load, config.sigma,
-            _detector_options(config, indices[0]),
-            assumed=(None if config.variant == "plain_mud"
-                     else config.detector_matrix()),
-            iterate=config.variant in MUD_VARIANTS)
-    outcomes = []
-    for block, matched, result in zip(blocks, fields, results):
-        diverged = isinstance(result, DetectorDivergence)
-        if result is None or diverged:  # the matched filter's decisions
-            bits = hard_decisions(matched)
-            iters = np.zeros(config.word_length, dtype=np.int64)
-            unconverged = config.word_length if diverged else 0
-        else:
-            bits, iters = result.bits, result.iters
-            unconverged = int(np.count_nonzero(~result.converged))
-        outcomes.append(TrialOutcome(
-            errors_by_position=(bits != block).sum(axis=0, dtype=np.int64),
-            iters=iters, unconverged_positions=unconverged,
-            diverged=diverged))
-    return outcomes
+    return [outcome for (outcome,) in _detect_realizations(
+        [(index, (config,)) for index in indices])]
 
 
 def run_trial(config: ExperimentConfig, trial_index: int) -> TrialOutcome:
@@ -334,22 +392,46 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialOutcome:
     return run_trials(config, [trial_index])[0]
 
 
-def group_size(config: ExperimentConfig, workers: int | None = None) -> int:
-    """Trials per detection engine run in monte_carlo.
+def _realizations(arms) -> list[tuple]:
+    """(trial index, arms) of every realization the arms run: arms with the
+    same channel fields share the realizations of their common trial
+    indices. Channels come in order of first appearance, each in trial
+    order."""
+    channels = {}
+    for cfg in arms:
+        channels.setdefault(_channel(cfg), []).append(cfg)
+    return [(index, tuple(cfg for cfg in group if index < cfg.ensemble))
+            for group in channels.values()
+            for index in range(max(cfg.ensemble for cfg in group))]
 
-    Small trials spend the bias sweep on numpy call overhead, so trials run
-    in lockstep until the group holds about GROUP_USERS users, but no group
-    exceeds a worker's share of the ensemble.
+
+def _payloads(realizations, workers: int | None = None) -> list[list]:
+    """The realizations in pool payloads, each detected by one worker call.
+
+    Realizations whose arms are of the same engine kinds fill a payload in
+    order, up to a worker's share of them and GROUP_USERS users in the
+    fullest engine run; one realization whose arms cannot run in lockstep
+    is a payload of its own.
     """
-    if not _lockstep(config):
-        return 1
-    share = -(-config.ensemble // (workers or 1))
-    return min(share, max(1, GROUP_USERS // config.n_users))
-
-
-def _group_worker(payload):
-    config, indices = payload
-    return run_trials(config, indices)
+    buckets = {}
+    for index, arms in realizations:
+        kinds = Counter(_engine_kind(cfg) for cfg in arms)
+        users = (arms[0].n_users * max(kinds.values())
+                 if all(map(_lockstep, arms)) else math.inf)
+        buckets.setdefault(frozenset(kinds), []).append(
+            ((index, arms), users))
+    payloads = []
+    for bucket in buckets.values():
+        share = -(-len(bucket) // (workers or 1))
+        start = len(payloads)
+        for realization, users in bucket:
+            if (len(payloads) == start or len(payloads[-1]) == share
+                    or total + users > GROUP_USERS):
+                payloads.append([])
+                total = 0
+            payloads[-1].append(realization)
+            total += users
+    return payloads
 
 
 # The process's one worker pool, as (executor, worker count, pid of the
@@ -395,35 +477,51 @@ def shutdown_pool() -> None:
 atexit.register(shutdown_pool)
 
 
-def monte_carlo(config: ExperimentConfig, workers: int | None = None) -> BerReport:
-    """Aggregate the ensemble's trials, in groups, optionally across
-    processes.
+def monte_carlo_arms(configs, workers: int | None = None) -> list[BerReport]:
+    """The report of every config, from one joint run of their trials.
 
-    Counts are integers and their summation commutative, and a trial's
-    outcome does not depend on its group, so the report is bit-identical
-    for any worker count. The worker processes are forked once per process
-    and worker count, by the first parallel call, and every later call
-    reuses them; code patched in this process after that fork is not seen
-    by the workers, so a caller that patches worker-side code must run
+    Arms with the same channel fields (seed, generator matrix, sizes and
+    noise) share each trial's realization, drawn once, so their pairing
+    holds by construction; arms of one engine kind are detected in
+    lockstep across arms and trials. Payloads of realizations run in
+    order, optionally across processes. Counts are integers and their
+    summation commutative, and an outcome depends neither on its group
+    nor on the other arms, so every report is bit-identical to its arm run
+    alone, for any worker count. The worker processes are forked once per
+    process and worker count, by the first parallel call, and every later
+    call reuses them; code patched in this process after that fork is not
+    seen by the workers, so a caller that patches worker-side code must run
     serially. A pool that breaks (a worker died) raises BrokenProcessPool
     and is dropped, and the next parallel call forks a fresh one.
     """
     check_workers(workers)
-    size = group_size(config, workers)
-    payloads = [(config, range(start, min(start + size, config.ensemble)))
-                for start in range(0, config.ensemble, size)]
+    arms = list(dict.fromkeys(configs))
+    payloads = _payloads(_realizations(arms), workers)
     if workers is None or workers == 1 or len(payloads) == 1:
-        groups = map(_group_worker, payloads)
+        groups = map(_detect_realizations, payloads)
     else:
         chunk = max(1, len(payloads) // (workers * 4))
         try:
             groups = list(_worker_pool(workers).map(
-                _group_worker, payloads, chunksize=chunk))
+                _detect_realizations, payloads, chunksize=chunk))
         except BrokenProcessPool:
             shutdown_pool()
             raise
-    outcomes = [outcome for group in groups for outcome in group]
+    outcomes = {cfg: [] for cfg in arms}
+    for payload, group in zip(payloads, groups):
+        for (_, cfgs), per_arm in zip(payload, group):
+            for cfg, outcome in zip(cfgs, per_arm):
+                outcomes[cfg].append(outcome)
+    return [_report(cfg, outcomes[cfg]) for cfg in configs]
 
+
+def monte_carlo(config: ExperimentConfig, workers: int | None = None) -> BerReport:
+    """The report of config's ensemble: monte_carlo_arms on one arm."""
+    return monte_carlo_arms([config], workers)[0]
+
+
+def _report(config: ExperimentConfig, outcomes) -> BerReport:
+    """The ensemble's report from its trials' outcomes, in trial order."""
     errors = np.zeros(config.word_length, dtype=np.int64)
     iters_all = []
     unconverged = 0
@@ -497,24 +595,37 @@ def lambda2_arms(config: ExperimentConfig, lambda2_values) -> list[tuple]:
     return arms
 
 
+def lambda2_runs(arms) -> list[ExperimentConfig]:
+    """The configs a sweep over lambda2_arms runs, in run order: each
+    point's correlated arm, then its plain arm."""
+    return [cfg for _, corr_arm, plain_arm in arms
+            for cfg in (corr_arm, plain_arm)]
+
+
+def _arm_reports(configs, workers, run_report) -> list[BerReport]:
+    """The report of every config, in order: from one monte_carlo_arms run,
+    or from run_report(cfg) called per arm, in order, when it is given."""
+    if run_report is None:
+        return monte_carlo_arms(configs, workers)
+    return [run_report(cfg) for cfg in configs]
+
+
 def normalized_ber_sweep(config: ExperimentConfig, lambda2_values,
                          workers: int | None = None,
                          run_report=None) -> list[SweepPoint]:
     """Paired correlated-MUD over plain-MUD BER for each second eigenvalue.
 
-    Both arms of every point run on identical realizations (same master
-    seed), so at lambda2 = 0 the reduction property makes the ratio exactly
-    1. config.variant is ignored; config's schedule, blind flag and
-    mismatch apply to the correlated arm. run_report may wrap or replace
-    the per-arm Monte-Carlo (persistence hooks, testing).
+    Both arms of every point run on the same realizations, drawn once in a
+    joint run, so at lambda2 = 0 the reduction property makes the ratio
+    exactly 1. config.variant is ignored; config's schedule, blind flag and
+    mismatch apply to the correlated arm. run_report may replace the joint
+    run with a per-arm Monte-Carlo (testing, or reports already run).
     """
     arms = lambda2_arms(config, lambda2_values)
-    if run_report is None:
-        run_report = lambda cfg: monte_carlo(cfg, workers)
+    reports = iter(_arm_reports(lambda2_runs(arms), workers, run_report))
     points = []
-    for lam, corr_arm, plain_arm in arms:
-        corr = run_report(corr_arm)
-        plain = run_report(plain_arm)
+    for lam, corr_arm, _ in arms:
+        corr, plain = next(reports), next(reports)
         points.append(SweepPoint(
             lambda2=lam,
             correlation_length=source_stats(corr_arm.matrix).correlation_length,
@@ -554,21 +665,16 @@ def length_scaling_study(config: ExperimentConfig, lengths,
                          run_report=None) -> LengthScalingResult:
     """Saturation position of the per-position BER curve vs word length.
 
-    Runs one Monte-Carlo per length (run_report may inject a different
-    report source for testing), reduces each curve to its saturation
-    position, and fits a line to log(position) over log(length). Zero
-    positions are excluded from the fit with a warning; fewer than two
-    usable points abort with ValueError.
+    Runs the Monte-Carlo of every length in one joint run (run_report may
+    inject a per-length report source instead, for testing), reduces each
+    curve to its saturation position, and fits a line to log(position)
+    over log(length). Zero positions are excluded from the fit with a
+    warning; fewer than two usable points abort with ValueError.
     """
     configs = length_configs(config, lengths, threshold_factor)
-    if run_report is None:
-        run_report = lambda cfg: monte_carlo(cfg, workers)
     lengths = [cfg.word_length for cfg in configs]
-    positions = []
-    for cfg in configs:
-        report = run_report(cfg)
-        positions.append(saturation_position(report.per_position,
-                                             threshold_factor))
+    positions = [saturation_position(report.per_position, threshold_factor)
+                 for report in _arm_reports(configs, workers, run_report)]
     slope, intercept = fit_loglog_slope(lengths, positions)
     return LengthScalingResult(lengths=tuple(lengths),
                                positions=tuple(positions),
@@ -611,6 +717,17 @@ def mismatch_arms(config: ExperimentConfig, rel_deltas,
     return arms
 
 
+def mismatch_runs(arms) -> list[ExperimentConfig]:
+    """The configs a study over mismatch_arms runs, in run order: per
+    eigenvalue with a feasible perturbation, the plain arm, then every
+    feasible correlated arm."""
+    runs = []
+    for _, plain_arm, points in arms:
+        feasible = [arm for _, arm, _ in points if arm is not None]
+        runs += [plain_arm, *feasible] if feasible else []
+    return runs
+
+
 def mismatch_study(config: ExperimentConfig, rel_deltas, lambda2_values,
                    workers: int | None = None,
                    run_report=None) -> list[MismatchPoint]:
@@ -618,12 +735,12 @@ def mismatch_study(config: ExperimentConfig, rel_deltas, lambda2_values,
 
     The generator always uses the true matrix; the correlated detector
     assumes the perturbed copy. Infeasible perturbations (an element pushed
-    out of [0, 1]) are skipped with the validation message recorded.
-    run_report may wrap or replace the per-arm Monte-Carlo.
+    out of [0, 1]) are skipped with the validation message recorded. Every
+    arm of one eigenvalue runs on the same realizations, drawn once in a
+    joint run; run_report may replace that run with a per-arm Monte-Carlo.
     """
     arms = mismatch_arms(config, rel_deltas, lambda2_values)
-    if run_report is None:
-        run_report = lambda cfg: monte_carlo(cfg, workers)
+    reports = iter(_arm_reports(mismatch_runs(arms), workers, run_report))
     points = []
     for lam, plain_arm, deltas in arms:
         plain = None
@@ -635,8 +752,8 @@ def mismatch_study(config: ExperimentConfig, rel_deltas, lambda2_values,
                     p_plain=float("nan"), normalized=float("nan")))
                 continue
             if plain is None:
-                plain = run_report(plain_arm)
-            corr = run_report(corr_arm)
+                plain = next(reports)
+            corr = next(reports)
             points.append(MismatchPoint(
                 lambda2=lam, rel_delta=delta, feasible=True, reason=None,
                 p_corr=corr.aggregate, p_plain=plain.aggregate,
@@ -649,12 +766,13 @@ def mismatch_study(config: ExperimentConfig, rel_deltas, lambda2_values,
 
 
 def make_ber_runner(config: ExperimentConfig, workers: int | None = None):
-    """Adapt monte_carlo to the compression protocols' run_ber contract.
+    """Adapt monte_carlo to the bandwidth protocol's run_ber contract.
 
     The returned callable measures the aggregate BER at (matrix, n_users,
     sigma) with the correlated or the plain detector; everything else
-    (spreading, word length, ensemble, master seed) is pinned by config,
-    so different arms run on paired realizations.
+    (spreading factor, word length, ensemble, master seed) is pinned by
+    config. The protocol's two arms differ in user count and matrix, so
+    they share no realization and run one at a time.
     """
     def run_ber(matrix, n_users, sigma, correlated):
         corr_arm, plain_arm = paired_arms(replace(
@@ -666,14 +784,11 @@ def make_ber_runner(config: ExperimentConfig, workers: int | None = None):
 
 
 def make_pair_runner(config: ExperimentConfig, workers: int | None = None):
-    """Adapt monte_carlo to the fixed-load protocol's run_pair contract."""
-    corr_arm, plain_arm = paired_arms(config)
-
-    def run_pair():
-        corr = monte_carlo(corr_arm, workers)
-        plain = monte_carlo(plain_arm, workers)
-        return corr.aggregate, plain.aggregate
-    return run_pair
+    """Adapt monte_carlo_arms to the fixed-load protocol's run_pair
+    contract: both arms in one joint run, on the same realizations."""
+    arms = paired_arms(config)
+    return lambda: tuple(report.aggregate
+                         for report in monte_carlo_arms(arms, workers))
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,10 @@ class TransitionMatrix:
     def __eq__(self, other) -> bool:
         return isinstance(other, TransitionMatrix) and np.array_equal(self._t, other._t)
 
+    def __hash__(self) -> int:
+        # Python floats hash -0.0 and 0.0 alike, as array_equal compares them
+        return hash(tuple(self._t.ravel().tolist()))
+
 
 @dataclass(frozen=True)
 class SourceStats:

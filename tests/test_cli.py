@@ -10,14 +10,18 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import corrcdma
 from corrcdma import __version__
-from corrcdma.cli import build_parser, main
+from corrcdma import harness
+from corrcdma.baselines import compression_point, fixed_load_comparison
+from corrcdma.cli import _OutputSet, build_parser, main
 from corrcdma.harness import SHORTHANDS, ExperimentConfig, read_csv_with_header
+from corrcdma.markov import make_symmetric_matrix
 
 TINY = ["--spread-factor", "60", "--n-users", "30", "--word-length", "10",
         "--ensemble", "2", "--seed", "7"]
@@ -232,10 +236,26 @@ def test_worker_budget_is_checked_up_front(tmp_path, capsys, monkeypatch,
      "--epsilon applies only to the bandwidth protocol"),
     (["compare-compression", "fixed", *TINY, "--amplification", "rate"],
      "--amplification applies only to the bandwidth protocol"),
+    # sweep values whose per-arm files would share a name
+    (["sweep", "lambda2", "--values", "0.1,0.10000001", *TINY],
+     "sweep points lambda2=0.1 delta=0 length=10 and lambda2=0.10000001 "
+     "delta=0 length=10: both would write "
+     "ber_correlated_mud_lam0.1_L10_d0.csv"),
+    (["sweep", "lambda2", "--values", "0.4,0.1,0.4", *TINY],
+     "sweep point lambda2=0.4 delta=0 length=10 is listed twice"),
+    (["sweep", "mismatch", "--values", "0.5", "--deltas", "0.1,0.1", *TINY],
+     "sweep point lambda2=0.5 delta=0.1 length=10 is listed twice: both "
+     "would write ber_correlated_mud_lam0.5_L10_d0.1.csv"),
+    (["sweep", "mismatch", "--values", "0.5,0.5000000001", "--deltas", "0.1",
+      *TINY], "ber_plain_mud_lam0.5_L10_d0.csv"),
+    (["sweep", "length", "--values", "8,16,8,32", *TINY],
+     "sweep point lambda2=0.8 delta=0 length=8 is listed twice"),
 ], ids=["matrix-nan", "sigma-nan", "sigma-inf", "load-inf", "lambda2-range",
         "threshold-one", "threshold-nan", "base-beta-inf", "base-beta-nan",
         "epsilon-negative", "fixed-base-beta-inf", "fixed-base-beta",
-        "fixed-epsilon", "fixed-epsilon-zero", "fixed-amplification"])
+        "fixed-epsilon", "fixed-epsilon-zero", "fixed-amplification",
+        "lambda2-file-names", "lambda2-repeated", "mismatch-repeated-delta",
+        "mismatch-file-names", "length-repeated"])
 @pytest.mark.parametrize("dry_run", [True, False], ids=["dry", "run"])
 def test_rejected_input_exits_2_and_writes_nothing(tmp_path, capsys, argv,
                                                    message, dry_run):
@@ -289,6 +309,75 @@ def test_lambda2_sweep_writes_curve_and_point_files(tmp_path):
     assert manifest["command"] == "sweep-lambda2"
     assert sorted(manifest["outputs"]) == sorted(
         point_files + ["sweep_lambda2.csv"])
+
+
+def per_arm_outputs(command, values, deltas, out):
+    """The CSVs of a paired command, each arm run alone by monte_carlo."""
+    config = ExperimentConfig(spread_factor=60, n_users=30, word_length=10,
+                              ensemble=2, seed=7)
+    reports = []
+
+    def run(cfg):
+        reports.append(harness.monte_carlo(cfg))
+        return reports[-1]
+
+    out.mkdir()
+    if command == "fixed":
+        rows = []
+        for lam in values:
+            pair = harness.paired_arms(replace(
+                config, matrix=make_symmetric_matrix(lam)))
+            matrix = pair[0].matrix
+            rows.append((lam, compression_point(matrix)[0], 0.0,
+                         fixed_load_comparison(matrix, lambda: tuple(
+                             run(cfg).aggregate for cfg in pair))))
+        harness.write_comparison_csv(out / "comparison_fixed.csv", config,
+                                     rows)
+        return
+    if command == "lambda2":
+        points = harness.normalized_ber_sweep(config, values, run_report=run)
+        harness.write_sweep_csv(out / "sweep_lambda2.csv", config, points)
+    else:
+        points = harness.mismatch_study(config, deltas, values,
+                                        run_report=run)
+        harness.write_mismatch_csv(out / "sweep_mismatch.csv", config,
+                                   points)
+    for report in reports:
+        cfg = report.config
+        harness.write_ber_csv(
+            out / f"ber_{cfg.variant}_lam{cfg.matrix.lambda2:g}"
+                  f"_L{cfg.word_length}_d{cfg.mismatch:g}.csv", report)
+
+
+@pytest.mark.parametrize("workers", [None, 1, 2], ids=["unset", "1", "2"])
+@pytest.mark.parametrize("argv", [
+    ["sweep", "lambda2", "--values", "0,0.5,0.8"],
+    # -0.1 assumes an asymmetric matrix, and 0.9 + 0.1 is infeasible
+    ["sweep", "mismatch", "--values", "0.5,0.9", "--deltas=-0.1,0.1"],
+    ["compare-compression", "fixed", "--values", "0.3,0.8"],
+], ids=["lambda2", "mismatch", "fixed"])
+def test_paired_commands_write_the_per_arm_bytes(tmp_path, monkeypatch,
+                                                 argv, workers):
+    # the joint run writes byte for byte what running every arm alone does
+    monkeypatch.delenv("CORRCDMA_WORKERS", raising=False)
+    out = tmp_path / "joint"
+    flags = [] if workers is None else ["--workers", str(workers)]
+    assert main([*argv, *TINY, *flags, "--out-dir", str(out)]) == 0
+    values = [float(v) for v in argv[argv.index("--values") + 1].split(",")]
+    per_arm_outputs(argv[1], values, [-0.1, 0.1], tmp_path / "alone")
+    written = {p.name: p.read_bytes() for p in out.glob("*.csv")}
+    expected = {p.name: p.read_bytes()
+                for p in (tmp_path / "alone").glob("*.csv")}
+    assert written == expected
+    assert len(written) == {"lambda2": 7, "mismatch": 6, "fixed": 1}[argv[1]]
+
+
+def test_output_set_refuses_a_name_twice(tmp_path):
+    outputs = _OutputSet(tmp_path / "out")
+    outputs.target("ber.csv")
+    with pytest.raises(ValueError, match="ber.csv would be written twice"):
+        outputs.target("ber.csv")
+    assert outputs.paths == [tmp_path / "out" / "ber.csv"]
 
 
 def test_sweep_requires_values(tmp_path, capsys):
@@ -490,6 +579,21 @@ def test_plotdata_missing_input_fails(tmp_path, capsys):
                  "--out-dir", str(tmp_path)])
     assert code == 2
     assert "absent.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dry_run", [True, False], ids=["dry", "run"])
+def test_plotdata_rejects_inputs_with_one_stem(tmp_path, capsys, dry_run):
+    # two inputs named alike would write the same .dat and .gp files
+    for name in ("a", "b"):
+        assert main(["simulate", *TINY,
+                     "--out-dir", str(tmp_path / name)]) == 0
+    out = tmp_path / "plots"
+    code = main(["plotdata", str(tmp_path / "a" / "ber.csv"),
+                 str(tmp_path / "b" / "ber.csv"), "--out-dir", str(out),
+                 *(["--dry-run"] if dry_run else [])])
+    assert code == 2
+    assert "would both write ber.dat and ber.gp" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_plotdata_failure_removes_earlier_outputs(tmp_path):

@@ -610,7 +610,7 @@ class TestLockstep:
             fields.append(sumf(s, y))
             corrs.append(s.corr)
         opts = DetectorOptions(schedule="SUS")
-        alone = [detectors._run_engine([f], [c], 0.8, 0.8, opts, t)[0]
+        alone = [detectors._run_engine([f], [c], 0.8, 0.8, opts, [t])[0]
                  for f, c in zip(fields, corrs)]
         real_step = detectors._mud_step
 
@@ -621,12 +621,56 @@ class TestLockstep:
             return real_step(cols, soft, *rest)
 
         monkeypatch.setattr(detectors, "_mud_step", step)
-        together = detectors._run_engine(fields, corrs, 0.8, 0.8, opts, t)
+        together = detectors._run_engine(fields, corrs, 0.8, 0.8, opts,
+                                         [t] * 4)
         assert isinstance(together[1], DetectorDivergence)
         assert together[1].iteration == 1
         for b in (0, 2, 3):
             assert_same_detection(together[b], alone[b])
             assert np.array_equal(together[b].converged, alone[b].converged)
+            assert together[b].outer_iterations == alone[b].outer_iterations
+
+    @pytest.mark.parametrize("iterate", [True, False], ids=["mud", "sumf"])
+    @pytest.mark.parametrize("schedule", ["SUS", "PUS", "BFUS"])
+    def test_mixed_matrix_group_equals_lone_runs(self, monkeypatch, iterate,
+                                                 schedule):
+        # every slot assumes its own matrix, one of them asymmetric; the
+        # first slot diverges at the second step (or, for the SUMF, stops
+        # first), so the last slot, with another matrix, moves into it
+        matrices = [make_symmetric_matrix(0.8),
+                    TransitionMatrix([[0.9, 0.1], [0.3, 0.7]]),
+                    iid_matrix(), make_symmetric_matrix(0.5)]
+        fields, corrs = [], []
+        for seed in range(4):
+            _, _, s, y = make_instance(1650 + seed, 40, 32, 15, 0.8, lam=0.8)
+            fields.append(sumf(s, y))
+            corrs.append(s.corr)
+        if not iterate:
+            fields[0] = np.where(fields[0] >= 0, 5.0, -5.0)  # settles at once
+        opts = DetectorOptions(schedule=schedule)
+        alone = [detectors._run_engine([f], [c], 0.8, 0.8, opts, [m],
+                                       iterate)[0]
+                 for f, c, m in zip(fields, corrs, matrices)]
+        real_step = detectors._mud_step
+
+        def step(cols, soft, *rest):
+            corr, iteration = rest[4], rest[-1]
+            if corr is corrs[0] and iteration == 1:
+                soft[cols[0], 0] = np.nan
+            return real_step(cols, soft, *rest)
+
+        monkeypatch.setattr(detectors, "_mud_step", step)
+        together = detectors._run_engine(fields, corrs, 0.8, 0.8, opts,
+                                         matrices, iterate)
+        if iterate:
+            assert isinstance(together[0], DetectorDivergence)
+            left_at = 2
+        else:
+            assert_same_detection(together[0], alone[0])
+            left_at = alone[0].outer_iterations
+        assert alone[3].outer_iterations > left_at  # the last slot moved
+        for b in (1, 2, 3):
+            assert_same_detection(together[b], alone[b])
             assert together[b].outer_iterations == alone[b].outer_iterations
 
     def test_rsus_and_blind_groups_are_refused(self):
@@ -636,7 +680,8 @@ class TestLockstep:
         for opts in (DetectorOptions(schedule="RSUS"),
                      DetectorOptions(blind=True)):
             with pytest.raises(ValueError):
-                detectors._run_engine(fields, corrs, 0.8, 0.8, opts, t)
+                detectors._run_engine(fields, corrs, 0.8, 0.8, opts, [t] * 2)
+
 
 
 class TestCorrelatedMud:

@@ -228,7 +228,7 @@ def test_divergence_inside_a_group_falls_back_for_that_trial_only(
     from corrcdma.markov import generate_block
 
     cfg = small_config(ensemble=3)
-    assert harness.group_size(cfg) == 3
+    assert payload_sizes(cfg) == [3]
     alone = [run_trial(cfg, index) for index in range(3)]
     real_step = detectors._mud_step
 
@@ -259,20 +259,130 @@ def test_divergence_inside_a_group_falls_back_for_that_trial_only(
     assert monte_carlo(cfg).divergences == 1
 
 
-def test_group_size_rule():
-    from corrcdma.harness import group_size
+def payload_sizes(*arms, workers=None):
+    """Realizations per pool payload of a joint run of arms."""
+    return [len(payload) for payload in harness._payloads(
+        harness._realizations(arms), workers)]
 
+
+def test_group_size_rule():
     c6 = ExperimentConfig(spread_factor=250, n_users=200, word_length=10,
                           ensemble=8)
-    assert group_size(c6, 2) == 4  # a worker's share of the ensemble
-    assert group_size(c6) == 5     # about 1,000 users
+    assert payload_sizes(c6, workers=2) == [4, 4]  # a worker's share
+    assert payload_sizes(c6) == [5, 3]             # about 1,000 users
     c7 = ExperimentConfig(spread_factor=1000, n_users=800, ensemble=100)
-    assert group_size(c7) == group_size(c7, 2) == 1
+    assert payload_sizes(c7) == payload_sizes(c7, workers=2) == [1] * 100
     # an RSUS shuffle and a blind estimate belong to one realization
-    assert group_size(replace(c6, schedule="RSUS"), 2) == 1
-    assert group_size(replace(c6, blind=True), 2) == 1
-    assert group_size(replace(c6, variant="plain_mud", schedule="RSUS"),
-                      2) == 4
+    assert payload_sizes(replace(c6, schedule="RSUS"), workers=2) == [1] * 8
+    assert payload_sizes(replace(c6, blind=True), workers=2) == [1] * 8
+    assert payload_sizes(replace(c6, variant="plain_mud", schedule="RSUS"),
+                         workers=2) == [4, 4]
+
+
+def test_paired_arms_share_realizations_and_groups():
+    # the C4 sweep: each realization carries a correlated and a plain arm,
+    # one slot of each engine kind, so two 400-user realizations fill a
+    # group whatever their eigenvalue
+    c4 = small_config(spread_factor=500, n_users=400, word_length=100,
+                      ensemble=1)
+    arms = harness.lambda2_runs(harness.lambda2_arms(c4, [0.0, 0.4, 0.8]))
+    realizations = harness._realizations(arms)
+    assert [len(cfgs) for _, cfgs in realizations] == [2, 2, 2]
+    assert payload_sizes(*arms) == [2, 1]
+    # arms of another size or length draw their own realizations
+    assert len(harness._realizations(
+        [c4, replace(c4, word_length=50), replace(c4, n_users=399)])) == 3
+    # two correlated arms of one realization fill a 400-user group each
+    mismatch = harness.mismatch_runs(harness.mismatch_arms(
+        replace(c4, ensemble=3), [0.05, -0.05], [0.5]))
+    assert len(mismatch) == 3
+    assert payload_sizes(*mismatch) == [1, 1, 1]
+    # a longer ensemble shares the realizations of the shorter one
+    shared = harness._realizations([c4, replace(c4, ensemble=3,
+                                                variant="plain_mud")])
+    assert [(index, len(cfgs)) for index, cfgs in shared] == [
+        (0, 2), (1, 1), (2, 1)]
+
+
+# ---------------------------------------------------------------------------
+# joint runs: arms that share realizations
+
+
+def joint_arms():
+    """A lambda2 sweep's arms, a mismatch study's (one of its assumed
+    matrices asymmetric), RSUS and blind correlated arms, and SUMF arms."""
+    cfg = small_config(ensemble=4)
+    sweep = harness.lambda2_runs(harness.lambda2_arms(cfg, [0.0, 0.5, 0.8]))
+    mismatch = harness.mismatch_runs(harness.mismatch_arms(
+        cfg, [-0.1, 0.05], [0.6]))
+    others = [replace(cfg, schedule="RSUS"), replace(cfg, blind=True),
+              replace(cfg, variant="correlated_sumf", schedule="BFUS"),
+              replace(cfg, variant="plain_sumf")]
+    return sweep + mismatch + others
+
+
+@pytest.mark.parametrize("workers", [None, 1, 2], ids=["unset", "1", "2"])
+def test_joint_run_equals_per_arm_runs(workers):
+    arms = joint_arms()
+    assert not arms[7].detector_matrix().is_symmetric  # delta -0.1
+    joint = harness.monte_carlo_arms(arms, workers)
+    assert [report.config for report in joint] == arms
+    for report, cfg in zip(joint, arms):
+        assert_same_report(report, monte_carlo(cfg))
+        assert np.array_equal(report.per_position,
+                              monte_carlo(cfg).per_position)
+    # a config listed twice gets its report twice
+    again = harness.monte_carlo_arms([arms[0], arms[1], arms[0]], workers)
+    assert_same_report(again[2], joint[0])
+
+
+@pytest.mark.parametrize("workers", [None, 1, 2], ids=["unset", "1", "2"])
+def test_studies_read_the_joint_run(workers):
+    cfg = small_config(ensemble=3)
+    per_arm = lambda c: monte_carlo(c)
+    assert (normalized_ber_sweep(cfg, [0.0, 0.5, 0.8], workers)
+            == normalized_ber_sweep(cfg, [0.0, 0.5, 0.8],
+                                    run_report=per_arm))
+    # 0.9 + 0.1 is infeasible; -0.1 assumes an asymmetric matrix
+    joint = mismatch_study(cfg, [-0.1, 0.1], [0.5, 0.9], workers)
+    alone = mismatch_study(cfg, [-0.1, 0.1], [0.5, 0.9], run_report=per_arm)
+    assert [p.normalized for p in joint if p.feasible] == [
+        p.normalized for p in alone if p.feasible]
+    assert [p.reason for p in joint] == [p.reason for p in alone]
+    pair = harness.make_pair_runner(cfg, workers)()
+    assert pair == (monte_carlo(cfg).aggregate,
+                    monte_carlo(replace(cfg, variant="plain_mud")).aggregate)
+
+
+def test_divergence_in_one_arm_leaves_the_other_untouched(monkeypatch):
+    # the correlated arm of trial 0 diverges in its second MUD step; the
+    # plain arm detects the same realization, and both arms' other trials
+    # share their groups with it
+    from corrcdma import detectors
+
+    corr, plain = harness.paired_arms(small_config(ensemble=3))
+    alone = [run_trial(corr, index) for index in range(3)]
+    plain_alone = monte_carlo(plain)
+    real_sweep = detectors._bias_sweep
+    calls = []
+
+    def sweep(padded, *rest):
+        changed = real_sweep(padded, *rest)
+        if not calls:  # trial 0 is in slot 0 at the first sweep
+            padded[1, 0, 0] = np.nan
+        calls.append(padded.shape[1])
+        return changed
+
+    monkeypatch.setattr(detectors, "_bias_sweep", sweep)
+    corr_report, plain_report = harness.monte_carlo_arms([corr, plain])
+    assert calls[0] == 3  # the three trials ran in one group
+    assert_same_report(plain_report, plain_alone)
+    assert corr_report.divergences == 1
+    fallback = harness._outcome(
+        corr, harness._realization(corr, 0, False), None)
+    expected = fallback.errors_by_position + sum(
+        outcome.errors_by_position for outcome in alone[1:])
+    assert np.array_equal(corr_report.errors_by_position, expected)
 
 
 # ---------------------------------------------------------------------------

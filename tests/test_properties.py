@@ -159,8 +159,8 @@ def groups(draw):
 def engine_runs(kind, fields, corrs, load, sigma, matrix, opts):
     opts = DetectorOptions(**{
         **opts, "schedule_rng": np.random.default_rng(opts["schedule_rng"])})
-    return _run_engine(fields, corrs, load, sigma, opts,
-                       assumed=None if kind == "plain" else matrix,
+    assumed = None if kind == "plain" else [matrix] * len(fields)
+    return _run_engine(fields, corrs, load, sigma, opts, assumed,
                        iterate=kind != "sumf")
 
 
@@ -236,3 +236,45 @@ def test_report_independent_of_workers_and_groups(config, group_users):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(harness, "GROUP_USERS", group_users)
         assert_same_report(serial, monte_carlo(config))
+
+
+@st.composite
+def joint_runs(draw):
+    """Arms of any variant, schedule, blind flag, assumed-matrix mismatch
+    and ensemble on one or two channels, so that some arms share their
+    realizations, with a permutation of the arms and a split point."""
+    channels = [dict(
+        spread_factor=draw(st.integers(2, 20)),
+        n_users=draw(st.integers(1, 16)),
+        sigma=draw(st.sampled_from((0.3, 0.8))),
+        word_length=draw(st.integers(2, 8)),
+        matrix=make_symmetric_matrix(draw(st.sampled_from((0.0, 0.5, 0.9)))),
+        seed=draw(st.integers(0, 2**16)))
+        for _ in range(draw(st.integers(1, 2)))]
+    arms = [ExperimentConfig(
+        **draw(st.sampled_from(channels)),
+        variant=draw(st.sampled_from(VARIANTS)),
+        schedule=draw(st.sampled_from(SCHEDULES)), blind=draw(st.booleans()),
+        mismatch=draw(st.sampled_from((0.0, -0.05))),
+        ensemble=draw(st.integers(1, 4)), max_iters=draw(st.integers(1, 30)))
+        for _ in range(draw(st.integers(1, 5)))]
+    order = draw(st.permutations(range(len(arms))))
+    return arms, order, draw(st.integers(0, len(arms)))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=40)
+@given(joint_runs(), st.sampled_from((1, 20, 50)))
+def test_reports_independent_of_arm_order_and_grouping(run, group_users):
+    arms, order, split = run
+    alone = [monte_carlo(cfg) for cfg in arms]
+    shuffled = harness.monte_carlo_arms([arms[i] for i in order])
+    for i, report in zip(order, shuffled):
+        assert_same_report(report, alone[i])
+    parts = (harness.monte_carlo_arms(arms[:split])
+             + harness.monte_carlo_arms(arms[split:]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "GROUP_USERS", group_users)
+        regrouped = harness.monte_carlo_arms(arms)
+    for report, split_report, want in zip(regrouped, parts, alone):
+        assert_same_report(report, want)
+        assert_same_report(split_report, want)
