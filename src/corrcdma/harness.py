@@ -497,7 +497,7 @@ def monte_carlo_arms(configs, workers: int | None = None) -> list[BerReport]:
     check_workers(workers)
     arms = list(dict.fromkeys(configs))
     payloads = _payloads(_realizations(arms), workers)
-    if workers is None or workers == 1 or len(payloads) == 1:
+    if workers is None or workers == 1 or len(payloads) <= 1:
         groups = map(_detect_realizations, payloads)
     else:
         chunk = max(1, len(payloads) // (workers * 4))

@@ -482,6 +482,14 @@ def test_parallel_calls_reuse_one_pool(pools):
     assert len(pools) == 1
 
 
+def test_a_joint_run_without_trials_makes_no_pool(pools):
+    # a mismatch study whose every perturbation is infeasible runs no arm
+    assert harness.monte_carlo_arms([], workers=2) == []
+    (point,) = mismatch_study(small_config(), [0.2], [0.9], workers=2)
+    assert not point.feasible
+    assert pools == []
+
+
 def test_every_arm_of_a_command_shares_one_pool(pools, tmp_path, capsys):
     assert cli.main(["sweep", "length", "--values", "8,10,12,16",
                      "--spread-factor", "60", "--n-users", "30",
