@@ -2,13 +2,15 @@
 
 The detection scheme for correlated sources competes against classic
 separation: compress the source to i.i.d. bits, transmit, detect, decompress.
-Two protocols quantify that comparison. The bandwidth-expansion protocol
-lets the compressed stream spend the spare bandwidth on longer spreading
-codes (equivalently a lower load) and charges each compressed-bit error a
-multiplicative factor for the errors it smears over the reconstructed
-source. The fixed-load protocol keeps the channel identical, treats the
-detector's error rate as the crossover probability of a binary symmetric
-channel, and asks what residual error an ideal source decoder leaves.
+Two protocols quantify that comparison, each as arithmetic on measured
+error rates; the harness plans and runs the arms that measure them. The
+bandwidth-expansion protocol lets the compressed stream spend the spare
+bandwidth on longer spreading codes (equivalently a lower load) and charges
+each compressed-bit error a multiplicative factor for the errors it smears
+over the reconstructed source. The fixed-load protocol keeps the channel
+identical, treats the detector's error rate as the crossover probability of
+a binary symmetric channel, and asks what residual error an ideal source
+decoder leaves. compression_point checks a point and gives its user counts.
 
 Also here: the word-position saturation metric (how far into a word the
 per-position BER settles to its floor) and its log-log slope fit.
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .markov import TransitionMatrix, iid_matrix, source_stats
+from .markov import TransitionMatrix, source_stats
 
 AMPLIFICATIONS = ("entropy", "rate")
 
@@ -140,23 +142,18 @@ def compression_point(matrix: TransitionMatrix, rate_excess: float = 0.0,
     return entropy, rate, users
 
 
-def bandwidth_expansion_comparison(matrix: TransitionMatrix, spread_factor: int,
-                                   base_beta: float, sigma: float,
-                                   rate_excess: float, run_ber,
+def bandwidth_expansion_comparison(matrix: TransitionMatrix,
+                                   rate_excess: float, p_corr: float,
+                                   p_reduced: float,
                                    amplification: str = "entropy"
                                    ) -> CompressionComparison:
     """Compare against compression that reinvests its bandwidth in spreading.
 
     Compressing at rate r = (1 + rate_excess) * H_b shortens the stream r
-    times, so the compressed bits ride at the reduced load base_beta * r.
-    The spreading length is held fixed and the load reduction is realized
-    by rounding the user count: K_comp = round(N * beta * r), which must be
-    at least 1. The callable run_ber(matrix, n_users, sigma, correlated)
-    measures the aggregate BER of one arm; both arms are run with it so
-    paired realizations make the degenerate memoryless comparison equal 1
-    exactly. The numerator arm is the correlated scheme at the full load,
-    the denominator arm the plain detector on memoryless bits at the
-    reduced load.
+    times, so the compressed bits ride at the reduced load base_beta * r
+    (harness.bandwidth_arms plans both arms). p_corr is the measured BER of
+    the correlated scheme at the full load, p_reduced that of the plain
+    detector on memoryless bits at the reduced load.
 
     The reported comparison divides out the error amplification of
     decompression: with amplification="entropy" each compressed-bit error
@@ -167,27 +164,24 @@ def bandwidth_expansion_comparison(matrix: TransitionMatrix, spread_factor: int,
     """
     if amplification not in AMPLIFICATIONS:
         raise ValueError(f"amplification must be one of {AMPLIFICATIONS}")
-    entropy, rate, (n_users, reduced_users) = compression_point(
-        matrix, rate_excess, spread_factor, base_beta)
-    p_corr = float(run_ber(matrix, n_users, sigma, True))
-    p_reduced = float(run_ber(iid_matrix(), reduced_users, sigma, False))
+    entropy, rate, _ = compression_point(matrix, rate_excess)
     amp = entropy if amplification == "entropy" else rate
     p_comp = min(p_reduced / amp, 1.0)
     return CompressionComparison(p_corr, p_comp, error_ratio(p_corr, p_comp),
                                  rate, "bandwidth_expansion")
 
 
-def fixed_load_comparison(matrix: TransitionMatrix, run_pair) -> CompressionComparison:
+def fixed_load_comparison(matrix: TransitionMatrix, p_corr: float,
+                          p_plain: float) -> CompressionComparison:
     """Compare against compression at identical load and noise.
 
-    run_pair() measures (p_corr, p_plain) on paired realizations: the
-    correlated scheme and the plain detector on the very same transmissions.
-    The plain detector's error rate becomes the crossover probability of a
-    binary symmetric channel feeding an ideal source decoder; the decoder's
-    residual error is the compression alternative's cost.
+    p_corr and p_plain are the BERs of the correlated scheme and the plain
+    detector on the very same transmissions. The plain detector's error
+    rate becomes the crossover probability of a binary symmetric channel
+    feeding an ideal source decoder; the decoder's residual error is the
+    compression alternative's cost.
     """
     entropy, _, _ = compression_point(matrix)
-    p_corr, p_plain = (float(x) for x in run_pair())
     p_comp = bsc_residual_error(entropy, p_plain)
     return CompressionComparison(p_corr, p_comp, error_ratio(p_corr, p_comp),
                                  entropy, "fixed_load_bsc")

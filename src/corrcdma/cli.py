@@ -37,13 +37,13 @@ from .harness import (
     CSV_COLUMNS,
     SHORTHANDS,
     ExperimentConfig,
+    bandwidth_arms,
     check_workers,
     default_workers,
     lambda2_arms,
     lambda2_runs,
     length_configs,
     length_scaling_study,
-    make_ber_runner,
     mismatch_arms,
     mismatch_runs,
     mismatch_study,
@@ -201,35 +201,27 @@ def _check_arm_files(runs):
         seen[name] = cfg
 
 
-def _persisted_reports(outputs: _OutputSet, runs, workers):
-    """Every run's report from one joint Monte-Carlo, each written to its
-    per-arm file; returns the lookup from config to report."""
-    reports = dict(zip(runs, monte_carlo_arms(runs, workers)))
-    for cfg, report in reports.items():
-        write_ber_csv(outputs.target(_arm_file(cfg)), report)
-    return reports.__getitem__
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def _run_experiment(args, command: str, plan) -> int:
-    """The lifecycle of an experiment command.
+    """The lifecycle of an experiment command: plan, one joint run, reduce.
 
     The config, the worker budget and, through plan(config), every run the
     command will make are checked before anything runs; an error there
-    exits 2 and writes nothing. plan returns (note, run): --dry-run prints
-    the config and the note, if any, and exits 0. Otherwise
-    run(outputs, workers) writes the outputs and returns a function giving
-    the closing line, printed once the outputs are validated and the
-    manifest is written. A failure before that removes every output and
-    exits 1.
+    exits 2 and writes nothing. plan returns (note, runs, finish):
+    --dry-run prints the config and the note, if any, and exits 0.
+    Otherwise every run is made in one monte_carlo_arms call, and
+    finish(reports, outputs), given the {config: report} lookup, writes the
+    outputs, prints the results and returns a function giving the closing
+    line, printed once the outputs are validated and the manifest is
+    written. A failure before that removes every output and exits 1.
     """
     try:
         config = _resolve_config(args)
         workers = _resolve_workers(args)
-        note, run = plan(config)
+        note, runs, finish = plan(config)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -241,7 +233,8 @@ def _run_experiment(args, command: str, plan) -> int:
     outputs = _OutputSet(args.out_dir)
     started = _timestamp()
     try:
-        closing = run(outputs, workers)
+        reports = dict(zip(runs, monte_carlo_arms(runs, workers)))
+        closing = finish(reports, outputs)
         outputs.validate()
         _write_manifest(outputs, command, config, started, workers)
     except Exception as exc:
@@ -253,8 +246,8 @@ def _run_experiment(args, command: str, plan) -> int:
 
 
 def cmd_simulate(args) -> int:
-    def run(config, outputs, workers):
-        report = monte_carlo(config, workers)
+    def finish(config, reports, outputs):
+        report = reports[config]
         path = outputs.target("ber.csv")
         write_ber_csv(path, report)
         print(f"aggregate BER {report.aggregate:.6f} "
@@ -265,8 +258,9 @@ def cmd_simulate(args) -> int:
               f"divergences {report.divergences}")
         return lambda: f"wrote {path}"
 
-    return _run_experiment(args, "simulate",
-                           lambda config: (None, partial(run, config)))
+    return _run_experiment(
+        args, "simulate",
+        lambda config: (None, [config], partial(finish, config)))
 
 
 def cmd_sweep(args) -> int:
@@ -287,10 +281,12 @@ def cmd_sweep(args) -> int:
             runs = mismatch_runs(mismatch_arms(config, deltas, values))
         _check_arm_files(runs)
         note = f"  sweep kind={kind} values={values} deltas={deltas}"
-        return note, partial(run, config, values, deltas, runs)
+        return note, runs, partial(finish, config, values, deltas)
 
-    def run(config, values, deltas, runs, outputs, workers):
-        report_of = _persisted_reports(outputs, runs, workers)
+    def finish(config, values, deltas, reports, outputs):
+        for cfg, report in reports.items():
+            write_ber_csv(outputs.target(_arm_file(cfg)), report)
+        report_of = reports.__getitem__
         if kind == "lambda2":
             points = normalized_ber_sweep(config, values, run_report=report_of)
             write_sweep_csv(outputs.target("sweep_lambda2.csv"), config,
@@ -346,48 +342,46 @@ def cmd_compare_compression(args) -> int:
         base_beta = config.load if args.base_beta is None else args.base_beta
         if not base_beta > 0:
             raise ValueError("--base-beta must be > 0")
-        paired_arms(config)  # validates the MUD arms both protocols run
-        # every point the protocol runs, checked by the protocol's own checks
+        # (lambda2, entropy, epsilon, arms) of every point, its arms built
+        # and so checked, with the protocol's own checks, before any run
         points = []
         for lam in values:
             matrix = make_symmetric_matrix(lam)
             entropy = compression_point(matrix)[0]
-            for eps in epsilons if protocol == "bandwidth" else ():
-                compression_point(matrix, eps, config.spread_factor, base_beta)
-            points.append((lam, matrix, entropy))
+            if protocol == "fixed":
+                points.append((lam, entropy, 0.0,
+                               paired_arms(replace(config, matrix=matrix))))
+            else:
+                points += [(lam, entropy, eps, bandwidth_arms(
+                    config, matrix, eps, base_beta)) for eps in epsilons]
         note = f"  protocol={protocol} values={values}"
         if protocol == "bandwidth":
             note += f" epsilons={epsilons} base_beta={base_beta:g}"
-        return note, partial(run, config, points, epsilons, base_beta)
+        # the points of one eigenvalue share their correlated arm
+        runs = list(dict.fromkeys(cfg for *_, arms in points for cfg in arms))
+        return note, runs, partial(finish, config, points)
 
-    def run(config, points, epsilons, base_beta, outputs, workers):
+    def finish(config, points, reports, outputs):
         rows = []
-        if protocol == "bandwidth":
-            run_ber = make_ber_runner(config, workers)
-            print("lambda2  epsilon  p_corr    p_comp    ratio")
-            for lam, matrix, entropy in points:
-                for eps in epsilons:
-                    comparison = bandwidth_expansion_comparison(
-                        matrix, config.spread_factor, base_beta,
-                        config.sigma, eps, run_ber,
-                        args.amplification or "entropy")
-                    rows.append((lam, entropy, eps, comparison))
-                    print(f"{lam:<8g} {eps:<8g} {comparison.p_corr:<9.5f} "
-                          f"{comparison.p_comp:<9.5f} {comparison.ratio:.4f}")
-        else:
-            # every point's paired arms in one joint run
-            reports = iter(monte_carlo_arms(
-                [cfg for _, matrix, _ in points
-                 for cfg in paired_arms(replace(config, matrix=matrix))],
-                workers))
-            print("sigma  beta   lambda2  p_corr    p_comp    ratio")
-            for lam, matrix, entropy in points:
-                pair = (next(reports).aggregate, next(reports).aggregate)
-                comparison = fixed_load_comparison(matrix, lambda: pair)
-                rows.append((lam, entropy, 0.0, comparison))
+        print("lambda2  epsilon  p_corr    p_comp    ratio"
+              if protocol == "bandwidth"
+              else "sigma  beta   lambda2  p_corr    p_comp    ratio")
+        for lam, entropy, eps, (corr_arm, other_arm) in points:
+            p_corr = reports[corr_arm].aggregate
+            p_other = reports[other_arm].aggregate
+            if protocol == "bandwidth":
+                comparison = bandwidth_expansion_comparison(
+                    corr_arm.matrix, eps, p_corr, p_other,
+                    args.amplification or "entropy")
+                print(f"{lam:<8g} {eps:<8g} {comparison.p_corr:<9.5f} "
+                      f"{comparison.p_comp:<9.5f} {comparison.ratio:.4f}")
+            else:
+                comparison = fixed_load_comparison(corr_arm.matrix, p_corr,
+                                                   p_other)
                 print(f"{config.sigma:<6g} {config.load:<6g} {lam:<8g} "
                       f"{comparison.p_corr:<9.5f} {comparison.p_comp:<9.5f} "
                       f"{comparison.ratio:.4f}")
+            rows.append((lam, entropy, eps, comparison))
         path = outputs.target(f"comparison_{protocol}.csv")
         write_comparison_csv(path, config, rows)
         return lambda: f"wrote {path}"

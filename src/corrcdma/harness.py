@@ -31,6 +31,7 @@ import numpy as np
 from . import __version__
 from .baselines import (
     check_threshold_factor,
+    compression_point,
     error_ratio,
     fit_loglog_slope,
     saturation_position,
@@ -47,6 +48,7 @@ from .detectors import (
 from .markov import (
     TransitionMatrix,
     generate_block,
+    iid_matrix,
     make_symmetric_matrix,
     perturb_element,
     source_stats,
@@ -570,9 +572,10 @@ class SweepPoint:
 def paired_arms(config: ExperimentConfig) -> tuple[ExperimentConfig, ExperimentConfig]:
     """The correlated-MUD and plain-MUD arms of a paired study.
 
-    The lambda2 and mismatch sweeps and both compression protocols run
-    these two arms whatever config.variant is, on identical realizations;
-    the plain arm never carries a mismatch. Building them validates both,
+    The lambda2 and mismatch sweeps and the fixed-load protocol run these
+    two arms whatever config.variant is, on identical realizations, and
+    the bandwidth protocol takes its correlated arm from here; the plain
+    arm never carries a mismatch. Building them validates both,
     so a config the arms reject (sigma = 0) fails before any run.
     """
     return (replace(config, variant="correlated_mud"),
@@ -602,12 +605,14 @@ def lambda2_runs(arms) -> list[ExperimentConfig]:
             for cfg in (corr_arm, plain_arm)]
 
 
-def _arm_reports(configs, workers, run_report) -> list[BerReport]:
-    """The report of every config, in order: from one monte_carlo_arms run,
-    or from run_report(cfg) called per arm, in order, when it is given."""
+def _reports(runs, workers, run_report) -> dict:
+    """{config: report} for every distinct run, in run order: from one
+    monte_carlo_arms call, or from run_report(cfg), asked once per distinct
+    run in run order, when it is given."""
+    runs = list(dict.fromkeys(runs))
     if run_report is None:
-        return monte_carlo_arms(configs, workers)
-    return [run_report(cfg) for cfg in configs]
+        return dict(zip(runs, monte_carlo_arms(runs, workers)))
+    return {cfg: run_report(cfg) for cfg in runs}
 
 
 def normalized_ber_sweep(config: ExperimentConfig, lambda2_values,
@@ -618,14 +623,15 @@ def normalized_ber_sweep(config: ExperimentConfig, lambda2_values,
     Both arms of every point run on the same realizations, drawn once in a
     joint run, so at lambda2 = 0 the reduction property makes the ratio
     exactly 1. config.variant is ignored; config's schedule, blind flag and
-    mismatch apply to the correlated arm. run_report may replace the joint
-    run with a per-arm Monte-Carlo (testing, or reports already run).
+    mismatch apply to the correlated arm. run_report(cfg) may replace the
+    joint run as the source of each distinct arm's report (testing, or
+    reports already run).
     """
     arms = lambda2_arms(config, lambda2_values)
-    reports = iter(_arm_reports(lambda2_runs(arms), workers, run_report))
+    reports = _reports(lambda2_runs(arms), workers, run_report)
     points = []
-    for lam, corr_arm, _ in arms:
-        corr, plain = next(reports), next(reports)
+    for lam, corr_arm, plain_arm in arms:
+        corr, plain = reports[corr_arm], reports[plain_arm]
         points.append(SweepPoint(
             lambda2=lam,
             correlation_length=source_stats(corr_arm.matrix).correlation_length,
@@ -673,8 +679,9 @@ def length_scaling_study(config: ExperimentConfig, lengths,
     """
     configs = length_configs(config, lengths, threshold_factor)
     lengths = [cfg.word_length for cfg in configs]
-    positions = [saturation_position(report.per_position, threshold_factor)
-                 for report in _arm_reports(configs, workers, run_report)]
+    reports = _reports(configs, workers, run_report)
+    positions = [saturation_position(reports[cfg].per_position,
+                                     threshold_factor) for cfg in configs]
     slope, intercept = fit_loglog_slope(lengths, positions)
     return LengthScalingResult(lengths=tuple(lengths),
                                positions=tuple(positions),
@@ -737,13 +744,13 @@ def mismatch_study(config: ExperimentConfig, rel_deltas, lambda2_values,
     assumes the perturbed copy. Infeasible perturbations (an element pushed
     out of [0, 1]) are skipped with the validation message recorded. Every
     arm of one eigenvalue runs on the same realizations, drawn once in a
-    joint run; run_report may replace that run with a per-arm Monte-Carlo.
+    joint run; run_report(cfg) may replace that run as the source of each
+    distinct arm's report.
     """
     arms = mismatch_arms(config, rel_deltas, lambda2_values)
-    reports = iter(_arm_reports(mismatch_runs(arms), workers, run_report))
+    reports = _reports(mismatch_runs(arms), workers, run_report)
     points = []
     for lam, plain_arm, deltas in arms:
-        plain = None
         for delta, corr_arm, reason in deltas:
             if corr_arm is None:
                 points.append(MismatchPoint(
@@ -751,9 +758,7 @@ def mismatch_study(config: ExperimentConfig, rel_deltas, lambda2_values,
                     reason=reason, p_corr=float("nan"),
                     p_plain=float("nan"), normalized=float("nan")))
                 continue
-            if plain is None:
-                plain = next(reports)
-            corr = next(reports)
+            corr, plain = reports[corr_arm], reports[plain_arm]
             points.append(MismatchPoint(
                 lambda2=lam, rel_delta=delta, feasible=True, reason=None,
                 p_corr=corr.aggregate, p_plain=plain.aggregate,
@@ -761,34 +766,25 @@ def mismatch_study(config: ExperimentConfig, rel_deltas, lambda2_values,
     return points
 
 
-# ---------------------------------------------------------------------------
-# baseline-protocol plumbing
+def bandwidth_arms(config: ExperimentConfig, matrix: TransitionMatrix,
+                   rate_excess: float, base_beta: float
+                   ) -> tuple[ExperimentConfig, ExperimentConfig]:
+    """The (correlated, reduced) arms of one bandwidth-expansion point.
 
-
-def make_ber_runner(config: ExperimentConfig, workers: int | None = None):
-    """Adapt monte_carlo to the bandwidth protocol's run_ber contract.
-
-    The returned callable measures the aggregate BER at (matrix, n_users,
-    sigma) with the correlated or the plain detector; everything else
-    (spreading factor, word length, ensemble, master seed) is pinned by
-    config. The protocol's two arms differ in user count and matrix, so
-    they share no realization and run one at a time.
+    The correlated arm is paired_arms' at the full load round(N *
+    base_beta) on matrix, with config's mismatch; the reduced arm is the
+    plain MUD on memoryless bits at round(N * base_beta * rate) users.
+    Everything else (spreading factor, noise, word length, ensemble, master
+    seed) is config's. The correlated arm does not depend on rate_excess,
+    so the points of one matrix share it. The point and both arms are
+    checked as they are built.
     """
-    def run_ber(matrix, n_users, sigma, correlated):
-        corr_arm, plain_arm = paired_arms(replace(
-            config, matrix=matrix, n_users=int(n_users), sigma=float(sigma),
-            mismatch=0.0))
-        return monte_carlo(corr_arm if correlated else plain_arm,
-                           workers).aggregate
-    return run_ber
-
-
-def make_pair_runner(config: ExperimentConfig, workers: int | None = None):
-    """Adapt monte_carlo_arms to the fixed-load protocol's run_pair
-    contract: both arms in one joint run, on the same realizations."""
-    arms = paired_arms(config)
-    return lambda: tuple(report.aggregate
-                         for report in monte_carlo_arms(arms, workers))
+    _, _, (n_users, reduced_users) = compression_point(
+        matrix, rate_excess, config.spread_factor, base_beta)
+    corr_arm, _ = paired_arms(replace(config, matrix=matrix, n_users=n_users))
+    _, reduced_arm = paired_arms(replace(
+        config, matrix=iid_matrix(), n_users=reduced_users, mismatch=0.0))
+    return corr_arm, reduced_arm
 
 
 # ---------------------------------------------------------------------------

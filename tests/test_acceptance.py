@@ -39,12 +39,13 @@ from corrcdma.detectors import (
 )
 from corrcdma.harness import (
     ExperimentConfig,
+    bandwidth_arms,
     length_scaling_study,
-    make_ber_runner,
-    make_pair_runner,
     mismatch_study,
     monte_carlo,
+    monte_carlo_arms,
     normalized_ber_sweep,
+    paired_arms,
     write_ber_csv,
 )
 from corrcdma.markov import (
@@ -209,9 +210,9 @@ def test_criterion_07_fixed_load_compression_table():
                               word_length=100,
                               matrix=make_symmetric_matrix(assumed_lambda2),
                               ensemble=100, seed=107)
-    pair = make_pair_runner(config)()
-    comparison = fixed_load_comparison(config.matrix, lambda: pair)
-    p_corr, crossover = pair
+    p_corr, crossover = (report.aggregate
+                         for report in monte_carlo_arms(paired_arms(config)))
+    comparison = fixed_load_comparison(config.matrix, p_corr, crossover)
 
     detail = (f"fixed-load ratio {comparison.ratio:.4f} at documented "
               f"lambda2={assumed_lambda2}, L={config.word_length} "
@@ -242,23 +243,22 @@ def test_criterion_08_bandwidth_expansion_comparison():
                               word_length=30,
                               matrix=make_symmetric_matrix(0.8),
                               ensemble=100, seed=108)
-    base_runner = make_ber_runner(config)
-    cache = {}
+    arms = {(lam, eps): bandwidth_arms(config, make_symmetric_matrix(lam),
+                                       eps, 0.8)
+            for lam in (0.5, 0.8) for eps in (0.0, 0.05)}
+    runs = list(dict.fromkeys(cfg for pair in arms.values() for cfg in pair))
+    reports = dict(zip(runs, monte_carlo_arms(runs)))
 
-    def run_ber(matrix, n_users, sigma, correlated):
-        key = (matrix.to_flat(), int(n_users), float(sigma), bool(correlated))
-        if key not in cache:
-            cache[key] = base_runner(matrix, n_users, sigma, correlated)
-        return cache[key]
+    def compare(lam, eps):
+        corr, reduced = arms[lam, eps]
+        return bandwidth_expansion_comparison(
+            corr.matrix, eps, reports[corr].aggregate,
+            reports[reduced].aggregate)
 
     passed = True
     details = []
     for lam in (0.5, 0.8):
-        matrix = make_symmetric_matrix(lam)
-        exact = bandwidth_expansion_comparison(matrix, 500, 0.8, 0.8, 0.0,
-                                               run_ber)
-        excess = bandwidth_expansion_comparison(matrix, 500, 0.8, 0.8, 0.05,
-                                                run_ber)
+        exact, excess = compare(lam, 0.0), compare(lam, 0.05)
         passed &= exact.ratio < 1.0 and excess.ratio < 1.0
         passed &= excess.ratio < exact.ratio
         details.append(f"lambda2 {lam:g}: ratio {exact.ratio:.3f} (eps=0) / "

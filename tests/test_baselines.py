@@ -1,6 +1,7 @@
 """Tests for the compression-baseline arithmetic and saturation metric."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from corrcdma.baselines import (
     inverse_binary_entropy,
     saturation_position,
 )
+from corrcdma.harness import ExperimentConfig, bandwidth_arms
 from corrcdma.markov import iid_matrix, make_symmetric_matrix, source_stats
 
 
@@ -167,45 +169,41 @@ def test_bsc_residual_near_table_operating_point():
 # comparison protocols
 
 
-class _RecordingRunner:
-    """Fake harness handle that records the calls and serves canned BERs."""
-
-    def __init__(self, values):
-        self.values = list(values)
-        self.calls = []
-
-    def __call__(self, matrix, n_users, sigma, correlated):
-        self.calls.append((matrix, n_users, sigma, correlated))
-        return self.values.pop(0)
+def _bandwidth_config(spread_factor=500):
+    return ExperimentConfig(spread_factor=spread_factor, n_users=7, sigma=0.8,
+                            word_length=10, ensemble=3, seed=5)
 
 
 def test_bandwidth_expansion_arithmetic():
     matrix = make_symmetric_matrix(0.8)
     entropy = source_stats(matrix).entropy_bits
-    runner = _RecordingRunner([0.034, 0.09])
-    result = bandwidth_expansion_comparison(matrix, 500, 0.8, 0.8, 0.0, runner)
+    result = bandwidth_expansion_comparison(matrix, 0.0, 0.034, 0.09)
     assert result.protocol == "bandwidth_expansion"
     assert abs(result.rate - entropy) < 1e-12
     assert abs(result.p_comp - 0.09 / entropy) < 1e-12
     assert abs(result.ratio - entropy * 0.034 / 0.09) < 1e-12
     assert abs(result.ratio - result.p_corr / result.p_comp) < 1e-12
-    # numerator arm: full load, correlated, the given matrix
-    m0, k0, s0, c0 = runner.calls[0]
-    assert m0 is matrix and k0 == 400 and s0 == 0.8 and c0 is True
-    # denominator arm: memoryless bits at the rounded reduced load
-    m1, k1, s1, c1 = runner.calls[1]
-    assert m1 == iid_matrix() and s1 == 0.8 and c1 is False
-    assert k1 == int(round(400 * entropy))  # 188
+    # numerator arm: full load, correlated, the given matrix; everything
+    # but the user count and the matrix is the config's
+    corr, reduced = bandwidth_arms(_bandwidth_config(), matrix, 0.0, 0.8)
+    assert corr == replace(_bandwidth_config(), matrix=matrix, n_users=400)
+    # denominator arm: plain detector on memoryless bits at the rounded
+    # reduced load
+    assert reduced == replace(_bandwidth_config(), matrix=iid_matrix(),
+                              variant="plain_mud",
+                              n_users=int(round(400 * entropy)))  # 188
 
 
 def test_bandwidth_expansion_rate_excess_rounds_users():
     matrix = make_symmetric_matrix(0.8)
     entropy = source_stats(matrix).entropy_bits
-    runner = _RecordingRunner([0.034, 0.09])
-    result = bandwidth_expansion_comparison(matrix, 500, 0.8, 0.8, 0.05, runner)
+    result = bandwidth_expansion_comparison(matrix, 0.05, 0.034, 0.09)
     rate = 1.05 * entropy
     assert abs(result.rate - rate) < 1e-12
-    assert runner.calls[1][1] == int(round(400 * rate))  # 197
+    corr, reduced = bandwidth_arms(_bandwidth_config(), matrix, 0.05, 0.8)
+    assert reduced.n_users == int(round(400 * rate))  # 197
+    # the correlated arm does not depend on the rate excess
+    assert corr == bandwidth_arms(_bandwidth_config(), matrix, 0.0, 0.8)[0]
     # default amplification keeps the source's own redundancy factor
     assert abs(result.ratio - entropy * 0.034 / 0.09) < 1e-12
 
@@ -214,37 +212,37 @@ def test_bandwidth_expansion_rate_amplification_flag():
     matrix = make_symmetric_matrix(0.8)
     entropy = source_stats(matrix).entropy_bits
     rate = 1.05 * entropy
-    runner = _RecordingRunner([0.034, 0.09])
-    result = bandwidth_expansion_comparison(matrix, 500, 0.8, 0.8, 0.05,
-                                            runner, amplification="rate")
+    result = bandwidth_expansion_comparison(matrix, 0.05, 0.034, 0.09,
+                                            amplification="rate")
     assert abs(result.ratio - rate * 0.034 / 0.09) < 1e-12
 
 
 def test_bandwidth_expansion_memoryless_degenerate():
     # Memoryless source at zero excess: rate 1, both arms at the same load.
     # Paired measurements then make the ratio exactly 1.
-    runner = _RecordingRunner([0.1234, 0.1234])
-    result = bandwidth_expansion_comparison(iid_matrix(), 100, 0.5, 0.8, 0.0,
-                                            runner)
+    corr, reduced = bandwidth_arms(_bandwidth_config(100), iid_matrix(),
+                                   0.0, 0.5)
+    assert corr.n_users == reduced.n_users == 50
+    result = bandwidth_expansion_comparison(iid_matrix(), 0.0, 0.1234, 0.1234)
     assert result.ratio == 1.0
-    assert runner.calls[0][1] == runner.calls[1][1] == 50
 
 
 def test_bandwidth_expansion_domain_errors():
     matrix = make_symmetric_matrix(0.8)
-    with pytest.raises(ValueError):
-        bandwidth_expansion_comparison(matrix, 4, 0.25, 0.8, 0.0,
-                                       _RecordingRunner([0.1, 0.1]))
-    with pytest.raises(ValueError):
-        bandwidth_expansion_comparison(matrix, 500, 0.8, 0.8, -0.01,
-                                       _RecordingRunner([0.1, 0.1]))
-    with pytest.raises(ValueError):
-        # entropy 0.993 at lambda2 = 0.1; five percent excess pushes past 1
-        bandwidth_expansion_comparison(make_symmetric_matrix(0.1), 500, 0.8,
-                                       0.8, 0.05, _RecordingRunner([0.1, 0.1]))
-    with pytest.raises(ValueError):
-        bandwidth_expansion_comparison(matrix, 500, 0.8, 0.8, 0.0,
-                                       _RecordingRunner([0.1, 0.1]),
+    # entropy 0.993 at lambda2 = 0.1; five percent excess pushes past 1
+    low = make_symmetric_matrix(0.1)
+    with pytest.raises(ValueError, match="infeasible load"):
+        bandwidth_arms(_bandwidth_config(4), matrix, 0.0, 0.25)
+    with pytest.raises(ValueError, match="rate_excess must be >= 0"):
+        bandwidth_arms(_bandwidth_config(), matrix, -0.01, 0.8)
+    with pytest.raises(ValueError, match="rate_excess must be >= 0"):
+        bandwidth_expansion_comparison(matrix, -0.01, 0.1, 0.1)
+    with pytest.raises(ValueError, match="exceeds 1"):
+        bandwidth_arms(_bandwidth_config(), low, 0.05, 0.8)
+    with pytest.raises(ValueError, match="exceeds 1"):
+        bandwidth_expansion_comparison(low, 0.05, 0.1, 0.1)
+    with pytest.raises(ValueError, match="amplification must be one of"):
+        bandwidth_expansion_comparison(matrix, 0.0, 0.1, 0.1,
                                        amplification="bogus")
 
 
@@ -273,22 +271,23 @@ def test_compression_point_rejects(args, message):
 
 
 def test_protocols_check_the_point_before_running():
-    runner = _RecordingRunner([0.1, 0.1])
+    # the bandwidth plan refuses the point before any arm exists, and both
+    # protocols refuse it on their arithmetic too
     with pytest.raises(ValueError, match="exceeds 1"):
-        bandwidth_expansion_comparison(iid_matrix(), 500, 0.8, 0.8, 0.1,
-                                       runner)
-    assert runner.calls == []
-    ran = []
+        bandwidth_arms(_bandwidth_config(), iid_matrix(), 0.1, 0.8)
+    with pytest.raises(ValueError, match="exceeds 1"):
+        bandwidth_expansion_comparison(iid_matrix(), 0.1, 0.1, 0.1)
     with pytest.raises(ValueError, match="entropy is zero"):
-        fixed_load_comparison(make_symmetric_matrix(1.0),
-                              lambda: ran.append(1) or (0.1, 0.1))
-    assert ran == []
+        bandwidth_arms(_bandwidth_config(), make_symmetric_matrix(1.0), 0.0,
+                       0.8)
+    with pytest.raises(ValueError, match="entropy is zero"):
+        fixed_load_comparison(make_symmetric_matrix(1.0), 0.1, 0.1)
 
 
 def test_fixed_load_comparison_arithmetic():
     matrix = make_symmetric_matrix(0.8)
     entropy = source_stats(matrix).entropy_bits
-    result = fixed_load_comparison(matrix, lambda: (0.034, 0.16))
+    result = fixed_load_comparison(matrix, 0.034, 0.16)
     expected = bsc_residual_error(entropy, 0.16)
     assert result.protocol == "fixed_load_bsc"
     assert abs(result.p_comp - expected) < 1e-12
@@ -298,10 +297,10 @@ def test_fixed_load_comparison_arithmetic():
 
 def test_fixed_load_comparison_error_free_channel():
     matrix = make_symmetric_matrix(0.8)
-    result = fixed_load_comparison(matrix, lambda: (0.01, 0.02))
+    result = fixed_load_comparison(matrix, 0.01, 0.02)
     assert result.p_comp == 0.0
     assert math.isinf(result.ratio)
-    both_zero = fixed_load_comparison(matrix, lambda: (0.0, 0.0))
+    both_zero = fixed_load_comparison(matrix, 0.0, 0.0)
     assert both_zero.ratio == 1.0
 
 

@@ -17,11 +17,15 @@ import pytest
 
 import corrcdma
 from corrcdma import __version__
-from corrcdma import harness
-from corrcdma.baselines import compression_point, fixed_load_comparison
+from corrcdma import cli, harness
+from corrcdma.baselines import (
+    bandwidth_expansion_comparison,
+    compression_point,
+    fixed_load_comparison,
+)
 from corrcdma.cli import _OutputSet, build_parser, main
 from corrcdma.harness import SHORTHANDS, ExperimentConfig, read_csv_with_header
-from corrcdma.markov import make_symmetric_matrix
+from corrcdma.markov import iid_matrix, make_symmetric_matrix
 
 TINY = ["--spread-factor", "60", "--n-users", "30", "--word-length", "10",
         "--ensemble", "2", "--seed", "7"]
@@ -250,12 +254,18 @@ def test_worker_budget_is_checked_up_front(tmp_path, capsys, monkeypatch,
       *TINY], "ber_plain_mud_lam0.5_L10_d0.csv"),
     (["sweep", "length", "--values", "8,16,8,32", *TINY],
      "sweep point lambda2=0.8 delta=0 length=8 is listed twice"),
+    # the mismatch is feasible on the config matrix and at 0.3, not at 0.95
+    (["compare-compression", "fixed", "--values", "0.3,0.95", "--mismatch",
+      "0.1", *TINY], "perturbed element 1.0725 outside [0, 1]"),
+    (["compare-compression", "bandwidth", "--values", "0.3,0.95",
+      "--mismatch", "0.1", *TINY], "perturbed element 1.0725 outside [0, 1]"),
 ], ids=["matrix-nan", "sigma-nan", "sigma-inf", "load-inf", "lambda2-range",
         "threshold-one", "threshold-nan", "base-beta-inf", "base-beta-nan",
         "epsilon-negative", "fixed-base-beta-inf", "fixed-base-beta",
         "fixed-epsilon", "fixed-epsilon-zero", "fixed-amplification",
         "lambda2-file-names", "lambda2-repeated", "mismatch-repeated-delta",
-        "mismatch-file-names", "length-repeated"])
+        "mismatch-file-names", "length-repeated", "fixed-mismatch-infeasible",
+        "bandwidth-mismatch-infeasible"])
 @pytest.mark.parametrize("dry_run", [True, False], ids=["dry", "run"])
 def test_rejected_input_exits_2_and_writes_nothing(tmp_path, capsys, argv,
                                                    message, dry_run):
@@ -312,7 +322,9 @@ def test_lambda2_sweep_writes_curve_and_point_files(tmp_path):
 
 
 def per_arm_outputs(command, values, deltas, out):
-    """The CSVs of a paired command, each arm run alone by monte_carlo."""
+    """The CSVs of a paired command, each arm run alone by monte_carlo;
+    deltas are the mismatch study's, or the bandwidth protocol's rate
+    excesses."""
     config = ExperimentConfig(spread_factor=60, n_users=30, word_length=10,
                               ensemble=2, seed=7)
     reports = []
@@ -325,14 +337,29 @@ def per_arm_outputs(command, values, deltas, out):
     if command == "fixed":
         rows = []
         for lam in values:
-            pair = harness.paired_arms(replace(
-                config, matrix=make_symmetric_matrix(lam)))
-            matrix = pair[0].matrix
+            matrix = make_symmetric_matrix(lam)
+            corr, plain = harness.paired_arms(replace(config, matrix=matrix))
             rows.append((lam, compression_point(matrix)[0], 0.0,
-                         fixed_load_comparison(matrix, lambda: tuple(
-                             run(cfg).aggregate for cfg in pair))))
+                         fixed_load_comparison(matrix, run(corr).aggregate,
+                                               run(plain).aggregate)))
         harness.write_comparison_csv(out / "comparison_fixed.csv", config,
                                      rows)
+        return
+    if command == "bandwidth":
+        rows = []
+        for lam in values:
+            matrix = make_symmetric_matrix(lam)
+            for eps in deltas:
+                entropy, _, (full, reduced) = compression_point(
+                    matrix, eps, config.spread_factor, config.load)
+                corr = replace(config, matrix=matrix, n_users=full)
+                plain = replace(config, variant="plain_mud",
+                                matrix=iid_matrix(), n_users=reduced)
+                rows.append((lam, entropy, eps, bandwidth_expansion_comparison(
+                    matrix, eps, run(corr).aggregate,
+                    run(plain).aggregate)))
+        harness.write_comparison_csv(out / "comparison_bandwidth.csv",
+                                     config, rows)
         return
     if command == "lambda2":
         points = harness.normalized_ber_sweep(config, values, run_report=run)
@@ -355,7 +382,9 @@ def per_arm_outputs(command, values, deltas, out):
     # -0.1 assumes an asymmetric matrix, and 0.9 + 0.1 is infeasible
     ["sweep", "mismatch", "--values", "0.5,0.9", "--deltas=-0.1,0.1"],
     ["compare-compression", "fixed", "--values", "0.3,0.8"],
-], ids=["lambda2", "mismatch", "fixed"])
+    ["compare-compression", "bandwidth", "--values", "0.5,0.8",
+     "--epsilon", "0,0.05,0.1"],
+], ids=["lambda2", "mismatch", "fixed", "bandwidth"])
 def test_paired_commands_write_the_per_arm_bytes(tmp_path, monkeypatch,
                                                  argv, workers):
     # the joint run writes byte for byte what running every arm alone does
@@ -364,12 +393,55 @@ def test_paired_commands_write_the_per_arm_bytes(tmp_path, monkeypatch,
     flags = [] if workers is None else ["--workers", str(workers)]
     assert main([*argv, *TINY, *flags, "--out-dir", str(out)]) == 0
     values = [float(v) for v in argv[argv.index("--values") + 1].split(",")]
-    per_arm_outputs(argv[1], values, [-0.1, 0.1], tmp_path / "alone")
+    deltas = [0.0, 0.05, 0.1] if argv[1] == "bandwidth" else [-0.1, 0.1]
+    per_arm_outputs(argv[1], values, deltas, tmp_path / "alone")
     written = {p.name: p.read_bytes() for p in out.glob("*.csv")}
     expected = {p.name: p.read_bytes()
                 for p in (tmp_path / "alone").glob("*.csv")}
     assert written == expected
-    assert len(written) == {"lambda2": 7, "mismatch": 6, "fixed": 1}[argv[1]]
+    assert len(written) == {"lambda2": 7, "mismatch": 6, "fixed": 1,
+                            "bandwidth": 1}[argv[1]]
+
+
+@pytest.mark.parametrize("argv, arms", [
+    (["simulate"], 1),
+    (["sweep", "lambda2", "--values", "0,0.5"], 4),
+    (["sweep", "length", "--values", "8,16,32"], 3),
+    # 0.9 + 0.1 is infeasible, so 0.9 runs its plain arm and one other
+    (["sweep", "mismatch", "--values", "0.5,0.9", "--deltas=-0.1,0.1"], 5),
+    (["compare-compression", "fixed", "--values", "0.3,0.8"], 4),
+    # one correlated arm per eigenvalue serves every rate excess, and two
+    # excesses at 0.8 round to the same reduced load: 2 + 5 arms, not 12
+    (["compare-compression", "bandwidth", "--values", "0.5,0.8",
+      "--epsilon", "0,0.05,0.1"], 7),
+], ids=["simulate", "lambda2", "length", "mismatch", "fixed", "bandwidth"])
+def test_each_command_makes_one_joint_run(tmp_path, monkeypatch, argv, arms):
+    calls = []
+    real = harness.monte_carlo_arms
+
+    def spy(configs, workers=None):
+        calls.append(list(configs))
+        return real(configs, workers)
+
+    monkeypatch.setattr(harness, "monte_carlo_arms", spy)
+    monkeypatch.setattr(cli, "monte_carlo_arms", spy)
+    assert main([*argv, *TINY, "--out-dir", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+    assert len(calls[0]) == len(set(calls[0])) == arms
+
+
+def test_bandwidth_protocol_runs_the_mismatched_arm(tmp_path):
+    out = tmp_path / "bw"
+    assert main(["compare-compression", "bandwidth", "--values", "0.8",
+                 "--mismatch", "0.1", *TINY, "--out-dir", str(out)]) == 0
+    header, columns, rows = read_csv_with_header(
+        out / "comparison_bandwidth.csv")
+    assert header["mismatch"] == "0.1"
+    arm = ExperimentConfig(spread_factor=60, n_users=30, word_length=10,
+                           ensemble=2, seed=7, mismatch=0.1)
+    p_corr = float(rows[0][columns.index("p_corr")])
+    assert p_corr == harness.monte_carlo(arm).aggregate
+    assert p_corr != harness.monte_carlo(replace(arm, mismatch=0.0)).aggregate
 
 
 def test_output_set_refuses_a_name_twice(tmp_path):

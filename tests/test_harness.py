@@ -24,7 +24,6 @@ from corrcdma.harness import (
     ExperimentConfig,
     default_workers,
     length_scaling_study,
-    make_ber_runner,
     mismatch_study,
     monte_carlo,
     normalized_ber_sweep,
@@ -37,7 +36,12 @@ from corrcdma.harness import (
     write_sweep_csv,
 )
 from corrcdma.baselines import bandwidth_expansion_comparison
-from corrcdma.markov import TransitionMatrix, make_symmetric_matrix, source_stats
+from corrcdma.markov import (
+    TransitionMatrix,
+    iid_matrix,
+    make_symmetric_matrix,
+    source_stats,
+)
 
 
 def small_config(**overrides):
@@ -349,9 +353,6 @@ def test_studies_read_the_joint_run(workers):
     assert [p.normalized for p in joint if p.feasible] == [
         p.normalized for p in alone if p.feasible]
     assert [p.reason for p in joint] == [p.reason for p in alone]
-    pair = harness.make_pair_runner(cfg, workers)()
-    assert pair == (monte_carlo(cfg).aggregate,
-                    monte_carlo(replace(cfg, variant="plain_mud")).aggregate)
 
 
 def test_divergence_in_one_arm_leaves_the_other_untouched(monkeypatch):
@@ -574,6 +575,22 @@ def test_sweep_at_zero_correlation_is_exactly_one():
     assert point.p_corr == point.p_plain
 
 
+def test_sweep_asks_for_each_distinct_arm_once():
+    # a repeated eigenvalue repeats its point, not its arms
+    cfg = small_config(ensemble=1)
+    ran = []
+
+    def record(arm):
+        ran.append(arm)
+        return SimpleNamespace(aggregate=0.1 * len(ran), errors_total=0,
+                               bits_total=1)
+
+    first, second = normalized_ber_sweep(cfg, [0.5, 0.5], run_report=record)
+    assert [arm.variant for arm in ran] == ["correlated_mud", "plain_mud"]
+    assert first == second
+    assert (first.p_corr, first.p_plain) == (0.1, 0.2)
+
+
 def test_sweep_validates_eigenvalue_range():
     # every value is checked before the first arm runs
     cfg = small_config(ensemble=1)
@@ -699,16 +716,34 @@ def test_mismatch_study_orders_points_per_eigenvalue():
         (0.3, -0.05), (0.3, 0.05), (0.5, -0.05), (0.5, 0.05)]
 
 
-def test_ber_runner_pins_everything_but_the_arm():
+def test_bandwidth_arms_pin_everything_but_the_arm():
     cfg = small_config(ensemble=2)
-    run_ber = make_ber_runner(cfg)
-    value = run_ber(cfg.matrix, cfg.n_users, cfg.sigma, True)
-    assert value == monte_carlo(cfg).aggregate
+    matrix = make_symmetric_matrix(0.8)
+    rate = source_stats(matrix).entropy_bits
+    corr, reduced = harness.bandwidth_arms(cfg, matrix, 0.0, cfg.load)
+    assert corr == cfg
+    assert reduced == replace(cfg, variant="plain_mud", matrix=iid_matrix(),
+                              n_users=int(round(cfg.n_users * rate)))
+    # the correlated arm carries the config's mismatch, the reduced arm none
+    mismatched = replace(cfg, mismatch=0.1)
+    corr, reduced = harness.bandwidth_arms(mismatched, matrix, 0.05, 0.5)
+    assert corr == mismatched
+    assert reduced.mismatch == 0.0
+    with pytest.raises(ValueError, match="outside"):
+        harness.bandwidth_arms(mismatched, make_symmetric_matrix(0.95), 0.0,
+                               0.5)
+
+
+def test_memoryless_bandwidth_point_has_ratio_one():
+    # at lambda2 = 0 and no rate excess both arms share the load and so
+    # the realizations, and the correlated detector reduces to the plain
+    cfg = small_config(ensemble=2)
+    arms = harness.bandwidth_arms(cfg, iid_matrix(), 0.0, cfg.load)
+    corr, reduced = harness.monte_carlo_arms(arms)
+    assert corr.aggregate == reduced.aggregate > 0.0
     comparison = bandwidth_expansion_comparison(
-        make_symmetric_matrix(0.8), cfg.spread_factor, 0.5, cfg.sigma,
-        0.0, run_ber)
-    assert comparison.protocol == "bandwidth_expansion"
-    assert comparison.p_corr >= 0.0
+        iid_matrix(), 0.0, corr.aggregate, reduced.aggregate)
+    assert comparison.ratio == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -781,10 +816,11 @@ def test_mismatch_csv_round_trip(tmp_path):
 
 def test_comparison_csv_round_trip(tmp_path):
     cfg = small_config(ensemble=2)
-    run_ber = make_ber_runner(cfg)
     matrix = make_symmetric_matrix(0.8)
+    corr, reduced = harness.monte_carlo_arms(
+        harness.bandwidth_arms(cfg, matrix, 0.0, 0.5))
     comparison = bandwidth_expansion_comparison(
-        matrix, cfg.spread_factor, 0.5, cfg.sigma, 0.0, run_ber)
+        matrix, 0.0, corr.aggregate, reduced.aggregate)
     entropy = source_stats(matrix).entropy_bits
     path = tmp_path / "comparison.csv"
     write_comparison_csv(path, cfg, [(0.8, entropy, 0.0, comparison)])
