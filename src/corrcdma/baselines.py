@@ -3,7 +3,7 @@
 The detection scheme for correlated sources competes against classic
 separation: compress the source to i.i.d. bits, transmit, detect, decompress.
 Two protocols quantify that comparison, each as arithmetic on measured
-error rates; the harness plans and runs the arms that measure them. The
+error rates; harness.compression_plan plans the arms that measure them. The
 bandwidth-expansion protocol lets the compressed stream spend the spare
 bandwidth on longer spreading codes (equivalently a lower load) and charges
 each compressed-bit error a multiplicative factor for the errors it smears
@@ -151,7 +151,7 @@ def bandwidth_expansion_comparison(matrix: TransitionMatrix,
 
     Compressing at rate r = (1 + rate_excess) * H_b shortens the stream r
     times, so the compressed bits ride at the reduced load base_beta * r
-    (harness.bandwidth_arms plans both arms). p_corr is the measured BER of
+    (harness.compression_plan plans both arms). p_corr is the measured BER of
     the correlated scheme at the full load, p_reduced that of the plain
     detector on memoryless bits at the reduced load.
 

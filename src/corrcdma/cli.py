@@ -25,11 +25,8 @@ import numpy as np
 from . import __version__
 from .baselines import (
     AMPLIFICATIONS,
-    bandwidth_expansion_comparison,
     binary_entropy,
     bsc_residual_error,
-    compression_point,
-    fixed_load_comparison,
     inverse_binary_entropy,
 )
 from .detectors import local_bias
@@ -37,20 +34,16 @@ from .harness import (
     CSV_COLUMNS,
     SHORTHANDS,
     ExperimentConfig,
-    bandwidth_arms,
+    Plan,
     check_workers,
+    compression_plan,
     default_workers,
-    lambda2_arms,
-    lambda2_runs,
-    length_configs,
-    length_scaling_study,
-    mismatch_arms,
-    mismatch_runs,
-    mismatch_study,
+    lambda2_plan,
+    length_plan,
+    mismatch_plan,
     monte_carlo,
     monte_carlo_arms,
     normalized_ber_sweep,
-    paired_arms,
     read_csv_with_header,
     write_ber_csv,
     write_comparison_csv,
@@ -210,18 +203,19 @@ def _run_experiment(args, command: str, plan) -> int:
 
     The config, the worker budget and, through plan(config), every run the
     command will make are checked before anything runs; an error there
-    exits 2 and writes nothing. plan returns (note, runs, finish):
+    exits 2 and writes nothing. plan returns (note, Plan, finish):
     --dry-run prints the config and the note, if any, and exits 0.
-    Otherwise every run is made in one monte_carlo_arms call, and
-    finish(reports, outputs), given the {config: report} lookup, writes the
-    outputs, prints the results and returns a function giving the closing
-    line, printed once the outputs are validated and the manifest is
-    written. A failure before that removes every output and exits 1.
+    Otherwise the plan's runs are made in one monte_carlo_arms call and
+    reduced once. finish(result, reports, outputs) writes the outputs (the
+    {config: report} lookup gives the per-arm files), prints the results
+    and returns a function giving the closing line, printed once the
+    outputs are validated and the manifest is written. A failure before
+    that removes every output and exits 1.
     """
     try:
         config = _resolve_config(args)
         workers = _resolve_workers(args)
-        note, runs, finish = plan(config)
+        note, experiment, finish = plan(config)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -233,8 +227,9 @@ def _run_experiment(args, command: str, plan) -> int:
     outputs = _OutputSet(args.out_dir)
     started = _timestamp()
     try:
+        runs = experiment.runs
         reports = dict(zip(runs, monte_carlo_arms(runs, workers)))
-        closing = finish(reports, outputs)
+        closing = finish(experiment.reduce(reports), reports, outputs)
         outputs.validate()
         _write_manifest(outputs, command, config, started, workers)
     except Exception as exc:
@@ -246,8 +241,7 @@ def _run_experiment(args, command: str, plan) -> int:
 
 
 def cmd_simulate(args) -> int:
-    def finish(config, reports, outputs):
-        report = reports[config]
+    def finish(report, reports, outputs):
         path = outputs.target("ber.csv")
         write_ber_csv(path, report)
         print(f"aggregate BER {report.aggregate:.6f} "
@@ -259,8 +253,8 @@ def cmd_simulate(args) -> int:
         return lambda: f"wrote {path}"
 
     return _run_experiment(
-        args, "simulate",
-        lambda config: (None, [config], partial(finish, config)))
+        args, "simulate", lambda config: (
+            None, Plan((config,), lambda reports: reports[config]), finish))
 
 
 def cmd_sweep(args) -> int:
@@ -273,32 +267,27 @@ def cmd_sweep(args) -> int:
         # and check that their per-arm files have distinct names
         deltas = None
         if kind == "lambda2":
-            runs = lambda2_runs(lambda2_arms(config, values))
+            experiment = lambda2_plan(config, values)
         elif kind == "length":
-            runs = length_configs(config, values, args.threshold_factor)
+            experiment = length_plan(config, values, args.threshold_factor)
         else:
             deltas = _parse_value_list(args.deltas, "--deltas", float)
-            runs = mismatch_runs(mismatch_arms(config, deltas, values))
-        _check_arm_files(runs)
+            experiment = mismatch_plan(config, deltas, values)
+        _check_arm_files(experiment.runs)
         note = f"  sweep kind={kind} values={values} deltas={deltas}"
-        return note, runs, partial(finish, config, values, deltas)
+        return note, experiment, partial(finish, config)
 
-    def finish(config, values, deltas, reports, outputs):
+    def finish(config, result, reports, outputs):
         for cfg, report in reports.items():
             write_ber_csv(outputs.target(_arm_file(cfg)), report)
-        report_of = reports.__getitem__
         if kind == "lambda2":
-            points = normalized_ber_sweep(config, values, run_report=report_of)
             write_sweep_csv(outputs.target("sweep_lambda2.csv"), config,
-                            points)
-            for point in points:
+                            result)
+            for point in result:
                 print(f"lambda2 {point.lambda2:g} normalized "
                       f"{point.normalized:.4f} "
                       f"(corr {point.p_corr:.5f} / plain {point.p_plain:.5f})")
         elif kind == "length":
-            result = length_scaling_study(config, values,
-                                          args.threshold_factor,
-                                          run_report=report_of)
             write_length_csv(outputs.target("sweep_length.csv"), config,
                              result)
             for length, position in zip(result.lengths, result.positions):
@@ -306,11 +295,9 @@ def cmd_sweep(args) -> int:
             print(f"log-log slope {result.slope:.4f} "
                   f"(intercept {result.intercept:.4f})")
         else:
-            points = mismatch_study(config, deltas, values,
-                                    run_report=report_of)
             write_mismatch_csv(outputs.target("sweep_mismatch.csv"), config,
-                               points)
-            for point in points:
+                               result)
+            for point in result:
                 tag = (f"normalized {point.normalized:.4f}" if point.feasible
                        else f"infeasible ({point.reason})")
                 print(f"lambda2 {point.lambda2:g} delta "
@@ -342,46 +329,26 @@ def cmd_compare_compression(args) -> int:
         base_beta = config.load if args.base_beta is None else args.base_beta
         if not base_beta > 0:
             raise ValueError("--base-beta must be > 0")
-        # (lambda2, entropy, epsilon, arms) of every point, its arms built
-        # and so checked, with the protocol's own checks, before any run
-        points = []
-        for lam in values:
-            matrix = make_symmetric_matrix(lam)
-            entropy = compression_point(matrix)[0]
-            if protocol == "fixed":
-                points.append((lam, entropy, 0.0,
-                               paired_arms(replace(config, matrix=matrix))))
-            else:
-                points += [(lam, entropy, eps, bandwidth_arms(
-                    config, matrix, eps, base_beta)) for eps in epsilons]
+        # the config's own matrix, or the symmetric one of each value
+        matrices = ([(values[0], config.matrix)] if args.values is None
+                    else ((lam, make_symmetric_matrix(lam)) for lam in values))
+        experiment = compression_plan(config, protocol, matrices, epsilons,
+                                      base_beta,
+                                      args.amplification or "entropy")
         note = f"  protocol={protocol} values={values}"
         if protocol == "bandwidth":
             note += f" epsilons={epsilons} base_beta={base_beta:g}"
-        # the points of one eigenvalue share their correlated arm
-        runs = list(dict.fromkeys(cfg for *_, arms in points for cfg in arms))
-        return note, runs, partial(finish, config, points)
+        return note, experiment, partial(finish, config)
 
-    def finish(config, points, reports, outputs):
-        rows = []
+    def finish(config, rows, reports, outputs):
         print("lambda2  epsilon  p_corr    p_comp    ratio"
               if protocol == "bandwidth"
               else "sigma  beta   lambda2  p_corr    p_comp    ratio")
-        for lam, entropy, eps, (corr_arm, other_arm) in points:
-            p_corr = reports[corr_arm].aggregate
-            p_other = reports[other_arm].aggregate
-            if protocol == "bandwidth":
-                comparison = bandwidth_expansion_comparison(
-                    corr_arm.matrix, eps, p_corr, p_other,
-                    args.amplification or "entropy")
-                print(f"{lam:<8g} {eps:<8g} {comparison.p_corr:<9.5f} "
-                      f"{comparison.p_comp:<9.5f} {comparison.ratio:.4f}")
-            else:
-                comparison = fixed_load_comparison(corr_arm.matrix, p_corr,
-                                                   p_other)
-                print(f"{config.sigma:<6g} {config.load:<6g} {lam:<8g} "
-                      f"{comparison.p_corr:<9.5f} {comparison.p_comp:<9.5f} "
-                      f"{comparison.ratio:.4f}")
-            rows.append((lam, entropy, eps, comparison))
+        for lam, _, eps, comparison in rows:
+            point = (f"{lam:<8g} {eps:<8g}" if protocol == "bandwidth" else
+                     f"{config.sigma:<6g} {config.load:<6g} {lam:<8g}")
+            print(f"{point} {comparison.p_corr:<9.5f} "
+                  f"{comparison.p_comp:<9.5f} {comparison.ratio:.4f}")
         path = outputs.target(f"comparison_{protocol}.csv")
         write_comparison_csv(path, config, rows)
         return lambda: f"wrote {path}"
@@ -413,7 +380,7 @@ def _detect_family(path, columns) -> str:
                      f"{offender!r} (closest family {_FAMILIES[best]!r})")
 
 
-def _gnuplot_script(dat_name, ylabel, xlabel, logscale, clauses):
+def _gnuplot_script(ylabel, xlabel, logscale, clauses):
     lines = [
         'set datafile commentschars "#"',
         f'set xlabel "{xlabel}"',
@@ -427,27 +394,57 @@ def _gnuplot_script(dat_name, ylabel, xlabel, logscale, clauses):
     return "\n".join(lines) + "\n"
 
 
-def _emit_plotdata(path, out_dir, outputs) -> list:
+# The families plotted as one curve per group of rows: (y column, y label,
+# the columns that key a group, block comment, clause title), the last two
+# formatted with the group's key.
+_GROUPED = {
+    "mismatch_surface": ("normalized", "normalized BER", ("rel_delta",),
+                         "rel_delta={}", "delta={}"),
+    "compression_comparison": ("ratio",
+                               "error ratio (detection / compression)",
+                               ("protocol", "epsilon"),
+                               "protocol={} epsilon={}", "{} eps={}"),
+}
+
+
+def _grouped_plot(family, rows, col, dat_name):
+    """The data blocks and script of a grouped family: lambda2 against the
+    y column per group of rows, groups in first-seen order; infeasible
+    rows are left out."""
+    y, ylabel, keys, label, title = _GROUPED[family]
+    groups = {}
+    for r in rows:
+        if "feasible" not in col or r[col["feasible"]] == "true":
+            groups.setdefault(tuple(r[col[k]] for k in keys), []).append(
+                f"{r[col['lambda2']]} {r[col[y]]}")
+    blocks = ["\n".join([f"# {label.format(*key)}", f"# lambda2 {y}", *lines])
+              for key, lines in groups.items()]
+    clauses = [f"\"{dat_name}\" index {i} using 1:2 with linespoints "
+               f"title \"{title.format(*key)}\""
+               for i, key in enumerate(groups)]
+    return blocks, _gnuplot_script(ylabel, "second eigenvalue", None,
+                                   clauses)
+
+
+def _emit_plotdata(path, outputs) -> list:
     header, columns, rows = read_csv_with_header(path)
     family = _detect_family(path, columns)
     stem = Path(path).stem
     dat_path = outputs.target(f"{stem}.dat")
     gp_path = outputs.target(f"{stem}.gp")
     col = {name: index for index, name in enumerate(columns)}
-    blocks = []
-    clauses = []
 
     if family == "ber_profile":
         body = [f"# relative_position ber std_err"]
         body += [f"{r[col['relative_position']]} {r[col['ber']]} "
                  f"{r[col['std_err']]}" for r in rows]
-        blocks.append("\n".join(body))
+        blocks = ["\n".join(body)]
         clauses = [
             f"\"{dat_path.name}\" using 1:2 with linespoints title \"BER\"",
             f"\"{dat_path.name}\" using 1:2:3 with yerrorbars notitle",
         ]
-        script = _gnuplot_script(dat_path.name, "BER",
-                                 "relative symbol position", "y", clauses)
+        script = _gnuplot_script("BER", "relative symbol position", "y",
+                                 clauses)
     elif family == "normalized_sweep":
         main = ["# lambda2 normalized"]
         main += [f"{r[col['lambda2']]} {r[col['normalized']]}" for r in rows]
@@ -457,8 +454,8 @@ def _emit_plotdata(path, out_dir, outputs) -> list:
         blocks = ["\n".join(main), "\n".join(inset)]
         clauses = [f"\"{dat_path.name}\" index 0 using 1:2 with linespoints "
                    f"title \"normalized BER\""]
-        script = _gnuplot_script(dat_path.name, "normalized BER",
-                                 "second eigenvalue", None, clauses)
+        script = _gnuplot_script("normalized BER", "second eigenvalue",
+                                 None, clauses)
         script += (f"# inset vs correlation length:\n"
                    f"# plot \"{dat_path.name}\" index 1 using 1:2 "
                    f"with linespoints\n")
@@ -466,7 +463,7 @@ def _emit_plotdata(path, out_dir, outputs) -> list:
         body = ["# length saturation_position"]
         body += [f"{r[col['length']]} {r[col['saturation_position']]}"
                  for r in rows]
-        blocks.append("\n".join(body))
+        blocks = ["\n".join(body)]
         clauses = [f"\"{dat_path.name}\" using 1:2 with points pointtype 7 "
                    f"title \"saturation position\""]
         script = ""
@@ -474,45 +471,10 @@ def _emit_plotdata(path, out_dir, outputs) -> list:
             script = (f"f(x) = exp({header['intercept']}) * "
                       f"x ** ({header['slope']})\n")
             clauses.append("f(x) with lines title \"fit\"")
-        script += _gnuplot_script(dat_path.name, "saturation position",
-                                  "word length", "xy", clauses)
-    elif family == "mismatch_surface":
-        deltas = []
-        for row in rows:
-            if row[col["feasible"]] == "true" and \
-                    row[col["rel_delta"]] not in deltas:
-                deltas.append(row[col["rel_delta"]])
-        for delta in deltas:
-            body = [f"# rel_delta={delta}", "# lambda2 normalized"]
-            body += [f"{r[col['lambda2']]} {r[col['normalized']]}"
-                     for r in rows
-                     if r[col["rel_delta"]] == delta
-                     and r[col["feasible"]] == "true"]
-            blocks.append("\n".join(body))
-        clauses = [f"\"{dat_path.name}\" index {i} using 1:2 with "
-                   f"linespoints title \"delta={delta}\""
-                   for i, delta in enumerate(deltas)]
-        script = _gnuplot_script(dat_path.name, "normalized BER",
-                                 "second eigenvalue", None, clauses)
-    else:  # compression_comparison
-        arms = []
-        for row in rows:
-            arm = (row[col["protocol"]], row[col["epsilon"]])
-            if arm not in arms:
-                arms.append(arm)
-        for protocol, eps in arms:
-            body = [f"# protocol={protocol} epsilon={eps}",
-                    "# lambda2 ratio"]
-            body += [f"{r[col['lambda2']]} {r[col['ratio']]}" for r in rows
-                     if (r[col["protocol"]], r[col["epsilon"]])
-                     == (protocol, eps)]
-            blocks.append("\n".join(body))
-        clauses = [f"\"{dat_path.name}\" index {i} using 1:2 with "
-                   f"linespoints title \"{protocol} eps={eps}\""
-                   for i, (protocol, eps) in enumerate(arms)]
-        script = _gnuplot_script(dat_path.name,
-                                 "error ratio (detection / compression)",
-                                 "second eigenvalue", None, clauses)
+        script += _gnuplot_script("saturation position", "word length",
+                                  "xy", clauses)
+    else:  # mismatch_surface, compression_comparison
+        blocks, script = _grouped_plot(family, rows, col, dat_path.name)
 
     dat_path.write_text("\n\n\n".join(blocks) + "\n")
     gp_path.write_text(script)
@@ -537,7 +499,7 @@ def cmd_plotdata(args) -> int:
             return 0
         written = []
         for path in args.inputs:
-            written.extend(_emit_plotdata(path, args.out_dir, outputs))
+            written.extend(_emit_plotdata(path, outputs))
         outputs.validate()
         _write_manifest(outputs, "plotdata", None, started)
     except Exception as exc:

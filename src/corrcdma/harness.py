@@ -22,6 +22,7 @@ import io
 import math
 import os
 from collections import Counter
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
@@ -30,10 +31,13 @@ import numpy as np
 
 from . import __version__
 from .baselines import (
+    AMPLIFICATIONS,
+    bandwidth_expansion_comparison,
     check_threshold_factor,
     compression_point,
     error_ratio,
     fit_loglog_slope,
+    fixed_load_comparison,
     saturation_position,
 )
 from .channel import generate_spreading, transmit
@@ -552,7 +556,28 @@ def _report(config: ExperimentConfig, outcomes) -> BerReport:
 
 
 # ---------------------------------------------------------------------------
-# paired studies
+# experiment plans
+
+
+@dataclass(frozen=True)
+class Plan:
+    """An experiment: the configs it runs, in run order, and reduce, the
+    pure map from their {config: report} lookup to its result. An arm
+    that points share is listed once; a point listed twice lists its arms
+    twice."""
+
+    runs: tuple
+    reduce: Callable[[dict], object]
+
+    def run(self, workers: int | None = None, run_report=None):
+        """The result, from one monte_carlo_arms call over the distinct
+        runs or, when run_report is given (testing, or reports already
+        run), from run_report(cfg), asked once per distinct run in run
+        order."""
+        runs = list(dict.fromkeys(self.runs))
+        reports = (monte_carlo_arms(runs, workers) if run_report is None
+                   else map(run_report, runs))
+        return self.reduce(dict(zip(runs, reports)))
 
 
 @dataclass(frozen=True)
@@ -582,64 +607,43 @@ def paired_arms(config: ExperimentConfig) -> tuple[ExperimentConfig, ExperimentC
             replace(config, variant="plain_mud", mismatch=0.0))
 
 
-def lambda2_arms(config: ExperimentConfig, lambda2_values) -> list[tuple]:
-    """(lambda2, correlated arm, plain arm) for every point of a sweep.
-
-    Every value is checked to lie in [0, 1) and every arm is built, and so
-    validated, before the sweep runs any of them.
-    """
-    arms = []
-    for lam in lambda2_values:
-        lam = float(lam)
+def lambda2_plan(config: ExperimentConfig, lambda2_values) -> Plan:
+    """The paired sweep over second eigenvalues, reduced to a SweepPoint
+    per value. Each point runs its correlated arm, then its plain arm
+    (paired_arms on the symmetric matrix of its eigenvalue). Every value is
+    checked to lie in [0, 1) and every arm built, and so validated, before
+    the plan exists."""
+    points = []
+    for lam in map(float, lambda2_values):
         if not 0.0 <= lam < 1.0:
             raise ValueError(f"lambda2 must lie in [0, 1), got {lam}")
-        arms.append((lam, *paired_arms(
+        points.append((lam, *paired_arms(
             replace(config, matrix=make_symmetric_matrix(lam)))))
-    return arms
 
+    def reduce(reports):
+        sweep = []
+        for lam, corr_arm, plain_arm in points:
+            corr, plain = reports[corr_arm], reports[plain_arm]
+            sweep.append(SweepPoint(
+                lambda2=lam,
+                correlation_length=source_stats(
+                    corr_arm.matrix).correlation_length,
+                p_corr=corr.aggregate, p_plain=plain.aggregate,
+                normalized=error_ratio(corr.aggregate, plain.aggregate),
+                errors_corr=corr.errors_total, errors_plain=plain.errors_total,
+                bits_total=corr.bits_total))
+        return sweep
 
-def lambda2_runs(arms) -> list[ExperimentConfig]:
-    """The configs a sweep over lambda2_arms runs, in run order: each
-    point's correlated arm, then its plain arm."""
-    return [cfg for _, corr_arm, plain_arm in arms
-            for cfg in (corr_arm, plain_arm)]
-
-
-def _reports(runs, workers, run_report) -> dict:
-    """{config: report} for every distinct run, in run order: from one
-    monte_carlo_arms call, or from run_report(cfg), asked once per distinct
-    run in run order, when it is given."""
-    runs = list(dict.fromkeys(runs))
-    if run_report is None:
-        return dict(zip(runs, monte_carlo_arms(runs, workers)))
-    return {cfg: run_report(cfg) for cfg in runs}
+    return Plan(tuple(cfg for _, *arms in points for cfg in arms), reduce)
 
 
 def normalized_ber_sweep(config: ExperimentConfig, lambda2_values,
                          workers: int | None = None,
                          run_report=None) -> list[SweepPoint]:
-    """Paired correlated-MUD over plain-MUD BER for each second eigenvalue.
-
-    Both arms of every point run on the same realizations, drawn once in a
-    joint run, so at lambda2 = 0 the reduction property makes the ratio
-    exactly 1. config.variant is ignored; config's schedule, blind flag and
-    mismatch apply to the correlated arm. run_report(cfg) may replace the
-    joint run as the source of each distinct arm's report (testing, or
-    reports already run).
-    """
-    arms = lambda2_arms(config, lambda2_values)
-    reports = _reports(lambda2_runs(arms), workers, run_report)
-    points = []
-    for lam, corr_arm, plain_arm in arms:
-        corr, plain = reports[corr_arm], reports[plain_arm]
-        points.append(SweepPoint(
-            lambda2=lam,
-            correlation_length=source_stats(corr_arm.matrix).correlation_length,
-            p_corr=corr.aggregate, p_plain=plain.aggregate,
-            normalized=error_ratio(corr.aggregate, plain.aggregate),
-            errors_corr=corr.errors_total, errors_plain=plain.errors_total,
-            bits_total=corr.bits_total))
-    return points
+    """Paired correlated-MUD over plain-MUD BER for each second eigenvalue:
+    lambda2_plan run jointly, so at lambda2 = 0 the reduction property
+    makes the ratio exactly 1."""
+    return lambda2_plan(config, lambda2_values).run(workers, run_report)
 
 
 @dataclass(frozen=True)
@@ -652,40 +656,37 @@ class LengthScalingResult:
     intercept: float
 
 
-def length_configs(config: ExperimentConfig, lengths,
-                   threshold_factor: float = 1.2) -> list[ExperimentConfig]:
-    """One config per word length of a length study, all built (and so
-    validated), and the saturation threshold factor checked, before the
-    study runs any of them; at least 3 distinct lengths are required for
-    the fit."""
+def length_plan(config: ExperimentConfig, lengths,
+                threshold_factor: float = 1.2) -> Plan:
+    """The word-length study: config at every length, each curve reduced
+    to its saturation position and log(position) fitted over log(length).
+    Every config is built (and so validated), the threshold factor checked
+    and at least 3 distinct lengths required before the plan exists. Zero
+    positions are left out of the fit with a warning; fewer than two
+    usable points abort the reduction with ValueError."""
     check_threshold_factor(threshold_factor)
     lengths = [int(l) for l in lengths]
     if len(set(lengths)) < 3:
         raise ValueError("need at least 3 distinct word lengths")
-    return [replace(config, word_length=length) for length in lengths]
+    configs = tuple(replace(config, word_length=length) for length in lengths)
+
+    def reduce(reports):
+        positions = [saturation_position(reports[cfg].per_position,
+                                         threshold_factor) for cfg in configs]
+        slope, intercept = fit_loglog_slope(lengths, positions)
+        return LengthScalingResult(tuple(lengths), tuple(positions), slope,
+                                   intercept)
+
+    return Plan(configs, reduce)
 
 
 def length_scaling_study(config: ExperimentConfig, lengths,
                          threshold_factor: float = 1.2,
                          workers: int | None = None,
                          run_report=None) -> LengthScalingResult:
-    """Saturation position of the per-position BER curve vs word length.
-
-    Runs the Monte-Carlo of every length in one joint run (run_report may
-    inject a per-length report source instead, for testing), reduces each
-    curve to its saturation position, and fits a line to log(position)
-    over log(length). Zero positions are excluded from the fit with a
-    warning; fewer than two usable points abort with ValueError.
-    """
-    configs = length_configs(config, lengths, threshold_factor)
-    lengths = [cfg.word_length for cfg in configs]
-    reports = _reports(configs, workers, run_report)
-    positions = [saturation_position(reports[cfg].per_position,
-                                     threshold_factor) for cfg in configs]
-    slope, intercept = fit_loglog_slope(lengths, positions)
-    return LengthScalingResult(lengths=tuple(lengths),
-                               positions=tuple(positions),
-                               slope=slope, intercept=intercept)
+    """Saturation position vs word length: length_plan run jointly."""
+    return length_plan(config, lengths, threshold_factor).run(workers,
+                                                              run_report)
 
 
 @dataclass(frozen=True)
@@ -701,16 +702,20 @@ class MismatchPoint:
     normalized: float
 
 
-def mismatch_arms(config: ExperimentConfig, rel_deltas,
-                  lambda2_values) -> list[tuple]:
-    """(lambda2, plain arm, points) for every lambda2 of a mismatch study.
+def mismatch_plan(config: ExperimentConfig, rel_deltas,
+                  lambda2_values) -> Plan:
+    """The mismatch surface, reduced to a MismatchPoint per (eigenvalue,
+    perturbation) pair, eigenvalue-major.
 
-    points holds a (delta, correlated arm, reason) entry per perturbation;
-    an infeasible one (an element pushed out of [0, 1]) has no arm and its
-    validation message as reason. Every lambda2 and every arm is checked
-    before the study runs any of them.
+    The generator always uses the true matrix; the correlated arm assumes
+    the perturbed copy. Per eigenvalue with a feasible perturbation the
+    plan runs the plain arm, then every feasible correlated arm; an
+    infeasible one (an element pushed out of [0, 1]) runs nothing and its
+    point records the validation message. All is checked before the plan
+    exists.
     """
-    arms = []
+    arms = []  # (lambda2, plain arm, [(delta, correlated arm, reason)])
+    runs = []
     for lam in map(float, lambda2_values):
         corr_arm, plain_arm = paired_arms(replace(
             config, matrix=make_symmetric_matrix(lam), mismatch=0.0))
@@ -720,50 +725,35 @@ def mismatch_arms(config: ExperimentConfig, rel_deltas,
                 points.append((delta, replace(corr_arm, mismatch=delta), None))
             except ValueError as exc:  # the perturbation leaves [0, 1]
                 points.append((delta, None, str(exc)))
-        arms.append((lam, plain_arm, points))
-    return arms
-
-
-def mismatch_runs(arms) -> list[ExperimentConfig]:
-    """The configs a study over mismatch_arms runs, in run order: per
-    eigenvalue with a feasible perturbation, the plain arm, then every
-    feasible correlated arm."""
-    runs = []
-    for _, plain_arm, points in arms:
         feasible = [arm for _, arm, _ in points if arm is not None]
         runs += [plain_arm, *feasible] if feasible else []
-    return runs
+        arms.append((lam, plain_arm, points))
+
+    def reduce(reports):
+        surface = []
+        for lam, plain_arm, points in arms:
+            for delta, corr_arm, reason in points:
+                p_corr = p_plain = normalized = math.nan
+                if corr_arm is not None:
+                    p_corr = reports[corr_arm].aggregate
+                    p_plain = reports[plain_arm].aggregate
+                    normalized = error_ratio(p_corr, p_plain)
+                surface.append(MismatchPoint(
+                    lambda2=lam, rel_delta=delta,
+                    feasible=corr_arm is not None, reason=reason,
+                    p_corr=p_corr, p_plain=p_plain, normalized=normalized))
+        return surface
+
+    return Plan(tuple(runs), reduce)
 
 
 def mismatch_study(config: ExperimentConfig, rel_deltas, lambda2_values,
                    workers: int | None = None,
                    run_report=None) -> list[MismatchPoint]:
-    """Normalized BER surface over (perturbation, correlation) pairs.
-
-    The generator always uses the true matrix; the correlated detector
-    assumes the perturbed copy. Infeasible perturbations (an element pushed
-    out of [0, 1]) are skipped with the validation message recorded. Every
-    arm of one eigenvalue runs on the same realizations, drawn once in a
-    joint run; run_report(cfg) may replace that run as the source of each
-    distinct arm's report.
-    """
-    arms = mismatch_arms(config, rel_deltas, lambda2_values)
-    reports = _reports(mismatch_runs(arms), workers, run_report)
-    points = []
-    for lam, plain_arm, deltas in arms:
-        for delta, corr_arm, reason in deltas:
-            if corr_arm is None:
-                points.append(MismatchPoint(
-                    lambda2=lam, rel_delta=delta, feasible=False,
-                    reason=reason, p_corr=float("nan"),
-                    p_plain=float("nan"), normalized=float("nan")))
-                continue
-            corr, plain = reports[corr_arm], reports[plain_arm]
-            points.append(MismatchPoint(
-                lambda2=lam, rel_delta=delta, feasible=True, reason=None,
-                p_corr=corr.aggregate, p_plain=plain.aggregate,
-                normalized=error_ratio(corr.aggregate, plain.aggregate)))
-    return points
+    """Normalized BER surface over (perturbation, correlation) pairs:
+    mismatch_plan run jointly."""
+    return mismatch_plan(config, rel_deltas, lambda2_values).run(workers,
+                                                                 run_report)
 
 
 def bandwidth_arms(config: ExperimentConfig, matrix: TransitionMatrix,
@@ -772,12 +762,10 @@ def bandwidth_arms(config: ExperimentConfig, matrix: TransitionMatrix,
     """The (correlated, reduced) arms of one bandwidth-expansion point.
 
     The correlated arm is paired_arms' at the full load round(N *
-    base_beta) on matrix, with config's mismatch; the reduced arm is the
-    plain MUD on memoryless bits at round(N * base_beta * rate) users.
-    Everything else (spreading factor, noise, word length, ensemble, master
-    seed) is config's. The correlated arm does not depend on rate_excess,
-    so the points of one matrix share it. The point and both arms are
-    checked as they are built.
+    base_beta) on matrix, with config's mismatch, and does not depend on
+    rate_excess; the reduced arm is the plain MUD on memoryless bits at
+    round(N * base_beta * rate) users. Everything else is config's. The
+    point and both arms are checked as they are built.
     """
     _, _, (n_users, reduced_users) = compression_point(
         matrix, rate_excess, config.spread_factor, base_beta)
@@ -785,6 +773,53 @@ def bandwidth_arms(config: ExperimentConfig, matrix: TransitionMatrix,
     _, reduced_arm = paired_arms(replace(
         config, matrix=iid_matrix(), n_users=reduced_users, mismatch=0.0))
     return corr_arm, reduced_arm
+
+
+def compression_plan(config: ExperimentConfig, protocol: str, matrices,
+                     rate_excesses=(0.0,), base_beta: float | None = None,
+                     amplification: str = "entropy") -> Plan:
+    """Direct correlated detection against compress-then-transmit, reduced
+    to the (lambda2, entropy_bits, epsilon, CompressionComparison) rows
+    write_comparison_csv takes.
+
+    matrices holds (lambda2, matrix) pairs: each source compared, with the
+    eigenvalue its rows report. The "fixed" protocol runs paired_arms on
+    each matrix, one row per matrix at epsilon 0, and reduces by
+    fixed_load_comparison. The "bandwidth" protocol runs bandwidth_arms at
+    base_beta (default config.load) for every rate excess, one row per
+    (matrix, excess) pair, and reduces by bandwidth_expansion_comparison;
+    the rows of one matrix share its correlated arm. Every point is
+    checked, and every arm built, before the plan exists.
+    """
+    if protocol not in ("fixed", "bandwidth"):
+        raise ValueError(f"unknown protocol {protocol!r}")
+    if amplification not in AMPLIFICATIONS:
+        raise ValueError(f"amplification must be one of {AMPLIFICATIONS}")
+    base_beta = config.load if base_beta is None else base_beta
+    points = []  # (lambda2, entropy, epsilon, (correlated arm, other arm))
+    for lam, matrix in matrices:
+        entropy = compression_point(matrix)[0]
+        if protocol == "fixed":
+            points.append((lam, entropy, 0.0,
+                           paired_arms(replace(config, matrix=matrix))))
+        else:
+            points += [(lam, entropy, eps,
+                        bandwidth_arms(config, matrix, eps, base_beta))
+                       for eps in rate_excesses]
+
+    def reduce(reports):
+        rows = []
+        for lam, entropy, eps, (corr_arm, other_arm) in points:
+            p_corr = reports[corr_arm].aggregate
+            p_other = reports[other_arm].aggregate
+            rows.append((lam, entropy, eps, (
+                fixed_load_comparison(corr_arm.matrix, p_corr, p_other)
+                if protocol == "fixed" else bandwidth_expansion_comparison(
+                    corr_arm.matrix, eps, p_corr, p_other, amplification))))
+        return rows
+
+    return Plan(tuple(dict.fromkeys(
+        cfg for *_, arms in points for cfg in arms)), reduce)
 
 
 # ---------------------------------------------------------------------------

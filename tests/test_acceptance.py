@@ -23,10 +23,8 @@ import pytest
 import conftest
 
 from corrcdma.baselines import (
-    bandwidth_expansion_comparison,
     binary_entropy,
     bsc_residual_error,
-    fixed_load_comparison,
     inverse_binary_entropy,
 )
 from corrcdma.channel import generate_spreading, transmit
@@ -39,13 +37,12 @@ from corrcdma.detectors import (
 )
 from corrcdma.harness import (
     ExperimentConfig,
-    bandwidth_arms,
+    compression_plan,
     length_scaling_study,
     mismatch_study,
     monte_carlo,
     monte_carlo_arms,
     normalized_ber_sweep,
-    paired_arms,
     write_ber_csv,
 )
 from corrcdma.markov import (
@@ -210,9 +207,11 @@ def test_criterion_07_fixed_load_compression_table():
                               word_length=100,
                               matrix=make_symmetric_matrix(assumed_lambda2),
                               ensemble=100, seed=107)
-    p_corr, crossover = (report.aggregate
-                         for report in monte_carlo_arms(paired_arms(config)))
-    comparison = fixed_load_comparison(config.matrix, p_corr, crossover)
+    plan = compression_plan(config, "fixed",
+                            [(assumed_lambda2, config.matrix)])
+    reports = dict(zip(plan.runs, monte_carlo_arms(plan.runs)))
+    ((_, _, _, comparison),) = plan.reduce(reports)
+    p_corr, crossover = (reports[arm].aggregate for arm in plan.runs)
 
     detail = (f"fixed-load ratio {comparison.ratio:.4f} at documented "
               f"lambda2={assumed_lambda2}, L={config.word_length} "
@@ -243,22 +242,17 @@ def test_criterion_08_bandwidth_expansion_comparison():
                               word_length=30,
                               matrix=make_symmetric_matrix(0.8),
                               ensemble=100, seed=108)
-    arms = {(lam, eps): bandwidth_arms(config, make_symmetric_matrix(lam),
-                                       eps, 0.8)
-            for lam in (0.5, 0.8) for eps in (0.0, 0.05)}
-    runs = list(dict.fromkeys(cfg for pair in arms.values() for cfg in pair))
-    reports = dict(zip(runs, monte_carlo_arms(runs)))
-
-    def compare(lam, eps):
-        corr, reduced = arms[lam, eps]
-        return bandwidth_expansion_comparison(
-            corr.matrix, eps, reports[corr].aggregate,
-            reports[reduced].aggregate)
+    rows = compression_plan(
+        config, "bandwidth",
+        [(lam, make_symmetric_matrix(lam)) for lam in (0.5, 0.8)],
+        (0.0, 0.05), 0.8).run()
+    comparisons = {(lam, eps): comparison
+                   for lam, _, eps, comparison in rows}
 
     passed = True
     details = []
     for lam in (0.5, 0.8):
-        exact, excess = compare(lam, 0.0), compare(lam, 0.05)
+        exact, excess = comparisons[lam, 0.0], comparisons[lam, 0.05]
         passed &= exact.ratio < 1.0 and excess.ratio < 1.0
         passed &= excess.ratio < exact.ratio
         details.append(f"lambda2 {lam:g}: ratio {exact.ratio:.3f} (eps=0) / "

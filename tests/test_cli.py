@@ -25,7 +25,12 @@ from corrcdma.baselines import (
 )
 from corrcdma.cli import _OutputSet, build_parser, main
 from corrcdma.harness import SHORTHANDS, ExperimentConfig, read_csv_with_header
-from corrcdma.markov import iid_matrix, make_symmetric_matrix
+from corrcdma.markov import (
+    TransitionMatrix,
+    iid_matrix,
+    make_symmetric_matrix,
+    source_stats,
+)
 
 TINY = ["--spread-factor", "60", "--n-users", "30", "--word-length", "10",
         "--ensemble", "2", "--seed", "7"]
@@ -403,19 +408,41 @@ def test_paired_commands_write_the_per_arm_bytes(tmp_path, monkeypatch,
                             "bandwidth": 1}[argv[1]]
 
 
+def tiny_arm(variant="correlated_mud", lam=0.8, **fields):
+    """A config TINY pins, on the symmetric matrix of lam."""
+    pinned = dict(spread_factor=60, n_users=30, word_length=10, ensemble=2,
+                  seed=7)
+    return ExperimentConfig(**{**pinned, **fields}, variant=variant,
+                            matrix=make_symmetric_matrix(lam))
+
+
+def plain_arm(lam, **fields):
+    return tiny_arm("plain_mud", lam, **fields)
+
+
 @pytest.mark.parametrize("argv, arms", [
-    (["simulate"], 1),
-    (["sweep", "lambda2", "--values", "0,0.5"], 4),
-    (["sweep", "length", "--values", "8,16,32"], 3),
+    (["simulate"], [tiny_arm()]),
+    (["sweep", "lambda2", "--values", "0,0.5"],
+     [tiny_arm(lam=0.0), plain_arm(0.0), tiny_arm(lam=0.5), plain_arm(0.5)]),
+    (["sweep", "length", "--values", "16,8,32"],
+     [tiny_arm(word_length=length) for length in (16, 8, 32)]),
     # 0.9 + 0.1 is infeasible, so 0.9 runs its plain arm and one other
-    (["sweep", "mismatch", "--values", "0.5,0.9", "--deltas=-0.1,0.1"], 5),
-    (["compare-compression", "fixed", "--values", "0.3,0.8"], 4),
+    (["sweep", "mismatch", "--values", "0.5,0.9", "--deltas=-0.1,0.1"],
+     [plain_arm(0.5), tiny_arm(lam=0.5, mismatch=-0.1),
+      tiny_arm(lam=0.5, mismatch=0.1), plain_arm(0.9),
+      tiny_arm(lam=0.9, mismatch=-0.1)]),
+    (["compare-compression", "fixed", "--values", "0.3,0.8"],
+     [tiny_arm(lam=0.3), plain_arm(0.3), tiny_arm(lam=0.8), plain_arm(0.8)]),
     # one correlated arm per eigenvalue serves every rate excess, and two
     # excesses at 0.8 round to the same reduced load: 2 + 5 arms, not 12
     (["compare-compression", "bandwidth", "--values", "0.5,0.8",
-      "--epsilon", "0,0.05,0.1"], 7),
+      "--epsilon", "0,0.05,0.1"],
+     [tiny_arm(lam=0.5), *(plain_arm(0.0, n_users=k) for k in (24, 26, 27)),
+      tiny_arm(lam=0.8), *(plain_arm(0.0, n_users=k) for k in (14, 15))]),
 ], ids=["simulate", "lambda2", "length", "mismatch", "fixed", "bandwidth"])
 def test_each_command_makes_one_joint_run(tmp_path, monkeypatch, argv, arms):
+    # one monte_carlo_arms call over the distinct arms in run order, and
+    # no study function planning them again
     calls = []
     real = harness.monte_carlo_arms
 
@@ -423,11 +450,35 @@ def test_each_command_makes_one_joint_run(tmp_path, monkeypatch, argv, arms):
         calls.append(list(configs))
         return real(configs, workers)
 
+    def study(*args, **kwargs):
+        raise AssertionError("the command re-planned through a study")
+
     monkeypatch.setattr(harness, "monte_carlo_arms", spy)
     monkeypatch.setattr(cli, "monte_carlo_arms", spy)
+    for name in ("normalized_ber_sweep", "length_scaling_study",
+                 "mismatch_study"):
+        monkeypatch.setattr(harness, name, study)
+        monkeypatch.setattr(cli, name, study, raising=False)
     assert main([*argv, *TINY, "--out-dir", str(tmp_path / "out")]) == 0
-    assert len(calls) == 1
-    assert len(calls[0]) == len(set(calls[0])) == arms
+    assert calls == [arms]
+
+
+@pytest.mark.parametrize("protocol", ["fixed", "bandwidth"])
+def test_comparison_reads_the_configured_matrix(tmp_path, protocol):
+    # without --values the protocols compare the config's own matrix, also
+    # an asymmetric one, not the symmetric matrix of its eigenvalue
+    out = tmp_path / protocol
+    assert main(["compare-compression", protocol, "--matrix",
+                 "0.7,0.3,0.4,0.6", *TINY, "--out-dir", str(out)]) == 0
+    _, columns, rows = read_csv_with_header(
+        out / f"comparison_{protocol}.csv")
+    (row,) = rows
+    matrix = TransitionMatrix.from_flat("0.7,0.3,0.4,0.6")
+    assert float(row[columns.index("entropy_bits")]) == \
+        source_stats(matrix).entropy_bits
+    arm = replace(tiny_arm(), matrix=matrix)
+    assert float(row[columns.index("p_corr")]) == \
+        harness.monte_carlo(arm).aggregate
 
 
 def test_bandwidth_protocol_runs_the_mismatched_arm(tmp_path):
@@ -632,6 +683,50 @@ def test_plotdata_blocks_sweep_inset(tmp_path):
     assert "# lambda2 normalized" in dat
     assert "# correlation_length normalized" in dat
     assert "\n\n\n" in dat  # two gnuplot index blocks
+
+
+PLOT_HEAD = ('set datafile commentschars "#"\nset xlabel "second eigenvalue"\n'
+             'set ylabel "{}"\nset key top right\nplot ')
+
+
+@pytest.mark.parametrize("name, csv, dat, gp", [
+    # the infeasible row is left out; the deltas keep first-seen order
+    ("mismatch",
+     "lambda2,rel_delta,feasible,reason,p_corr,p_plain,normalized\n"
+     "0.5,-0.1,true,,0.1,0.2,0.5\n0.5,0.1,true,,0.12,0.2,0.6\n"
+     "0.9,-0.1,true,,0.05,0.1,0.5\n"
+     '0.9,0.1,false,"perturbed element 1.0725 outside [0, 1] '
+     '(rel_delta=0.1)",nan,nan,nan\n',
+     "# rel_delta=-0.1\n# lambda2 normalized\n0.5 0.5\n0.9 0.5\n\n\n"
+     "# rel_delta=0.1\n# lambda2 normalized\n0.5 0.6\n",
+     PLOT_HEAD.format("normalized BER")
+     + '"mismatch.dat" index 0 using 1:2 with linespoints title '
+       '"delta=-0.1", \\\n     "mismatch.dat" index 1 using 1:2 with '
+       'linespoints title "delta=0.1"\n'),
+    ("bandwidth",
+     "lambda2,entropy_bits,epsilon,p_corr,p_comp,ratio,rate,protocol,"
+     "ensemble,seed\n"
+     "0.5,0.81,0.0,0.1,0.2,0.5,0.81,bandwidth_expansion,2,7\n"
+     "0.5,0.81,0.05,0.1,0.25,0.4,0.85,bandwidth_expansion,2,7\n"
+     "0.8,0.47,0.0,0.05,0.1,0.5,0.47,bandwidth_expansion,2,7\n"
+     "0.8,0.47,0.05,0.05,0.125,0.4,0.49,bandwidth_expansion,2,7\n",
+     "# protocol=bandwidth_expansion epsilon=0.0\n# lambda2 ratio\n"
+     "0.5 0.5\n0.8 0.5\n\n\n"
+     "# protocol=bandwidth_expansion epsilon=0.05\n# lambda2 ratio\n"
+     "0.5 0.4\n0.8 0.4\n",
+     PLOT_HEAD.format("error ratio (detection / compression)")
+     + '"bandwidth.dat" index 0 using 1:2 with linespoints title '
+       '"bandwidth_expansion eps=0.0", \\\n     "bandwidth.dat" index 1 '
+       'using 1:2 with linespoints title "bandwidth_expansion eps=0.05"\n'),
+], ids=["mismatch", "bandwidth"])
+def test_plotdata_writes_one_block_per_group(tmp_path, name, csv, dat, gp):
+    # the grouped families: one data block and plot clause per group
+    path = tmp_path / f"{name}.csv"
+    path.write_text("# corrcdma=0.1.0\n" + csv)
+    out = tmp_path / "plots"
+    assert main(["plotdata", str(path), "--out-dir", str(out)]) == 0
+    assert (out / f"{name}.dat").read_text() == dat
+    assert (out / f"{name}.gp").read_text() == gp
 
 
 def test_plotdata_schema_mismatch_names_the_column(tmp_path, capsys):

@@ -289,7 +289,7 @@ def test_paired_arms_share_realizations_and_groups():
     # group whatever their eigenvalue
     c4 = small_config(spread_factor=500, n_users=400, word_length=100,
                       ensemble=1)
-    arms = harness.lambda2_runs(harness.lambda2_arms(c4, [0.0, 0.4, 0.8]))
+    arms = harness.lambda2_plan(c4, [0.0, 0.4, 0.8]).runs
     realizations = harness._realizations(arms)
     assert [len(cfgs) for _, cfgs in realizations] == [2, 2, 2]
     assert payload_sizes(*arms) == [2, 1]
@@ -297,8 +297,8 @@ def test_paired_arms_share_realizations_and_groups():
     assert len(harness._realizations(
         [c4, replace(c4, word_length=50), replace(c4, n_users=399)])) == 3
     # two correlated arms of one realization fill a 400-user group each
-    mismatch = harness.mismatch_runs(harness.mismatch_arms(
-        replace(c4, ensemble=3), [0.05, -0.05], [0.5]))
+    mismatch = harness.mismatch_plan(
+        replace(c4, ensemble=3), [0.05, -0.05], [0.5]).runs
     assert len(mismatch) == 3
     assert payload_sizes(*mismatch) == [1, 1, 1]
     # a longer ensemble shares the realizations of the shorter one
@@ -316,9 +316,8 @@ def joint_arms():
     """A lambda2 sweep's arms, a mismatch study's (one of its assumed
     matrices asymmetric), RSUS and blind correlated arms, and SUMF arms."""
     cfg = small_config(ensemble=4)
-    sweep = harness.lambda2_runs(harness.lambda2_arms(cfg, [0.0, 0.5, 0.8]))
-    mismatch = harness.mismatch_runs(harness.mismatch_arms(
-        cfg, [-0.1, 0.05], [0.6]))
+    sweep = list(harness.lambda2_plan(cfg, [0.0, 0.5, 0.8]).runs)
+    mismatch = list(harness.mismatch_plan(cfg, [-0.1, 0.05], [0.6]).runs)
     others = [replace(cfg, schedule="RSUS"), replace(cfg, blind=True),
               replace(cfg, variant="correlated_sumf", schedule="BFUS"),
               replace(cfg, variant="plain_sumf")]
@@ -714,6 +713,57 @@ def test_mismatch_study_orders_points_per_eigenvalue():
     points = mismatch_study(cfg, [-0.05, 0.05], [0.3, 0.5])
     assert [(p.lambda2, p.rel_delta) for p in points] == [
         (0.3, -0.05), (0.3, 0.05), (0.5, -0.05), (0.5, 0.05)]
+
+
+def test_plans_list_their_runs_in_run_order():
+    cfg = small_config(ensemble=1)
+    sym = make_symmetric_matrix
+    # a sweep point runs its correlated arm, then its plain arm
+    assert [(c.variant, c.matrix) for c in
+            harness.lambda2_plan(cfg, [0.0, 0.5]).runs] == [
+        ("correlated_mud", sym(0.0)), ("plain_mud", sym(0.0)),
+        ("correlated_mud", sym(0.5)), ("plain_mud", sym(0.5))]
+    # one config per length, in the order given
+    assert [c.word_length for c in
+            harness.length_plan(cfg, [20, 10, 40]).runs] == [20, 10, 40]
+    # per eigenvalue the plain arm, then its feasible correlated arms; an
+    # eigenvalue without one runs nothing, and its points are still rows
+    plan = harness.mismatch_plan(cfg, [0.1, -0.05], [0.95, 0.3])
+    assert [(c.variant, c.matrix, c.mismatch) for c in plan.runs] == [
+        ("plain_mud", sym(0.95), 0.0), ("correlated_mud", sym(0.95), -0.05),
+        ("plain_mud", sym(0.3), 0.0), ("correlated_mud", sym(0.3), 0.1),
+        ("correlated_mud", sym(0.3), -0.05)]
+    (infeasible,) = harness.mismatch_plan(cfg, [0.1], [0.95]).reduce({})
+    assert not infeasible.feasible and "outside [0, 1]" in infeasible.reason
+    # the fixed protocol runs each matrix's paired arms; the bandwidth
+    # points of one matrix share its correlated arm
+    matrix = sym(0.8)
+    assert harness.compression_plan(cfg, "fixed", [(0.8, matrix)]).runs \
+        == harness.paired_arms(replace(cfg, matrix=matrix))
+    (corr, exact), (_, excess) = (harness.bandwidth_arms(cfg, matrix, eps, 0.5)
+                                  for eps in (0.0, 0.05))
+    assert harness.compression_plan(cfg, "bandwidth", [(0.8, matrix)],
+                                    [0.0, 0.05], 0.5).runs == (
+        corr, exact, excess)
+
+
+@pytest.mark.parametrize("protocol, rate_excesses, amplification, message", [
+    ("separate", (0.0,), "entropy", "unknown protocol"),
+    ("bandwidth", (0.0,), "bits", "amplification must be one of"),
+    ("fixed", (0.0,), "entropy", "source entropy is zero"),
+    ("bandwidth", (0.0, -0.1), "entropy", "rate_excess must be >= 0"),
+])
+def test_compression_plan_checks_every_point_up_front(
+        protocol, rate_excesses, amplification, message):
+    # a bad protocol, amplification or point fails as the plan is built;
+    # the fixed protocol's second matrix has no entropy
+    cfg = small_config(ensemble=1)
+    matrices = [(0.5, make_symmetric_matrix(0.5))]
+    if protocol == "fixed":
+        matrices.append((1.0, make_symmetric_matrix(1.0)))
+    with pytest.raises(ValueError, match=message):
+        harness.compression_plan(cfg, protocol, matrices, rate_excesses,
+                                 amplification=amplification)
 
 
 def test_bandwidth_arms_pin_everything_but_the_arm():
