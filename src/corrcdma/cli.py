@@ -17,7 +17,7 @@ from contextlib import suppress
 from dataclasses import replace
 from datetime import datetime, timezone
 from functools import partial
-from itertools import takewhile
+from itertools import product, takewhile
 from pathlib import Path
 
 import numpy as np
@@ -106,9 +106,15 @@ def _resolve_workers(args):
 
 
 def _parse_value_list(text, option, cast=float):
+    """The comma- or space-separated values of option, each cast; at least
+    one, none listed twice."""
     if text is None or not str(text).strip():
         raise ValueError(f"{option} must list at least one value")
-    return [cast(token) for token in str(text).replace(",", " ").split()]
+    values = [cast(token) for token in str(text).replace(",", " ").split()]
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"{option} lists {value:.15g} twice")
+    return values
 
 
 class _OutputSet:
@@ -187,10 +193,8 @@ def _check_arm_files(runs):
     for cfg in runs:
         name = _arm_file(cfg)
         if name in seen:
-            first, second = point(seen[name]), point(cfg)
-            points = (f"sweep point {first} is listed twice" if first == second
-                      else f"sweep points {first} and {second}")
-            raise ValueError(f"{points}: both would write {name}")
+            raise ValueError(f"sweep points {point(seen[name])} and "
+                             f"{point(cfg)}: both would write {name}")
         seen[name] = cfg
 
 
@@ -227,8 +231,7 @@ def _run_experiment(args, command: str, plan) -> int:
     outputs = _OutputSet(args.out_dir)
     started = _timestamp()
     try:
-        runs = experiment.runs
-        reports = dict(zip(runs, monte_carlo_arms(runs, workers)))
+        reports = monte_carlo_arms(experiment.runs, workers)
         closing = finish(experiment.reduce(reports), reports, outputs)
         outputs.validate()
         _write_manifest(outputs, command, config, started, workers)
@@ -515,6 +518,25 @@ def cmd_plotdata(args) -> int:
 # selftest
 
 
+def _bias_enumeration_error(rng, n_matrices: int) -> float:
+    """The worst |local_bias - enumerated posterior| over n_matrices random
+    two-state matrices, each with the four hard (+-1) neighbour pairs: the
+    bias of a middle symbol must be the posterior mean that enumerating
+    its two hypotheses gives."""
+    worst = 0.0
+    for _ in range(n_matrices):
+        stay = rng.uniform(0.05, 0.95, size=2)
+        matrix = TransitionMatrix(np.array([[stay[0], 1.0 - stay[0]],
+                                            [1.0 - stay[1], stay[1]]]))
+        for left, right in product((-1, 1), repeat=2):
+            soft = np.array([[left, 0.0, right]], dtype=float)
+            got = float(local_bias(soft, matrix, 1)[0])
+            up = matrix.prob(left, 1) * matrix.prob(1, right)
+            down = matrix.prob(left, -1) * matrix.prob(-1, right)
+            worst = max(worst, abs(got - (up - down) / (up + down)))
+    return worst
+
+
 def _selftest_checks():
     rng = np.random.default_rng(20240817)
 
@@ -530,20 +552,7 @@ def _selftest_checks():
                    for f in crossovers)
 
     def bias_matches_enumeration():
-        for _ in range(10):
-            stay = rng.uniform(0.05, 0.95, size=2)
-            matrix = TransitionMatrix(
-                np.array([[stay[0], 1 - stay[0]], [1 - stay[1], stay[1]]]))
-            for left in (-1, 1):
-                for right in (-1, 1):
-                    soft = np.array([[left, 0.0, right]], dtype=float)
-                    got = local_bias(soft, matrix, 1)[0]
-                    up = matrix.prob(left, 1) * matrix.prob(1, right)
-                    down = matrix.prob(left, -1) * matrix.prob(-1, right)
-                    want = (up - down) / (up + down)
-                    if abs(got - want) > 1e-12:
-                        return False
-        return True
+        return _bias_enumeration_error(rng, 10) < 1e-12
 
     def reduction_identity():
         cfg = ExperimentConfig(spread_factor=60, n_users=30, sigma=0.8,

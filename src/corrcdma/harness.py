@@ -42,7 +42,6 @@ from .baselines import (
 )
 from .channel import generate_spreading, transmit
 from .detectors import (
-    SCHEDULES,
     DetectorDivergence,
     DetectorOptions,
     _run_engine,
@@ -84,7 +83,8 @@ class ExperimentConfig:
 
     matrix is the generator's transition matrix; mismatch perturbs the
     detector-assumed copy only. seed is the master seed every trial stream
-    derives from.
+    derives from. schedule, blind and max_iters are DetectorOptions' knobs,
+    with its defaults and its checks.
     """
 
     spread_factor: int = 1000
@@ -93,12 +93,12 @@ class ExperimentConfig:
     word_length: int = 100
     matrix: TransitionMatrix = field(default_factory=_default_matrix)
     variant: str = "correlated_mud"
-    schedule: str = "SUS"
-    blind: bool = False
+    schedule: str = DetectorOptions.schedule
+    blind: bool = DetectorOptions.blind
     mismatch: float = 0.0
     ensemble: int = 100
     seed: int = 0
-    max_iters: int = 50
+    max_iters: int = DetectorOptions.max_iters
 
     def __post_init__(self):
         if self.spread_factor < 1 or self.n_users < 1:
@@ -117,14 +117,12 @@ class ExperimentConfig:
             raise ValueError("matrix must be a TransitionMatrix")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.schedule not in SCHEDULES:
-            raise ValueError(f"schedule must be one of {SCHEDULES}, got {self.schedule!r}")
+        DetectorOptions(max_iters=self.max_iters, schedule=self.schedule,
+                        blind=self.blind)
         if self.ensemble < 1:
             raise ValueError("ensemble must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
         if self.mismatch != 0.0:
             self.detector_matrix()  # fail fast on infeasible perturbations
 
@@ -377,25 +375,12 @@ def _detect_realizations(payload) -> list[list[TrialOutcome]]:
     return outcomes
 
 
-def run_trials(config: ExperimentConfig, indices) -> list[TrialOutcome]:
-    """The ensemble samples of trial indices, detected in lockstep.
-
-    Each trial is a deterministic function of (config.seed, index): the
-    group only shares the detection engine's arrays, so the outcomes equal
-    those of the trials run one at a time. RSUS shuffles come from a
-    separate stream per trial, so the other schedules stay untouched by
-    the variant choice; RSUS and blind runs detect one trial at a time. A
-    trial whose detector diverges still counts, with the matched-filter
-    decisions.
-    """
-    return [outcome for (outcome,) in _detect_realizations(
-        [(index, (config,)) for index in indices])]
-
-
 def run_trial(config: ExperimentConfig, trial_index: int) -> TrialOutcome:
     """One ensemble sample: generate, transmit, detect, count errors; a
-    deterministic function of (config.seed, trial_index)."""
-    return run_trials(config, [trial_index])[0]
+    deterministic function of (config.seed, trial_index), through the
+    path every joint run takes. A trial whose detector diverges still
+    counts, with the matched-filter decisions."""
+    return _detect_realizations([(trial_index, (config,))])[0][0]
 
 
 def _realizations(arms) -> list[tuple]:
@@ -483,8 +468,11 @@ def shutdown_pool() -> None:
 atexit.register(shutdown_pool)
 
 
-def monte_carlo_arms(configs, workers: int | None = None) -> list[BerReport]:
-    """The report of every config, from one joint run of their trials.
+def monte_carlo_arms(configs, workers: int | None = None
+                     ) -> dict[ExperimentConfig, BerReport]:
+    """The {config: report} map of the configs, one entry per distinct
+    config in order of first appearance, from one joint run of their
+    trials.
 
     Arms with the same channel fields (seed, generator matrix, sizes and
     noise) share each trial's realization, drawn once, so their pairing
@@ -518,12 +506,12 @@ def monte_carlo_arms(configs, workers: int | None = None) -> list[BerReport]:
         for (_, cfgs), per_arm in zip(payload, group):
             for cfg, outcome in zip(cfgs, per_arm):
                 outcomes[cfg].append(outcome)
-    return [_report(cfg, outcomes[cfg]) for cfg in configs]
+    return {cfg: _report(cfg, trials) for cfg, trials in outcomes.items()}
 
 
 def monte_carlo(config: ExperimentConfig, workers: int | None = None) -> BerReport:
     """The report of config's ensemble: monte_carlo_arms on one arm."""
-    return monte_carlo_arms([config], workers)[0]
+    return monte_carlo_arms([config], workers)[config]
 
 
 def _report(config: ExperimentConfig, outcomes) -> BerReport:
@@ -574,10 +562,10 @@ class Plan:
         runs or, when run_report is given (testing, or reports already
         run), from run_report(cfg), asked once per distinct run in run
         order."""
-        runs = list(dict.fromkeys(self.runs))
-        reports = (monte_carlo_arms(runs, workers) if run_report is None
-                   else map(run_report, runs))
-        return self.reduce(dict(zip(runs, reports)))
+        if run_report is None:
+            return self.reduce(monte_carlo_arms(self.runs, workers))
+        return self.reduce({cfg: run_report(cfg)
+                            for cfg in dict.fromkeys(self.runs)})
 
 
 @dataclass(frozen=True)

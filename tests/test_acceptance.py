@@ -15,7 +15,6 @@ weakened or re-targeted at a passing correlation.
 """
 
 from dataclasses import replace
-from itertools import product
 
 import numpy as np
 import pytest
@@ -28,11 +27,11 @@ from corrcdma.baselines import (
     inverse_binary_entropy,
 )
 from corrcdma.channel import generate_spreading, transmit
+from corrcdma.cli import _bias_enumeration_error
 from corrcdma.detectors import (
     DetectorDivergence,
     DetectorOptions,
     correlated_mud_detect,
-    local_bias,
     mud_detect,
 )
 from corrcdma.harness import (
@@ -46,7 +45,6 @@ from corrcdma.harness import (
     write_ber_csv,
 )
 from corrcdma.markov import (
-    TransitionMatrix,
     generate_block,
     iid_matrix,
     make_symmetric_matrix,
@@ -93,19 +91,7 @@ def test_criterion_01_reduction_identity():
 def test_criterion_02_bias_oracle():
     """local_bias with hard neighbors (soft values +-1) equals the enumerated
     conditional posterior mean for 4 neighbor configs x 20 matrices."""
-    rng = np.random.default_rng(102)
-    worst = 0.0
-    for _ in range(20):
-        stay = rng.uniform(0.05, 0.95, size=2)
-        matrix = TransitionMatrix(np.array([[stay[0], 1.0 - stay[0]],
-                                            [1.0 - stay[1], stay[1]]]))
-        for left, right in product((-1, 1), repeat=2):
-            soft = np.array([[left, 0.0, right]], dtype=float)
-            got = float(local_bias(soft, matrix, 1)[0])
-            up = matrix.prob(left, 1) * matrix.prob(1, right)
-            down = matrix.prob(left, -1) * matrix.prob(-1, right)
-            want = (up - down) / (up + down)
-            worst = max(worst, abs(got - want))
+    worst = _bias_enumeration_error(np.random.default_rng(102), 20)
     ok = _report("C2", worst < 1e-12,
                  f"max |bias - enumerated posterior| = {worst:.3e} "
                  f"(tolerance 1e-12)")
@@ -209,7 +195,7 @@ def test_criterion_07_fixed_load_compression_table():
                               ensemble=100, seed=107)
     plan = compression_plan(config, "fixed",
                             [(assumed_lambda2, config.matrix)])
-    reports = dict(zip(plan.runs, monte_carlo_arms(plan.runs)))
+    reports = monte_carlo_arms(plan.runs)
     ((_, _, _, comparison),) = plan.reduce(reports)
     p_corr, crossover = (reports[arm].aggregate for arm in plan.runs)
 

@@ -250,15 +250,19 @@ def test_worker_budget_is_checked_up_front(tmp_path, capsys, monkeypatch,
      "sweep points lambda2=0.1 delta=0 length=10 and lambda2=0.10000001 "
      "delta=0 length=10: both would write "
      "ber_correlated_mud_lam0.1_L10_d0.csv"),
+    # a value listed twice, in any list flag
     (["sweep", "lambda2", "--values", "0.4,0.1,0.4", *TINY],
-     "sweep point lambda2=0.4 delta=0 length=10 is listed twice"),
+     "--values lists 0.4 twice"),
     (["sweep", "mismatch", "--values", "0.5", "--deltas", "0.1,0.1", *TINY],
-     "sweep point lambda2=0.5 delta=0.1 length=10 is listed twice: both "
-     "would write ber_correlated_mud_lam0.5_L10_d0.1.csv"),
+     "--deltas lists 0.1 twice"),
     (["sweep", "mismatch", "--values", "0.5,0.5000000001", "--deltas", "0.1",
       *TINY], "ber_plain_mud_lam0.5_L10_d0.csv"),
     (["sweep", "length", "--values", "8,16,8,32", *TINY],
-     "sweep point lambda2=0.8 delta=0 length=8 is listed twice"),
+     "--values lists 8 twice"),
+    (["compare-compression", "fixed", "--values", "0.5,0.5", *TINY],
+     "--values lists 0.5 twice"),
+    (["compare-compression", "bandwidth", "--values", "0.5", "--epsilon",
+      "0,0", *TINY], "--epsilon lists 0 twice"),
     # the mismatch is feasible on the config matrix and at 0.3, not at 0.95
     (["compare-compression", "fixed", "--values", "0.3,0.95", "--mismatch",
       "0.1", *TINY], "perturbed element 1.0725 outside [0, 1]"),
@@ -269,7 +273,8 @@ def test_worker_budget_is_checked_up_front(tmp_path, capsys, monkeypatch,
         "epsilon-negative", "fixed-base-beta-inf", "fixed-base-beta",
         "fixed-epsilon", "fixed-epsilon-zero", "fixed-amplification",
         "lambda2-file-names", "lambda2-repeated", "mismatch-repeated-delta",
-        "mismatch-file-names", "length-repeated", "fixed-mismatch-infeasible",
+        "mismatch-file-names", "length-repeated", "fixed-repeated",
+        "bandwidth-repeated-epsilon", "fixed-mismatch-infeasible",
         "bandwidth-mismatch-infeasible"])
 @pytest.mark.parametrize("dry_run", [True, False], ids=["dry", "run"])
 def test_rejected_input_exits_2_and_writes_nothing(tmp_path, capsys, argv,

@@ -6,6 +6,7 @@ with different worker counts, and check the exact count identities the
 report claims.
 """
 
+import dataclasses
 import multiprocessing
 import os
 import signal
@@ -244,7 +245,8 @@ def test_divergence_inside_a_group_falls_back_for_that_trial_only(
         return real_step(cols, soft, *rest)
 
     monkeypatch.setattr(detectors, "_mud_step", step)
-    outcomes = harness.run_trials(cfg, range(3))
+    outcomes = [outcome for (outcome,) in harness._detect_realizations(
+        [(index, (cfg,)) for index in range(3)])]
     assert outcomes[1].diverged
     assert outcomes[1].unconverged_positions == cfg.word_length
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1, 0]))
@@ -308,6 +310,36 @@ def test_paired_arms_share_realizations_and_groups():
         (0, 2), (1, 1), (2, 1)]
 
 
+# One alternate value per config field. Arms that differ only in a field of
+# SAME_REALIZATIONS detect the same realizations, and arms that differ only
+# in a field of SAME_ENGINE share an engine kind; a difference in any other
+# field splits them. ensemble is on both sides: it fixes only how many trial
+# indices an arm runs. A new field needs its alternate and its place here.
+ALTERNATES = {
+    "spread_factor": 61, "n_users": 29, "sigma": 0.7, "word_length": 11,
+    "matrix": make_symmetric_matrix(0.5), "variant": "plain_mud",
+    "schedule": "PUS", "blind": True, "mismatch": 0.05, "ensemble": 3,
+    "seed": 8, "max_iters": 29,
+}
+SAME_REALIZATIONS = {"variant", "schedule", "blind", "mismatch",
+                     "max_iters", "ensemble"}
+SAME_ENGINE = {"seed", "matrix", "mismatch", "ensemble"}
+
+
+@pytest.mark.parametrize(
+    "name", [f.name for f in dataclasses.fields(ExperimentConfig)])
+def test_pairing_holds_for_every_config_field(name):
+    assert name in ALTERNATES, f"field {name} has no alternate value"
+    base = small_config(ensemble=2)
+    other = replace(base, **{name: ALTERNATES[name]})
+    assert getattr(other, name) != getattr(base, name)
+    shared = [index for index, arms in harness._realizations([base, other])
+              if arms == (base, other)]
+    assert shared == ([0, 1] if name in SAME_REALIZATIONS else [])
+    assert ((harness._engine_kind(base) == harness._engine_kind(other))
+            == (name in SAME_ENGINE))
+
+
 # ---------------------------------------------------------------------------
 # joint runs: arms that share realizations
 
@@ -329,14 +361,16 @@ def test_joint_run_equals_per_arm_runs(workers):
     arms = joint_arms()
     assert not arms[7].detector_matrix().is_symmetric  # delta -0.1
     joint = harness.monte_carlo_arms(arms, workers)
-    assert [report.config for report in joint] == arms
-    for report, cfg in zip(joint, arms):
+    assert list(joint) == arms
+    for cfg, report in joint.items():
+        assert report.config == cfg
         assert_same_report(report, monte_carlo(cfg))
         assert np.array_equal(report.per_position,
                               monte_carlo(cfg).per_position)
-    # a config listed twice gets its report twice
-    again = harness.monte_carlo_arms([arms[0], arms[1], arms[0]], workers)
-    assert_same_report(again[2], joint[0])
+    # a config listed twice gets one entry, in its first place
+    again = harness.monte_carlo_arms([arms[1], arms[0], arms[1]], workers)
+    assert list(again) == [arms[1], arms[0]]
+    assert_same_report(again[arms[1]], joint[arms[1]])
 
 
 @pytest.mark.parametrize("workers", [None, 1, 2], ids=["unset", "1", "2"])
@@ -374,7 +408,8 @@ def test_divergence_in_one_arm_leaves_the_other_untouched(monkeypatch):
         return changed
 
     monkeypatch.setattr(detectors, "_bias_sweep", sweep)
-    corr_report, plain_report = harness.monte_carlo_arms([corr, plain])
+    reports = harness.monte_carlo_arms([corr, plain])
+    corr_report, plain_report = reports[corr], reports[plain]
     assert calls[0] == 3  # the three trials ran in one group
     assert_same_report(plain_report, plain_alone)
     assert corr_report.divergences == 1
@@ -484,7 +519,7 @@ def test_parallel_calls_reuse_one_pool(pools):
 
 def test_a_joint_run_without_trials_makes_no_pool(pools):
     # a mismatch study whose every perturbation is infeasible runs no arm
-    assert harness.monte_carlo_arms([], workers=2) == []
+    assert harness.monte_carlo_arms([], workers=2) == {}
     (point,) = mismatch_study(small_config(), [0.2], [0.9], workers=2)
     assert not point.feasible
     assert pools == []
@@ -789,7 +824,7 @@ def test_memoryless_bandwidth_point_has_ratio_one():
     # the realizations, and the correlated detector reduces to the plain
     cfg = small_config(ensemble=2)
     arms = harness.bandwidth_arms(cfg, iid_matrix(), 0.0, cfg.load)
-    corr, reduced = harness.monte_carlo_arms(arms)
+    corr, reduced = map(harness.monte_carlo_arms(arms).get, arms)
     assert corr.aggregate == reduced.aggregate > 0.0
     comparison = bandwidth_expansion_comparison(
         iid_matrix(), 0.0, corr.aggregate, reduced.aggregate)
@@ -867,8 +902,8 @@ def test_mismatch_csv_round_trip(tmp_path):
 def test_comparison_csv_round_trip(tmp_path):
     cfg = small_config(ensemble=2)
     matrix = make_symmetric_matrix(0.8)
-    corr, reduced = harness.monte_carlo_arms(
-        harness.bandwidth_arms(cfg, matrix, 0.0, 0.5))
+    arms = harness.bandwidth_arms(cfg, matrix, 0.0, 0.5)
+    corr, reduced = map(harness.monte_carlo_arms(arms).get, arms)
     comparison = bandwidth_expansion_comparison(
         matrix, 0.0, corr.aggregate, reduced.aggregate)
     entropy = source_stats(matrix).entropy_bits
