@@ -117,6 +117,21 @@ def _parse_value_list(text, option, cast=float):
     return values
 
 
+# The flags only one sweep kind or compare-compression protocol reads.
+_FLAG_READERS = {"deltas": "sweep kind mismatch",
+                 "threshold_factor": "sweep kind length",
+                 **dict.fromkeys(("epsilon", "base_beta", "amplification"),
+                                 "the bandwidth protocol")}
+
+
+def _refuse_stray_flags(args, reader):
+    """ValueError naming a flag of _FLAG_READERS given to another reader."""
+    for dest, owner in _FLAG_READERS.items():
+        if owner != reader and getattr(args, dest, None) is not None:
+            raise ValueError(f"--{dest.replace('_', '-')} applies only to "
+                             f"{owner}")
+
+
 class _OutputSet:
     """Files written by one command, removable as a unit on failure, with
     the directories made for them."""
@@ -264,20 +279,23 @@ def cmd_sweep(args) -> int:
     kind = args.kind
 
     def plan(config):
+        _refuse_stray_flags(args, f"sweep kind {kind}")
         values = _parse_value_list(args.values, "--values",
                                    int if kind == "length" else float)
         # build every run the sweep makes, which validates each of them,
         # and check that their per-arm files have distinct names
-        deltas = None
+        note = f"  sweep kind={kind} values={values}"
         if kind == "lambda2":
             experiment = lambda2_plan(config, values)
         elif kind == "length":
-            experiment = length_plan(config, values, args.threshold_factor)
+            factor = args.threshold_factor
+            experiment = length_plan(config, values,
+                                     1.2 if factor is None else factor)
         else:
             deltas = _parse_value_list(args.deltas, "--deltas", float)
             experiment = mismatch_plan(config, deltas, values)
+            note += f" deltas={deltas}"
         _check_arm_files(experiment.runs)
-        note = f"  sweep kind={kind} values={values} deltas={deltas}"
         return note, experiment, partial(finish, config)
 
     def finish(config, result, reports, outputs):
@@ -310,19 +328,11 @@ def cmd_sweep(args) -> int:
     return _run_experiment(args, f"sweep-{kind}", plan)
 
 
-# The compare-compression flags only the bandwidth protocol reads.
-_BANDWIDTH_FLAGS = ("epsilon", "base_beta", "amplification")
-
-
 def cmd_compare_compression(args) -> int:
     protocol = args.protocol
 
     def plan(config):
-        if protocol == "fixed":
-            for dest in _BANDWIDTH_FLAGS:
-                if getattr(args, dest) is not None:
-                    raise ValueError(f"--{dest.replace('_', '-')} applies "
-                                     f"only to the bandwidth protocol")
+        _refuse_stray_flags(args, f"the {protocol} protocol")
         values = ([config.matrix.lambda2] if args.values is None
                   else _parse_value_list(args.values, "--values", float))
         epsilons = _parse_value_list(
@@ -652,8 +662,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "(eigenvalues, or word lengths for kind=length)")
     sweep.add_argument("--deltas", default=None,
                        help="relative perturbations for kind=mismatch")
-    sweep.add_argument("--threshold-factor", type=float, default=1.2,
-                       help="saturation threshold over the minimum BER")
+    sweep.add_argument("--threshold-factor", type=float, default=None,
+                       help="saturation threshold over the minimum BER "
+                            "(kind=length, default 1.2)")
     sweep.set_defaults(func=cmd_sweep)
 
     compare = commands.add_parser(

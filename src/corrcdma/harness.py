@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import __version__
+from . import __version__, detectors
 from .baselines import (
     AMPLIFICATIONS,
     bandwidth_expansion_comparison,
@@ -62,16 +62,6 @@ STREAM_SCHEDULE = 1
 
 VARIANTS = ("plain_mud", "correlated_mud", "plain_sumf", "correlated_sumf")
 MUD_VARIANTS = ("plain_mud", "correlated_mud")
-
-# Users per lockstep group of slots, one slot being one arm on one trial's
-# realization; a group may span arms (a sweep's correlated arms at several
-# eigenvalues) as well as trials. On a 2-core x86-64 machine (AVX-512,
-# numpy 2.4) an SUS bias sweep over 80 columns of W users cost about 60,
-# 45, 32, 27 and 25 ns per user and column at W = 200, 400, 800, 1,000 and
-# 1,600: below about 1,000 users the numpy call overhead dominates, above
-# it a larger group only adds memory (a 1,200-user group of three C4 arms
-# raised the peak resident memory of a sweep by 9.6 MB).
-GROUP_USERS = 1000
 
 def _default_matrix() -> TransitionMatrix:
     return make_symmetric_matrix(0.8)
@@ -264,22 +254,6 @@ def _trial_rng(config: ExperimentConfig, trial_index: int, stream: int):
     return np.random.default_rng(seq)
 
 
-def _detector_options(config: ExperimentConfig, trial_index: int) -> DetectorOptions:
-    schedule_rng = None
-    if config.schedule == "RSUS":
-        schedule_rng = _trial_rng(config, trial_index, STREAM_SCHEDULE)
-    return DetectorOptions(max_iters=config.max_iters, schedule=config.schedule,
-                           blind=config.blind, schedule_rng=schedule_rng)
-
-
-def _lockstep(config: ExperimentConfig) -> bool:
-    """Whether trials of config can share one detection engine run: an
-    RSUS shuffle and a blind estimate belong to one realization."""
-    return not ((config.variant in ("correlated_mud", "correlated_sumf")
-                 and config.schedule == "RSUS")
-                or (config.variant == "correlated_mud" and config.blind))
-
-
 def _channel(config: ExperimentConfig) -> tuple:
     """The fields that fix a trial's realization, with its index: arms that
     agree on them see the same source block, chips and noise."""
@@ -313,18 +287,22 @@ def _realization(config: ExperimentConfig, trial_index: int, with_corr: bool):
 
 def _detect(slots):
     """Detection results of slots, (config, trial index, realization)
-    triples of one engine kind, in one engine run; None for the plain
-    matched filter, which only slices."""
-    config, index, _ = slots[0]
+    triples of one engine kind, in one engine call with their trials'
+    RSUS streams; None for the plain matched filter, which only slices."""
+    config = slots[0][0]
     if config.variant == "plain_sumf":
         return [None] * len(slots)
     return _run_engine(
         [matched for _, _, (_, matched, _) in slots],
         [corr for _, _, (_, _, corr) in slots], config.load, config.sigma,
-        _detector_options(config, index),
+        DetectorOptions(max_iters=config.max_iters, schedule=config.schedule,
+                        blind=config.blind),
         assumed=(None if config.variant == "plain_mud"
                  else [cfg.detector_matrix() for cfg, _, _ in slots]),
-        iterate=config.variant in MUD_VARIANTS)
+        iterate=config.variant in MUD_VARIANTS,
+        rngs=([_trial_rng(cfg, index, STREAM_SCHEDULE)
+               for cfg, index, _ in slots]
+              if config.schedule == "RSUS" else None))
 
 
 def _outcome(config: ExperimentConfig, realization, result) -> TrialOutcome:
@@ -349,12 +327,11 @@ def _detect_realizations(payload) -> list[list[TrialOutcome]]:
     """The outcomes of every arm on every realization of payload.
 
     payload holds (trial index, arms) pairs, the arms being configs with
-    the same channel fields. Each realization is drawn once, and the arms
-    of one engine kind are detected together, in lockstep across arms and
-    realizations, at most GROUP_USERS users per engine run (RSUS and blind
-    arms one realization at a time). A slot's result does not depend on its
-    group, so each outcome equals its trial run alone. Returns, per
-    realization, its arms' outcomes in order.
+    the same channel fields. Each realization is drawn once, and the slots
+    of each engine kind, across arms and realizations, go to one engine
+    call, which groups them. A slot's result does not depend on its group,
+    so each outcome equals its trial run alone. Returns, per realization,
+    its arms' outcomes in order.
     """
     kinds = {}  # engine kind -> ((realization, arm) place, slot) pairs
     for r, (index, arms) in enumerate(payload):
@@ -365,13 +342,9 @@ def _detect_realizations(payload) -> list[list[TrialOutcome]]:
                 ((r, a), (cfg, index, realization)))
     outcomes = [[None] * len(arms) for _, arms in payload]
     for slots in kinds.values():
-        first = slots[0][1][0]
-        size = max(1, GROUP_USERS // first.n_users) if _lockstep(first) else 1
-        for start in range(0, len(slots), size):
-            group = slots[start:start + size]
-            results = _detect([slot for _, slot in group])
-            for ((r, a), (cfg, _, realization)), result in zip(group, results):
-                outcomes[r][a] = _outcome(cfg, realization, result)
+        results = _detect([slot for _, slot in slots])
+        for ((r, a), (cfg, _, realization)), result in zip(slots, results):
+            outcomes[r][a] = _outcome(cfg, realization, result)
     return outcomes
 
 
@@ -400,24 +373,22 @@ def _payloads(realizations, workers: int | None = None) -> list[list]:
     """The realizations in pool payloads, each detected by one worker call.
 
     Realizations whose arms are of the same engine kinds fill a payload in
-    order, up to a worker's share of them and GROUP_USERS users in the
-    fullest engine run; one realization whose arms cannot run in lockstep
-    is a payload of its own.
+    order, up to a worker's share of them and detectors.GROUP_USERS users
+    in the fullest engine call, the most that one lockstep group of the
+    engine holds.
     """
     buckets = {}
     for index, arms in realizations:
         kinds = Counter(_engine_kind(cfg) for cfg in arms)
-        users = (arms[0].n_users * max(kinds.values())
-                 if all(map(_lockstep, arms)) else math.inf)
         buckets.setdefault(frozenset(kinds), []).append(
-            ((index, arms), users))
+            ((index, arms), arms[0].n_users * max(kinds.values())))
     payloads = []
     for bucket in buckets.values():
         share = -(-len(bucket) // (workers or 1))
         start = len(payloads)
         for realization, users in bucket:
             if (len(payloads) == start or len(payloads[-1]) == share
-                    or total + users > GROUP_USERS):
+                    or total + users > detectors.GROUP_USERS):
                 payloads.append([])
                 total = 0
             payloads[-1].append(realization)
@@ -649,14 +620,18 @@ def length_plan(config: ExperimentConfig, lengths,
     """The word-length study: config at every length, each curve reduced
     to its saturation position and log(position) fitted over log(length).
     Every config is built (and so validated), the threshold factor checked
-    and at least 3 distinct lengths required before the plan exists. Zero
-    positions are left out of the fit with a warning; fewer than two
-    usable points abort the reduction with ValueError."""
+    and at least 3 distinct lengths of at least 2 (a saturation position
+    needs two positions) required before the plan exists. Zero positions
+    are left out of the fit with a warning; fewer than two usable points
+    abort the reduction with ValueError."""
     check_threshold_factor(threshold_factor)
     lengths = [int(l) for l in lengths]
     if len(set(lengths)) < 3:
         raise ValueError("need at least 3 distinct word lengths")
     configs = tuple(replace(config, word_length=length) for length in lengths)
+    if min(lengths) < 2:
+        raise ValueError(f"word lengths must be >= 2 for a saturation "
+                         f"position, got {min(lengths)}")
 
     def reduce(reports):
         positions = [saturation_position(reports[cfg].per_position,

@@ -229,6 +229,21 @@ def test_worker_budget_is_checked_up_front(tmp_path, capsys, monkeypatch,
       "--threshold-factor", "1.0"], "threshold_factor must be finite"),
     (["sweep", "length", "--values", "8,16,32", *TINY,
       "--threshold-factor", "nan"], "threshold_factor must be finite"),
+    (["sweep", "length", "--values", "8,16,32", *TINY,
+      "--threshold-factor", "0.0"], "threshold_factor must be finite"),
+    # a length without two positions has no saturation position
+    (["sweep", "length", "--values", "1,4,8", *TINY],
+     "word lengths must be >= 2 for a saturation position, got 1"),
+    # a sweep flag given to a kind that does not read it
+    (["sweep", "lambda2", "--values", "0.1,0.2", "--deltas", "0.1", *TINY],
+     "--deltas applies only to sweep kind mismatch"),
+    (["sweep", "length", "--values", "8,16,32", "--deltas", "0.1", *TINY],
+     "--deltas applies only to sweep kind mismatch"),
+    (["sweep", "lambda2", "--values", "0.1", "--threshold-factor", "3",
+      *TINY], "--threshold-factor applies only to sweep kind length"),
+    (["sweep", "mismatch", "--values", "0.5", "--deltas", "0.1",
+      "--threshold-factor", "1.5", *TINY],
+     "--threshold-factor applies only to sweep kind length"),
     (["compare-compression", "bandwidth", *TINY, "--base-beta", "inf"],
      "base_beta must be finite"),
     (["compare-compression", "bandwidth", *TINY, "--base-beta", "nan"],
@@ -269,7 +284,9 @@ def test_worker_budget_is_checked_up_front(tmp_path, capsys, monkeypatch,
     (["compare-compression", "bandwidth", "--values", "0.3,0.95",
       "--mismatch", "0.1", *TINY], "perturbed element 1.0725 outside [0, 1]"),
 ], ids=["matrix-nan", "sigma-nan", "sigma-inf", "load-inf", "lambda2-range",
-        "threshold-one", "threshold-nan", "base-beta-inf", "base-beta-nan",
+        "threshold-one", "threshold-nan", "threshold-zero", "length-one",
+        "lambda2-deltas", "length-deltas", "lambda2-threshold",
+        "mismatch-threshold", "base-beta-inf", "base-beta-nan",
         "epsilon-negative", "fixed-base-beta-inf", "fixed-base-beta",
         "fixed-epsilon", "fixed-epsilon-zero", "fixed-amplification",
         "lambda2-file-names", "lambda2-repeated", "mismatch-repeated-delta",

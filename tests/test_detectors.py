@@ -630,13 +630,19 @@ class TestLockstep:
             assert np.array_equal(together[b].converged, alone[b].converged)
             assert together[b].outer_iterations == alone[b].outer_iterations
 
-    @pytest.mark.parametrize("iterate", [True, False], ids=["mud", "sumf"])
-    @pytest.mark.parametrize("schedule", ["SUS", "PUS", "BFUS"])
-    def test_mixed_matrix_group_equals_lone_runs(self, monkeypatch, iterate,
-                                                 schedule):
-        # every slot assumes its own matrix, one of them asymmetric; the
-        # first slot diverges at the second step (or, for the SUMF, stops
-        # first), so the last slot, with another matrix, moves into it
+    @pytest.mark.parametrize("schedule,iterate,blind", [
+        pytest.param(schedule, iterate, blind, id="-".join(
+            ["blind"] * blind + [schedule, "mud" if iterate else "sumf"]))
+        for schedule in ("SUS", "PUS", "BFUS", "RSUS")
+        for iterate, blind in ((True, False), (False, False), (True, True))
+        if not blind or schedule in ("SUS", "RSUS")])
+    def test_mixed_matrix_group_equals_lone_runs(self, monkeypatch, schedule,
+                                                 iterate, blind):
+        # every slot assumes its own matrix, one of them asymmetric (a blind
+        # slot estimates its own); the first slot diverges at the second
+        # step (or, for the SUMF, stops first), so the last slot, with
+        # another matrix, moves into it. Each RSUS slot shuffles with its
+        # own stream, so it runs alone
         matrices = [make_symmetric_matrix(0.8),
                     TransitionMatrix([[0.9, 0.1], [0.3, 0.7]]),
                     iid_matrix(), make_symmetric_matrix(0.5)]
@@ -647,10 +653,14 @@ class TestLockstep:
             corrs.append(s.corr)
         if not iterate:
             fields[0] = np.where(fields[0] >= 0, 5.0, -5.0)  # settles at once
-        opts = DetectorOptions(schedule=schedule)
+        opts = DetectorOptions(schedule=schedule, blind=blind)
+
+        def streams():
+            return [np.random.default_rng(1690 + b) for b in range(4)]
+
         alone = [detectors._run_engine([f], [c], 0.8, 0.8, opts, [m],
-                                       iterate)[0]
-                 for f, c, m in zip(fields, corrs, matrices)]
+                                       iterate, [rng])[0]
+                 for f, c, m, rng in zip(fields, corrs, matrices, streams())]
         real_step = detectors._mud_step
 
         def step(cols, soft, *rest):
@@ -661,7 +671,7 @@ class TestLockstep:
 
         monkeypatch.setattr(detectors, "_mud_step", step)
         together = detectors._run_engine(fields, corrs, 0.8, 0.8, opts,
-                                         matrices, iterate)
+                                         matrices, iterate, streams())
         if iterate:
             assert isinstance(together[0], DetectorDivergence)
             left_at = 2
@@ -672,16 +682,45 @@ class TestLockstep:
         for b in (1, 2, 3):
             assert_same_detection(together[b], alone[b])
             assert together[b].outer_iterations == alone[b].outer_iterations
+            if blind:
+                assert np.array_equal(together[b].estimated_matrix.matrix,
+                                      alone[b].estimated_matrix.matrix)
+            else:
+                assert together[b].estimated_matrix is None
 
-    def test_rsus_and_blind_groups_are_refused(self):
+    @pytest.mark.parametrize("group_users", [20, 64])
+    @pytest.mark.parametrize("blind", [False, True], ids=["sus", "blind"])
+    def test_fields_above_group_users_equal_lone_runs(self, monkeypatch,
+                                                      group_users, blind):
+        # five 32-user fields over 20 or 64 users per group run in groups of
+        # one or two, each result still its lone run's
         t = make_symmetric_matrix(0.8)
-        _, _, s, y = make_instance(1700, 40, 32, 15, 0.8, lam=0.8)
-        fields, corrs = [sumf(s, y)] * 2, [s.corr] * 2
-        for opts in (DetectorOptions(schedule="RSUS"),
-                     DetectorOptions(blind=True)):
-            with pytest.raises(ValueError):
-                detectors._run_engine(fields, corrs, 0.8, 0.8, opts, [t] * 2)
+        fields, corrs = [], []
+        for seed in range(5):
+            _, _, s, y = make_instance(1750 + seed, 40, 32, 15, 0.8, lam=0.8)
+            fields.append(sumf(s, y))
+            corrs.append(s.corr)
+        opts = DetectorOptions(blind=blind)
+        alone = [detectors._run_engine([f], [c], 0.8, 0.8, opts, [t])[0]
+                 for f, c in zip(fields, corrs)]
+        widths = []
+        real_sweep = detectors._bias_sweep
 
+        def sweep(padded, *rest):
+            widths.append(padded.shape[1])
+            return real_sweep(padded, *rest)
+
+        monkeypatch.setattr(detectors, "_bias_sweep", sweep)
+        monkeypatch.setattr(detectors, "GROUP_USERS", group_users)
+        together = detectors._run_engine(fields, corrs, 0.8, 0.8, opts,
+                                         [t] * 5)
+        assert max(widths) == max(1, group_users // 32)
+        for a, b in zip(together, alone):
+            assert_same_detection(a, b)
+            assert a.outer_iterations == b.outer_iterations
+            if blind:
+                assert np.array_equal(a.estimated_matrix.matrix,
+                                      b.estimated_matrix.matrix)
 
 
 class TestCorrelatedMud:

@@ -235,12 +235,11 @@ def test_divergence_inside_a_group_falls_back_for_that_trial_only(
     cfg = small_config(ensemble=3)
     assert payload_sizes(cfg) == [3]
     alone = [run_trial(cfg, index) for index in range(3)]
+    corr = harness._realization(cfg, 1, True)[2]  # trial 1's
     real_step = detectors._mud_step
 
     def step(cols, soft, *rest):
-        # at the first step every column is active, so the rows of slot b
-        # start at row b; slot 1 holds trial 1
-        if rest[-1] == 0 and cols[0] == 1:
+        if rest[-1] == 0 and np.array_equal(rest[4], corr):
             soft[cols[0], 0] = np.nan
         return real_step(cols, soft, *rest)
 
@@ -278,9 +277,10 @@ def test_group_size_rule():
     assert payload_sizes(c6) == [5, 3]             # about 1,000 users
     c7 = ExperimentConfig(spread_factor=1000, n_users=800, ensemble=100)
     assert payload_sizes(c7) == payload_sizes(c7, workers=2) == [1] * 100
-    # an RSUS shuffle and a blind estimate belong to one realization
-    assert payload_sizes(replace(c6, schedule="RSUS"), workers=2) == [1] * 8
-    assert payload_sizes(replace(c6, blind=True), workers=2) == [1] * 8
+    # RSUS and blind realizations fill payloads like the others; the engine
+    # takes a payload's correlated RSUS slots one at a time
+    assert payload_sizes(replace(c6, schedule="RSUS"), workers=2) == [4, 4]
+    assert payload_sizes(replace(c6, blind=True), workers=2) == [4, 4]
     assert payload_sizes(replace(c6, variant="plain_mud", schedule="RSUS"),
                          workers=2) == [4, 4]
 

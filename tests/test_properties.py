@@ -6,13 +6,16 @@ the same examples.
 """
 
 import dataclasses
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrcdma import harness
+from corrcdma import detectors, harness
 from corrcdma.channel import generate_spreading, transmit
 from corrcdma.detectors import (
     SCHEDULES,
@@ -130,8 +133,8 @@ def test_negated_signal_negates_the_detection(instance, arm, lam, schedule,
 
 @st.composite
 def groups(draw):
-    """(kind, fields, corrs, load, sigma, matrix, options) of a group of
-    same-size toy realizations; RSUS and blind groups hold one."""
+    """(kind, fields, corrs, load, sigma, matrix, options, seed) of a group
+    of same-size toy realizations, seed being the schedule streams'."""
     kind = draw(st.sampled_from(("plain", "mud", "sumf")))
     schedule = draw(st.sampled_from(SCHEDULES))
     blind = kind == "mud" and draw(st.booleans())
@@ -140,38 +143,35 @@ def groups(draw):
     word_len = draw(st.integers(2 if blind else 1, 8))
     sigma = draw(st.sampled_from((0.3, 0.8, 1.5)))
     matrix = make_symmetric_matrix(draw(st.sampled_from((0.0, 0.5, 0.9))))
-    alone = kind != "plain" and (blind or schedule == "RSUS")
-    size = 1 if alone else draw(st.integers(1, 5))
-    # the schedule stream's seed: every run draws from a fresh stream
-    opts = dict(max_iters=draw(st.integers(1, 50)), schedule=schedule,
-                blind=blind, track_bounds=True,
-                schedule_rng=draw(st.integers(0, 2**16)))
+    opts = DetectorOptions(max_iters=draw(st.integers(1, 50)),
+                           schedule=schedule, blind=blind, track_bounds=True)
+    seed = draw(st.integers(0, 2**16))
     fields, corrs = [], []
-    for _ in range(size):
+    for _ in range(draw(st.integers(1, 5))):
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         block = generate_block(matrix, users, word_len, rng)
         spreading = generate_spreading(spread, users, rng)
         fields.append(sumf(spreading, transmit(spreading, block, sigma, rng)))
         corrs.append(spreading.corr)
-    return kind, fields, corrs, users / spread, sigma, matrix, opts
+    return kind, fields, corrs, users / spread, sigma, matrix, opts, seed
 
 
-def engine_runs(kind, fields, corrs, load, sigma, matrix, opts):
-    opts = DetectorOptions(**{
-        **opts, "schedule_rng": np.random.default_rng(opts["schedule_rng"])})
+def engine_runs(kind, fields, corrs, load, sigma, matrix, opts, seed):
+    # every realization shuffles with a fresh stream of the drawn seed
     assumed = None if kind == "plain" else [matrix] * len(fields)
     return _run_engine(fields, corrs, load, sigma, opts, assumed,
-                       iterate=kind != "sumf")
+                       iterate=kind != "sumf",
+                       rngs=[np.random.default_rng(seed) for _ in fields])
 
 
 @settings(PROPERTY_SETTINGS, max_examples=150)
 @given(groups())
 def test_grouped_engine_equals_single_runs(group):
-    kind, fields, corrs, load, sigma, matrix, opts = group
+    kind, fields, corrs, load, sigma, matrix, opts, seed = group
     together = engine_runs(*group)
     for field, corr, result in zip(fields, corrs, together):
         (alone,) = engine_runs(kind, [field], [corr], load, sigma, matrix,
-                               opts)
+                               opts, seed)
         if isinstance(alone, DetectorDivergence):
             assert isinstance(result, DetectorDivergence)
             assert result.iteration == alone.iteration
@@ -236,7 +236,7 @@ def test_report_independent_of_workers_and_groups(config, group_users):
     assert_same_report(serial, monte_carlo(config, workers=1))
     assert_same_report(serial, monte_carlo(config, workers=2))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(harness, "GROUP_USERS", group_users)
+        patch.setattr(detectors, "GROUP_USERS", group_users)
         assert_same_report(serial, monte_carlo(config))
 
 
@@ -274,8 +274,36 @@ def test_reports_independent_of_arm_order_and_grouping(run, group_users):
     parts = {**harness.monte_carlo_arms(arms[:split]),
              **harness.monte_carlo_arms(arms[split:])}
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(harness, "GROUP_USERS", group_users)
+        patch.setattr(detectors, "GROUP_USERS", group_users)
         regrouped = harness.monte_carlo_arms(arms)
     for cfg, want in zip(arms, alone):
         for reports in (shuffled, parts, regrouped):
             assert_same_report(reports[cfg], want)
+
+
+FAILING_PROPERTY = '''
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_passes():
+    pass
+'''
+
+
+def test_a_failing_property_does_not_end_the_session(tmp_path):
+    # hypothesis's failure report imports a module that warns on import; with
+    # this repo's warnings-as-errors setting that warning must not abort the
+    # session before the next test runs
+    (tmp_path / "test_two.py").write_text(FAILING_PROPERTY)
+    ini = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ini), "--rootdir", str(tmp_path), "test_two.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert "INTERNALERROR" not in done.stdout + done.stderr
+    assert "1 failed, 1 passed" in done.stdout
