@@ -14,16 +14,15 @@ import numpy as np
 class SpreadingMatrix:
     """N x K matrix of +-1 chips with its code correlation matrix.
 
-    chips is the int8 matrix and float_chips the same chips as float64: the
-    one conversion that transmit, the matched filter and the correlation
-    matrix all read. corr[k, j] = (1/N) sum_mu chips[mu, k] * chips[mu, j]
-    (unit diagonal) is the O(K^2) operand of the iterative detectors only,
-    so it is computed on first access and cached: matched-filter runs never
-    build it. Its entries are sums of +-1 products, exact in any summation
-    order.
+    chips is the int8 matrix, the only copy kept: transmit, the matched
+    filter and the correlation matrix each convert it for their own product.
+    corr[k, j] = (1/N) sum_mu chips[mu, k] * chips[mu, j] (unit diagonal) is
+    the O(K^2) operand of the iterative detectors only, so it is computed on
+    first access and cached: matched-filter runs never build it. Its entries
+    are sums of +-1 products, exact in any summation order.
     """
 
-    __slots__ = ("chips", "float_chips", "_corr")
+    __slots__ = ("chips", "_corr")
 
     def __init__(self, chips):
         c = np.asarray(chips)
@@ -34,14 +33,12 @@ class SpreadingMatrix:
         c = c.astype(np.int8, copy=True)
         c.flags.writeable = False
         self.chips = c
-        self.float_chips = c.astype(np.float64)
-        self.float_chips.flags.writeable = False
         self._corr = None
 
     @property
     def corr(self) -> np.ndarray:
         if self._corr is None:
-            self._corr = _gram(self.float_chips)
+            self._corr = _gram(self.chips)
         return self._corr
 
     @property
@@ -53,15 +50,16 @@ class SpreadingMatrix:
         return self.chips.shape[1]
 
 
-def _gram(float_chips: np.ndarray) -> np.ndarray:
-    """(1/N) float_chips.T @ float_chips, read-only.
+def _gram(chips: np.ndarray) -> np.ndarray:
+    """(1/N) chips.T @ chips in float64, read-only.
 
-    Both operands are views of one buffer, so numpy computes the symmetric
-    product (half the flops of a general one). The division is in place,
-    so no second K x K array exists even briefly.
+    Both operands are views of one float64 copy of the chips, so numpy
+    computes the symmetric product (half the flops of a general one). The
+    division is in place, so no second K x K array exists even briefly.
     """
-    w = float_chips.T @ float_chips
-    w /= float_chips.shape[0]
+    c = chips.astype(np.float64)
+    w = c.T @ c
+    w /= chips.shape[0]
     w.flags.writeable = False
     return w
 
@@ -81,16 +79,25 @@ def transmit(spreading: SpreadingMatrix, block: np.ndarray, sigma: float,
 
     The 1/sqrt(N) factor keeps each user's per-symbol energy at 1 regardless
     of the spreading factor. Noise is independent across chips and symbol
-    slots; sigma = 0 is exact and deterministic.
+    slots; sigma = 0 is exact and deterministic. The block must be +-1: then
+    every entry of chips @ block is a sum of K terms +-1, an integer that
+    float32 holds exactly for K <= 2^24, so up to that many users the
+    product runs in float32 and equals the float64 one bit for bit.
     """
     b = np.asarray(block)
     if b.ndim != 2 or b.shape[0] != spreading.n_users:
         raise ValueError(
             f"block shape {b.shape} incompatible with {spreading.n_users} users")
+    if not np.all(np.abs(b) == 1):
+        raise ValueError("block symbols must all be +-1")
     if sigma < 0.0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
-    n = spreading.spread_factor
-    signal = (spreading.float_chips @ b.astype(np.float64)) / np.sqrt(n)
+    exact = np.float32 if spreading.n_users <= 2**24 else np.float64
+    signal = (spreading.chips.astype(exact) @ b.astype(exact)).astype(np.float64)
+    signal /= np.sqrt(spreading.spread_factor)
     if sigma == 0.0:
         return signal
-    return signal + sigma * rng.standard_normal(signal.shape)
+    noise = rng.standard_normal(signal.shape)
+    noise *= sigma
+    noise += signal
+    return noise

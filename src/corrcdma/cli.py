@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import warnings
 from contextlib import suppress
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -702,10 +703,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None,
+                   line=None):
+    """Show a warning as one line with its message only: the source
+    location names the checkout, not anything the user can act on."""
+    print(f"warning: {message}", file=file or sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        return args.func(args)
 
 
 if __name__ == "__main__":

@@ -115,7 +115,9 @@ def sumf(spreading: SpreadingMatrix, received: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"received shape {y.shape} incompatible with spreading factor "
             f"{spreading.spread_factor}")
-    return (spreading.float_chips.T @ y) / np.sqrt(spreading.spread_factor)
+    field = spreading.chips.astype(np.float64).T @ y
+    field /= np.sqrt(spreading.spread_factor)
+    return field
 
 
 def _neighbour_model(matrix: TransitionMatrix) -> np.ndarray:
@@ -290,25 +292,28 @@ def _commit(xi, xi_new):
     return changed
 
 
-def _mud_step(cols, soft, matched, field, interference, gain, corr, load,
+def _mud_step(rows, soft, matched, field, interference, gain, corr, xi, load,
               sigma, work, finite, iteration):
-    """One synchronous MUD update of the symbol columns cols of one
-    realization, committed in place.
+    """One synchronous MUD update of the symbol columns at rows of the
+    state of one realization, committed in place.
 
-    The arrays are (L, K) views of the realization's state, one row per
-    symbol column (gain is (L,)), and corr is its correlation matrix. The
-    rows cols are gathered into the (3, L, K) work buffer, so only they
-    pay for the K x K product. The interference sum runs over all users
-    including the self term (unit diagonal of corr); the final
-    + precision * soft adds the own tentative estimate back, leaving the
-    cavity field. Without that retraction the update subtracts each user's
-    own signal and the iteration oscillates instead of converging. Returns
-    the per-column soft power and precision.
+    The arrays are contiguous (R, K) views of a group's state, one row per
+    symbol column of a realization (gain is (R,)); rows are the row indices
+    of the columns to update, all of one realization, corr is its
+    correlation matrix and xi the bias correction. The rows are gathered into the (3, L, K) work
+    buffer, so only they pay for the K x K product. The interference sum
+    runs over all users including the self term (unit diagonal of corr);
+    the final + precision * soft adds the own tentative estimate back,
+    leaving the cavity field. Without that retraction the update subtracts
+    each user's own signal and the iteration oscillates instead of
+    converging. The committed rows' soft values become tanh(field + xi), so
+    every row keeps soft = tanh(field + xi). Returns the per-column soft
+    power and precision.
     """
-    n = cols.size
+    n = rows.size
     # mode="clip" writes straight into the work buffer ("raise" would stage
-    # the gather in a fresh array); cols are valid row indices
-    s = np.take(soft, cols, axis=0, out=work[0, :n], mode="clip")
+    # the gather in a fresh array); rows are valid row indices
+    s = np.take(soft, rows, axis=0, out=work[0, :n], mode="clip")
     u_new = work[1, :n]
     # a running sum adds the users in index order, the order a reduction
     # over the users axis of a (K, L) array takes, so the soft power does
@@ -319,20 +324,23 @@ def _mud_step(cols, soft, matched, field, interference, gain, corr, load,
     carry = load * (1.0 - q_pow) * precision
     np.matmul(corr, s.T, out=u_new.T)
     u_new *= precision[:, None]
-    u_old = np.take(interference, cols, axis=0, out=work[2, :n], mode="clip")
+    u_old = np.take(interference, rows, axis=0, out=work[2, :n], mode="clip")
     u_old *= carry[:, None]
     u_new += u_old
-    gain_new = precision + carry * gain[cols]
-    h_new = np.take(matched, cols, axis=0, out=work[2, :n], mode="clip")
+    gain_new = precision + carry * gain[rows]
+    h_new = np.take(matched, rows, axis=0, out=work[2, :n], mode="clip")
     h_new *= gain_new[:, None]
     h_new -= u_new
     s *= precision[:, None]
     h_new += s
     if not np.isfinite(h_new, out=finite[:n]).all():
         raise DetectorDivergence(iteration)
-    field[cols] = h_new
-    interference[cols] = u_new
-    gain[cols] = gain_new
+    field[rows] = h_new
+    interference[rows] = u_new
+    gain[rows] = gain_new
+    s = np.take(xi, rows, axis=0, out=work[0, :n], mode="clip")
+    s += h_new
+    soft[rows] = np.tanh(s, out=s)
     return q_pow, precision
 
 
@@ -408,6 +416,12 @@ def _run_engine(fields, corrs, load, sigma, opts, assumed=None, iterate=True,
     xi[:] = 0.0
     interference[:] = 0.0
     gain = np.zeros((word_len, n_trials))
+    # the state as contiguous (L B, K) rows, row l B + b holding column l of
+    # slot b: the MUD step gathers a slot's rows from these views
+    n_rows = word_len * n_trials
+    flat = [a.reshape(n_rows, n_users) for a in (soft, h0, h, interference)]
+    flat.append(gain.reshape(n_rows))
+    xi_rows = xi.reshape(n_rows, n_users)
     for b, matrix in enumerate(assumed if correlated else ()):
         model[:, b] = _neighbour_model(estimates[b] if blind else matrix)
     finite = np.empty((word_len, n_users), dtype=bool)
@@ -442,9 +456,8 @@ def _run_engine(fields, corrs, load, sigma, opts, assumed=None, iterate=True,
             for slot in range(len(trials) - 1, -1, -1):
                 try:
                     stats[trials[slot]] = _mud_step(
-                        np.flatnonzero(active[:, slot]), soft[:, slot],
-                        h0[:, slot], h[:, slot], interference[:, slot],
-                        gain[:, slot], corrs[trials[slot]], load, sigma,
+                        np.flatnonzero(active[:, slot]) * n_trials + slot,
+                        *flat, corrs[trials[slot]], xi_rows, load, sigma,
                         step_work, finite, t)
                 except DetectorDivergence as exc:
                     leave(slot, exc)
@@ -455,7 +468,6 @@ def _run_engine(fields, corrs, load, sigma, opts, assumed=None, iterate=True,
         iters[sl] += active[sl]
 
         if correlated:
-            np.tanh(np.add(h[sl], xi[sl], out=soft[sl]), out=soft[sl])
             if blind and t > 0:
                 for slot, trial in enumerate(trials):
                     estimates[trial] = estimate_transition(soft[:, slot].T,
@@ -463,15 +475,16 @@ def _run_engine(fields, corrs, load, sigma, opts, assumed=None, iterate=True,
                     model[:, slot] = _neighbour_model(estimates[trial])
             changed = _bias_sweep(padded[sl], h[sl], xi[sl], model[sl],
                                   opts.schedule, forward, rng, scale, work)
-            if opts.schedule == "BFUS":
+            if opts.schedule == "PUS":
+                # PUS changes xi alone; the MUD step and the ordered sweeps
+                # leave tanh(h + xi) in every row they change
+                np.tanh(np.add(h[sl], xi[sl], out=soft[sl]), out=soft[sl])
+            elif opts.schedule == "BFUS":
                 forward = not forward
             thawed = changed & ~active[sl]
             if np.any(thawed):
                 active[sl] |= thawed
                 converged[sl] &= ~thawed
-        if not correlated or opts.schedule == "PUS":
-            # an ordered sweep has already left tanh(h + xi) in every row
-            np.tanh(np.add(h[sl], xi[sl], out=soft[sl]), out=soft[sl])
         if bounds is not None:
             for slot, trial in enumerate(trials):
                 q_pow, prec = stats[trial]

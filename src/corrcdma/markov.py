@@ -153,13 +153,20 @@ def generate_block(t: TransitionMatrix, n_users: int, word_len: int,
         raise ValueError("n_users and word_len must be >= 1")
     p_up_from = t.matrix[:, 1]  # P(next = +1 | current), indexed 0:-1, 1:+1
     mu_plus = float(t.stationary()[1])
-    block = np.empty((n_users, word_len), dtype=np.int8)
-    state = np.where(rng.random(n_users) < mu_plus, 1, -1).astype(np.int8)
-    block[:, 0] = state
+    # one draw for the whole block: row l holds the uniforms of symbol l of
+    # every user, the values (and the generator position) of one call per
+    # symbol of n_users draws each
+    u = rng.random((word_len, n_users))
+    # up[l] is whether symbol l is +1: first as if symbol l - 1 were -1,
+    # then overwritten where symbol l - 1 turns out to be +1
+    up = u < p_up_from[0]
+    up_after_plus = u < p_up_from[1]
+    np.less(u[0], mu_plus, out=up[0])
     for l in range(1, word_len):
-        p_up = p_up_from[(state + 1) // 2]
-        state = np.where(rng.random(n_users) < p_up, 1, -1).astype(np.int8)
-        block[:, l] = state
+        np.copyto(up[l], up_after_plus[l], where=up[l - 1])
+    block = up.T.astype(np.int8, order="C")
+    block *= 2
+    block -= 1
     block.flags.writeable = False
     return block
 

@@ -47,8 +47,8 @@ class TestSpreading:
         s = generate_spreading(37, 23, np.random.default_rng(21))
         assert s.corr is s.corr
         assert not s.corr.flags.writeable
-        assert not s.float_chips.flags.writeable
-        assert np.array_equal(s.float_chips, s.chips)
+        assert not s.chips.flags.writeable
+        assert s.chips.dtype == np.int8
 
     def test_corr_symmetric_unit_diagonal(self):
         s = generate_spreading(100, 30, np.random.default_rng(4))
@@ -119,12 +119,28 @@ class TestTransmit:
                 assert y[mu, l] == ref
 
     def test_noiseless_is_the_float64_product(self):
-        s = generate_spreading(37, 23, np.random.default_rng(22))
-        b = generate_block(make_symmetric_matrix(0.5), 23, 11,
-                           np.random.default_rng(23))
-        y = transmit(s, b, 0.0, np.random.default_rng(0))
-        want = (s.chips.astype(np.float64) @ b.astype(np.float64)) / np.sqrt(37)
-        assert np.array_equal(y.view(np.int64), want.view(np.int64))
+        # oracle: the exact integer product, which the float64 product of
+        # the +-1 values equals; transmit takes neither path
+        rng = np.random.default_rng(22)
+        for n, k, l in ((1, 1, 1), (4, 3, 2), (37, 23, 11), (300, 200, 40),
+                        (1000, 800, 100)):
+            s = generate_spreading(n, k, rng)
+            b = generate_block(make_symmetric_matrix(0.5), k, l, rng)
+            y = transmit(s, b, 0.0, np.random.default_rng(0))
+            want = (s.chips.astype(np.int64) @ b) / np.sqrt(n)
+            as_float = (s.chips.astype(np.float64) @ b.astype(np.float64)) / np.sqrt(n)
+            assert y.dtype == np.float64
+            assert np.array_equal(y.view(np.int64), want.view(np.int64))
+            assert np.array_equal(as_float.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("symbol", [0, 2, -128, 0.5, np.nan])
+    def test_rejects_non_binary_symbols(self, symbol):
+        # the exact float32 product holds for +-1 symbols only
+        s = generate_spreading(8, 3, np.random.default_rng(0))
+        b = np.ones((3, 2), dtype=np.int8 if symbol == -128 else np.float64)
+        b[1, 1] = symbol
+        with pytest.raises(ValueError, match="symbols must all be"):
+            transmit(s, b, 0.5, np.random.default_rng(0))
 
     def test_noiseless_deterministic(self):
         s = generate_spreading(30, 12, np.random.default_rng(11))
@@ -167,9 +183,9 @@ class TestGramOnDemand:
         built = []
         gram = channel._gram
 
-        def spy(float_chips):
-            built.append(float_chips)
-            return gram(float_chips)
+        def spy(chips):
+            built.append(chips)
+            return gram(chips)
 
         monkeypatch.setattr(channel, "_gram", spy)
         detect, expected = self.DETECTORS[variant]
@@ -183,4 +199,4 @@ class TestGramOnDemand:
             detect(s, y, t)
             detect(s, y, t)
             assert len(built) - before == expected
-            assert all(f is s.float_chips for f in built[before:])
+            assert all(c is s.chips for c in built[before:])

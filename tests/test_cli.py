@@ -115,6 +115,24 @@ def test_parallel_run_exits_and_leaves_no_workers(tmp_path):
             os.kill(pid, 0)
 
 
+def test_warnings_print_their_message_only(tmp_path):
+    # a zero saturation position is left out of the length fit with a
+    # warning; stderr gets its message, not the checkout's source line
+    src = str(Path(corrcdma.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "corrcdma.cli", "sweep", "length",
+         "--values", "4,8,16", "--blind", "true", "--spread-factor", "60",
+         "--n-users", "30", "--ensemble", "4", "--seed", "7",
+         "--out-dir", str(tmp_path / "len")],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ("warning: excluding 1 zero position(s) from the "
+                           "log-log fit\n")
+    assert ".py:" not in proc.stderr
+
+
 def test_simulate_rerun_is_byte_identical(tmp_path):
     first = tmp_path / "a"
     second = tmp_path / "b"

@@ -581,6 +581,40 @@ class TestLockstep:
                                   rng, scale, np.empty(4 * padded[1:-1].size))
             assert np.array_equal(padded[1:-1], np.tanh(field + xi))
 
+    def test_mud_step_commits_only_its_rows(self):
+        # a step on some columns of one slot of a group commits what a step
+        # on that slot alone commits, leaves every other row as it was, and
+        # leaves tanh(field + xi) in the soft rows it committed, so the
+        # engine recomputes no soft row after a step
+        word_len, trials, users, slot = 12, 3, 10, 1
+        _, _, s, _ = make_instance(1560, 20, users, word_len, 0.7)
+        rng = np.random.default_rng(1561)
+        soft, matched, field, interference, xi = (
+            rng.standard_normal((word_len, trials, users)) for _ in range(5))
+        np.tanh(field + xi, out=soft)
+        gain = rng.random((word_len, trials))
+        group = (soft, matched, field, interference, gain)
+        before = [a.copy() for a in group]
+        lone = [np.ascontiguousarray(a[:, slot]) for a in (*group, xi)]
+        cols = np.array([0, 3, 4, 11])
+        work = np.empty((3, word_len, users))
+        finite = np.empty((word_len, users), dtype=bool)
+
+        def rows(a):
+            return a.reshape(word_len * trials, *a.shape[2:])
+
+        detectors._mud_step(cols * trials + slot, *map(rows, group), s.corr,
+                            rows(xi), 0.5, 0.7, work, finite, 0)
+        detectors._mud_step(cols, *lone[:5], s.corr, lone[5], 0.5, 0.7,
+                            work, finite, 0)
+        others = np.ones((word_len, trials), dtype=bool)
+        others[cols, slot] = False
+        for a, alone, was in zip(group, lone, before):
+            assert np.array_equal(a[:, slot], alone)
+            assert np.array_equal(a[others], was[others])
+        assert not np.array_equal(field, before[2])
+        assert np.array_equal(soft, np.tanh(field + xi))
+
     def test_sweep_reports_changes_per_trial(self):
         # a trial whose corrections are already the sweep's reports no
         # change, whatever its group-mates do

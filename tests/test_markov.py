@@ -170,6 +170,38 @@ class TestGeneration:
             generate_block(iid_matrix(), 5, 0, rng)
 
     @staticmethod
+    def per_symbol_sampler(t, n_users, word_len, rng):
+        # oracle: one draw of n_users uniforms per symbol position, each
+        # user's next symbol looked up from the row of its current one
+        p_up_from = t.matrix[:, 1]
+        block = np.empty((n_users, word_len), dtype=np.int8)
+        state = np.where(rng.random(n_users) < t.stationary()[1], 1, -1)
+        block[:, 0] = state
+        for l in range(1, word_len):
+            p_up = p_up_from[(state + 1) // 2]
+            state = np.where(rng.random(n_users) < p_up, 1, -1)
+            block[:, l] = state
+        return block
+
+    def test_matches_the_per_symbol_sampler(self):
+        # bit for bit, and the generator ends at the same stream position
+        grid = np.random.default_rng(5)
+        matrices = [make_symmetric_matrix(lam)
+                    for lam in (0.0, 0.6, -0.6, 0.8, 1.0, -1.0)]
+        matrices += [random_matrix(grid) for _ in range(20)]
+        matrices += [TransitionMatrix([[1.0, 0.0], [0.3, 0.7]]),
+                     TransitionMatrix([[0.4, 0.6], [0.0, 1.0]])]
+        for i, t in enumerate(matrices):
+            for n_users, word_len in ((1, 1), (1, 7), (7, 1), (13, 9),
+                                      (200, 40), (800, 100)):
+                rng, oracle_rng = (np.random.default_rng(i) for _ in range(2))
+                block = generate_block(t, n_users, word_len, rng)
+                want = self.per_symbol_sampler(t, n_users, word_len, oracle_rng)
+                assert block.flags.c_contiguous
+                assert np.array_equal(block, want)
+                assert rng.random() == oracle_rng.random()
+
+    @staticmethod
     def count_transitions(block):
         counts = np.zeros((2, 2))
         prev = block[:, :-1].ravel()
