@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import warnings
 from contextlib import suppress
@@ -108,13 +109,17 @@ def _resolve_workers(args):
 
 def _parse_value_list(text, option, cast=float):
     """The comma- or space-separated values of option, each cast; at least
-    one, none listed twice."""
+    one, each finite, none listed twice."""
     if text is None or not str(text).strip():
         raise ValueError(f"{option} must list at least one value")
-    values = [cast(token) for token in str(text).replace(",", " ").split()]
-    for i, value in enumerate(values):
-        if value in values[:i]:
+    values = []
+    for token in str(text).replace(",", " ").split():
+        value = cast(token)
+        if not math.isfinite(value):
+            raise ValueError(f"{option} must list finite numbers, got {token}")
+        if value in values:
             raise ValueError(f"{option} lists {value:.15g} twice")
+        values.append(value)
     return values
 
 
@@ -423,14 +428,12 @@ _GROUPED = {
 
 def _grouped_plot(family, rows, col, dat_name):
     """The data blocks and script of a grouped family: lambda2 against the
-    y column per group of rows, groups in first-seen order; infeasible
-    rows are left out."""
+    y column per group of rows, groups in first-seen order."""
     y, ylabel, keys, label, title = _GROUPED[family]
     groups = {}
     for r in rows:
-        if "feasible" not in col or r[col["feasible"]] == "true":
-            groups.setdefault(tuple(r[col[k]] for k in keys), []).append(
-                f"{r[col['lambda2']]} {r[col[y]]}")
+        groups.setdefault(tuple(r[col[k]] for k in keys), []).append(
+            f"{r[col['lambda2']]} {r[col[y]]}")
     blocks = ["\n".join([f"# {label.format(*key)}", f"# lambda2 {y}", *lines])
               for key, lines in groups.items()]
     clauses = [f"\"{dat_name}\" index {i} using 1:2 with linespoints "
@@ -443,10 +446,15 @@ def _grouped_plot(family, rows, col, dat_name):
 def _emit_plotdata(path, outputs) -> list:
     header, columns, rows = read_csv_with_header(path)
     family = _detect_family(path, columns)
+    col = {name: index for index, name in enumerate(columns)}
+    # infeasible rows are left out; a file with no other row has no plot
+    rows = [r for r in rows
+            if "feasible" not in col or r[col["feasible"]] == "true"]
+    if not rows:
+        raise ValueError(f"{path}: no plottable row")
     stem = Path(path).stem
     dat_path = outputs.target(f"{stem}.dat")
     gp_path = outputs.target(f"{stem}.gp")
-    col = {name: index for index, name in enumerate(columns)}
 
     if family == "ber_profile":
         body = [f"# relative_position ber std_err"]

@@ -174,8 +174,8 @@ def _message(own, other, total, rows=None):
 
 def _check_totals(total):
     if not total.all():
-        raise ValueError("degenerate transition matrix: both symbol hypotheses "
-                         "have zero probability (zero row in the matrix)")
+        raise ValueError("neighbours impossible under the assumed transition "
+                         "matrix: both symbol hypotheses have zero probability")
 
 
 def _correction(m, scale, out):
@@ -363,11 +363,12 @@ def _run_engine(fields, corrs, load, sigma, opts, assumed=None, iterate=True,
     mode runs a bias sweep in every outer iteration and stops at a global
     hard-decision fixed point. Columns whose decisions repeated are frozen
     (the step skips them, so their state stays as committed) and thaw
-    again if a later sweep changes their correction; with a memoryless
-    assumed matrix no correction ever changes, which makes the two modes
-    produce bitwise identical results. In blind mode each realization's
-    detector starts from the memoryless matrix and re-estimates it from its
-    own beliefs in every outer iteration.
+    again if a later sweep changes their correction; a position is reported
+    converged exactly when it ends frozen. With a memoryless assumed matrix
+    no correction ever changes, which makes the two modes produce bitwise
+    identical results. In blind mode each realization's detector starts
+    from the memoryless matrix and re-estimates it from its own beliefs in
+    every outer iteration.
 
     The realizations run in consecutive lockstep groups of B: one for a
     correlated RSUS run, as each realization shuffles its own columns,
@@ -382,7 +383,6 @@ def _run_engine(fields, corrs, load, sigma, opts, assumed=None, iterate=True,
     """
     if iterate and sigma <= 0.0:
         raise ValueError("iterative detection requires sigma > 0")
-    opts = opts or DetectorOptions()
     correlated = assumed is not None
     rsus = correlated and opts.schedule == "RSUS"
     n_trials = len(fields)
@@ -430,7 +430,6 @@ def _run_engine(fields, corrs, load, sigma, opts, assumed=None, iterate=True,
     dec = np.empty_like(prev_dec)
     active = np.ones((word_len, n_trials), dtype=bool)
     iters = np.zeros((word_len, n_trials), dtype=np.int64)
-    converged = np.zeros((word_len, n_trials), dtype=bool)
     trials = list(range(n_trials))  # the trial in each slot
     bounds = ([[] for _ in range(n_trials)]
               if opts.track_bounds and iterate else None)
@@ -443,7 +442,7 @@ def _run_engine(fields, corrs, load, sigma, opts, assumed=None, iterate=True,
         last = len(trials) - 1
         if slot != last:
             for a in (h0, h, xi, interference, padded, model, prev_dec,
-                      gain, active, iters, converged):
+                      gain, active, iters):
                 a[:, slot] = a[:, last]
             trials[slot] = trials[last]
         trials.pop()
@@ -481,10 +480,7 @@ def _run_engine(fields, corrs, load, sigma, opts, assumed=None, iterate=True,
                 np.tanh(np.add(h[sl], xi[sl], out=soft[sl]), out=soft[sl])
             elif opts.schedule == "BFUS":
                 forward = not forward
-            thawed = changed & ~active[sl]
-            if np.any(thawed):
-                active[sl] |= thawed
-                converged[sl] &= ~thawed
+            active[sl] |= changed
         if bounds is not None:
             for slot, trial in enumerate(trials):
                 q_pow, prec = stats[trial]
@@ -493,11 +489,9 @@ def _run_engine(fields, corrs, load, sigma, opts, assumed=None, iterate=True,
                                       float(np.abs(soft[:, slot]).max())))
         np.greater_equal(soft[sl], 0.0, out=dec[sl])
         same = np.all(dec[sl] == prev_dec[sl], axis=2)
-        newly = active[sl] & same
-        converged[sl] |= newly
-        active[sl] &= ~newly
+        active[sl] &= ~same
         prev_dec, dec = dec, prev_dec
-        done = same.all(axis=0) | ~active[sl].any(axis=0)
+        done = ~active[sl].any(axis=0)
         if t == opts.max_iters - 1:
             done[:] = True
         for slot in np.flatnonzero(done)[::-1]:
@@ -506,7 +500,7 @@ def _run_engine(fields, corrs, load, sigma, opts, assumed=None, iterate=True,
                 bits=np.ascontiguousarray(hard_decisions(soft[:, slot].T)),
                 field=np.add(h[:, slot], xi[:, slot]).T.copy(),
                 iters=iters[:, slot].copy(),
-                converged=converged[:, slot].copy(), outer_iterations=t + 1,
+                converged=~active[:, slot], outer_iterations=t + 1,
                 estimated_matrix=estimates[trial] if blind else None,
                 bounds=None if bounds is None else bounds[trial]))
         if not trials:

@@ -323,29 +323,26 @@ def _outcome(config: ExperimentConfig, realization, result) -> TrialOutcome:
         iters=iters, unconverged_positions=unconverged, diverged=diverged)
 
 
-def _detect_realizations(payload) -> list[list[TrialOutcome]]:
-    """The outcomes of every arm on every realization of payload.
+def _detect_realizations(payload) -> list[tuple[ExperimentConfig, TrialOutcome]]:
+    """The outcome of every arm on every realization of payload.
 
     payload holds (trial index, arms) pairs, the arms being configs with
     the same channel fields. Each realization is drawn once, and the slots
     of each engine kind, across arms and realizations, go to one engine
     call, which groups them. A slot's result does not depend on its group,
-    so each outcome equals its trial run alone. Returns, per realization,
-    its arms' outcomes in order.
+    so each outcome equals its trial run alone. Returns (config, outcome)
+    pairs in slot order, so each config's outcomes come in payload order.
     """
-    kinds = {}  # engine kind -> ((realization, arm) place, slot) pairs
-    for r, (index, arms) in enumerate(payload):
+    kinds = {}  # engine kind -> (config, trial index, realization) slots
+    for index, arms in payload:
         realization = _realization(
             arms[0], index, any(cfg.variant in MUD_VARIANTS for cfg in arms))
-        for a, cfg in enumerate(arms):
+        for cfg in arms:
             kinds.setdefault(_engine_kind(cfg), []).append(
-                ((r, a), (cfg, index, realization)))
-    outcomes = [[None] * len(arms) for _, arms in payload]
-    for slots in kinds.values():
-        results = _detect([slot for _, slot in slots])
-        for ((r, a), (cfg, _, realization)), result in zip(slots, results):
-            outcomes[r][a] = _outcome(cfg, realization, result)
-    return outcomes
+                (cfg, index, realization))
+    return [(cfg, _outcome(cfg, realization, result))
+            for slots in kinds.values()
+            for (cfg, _, realization), result in zip(slots, _detect(slots))]
 
 
 def run_trial(config: ExperimentConfig, trial_index: int) -> TrialOutcome:
@@ -353,7 +350,7 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialOutcome:
     deterministic function of (config.seed, trial_index), through the
     path every joint run takes. A trial whose detector diverges still
     counts, with the matched-filter decisions."""
-    return _detect_realizations([(trial_index, (config,))])[0][0]
+    return _detect_realizations([(trial_index, (config,))])[0][1]
 
 
 def _realizations(arms) -> list[tuple]:
@@ -448,11 +445,12 @@ def monte_carlo_arms(configs, workers: int | None = None
     Arms with the same channel fields (seed, generator matrix, sizes and
     noise) share each trial's realization, drawn once, so their pairing
     holds by construction; arms of one engine kind are detected in
-    lockstep across arms and trials. Payloads of realizations run in
-    order, optionally across processes. Counts are integers and their
-    summation commutative, and an outcome depends neither on its group
-    nor on the other arms, so every report is bit-identical to its arm run
-    alone, for any worker count. The worker processes are forked once per
+    lockstep across arms and trials. Payloads of realizations, the only
+    split of the work, run in order, optionally across processes, one
+    payload per pool task. Counts are integers and their summation
+    commutative, and an outcome depends neither on its group nor on the
+    other arms, so every report is bit-identical to its arm run alone, for
+    any worker count. The worker processes are forked once per
     process and worker count, by the first parallel call, and every later
     call reuses them; code patched in this process after that fork is not
     seen by the workers, so a caller that patches worker-side code must run
@@ -465,18 +463,16 @@ def monte_carlo_arms(configs, workers: int | None = None
     if workers is None or workers == 1 or len(payloads) <= 1:
         groups = map(_detect_realizations, payloads)
     else:
-        chunk = max(1, len(payloads) // (workers * 4))
         try:
-            groups = list(_worker_pool(workers).map(
-                _detect_realizations, payloads, chunksize=chunk))
+            groups = list(_worker_pool(workers).map(_detect_realizations,
+                                                    payloads))
         except BrokenProcessPool:
             shutdown_pool()
             raise
     outcomes = {cfg: [] for cfg in arms}
-    for payload, group in zip(payloads, groups):
-        for (_, cfgs), per_arm in zip(payload, group):
-            for cfg, outcome in zip(cfgs, per_arm):
-                outcomes[cfg].append(outcome)
+    for group in groups:
+        for cfg, outcome in group:
+            outcomes[cfg].append(outcome)
     return {cfg: _report(cfg, trials) for cfg, trials in outcomes.items()}
 
 

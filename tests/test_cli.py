@@ -296,6 +296,15 @@ def test_worker_budget_is_checked_up_front(tmp_path, capsys, monkeypatch,
      "--values lists 0.5 twice"),
     (["compare-compression", "bandwidth", "--values", "0.5", "--epsilon",
       "0,0", *TINY], "--epsilon lists 0 twice"),
+    # a non-finite entry, in any list flag
+    (["sweep", "mismatch", "--values", "0.8", "--deltas", "nan,0.1", *TINY],
+     "--deltas must list finite numbers, got nan"),
+    (["sweep", "mismatch", "--values", "0.8", "--deltas", "inf", *TINY],
+     "--deltas must list finite numbers, got inf"),
+    (["sweep", "lambda2", "--values", "0.5,-inf", *TINY],
+     "--values must list finite numbers, got -inf"),
+    (["compare-compression", "bandwidth", "--values", "0.5", "--epsilon",
+      "nan", *TINY], "--epsilon must list finite numbers, got nan"),
     # the mismatch is feasible on the config matrix and at 0.3, not at 0.95
     (["compare-compression", "fixed", "--values", "0.3,0.95", "--mismatch",
       "0.1", *TINY], "perturbed element 1.0725 outside [0, 1]"),
@@ -309,7 +318,9 @@ def test_worker_budget_is_checked_up_front(tmp_path, capsys, monkeypatch,
         "fixed-epsilon", "fixed-epsilon-zero", "fixed-amplification",
         "lambda2-file-names", "lambda2-repeated", "mismatch-repeated-delta",
         "mismatch-file-names", "length-repeated", "fixed-repeated",
-        "bandwidth-repeated-epsilon", "fixed-mismatch-infeasible",
+        "bandwidth-repeated-epsilon", "mismatch-deltas-nan",
+        "mismatch-deltas-inf", "lambda2-values-inf", "bandwidth-epsilon-nan",
+        "fixed-mismatch-infeasible",
         "bandwidth-mismatch-infeasible"])
 @pytest.mark.parametrize("dry_run", [True, False], ids=["dry", "run"])
 def test_rejected_input_exits_2_and_writes_nothing(tmp_path, capsys, argv,
@@ -779,6 +790,23 @@ def test_plotdata_schema_mismatch_names_the_column(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "ber" in err and "wrong" not in err.split("offending")[0]
     assert not plot_dir.exists()
+
+
+@pytest.mark.parametrize("csv", [
+    "lambda2,rel_delta,feasible,reason,p_corr,p_plain,normalized\n"
+    "0.8,0.5,false,perturbed element 1.2 outside [0, 1] (rel_delta=0.5),"
+    "nan,nan,nan\n",
+    "position,relative_position,errors,bits,ber,std_err\n",
+], ids=["infeasible-only", "no-rows"])
+def test_plotdata_refuses_a_file_without_plottable_rows(tmp_path, capsys,
+                                                        csv):
+    # gnuplot cannot run a bare plot command, so nothing is written
+    path = tmp_path / "empty.csv"
+    path.write_text("# corrcdma=0.1.0\n" + csv)
+    out = tmp_path / "plots"
+    assert main(["plotdata", str(path), "--out-dir", str(out)]) == 2
+    assert f"{path}: no plottable row" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_plotdata_missing_input_fails(tmp_path, capsys):

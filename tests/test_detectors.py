@@ -180,7 +180,8 @@ class TestLocalBias:
     def test_degenerate_matrix_raises(self):
         # prev certainly -1, next certainly +1
         soft = np.array([[-1.0, 0.0, 1.0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="neighbours impossible under "
+                           "the assumed transition matrix"):
             local_bias(soft, make_symmetric_matrix(1.0), 1)
 
     def test_position_out_of_range(self):

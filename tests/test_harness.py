@@ -244,7 +244,7 @@ def test_divergence_inside_a_group_falls_back_for_that_trial_only(
         return real_step(cols, soft, *rest)
 
     monkeypatch.setattr(detectors, "_mud_step", step)
-    outcomes = [outcome for (outcome,) in harness._detect_realizations(
+    outcomes = [outcome for _, outcome in harness._detect_realizations(
         [(index, (cfg,)) for index in range(3)])]
     assert outcomes[1].diverged
     assert outcomes[1].unconverged_positions == cfg.word_length
@@ -514,6 +514,24 @@ def test_parallel_calls_reuse_one_pool(pools):
     serial = monte_carlo(cfg)
     for _ in range(3):
         assert_same_report(serial, monte_carlo(cfg, workers=2))
+    assert len(pools) == 1
+
+
+def test_many_payloads_run_in_parallel_as_serially(pools):
+    # K > GROUP_USERS / 2 puts each realization in a payload of its own, so
+    # the pool gets more than 4 x workers payloads, one per task
+    cfg = ExperimentConfig(spread_factor=640, n_users=510, word_length=4,
+                           ensemble=18, seed=3)
+    arms = [cfg, replace(cfg, variant="plain_mud")]
+    assert payload_sizes(*arms, workers=2) == [1] * 18
+    serial = harness.monte_carlo_arms(arms)
+    parallel = harness.monte_carlo_arms(arms, workers=2)
+    assert list(parallel) == arms
+    for arm in arms:
+        assert_same_report(parallel[arm], serial[arm])
+        for name in ("per_position", "std_err"):
+            assert np.array_equal(getattr(parallel[arm], name),
+                                  getattr(serial[arm], name))
     assert len(pools) == 1
 
 

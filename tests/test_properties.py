@@ -219,7 +219,7 @@ def test_run_trials_equals_run_trial(config, indices):
     outcomes = harness._detect_realizations(
         [(index, (config,)) for index in indices])
     assert len(outcomes) == len(indices)
-    for index, (outcome,) in zip(indices, outcomes):
+    for index, (_, outcome) in zip(indices, outcomes):
         assert_same_outcome(outcome, run_trial(config, index))
 
 
