@@ -66,11 +66,28 @@ def _gram(chips: np.ndarray) -> np.ndarray:
 
 def generate_spreading(spread_factor: int, n_users: int,
                        rng: np.random.Generator) -> SpreadingMatrix:
-    """Draw independent fair +-1 chips for every (chip, user) slot."""
+    """Draw independent fair +-1 chips for every (chip, user) slot.
+
+    The chips equal rng.integers(0, 2, size=(N, K), dtype=np.int8) * 2 - 1
+    bit for bit, and leave rng where that draw leaves it, without its
+    per-byte loop. numpy's bounded int8 draw takes one byte at a time, low
+    byte first, from the generator's 32-bit outputs and maps it to
+    (byte * 2) >> 8 (Lemire's multiply-shift, which never rejects a byte on
+    a range of 2), so its value is the byte's top bit. One full-range draw
+    of ceil(N K / 4) words, read as little-endian bytes, holds those bytes
+    in that order; each becomes +1 exactly when its top bit is set.
+    """
     if spread_factor < 1 or n_users < 1:
         raise ValueError("spread_factor and n_users must be >= 1")
-    chips = rng.integers(0, 2, size=(spread_factor, n_users), dtype=np.int8) * 2 - 1
-    return SpreadingMatrix(chips)
+    size = spread_factor * n_users
+    words = rng.integers(0, 2**32, size=-(-size // 4), dtype=np.uint32)
+    chips = words.astype("<u4", copy=False).view(np.int8)[:size]
+    # in place on the int8 bytes: ~b >> 7 is 0 where the top bit of b is
+    # set and -1 where it is clear, and | 1 makes those +1 and -1
+    np.invert(chips, out=chips)
+    chips >>= 7
+    chips |= 1
+    return SpreadingMatrix(chips.reshape(spread_factor, n_users))
 
 
 def transmit(spreading: SpreadingMatrix, block: np.ndarray, sigma: float,

@@ -114,7 +114,12 @@ def _parse_value_list(text, option, cast=float):
         raise ValueError(f"{option} must list at least one value")
     values = []
     for token in str(text).replace(",", " ").split():
-        value = cast(token)
+        try:
+            value = cast(token)
+        except ValueError:
+            kind = "integers" if cast is int else "numbers"
+            raise ValueError(
+                f"{option} must list {kind}, got {token}") from None
         if not math.isfinite(value):
             raise ValueError(f"{option} must list finite numbers, got {token}")
         if value in values:

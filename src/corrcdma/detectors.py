@@ -54,7 +54,7 @@ class DetectorDivergence(RuntimeError):
 
 def hard_decisions(x: np.ndarray) -> np.ndarray:
     """Signum with the fixed tie rule sign(0) = +1, as int8."""
-    return np.where(np.asarray(x) >= 0, 1, -1).astype(np.int8)
+    return np.where(np.asarray(x) >= 0, np.int8(1), np.int8(-1))
 
 
 @dataclass(frozen=True)

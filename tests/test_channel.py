@@ -67,6 +67,36 @@ class TestSpreading:
         n = s.chips.size
         assert abs(float(np.mean(s.chips))) < 4 / math.sqrt(n)
 
+    @pytest.mark.parametrize("n, k", [(1, 1), (3, 1), (7, 3), (13, 5),
+                                      (60, 30), (250, 200), (1000, 800)])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    @pytest.mark.parametrize("advance", ["fresh", "random", "normal", "int8"])
+    def test_chips_equal_bounded_int8_draw(self, n, k, seed, advance):
+        # oracle: the per-byte bounded draw the chips were defined by; the
+        # word draw must give the same chips and leave the generator where
+        # the oracle leaves it, so every later draw of a run is unchanged
+        rngs = [np.random.default_rng(seed) for _ in range(2)]
+        for rng in rngs:
+            if advance == "random":
+                rng.random(3)
+            elif advance == "normal":
+                rng.standard_normal(5)
+            elif advance == "int8":
+                # ends mid-word, with half of a 64-bit output still buffered
+                rng.integers(0, 2, size=3, dtype=np.int8)
+        want = rngs[0].integers(0, 2, size=(n, k), dtype=np.int8) * 2 - 1
+        got = generate_spreading(n, k, rngs[1]).chips
+        assert got.dtype == np.int8 and got.shape == (n, k)
+        assert not got.flags.writeable
+        assert np.array_equal(got, want)
+        old, new = rngs
+        assert new.random() == old.random()
+        assert new.standard_normal() == old.standard_normal()
+        assert np.array_equal(new.integers(0, 2**32, size=3, dtype=np.uint32),
+                              old.integers(0, 2**32, size=3, dtype=np.uint32))
+        assert new.integers(0, 2, dtype=np.int8) == old.integers(
+            0, 2, dtype=np.int8)
+
     def test_rejects_nonbinary(self):
         with pytest.raises(ValueError):
             SpreadingMatrix(np.array([[1, 0], [-1, 1]]))

@@ -305,6 +305,15 @@ def test_worker_budget_is_checked_up_front(tmp_path, capsys, monkeypatch,
      "--values must list finite numbers, got -inf"),
     (["compare-compression", "bandwidth", "--values", "0.5", "--epsilon",
       "nan", *TINY], "--epsilon must list finite numbers, got nan"),
+    # an entry that does not parse, in any list flag
+    (["sweep", "length", "--values", "4,8.5,16", *TINY],
+     "--values must list integers, got 8.5"),
+    (["sweep", "lambda2", "--values", "0.5,abc", *TINY],
+     "--values must list numbers, got abc"),
+    (["sweep", "mismatch", "--values", "0.5", "--deltas", "0.1,x", *TINY],
+     "--deltas must list numbers, got x"),
+    (["compare-compression", "bandwidth", "--values", "0.5", "--epsilon",
+      "0,5%", *TINY], "--epsilon must list numbers, got 5%"),
     # the mismatch is feasible on the config matrix and at 0.3, not at 0.95
     (["compare-compression", "fixed", "--values", "0.3,0.95", "--mismatch",
       "0.1", *TINY], "perturbed element 1.0725 outside [0, 1]"),
@@ -320,6 +329,8 @@ def test_worker_budget_is_checked_up_front(tmp_path, capsys, monkeypatch,
         "mismatch-file-names", "length-repeated", "fixed-repeated",
         "bandwidth-repeated-epsilon", "mismatch-deltas-nan",
         "mismatch-deltas-inf", "lambda2-values-inf", "bandwidth-epsilon-nan",
+        "length-values-float", "lambda2-values-word", "mismatch-deltas-word",
+        "bandwidth-epsilon-word",
         "fixed-mismatch-infeasible",
         "bandwidth-mismatch-infeasible"])
 @pytest.mark.parametrize("dry_run", [True, False], ids=["dry", "run"])

@@ -70,11 +70,14 @@ def scalar_reference_steps(h0, corr, load, sigma, n_steps):
 
 class TestHardDecisions:
     def test_tie_is_plus_one(self):
+        # NaN compares false, so it maps to -1
         np.testing.assert_array_equal(
-            hard_decisions(np.array([-0.5, 0.0, 0.5, -0.0])), [-1, 1, 1, 1])
+            hard_decisions(np.array([-0.5, 0.0, 0.5, -0.0, np.nan])),
+            [-1, 1, 1, 1, -1])
 
     def test_dtype(self):
-        assert hard_decisions(np.zeros(3)).dtype == np.int8
+        bits = hard_decisions(np.zeros((3, 4)))
+        assert bits.dtype == np.int8 and bits.flags.c_contiguous
 
 
 class TestSumf:
