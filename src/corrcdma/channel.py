@@ -28,7 +28,7 @@ class SpreadingMatrix:
         c = np.asarray(chips)
         if c.ndim != 2:
             raise ValueError(f"chips must be 2-d, got shape {c.shape}")
-        if not np.all(np.abs(c) == 1):
+        if not _all_unit(c):
             raise ValueError("chips must all be +-1")
         c = c.astype(np.int8, copy=True)
         c.flags.writeable = False
@@ -48,6 +48,21 @@ class SpreadingMatrix:
     @property
     def n_users(self) -> int:
         return self.chips.shape[1]
+
+
+def _all_unit(a: np.ndarray) -> bool:
+    """Whether every entry of a is +1 or -1.
+
+    The one temporary is |a|, tested in place: a one-byte |a| (int8, uint8,
+    bool) takes its verdicts over its own bytes, a wider one is lowered by
+    1 and must be all zero (a NaN stays nonzero). In int8 |-128| wraps to
+    -128, so -128 fails like every other value but +-1.
+    """
+    t = np.abs(a)
+    if t.itemsize == 1:
+        return bool(np.equal(t, 1, out=t.view(np.bool_)).all())
+    t -= 1
+    return not t.any()
 
 
 def _gram(chips: np.ndarray) -> np.ndarray:
@@ -105,7 +120,7 @@ def transmit(spreading: SpreadingMatrix, block: np.ndarray, sigma: float,
     if b.ndim != 2 or b.shape[0] != spreading.n_users:
         raise ValueError(
             f"block shape {b.shape} incompatible with {spreading.n_users} users")
-    if not np.all(np.abs(b) == 1):
+    if not _all_unit(b):
         raise ValueError("block symbols must all be +-1")
     if sigma < 0.0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")

@@ -35,12 +35,14 @@ SCHEDULES = ("PUS", "SUS", "BFUS", "RSUS")
 CLAMP_EPS = 1e-12
 # Additive smoothing of the blind transition estimator.
 PSEUDO_COUNT = 1.0
-# Users per lockstep group of the engine. On a 2-core x86-64 machine
-# (AVX-512, numpy 2.4) an SUS bias sweep over 80 columns of W users cost
-# about 60, 45, 32, 27 and 25 ns per user and column at W = 200, 400, 800,
-# 1,000 and 1,600: below about 1,000 users the numpy call overhead
-# dominates, above it a larger group only adds memory (a 1,200-user group of
-# three C4 arms raised the peak resident memory of a sweep by 9.6 MB).
+# Users per lockstep group of the engine, whose bias sweep and MUD step
+# (all but its per-realization K x K product) each run once over the whole
+# group. On a 2-core x86-64 machine (AVX-512, numpy 2.4) an SUS bias sweep
+# over 80 columns of W users cost about 60, 45, 32, 27 and 25 ns per user
+# and column at W = 200, 400, 800, 1,000 and 1,600: below about 1,000 users
+# the numpy call overhead dominates, above it a larger group only adds
+# memory (a 1,200-user group of three C4 arms raised the peak resident
+# memory of a sweep by 9.6 MB).
 GROUP_USERS = 1000
 
 
@@ -292,23 +294,28 @@ def _commit(xi, xi_new):
     return changed
 
 
-def _mud_step(rows, soft, matched, field, interference, gain, corr, xi, load,
-              sigma, work, finite, iteration):
-    """One synchronous MUD update of the symbol columns at rows of the
-    state of one realization, committed in place.
+def _mud_step(rows, ends, corrs, soft, matched, field, interference, gain,
+              xi, load, sigma, work, finite):
+    """One synchronous MUD update of the active symbol columns of a group,
+    committed in place.
 
-    The arrays are contiguous (R, K) views of a group's state, one row per
-    symbol column of a realization (gain is (R,)); rows are the row indices
-    of the columns to update, all of one realization, corr is its
-    correlation matrix and xi the bias correction. The rows are gathered into the (3, L, K) work
-    buffer, so only they pay for the K x K product. The interference sum
-    runs over all users including the self term (unit diagonal of corr);
-    the final + precision * soft adds the own tentative estimate back,
-    leaving the cavity field. Without that retraction the update subtracts
-    each user's own signal and the iteration oscillates instead of
-    converging. The committed rows' soft values become tanh(field + xi), so
-    every row keeps soft = tanh(field + xi). Returns the per-column soft
-    power and precision.
+    The arrays are contiguous (L B, K) views of the group's state, row
+    l B + b holding symbol column l of slot b (gain is (L B,)), and xi is
+    the bias correction. rows lists the rows to update slot by slot: slot
+    b's are rows[ends[b - 1]:ends[b]] (from 0 for b = 0), and corrs[b] is
+    its correlation matrix. Every row is gathered once into the (3, L B, K)
+    work buffer, so only the active columns pay for the K x K product, which
+    runs once per slot on that slot's contiguous slice; every other
+    operation runs once over all rows and treats each row on its own, so a
+    slot's rows get what a step of that slot alone gives them, bit for bit.
+    The interference sum runs over all users including the self term (unit
+    diagonal of corr); the final + precision * soft adds the own tentative
+    estimate back, leaving the cavity field. Without that retraction the
+    update subtracts each user's own signal and the iteration oscillates
+    instead of converging. The committed rows' soft values become
+    tanh(field + xi), so every row keeps soft = tanh(field + xi). Returns
+    the per-row soft power and precision and the list, ascending, of the
+    slots whose new field has a non-finite value: those have diverged.
     """
     n = rows.size
     # mode="clip" writes straight into the work buffer ("raise" would stage
@@ -322,7 +329,10 @@ def _mud_step(rows, soft, matched, field, interference, gain, corr, xi, load,
     q_pow = np.add.accumulate(u_new, axis=1, out=u_new)[:, -1] / s.shape[1]
     precision = 1.0 / (sigma * sigma + load * (1.0 - q_pow))
     carry = load * (1.0 - q_pow) * precision
-    np.matmul(corr, s.T, out=u_new.T)
+    start = 0
+    for end, corr in zip(ends, corrs):
+        np.matmul(corr, s[start:end].T, out=u_new[start:end].T)
+        start = end
     u_new *= precision[:, None]
     u_old = np.take(interference, rows, axis=0, out=work[2, :n], mode="clip")
     u_old *= carry[:, None]
@@ -333,15 +343,17 @@ def _mud_step(rows, soft, matched, field, interference, gain, corr, xi, load,
     h_new -= u_new
     s *= precision[:, None]
     h_new += s
+    diverged = []
     if not np.isfinite(h_new, out=finite[:n]).all():
-        raise DetectorDivergence(iteration)
+        bad = np.flatnonzero(~finite[:n].all(axis=1))
+        diverged = np.unique(np.searchsorted(ends, bad, side="right")).tolist()
     field[rows] = h_new
     interference[rows] = u_new
     gain[rows] = gain_new
     s = np.take(xi, rows, axis=0, out=work[0, :n], mode="clip")
     s += h_new
     soft[rows] = np.tanh(s, out=s)
-    return q_pow, precision
+    return q_pow, precision, diverged
 
 
 def _run_engine(fields, corrs, load, sigma, opts, assumed=None, iterate=True,
@@ -354,7 +366,7 @@ def _run_engine(fields, corrs, load, sigma, opts, assumed=None, iterate=True,
     detector assumes, so arms that assume different matrices share one
     run, and rngs one schedule generator per realization, which a
     correlated RSUS run requires. With iterate=True every outer iteration
-    starts with a synchronous MUD step of each realization; with
+    starts with a synchronous MUD step of every realization; with
     iterate=False the matched-filter field is never updated and only the
     bias correction is refined (the correlated SUMF), scaled by the matched
     filter's interference-plus-noise variance load + sigma^2. Plain mode
@@ -375,11 +387,13 @@ def _run_engine(fields, corrs, load, sigma, opts, assumed=None, iterate=True,
     else as many as GROUP_USERS users hold, at least one. A group's state
     is held in (L, B, K) arrays, each slot with its own matrix's neighbour
     weights and edge value, one copy per user, so every element sees the
-    scalars a lone run of its realization would. Each realization keeps its
-    own active columns, counts and stop rule: one that stops, or diverges,
-    leaves the group, and the group's last one moves into its slot. So
-    every result, a DetectionResult or the DetectorDivergence its MUD step
-    raised, is its realization's lone run's, bit for bit.
+    scalars a lone run of its realization would. The MUD step and the bias
+    sweep each run once per outer iteration over the whole group. Each
+    realization keeps its own active columns, counts and stop rule: one
+    that stops, or whose MUD step leaves a non-finite field, leaves the
+    group, and the group's last one moves into its slot. So every result,
+    a DetectionResult or a DetectorDivergence carrying the iteration of
+    that step, is its realization's lone run's, bit for bit.
     """
     if iterate and sigma <= 0.0:
         raise ValueError("iterative detection requires sigma > 0")
@@ -408,7 +422,6 @@ def _run_engine(fields, corrs, load, sigma, opts, assumed=None, iterate=True,
     h0, h, xi, interference, work, padded, model = np.split(
         block, [*np.cumsum([1, 1, 1, 1, 4]) * word_len, 9 * word_len + 2])
     work = work.reshape(-1)
-    step_work = work[:3 * word_len * n_users].reshape(3, word_len, n_users)
     soft = padded[1:-1]
     for b, field in enumerate(fields):
         h0[:, b] = field.T
@@ -419,12 +432,13 @@ def _run_engine(fields, corrs, load, sigma, opts, assumed=None, iterate=True,
     # the state as contiguous (L B, K) rows, row l B + b holding column l of
     # slot b: the MUD step gathers a slot's rows from these views
     n_rows = word_len * n_trials
+    step_work = work[:3 * n_rows * n_users].reshape(3, n_rows, n_users)
     flat = [a.reshape(n_rows, n_users) for a in (soft, h0, h, interference)]
     flat.append(gain.reshape(n_rows))
     xi_rows = xi.reshape(n_rows, n_users)
     for b, matrix in enumerate(assumed if correlated else ()):
         model[:, b] = _neighbour_model(estimates[b] if blind else matrix)
-    finite = np.empty((word_len, n_users), dtype=bool)
+    finite = np.empty((n_rows, n_users), dtype=bool)
     np.tanh(np.add(h, xi, out=soft), out=soft)
     prev_dec = soft >= 0.0
     dec = np.empty_like(prev_dec)
@@ -449,17 +463,23 @@ def _run_engine(fields, corrs, load, sigma, opts, assumed=None, iterate=True,
 
     for t in range(opts.max_iters):
         if iterate:
-            stats = {}
-            # from the last slot down, so a trial that diverges leaves
-            # without moving one not yet stepped
-            for slot in range(len(trials) - 1, -1, -1):
-                try:
-                    stats[trials[slot]] = _mud_step(
-                        np.flatnonzero(active[:, slot]) * n_trials + slot,
-                        *flat, corrs[trials[slot]], xi_rows, load, sigma,
-                        step_work, finite, t)
-                except DetectorDivergence as exc:
-                    leave(slot, exc)
+            # the active rows slot by slot, each slot's in column order
+            on = active[:, :len(trials)]
+            slot_of, rows = np.nonzero(on.T)
+            rows *= n_trials
+            rows += slot_of
+            ends = np.count_nonzero(on, axis=0).cumsum().tolist()
+            q_pow, precision, diverged = _mud_step(
+                rows, ends, [corrs[trial] for trial in trials], *flat,
+                xi_rows, load, sigma, step_work, finite)
+            if bounds is not None:
+                stats = {trial: (q_pow[start:end], precision[start:end])
+                         for trial, start, end in zip(trials, [0, *ends],
+                                                      ends)}
+            # from the last slot down, so a trial that leaves moves one that
+            # did not diverge into its slot
+            for slot in reversed(diverged):
+                leave(slot, DetectorDivergence(t))
             if not trials:
                 break
         n = len(trials)

@@ -105,6 +105,37 @@ class TestSpreading:
         with pytest.raises(ValueError):
             generate_spreading(0, 3, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float64])
+    def test_keeps_an_int8_copy(self, dtype):
+        # the check reads the caller's array without writing to it, and
+        # the matrix keeps its own read-only int8 copy
+        given = np.array([[1, -1], [-1, -1], [1, 1]], dtype=dtype)
+        was = given.copy()
+        s = SpreadingMatrix(given)
+        assert s.chips.dtype == np.int8 and not s.chips.flags.writeable
+        assert np.array_equal(s.chips, was) and np.array_equal(given, was)
+
+
+NON_UNIT = [pytest.param(value, dtype, id=f"{np.dtype(dtype).name}-{value}")
+            for value, dtype in ((0, np.int8), (2, np.int8), (-128, np.int8),
+                                 (127, np.int8), (1.5, np.float64),
+                                 (np.nan, np.float64))]
+
+
+@pytest.mark.parametrize("value,dtype", NON_UNIT)
+def test_unit_checks_reject(value, dtype):
+    # both +-1 checks, on the chips and on the block, refuse one stray
+    # entry; in int8 |-128| wraps to -128
+    chips = np.ones((4, 3), dtype=dtype)
+    chips[2, 1] = value
+    with pytest.raises(ValueError, match="chips must all be"):
+        SpreadingMatrix(chips)
+    s = generate_spreading(4, 3, np.random.default_rng(0))
+    block = -np.ones((3, 2), dtype=dtype)
+    block[1, 0] = value
+    with pytest.raises(ValueError, match="symbols must all be"):
+        transmit(s, block, 0.5, np.random.default_rng(0))
+
 
 class TestConfig:
     # the channel parameters (N, K, sigma) are carried by ExperimentConfig;

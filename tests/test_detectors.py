@@ -520,11 +520,14 @@ class TestFreezeAndCap:
         steps, sweeps = [], []
         real_step, real_sweep = detectors._mud_step, detectors._bias_sweep
 
-        def step(cols, soft, matched, field, interference, gain, *rest):
+        def step(rows, ends, corrs, soft, matched, field, interference, gain,
+                 *rest):
+            # a lone run: one slot, whose rows are its column indices
+            assert ends == [rows.size] and len(corrs) == 1
             before = (field.copy(), interference.copy(), gain.copy())
-            out = real_step(cols, soft, matched, field, interference, gain,
-                            *rest)
-            steps.append((cols.copy(), before,
+            out = real_step(rows, ends, corrs, soft, matched, field,
+                            interference, gain, *rest)
+            steps.append((rows.copy(), before,
                           (field.copy(), interference.copy(), gain.copy())))
             return out
 
@@ -561,6 +564,24 @@ class TestFreezeAndCap:
         assert thaws > 0
 
 
+def poisoning_step(target, iteration):
+    """A _mud_step that first writes a NaN into the first active row of the
+    slot whose correlation matrix is target, in the step of that outer
+    iteration (the engine steps once per iteration), so that slot diverges
+    there."""
+    real_step, calls = detectors._mud_step, []
+
+    def step(rows, ends, corrs, soft, *rest):
+        if len(calls) == iteration:
+            for start, corr in zip([0, *ends], corrs):
+                if corr is target:
+                    soft[rows[start], 0] = np.nan
+        calls.append(None)
+        return real_step(rows, ends, corrs, soft, *rest)
+
+    return step
+
+
 class TestLockstep:
     # the engine runs a group of realizations side by side in one set of
     # arrays (the property tests check groups against lone runs)
@@ -586,10 +607,11 @@ class TestLockstep:
             assert np.array_equal(padded[1:-1], np.tanh(field + xi))
 
     def test_mud_step_commits_only_its_rows(self):
-        # a step on some columns of one slot of a group commits what a step
-        # on that slot alone commits, leaves every other row as it was, and
-        # leaves tanh(field + xi) in the soft rows it committed, so the
-        # engine recomputes no soft row after a step
+        # a group step on some columns of one slot, the other slots having
+        # no active column, commits what a step on that slot alone commits,
+        # leaves every other row as it was, and leaves tanh(field + xi) in
+        # the soft rows it committed, so the engine recomputes no soft row
+        # after a step
         word_len, trials, users, slot = 12, 3, 10, 1
         _, _, s, _ = make_instance(1560, 20, users, word_len, 0.7)
         rng = np.random.default_rng(1561)
@@ -601,16 +623,18 @@ class TestLockstep:
         before = [a.copy() for a in group]
         lone = [np.ascontiguousarray(a[:, slot]) for a in (*group, xi)]
         cols = np.array([0, 3, 4, 11])
-        work = np.empty((3, word_len, users))
-        finite = np.empty((word_len, users), dtype=bool)
+        work = np.empty((3, word_len * trials, users))
+        finite = np.empty((word_len * trials, users), dtype=bool)
 
         def rows(a):
             return a.reshape(word_len * trials, *a.shape[2:])
 
-        detectors._mud_step(cols * trials + slot, *map(rows, group), s.corr,
-                            rows(xi), 0.5, 0.7, work, finite, 0)
-        detectors._mud_step(cols, *lone[:5], s.corr, lone[5], 0.5, 0.7,
-                            work, finite, 0)
+        ends = [0, cols.size, cols.size]
+        assert detectors._mud_step(
+            cols * trials + slot, ends, [s.corr] * trials, *map(rows, group),
+            rows(xi), 0.5, 0.7, work, finite)[2] == []
+        detectors._mud_step(cols, [cols.size], [s.corr], *lone[:5], lone[5],
+                            0.5, 0.7, work, finite)
         others = np.ones((word_len, trials), dtype=bool)
         others[cols, slot] = False
         for a, alone, was in zip(group, lone, before):
@@ -618,6 +642,60 @@ class TestLockstep:
             assert np.array_equal(a[others], was[others])
         assert not np.array_equal(field, before[2])
         assert np.array_equal(soft, np.tanh(field + xi))
+
+    def test_group_step_equals_lone_steps(self):
+        # one step over slots with their own matrices and active sets, one
+        # set empty and one slot going non-finite, commits what one step of
+        # each slot alone commits, bit for bit, and returns the same soft
+        # power and precision; the rows no slot selects stay as they were,
+        # and only the non-finite slot is reported
+        word_len, users = 9, 16
+        active = [np.array([0, 3, 4, 8]), np.array([], dtype=np.intp),
+                  np.arange(word_len), np.array([5, 7]), np.array([2])]
+        trials, bad = len(active), 3
+        corrs = [make_instance(1570 + b, 24, users, 2, 0.7)[2].corr
+                 for b in range(trials)]
+        rng = np.random.default_rng(1580)
+        soft, matched, field, interference, xi = (
+            rng.standard_normal((word_len, trials, users)) for _ in range(5))
+        np.tanh(field + xi, out=soft)
+        soft[active[bad][0], bad, 0] = np.nan
+        gain = rng.random((word_len, trials))
+        state = (soft, matched, field, interference, gain, xi)
+        before = [a.copy() for a in state]
+        lone = [[np.ascontiguousarray(a[:, b]) for a in state]
+                for b in range(trials)]
+        work = np.empty((3, word_len * trials, users))
+        finite = np.empty((word_len * trials, users), dtype=bool)
+        rows = np.concatenate([cols * trials + b
+                               for b, cols in enumerate(active)])
+        ends = np.cumsum([cols.size for cols in active]).tolist()
+        q_pow, precision, diverged = detectors._mud_step(
+            rows, ends, corrs,
+            *(a.reshape(word_len * trials, *a.shape[2:]) for a in state),
+            0.5, 0.7, work, finite)
+        assert diverged == [bad]
+        alone_q, alone_prec = [], []
+        for b, cols in enumerate(active):
+            q, prec, alone_diverged = detectors._mud_step(
+                cols, [cols.size], [corrs[b]], *lone[b], 0.5, 0.7, work,
+                finite)
+            assert alone_diverged == ([0] if b == bad else [])
+            alone_q.append(q)
+            alone_prec.append(prec)
+            for a, alone in zip(state, lone[b]):
+                assert np.array_equal(a[:, b], alone, equal_nan=b == bad)
+        assert np.array_equal(q_pow, np.concatenate(alone_q), equal_nan=True)
+        assert np.array_equal(precision, np.concatenate(alone_prec),
+                              equal_nan=True)
+        untouched = np.ones((word_len, trials), dtype=bool)
+        for b, cols in enumerate(active):
+            untouched[cols, b] = False
+        for a, was in zip(state, before):
+            assert np.array_equal(a[untouched], was[untouched],
+                                  equal_nan=True)
+        assert np.isfinite(field[:, np.arange(trials) != bad]).all()
+        assert not np.isfinite(field[active[bad], bad]).all()
 
     def test_sweep_reports_changes_per_trial(self):
         # a trial whose corrections are already the sweep's reports no
@@ -650,15 +728,8 @@ class TestLockstep:
         opts = DetectorOptions(schedule="SUS")
         alone = [detectors._run_engine([f], [c], 0.8, 0.8, opts, [t])[0]
                  for f, c in zip(fields, corrs)]
-        real_step = detectors._mud_step
-
-        def step(cols, soft, *rest):
-            corr, iteration = rest[4], rest[-1]
-            if corr is corrs[1] and iteration == 1:
-                soft[cols[0], 0] = np.nan
-            return real_step(cols, soft, *rest)
-
-        monkeypatch.setattr(detectors, "_mud_step", step)
+        monkeypatch.setattr(detectors, "_mud_step",
+                            poisoning_step(corrs[1], 1))
         together = detectors._run_engine(fields, corrs, 0.8, 0.8, opts,
                                          [t] * 4)
         assert isinstance(together[1], DetectorDivergence)
@@ -699,15 +770,8 @@ class TestLockstep:
         alone = [detectors._run_engine([f], [c], 0.8, 0.8, opts, [m],
                                        iterate, [rng])[0]
                  for f, c, m, rng in zip(fields, corrs, matrices, streams())]
-        real_step = detectors._mud_step
-
-        def step(cols, soft, *rest):
-            corr, iteration = rest[4], rest[-1]
-            if corr is corrs[0] and iteration == 1:
-                soft[cols[0], 0] = np.nan
-            return real_step(cols, soft, *rest)
-
-        monkeypatch.setattr(detectors, "_mud_step", step)
+        monkeypatch.setattr(detectors, "_mud_step",
+                            poisoning_step(corrs[0], 1))
         together = detectors._run_engine(fields, corrs, 0.8, 0.8, opts,
                                          matrices, iterate, streams())
         if iterate:

@@ -200,10 +200,14 @@ def test_random_schedule_is_deterministic_and_distinct():
 
 def test_divergent_trial_falls_back_to_matched_filter(monkeypatch):
     from corrcdma import detectors
-    from corrcdma.detectors import DetectorDivergence, sumf_detect
+    from corrcdma.detectors import DetectorDivergence, mud_detect, sumf_detect
 
-    def blow_up(*args, **kwargs):
-        raise DetectorDivergence("forced")
+    real_step = detectors._mud_step
+
+    def blow_up(rows, ends, corrs, soft, *rest):
+        # every slot's field goes non-finite in the first step
+        soft[rows] = np.nan
+        return real_step(rows, ends, corrs, soft, *rest)
 
     monkeypatch.setattr(detectors, "_mud_step", blow_up)
     cfg = small_config(variant="plain_mud")
@@ -220,6 +224,10 @@ def test_divergent_trial_falls_back_to_matched_filter(monkeypatch):
     received = transmit(spreading, block, cfg.sigma, rng)
     expected = (sumf_detect(spreading, received).bits != block).sum(axis=0)
     assert np.array_equal(outcome.errors_by_position, expected)
+    # the public detector raises the divergence, at the first step
+    with pytest.raises(DetectorDivergence) as err:
+        mud_detect(spreading, received, cfg.sigma)
+    assert err.value.iteration == 0
 
     report = monte_carlo(cfg)
     assert report.divergences == cfg.ensemble
@@ -237,11 +245,16 @@ def test_divergence_inside_a_group_falls_back_for_that_trial_only(
     alone = [run_trial(cfg, index) for index in range(3)]
     corr = harness._realization(cfg, 1, True)[2]  # trial 1's
     real_step = detectors._mud_step
+    calls = []
 
-    def step(cols, soft, *rest):
-        if rest[-1] == 0 and np.array_equal(rest[4], corr):
-            soft[cols[0], 0] = np.nan
-        return real_step(cols, soft, *rest)
+    def step(rows, ends, corrs, soft, *rest):
+        # NaN in trial 1's first active row, in the run's first step
+        if not calls:
+            for start, slot_corr in zip([0, *ends], corrs):
+                if np.array_equal(slot_corr, corr):
+                    soft[rows[start], 0] = np.nan
+        calls.append(None)
+        return real_step(rows, ends, corrs, soft, *rest)
 
     monkeypatch.setattr(detectors, "_mud_step", step)
     outcomes = [outcome for _, outcome in harness._detect_realizations(
@@ -261,6 +274,7 @@ def test_divergence_inside_a_group_falls_back_for_that_trial_only(
         assert np.array_equal(outcomes[index].iters, alone[index].iters)
         assert (outcomes[index].unconverged_positions
                 == alone[index].unconverged_positions)
+    calls.clear()  # a new run, whose first step poisons trial 1 again
     assert monte_carlo(cfg).divergences == 1
 
 
