@@ -128,21 +128,6 @@ def _parse_value_list(text, option, cast=float):
     return values
 
 
-# The flags only one sweep kind or compare-compression protocol reads.
-_FLAG_READERS = {"deltas": "sweep kind mismatch",
-                 "threshold_factor": "sweep kind length",
-                 **dict.fromkeys(("epsilon", "base_beta", "amplification"),
-                                 "the bandwidth protocol")}
-
-
-def _refuse_stray_flags(args, reader):
-    """ValueError naming a flag of _FLAG_READERS given to another reader."""
-    for dest, owner in _FLAG_READERS.items():
-        if owner != reader and getattr(args, dest, None) is not None:
-            raise ValueError(f"--{dest.replace('_', '-')} applies only to "
-                             f"{owner}")
-
-
 class _OutputSet:
     """Files written by one command, removable as a unit on failure, with
     the directories made for them."""
@@ -290,7 +275,6 @@ def cmd_sweep(args) -> int:
     kind = args.kind
 
     def plan(config):
-        _refuse_stray_flags(args, f"sweep kind {kind}")
         values = _parse_value_list(args.values, "--values",
                                    int if kind == "length" else float)
         # build every run the sweep makes, which validates each of them,
@@ -299,9 +283,7 @@ def cmd_sweep(args) -> int:
         if kind == "lambda2":
             experiment = lambda2_plan(config, values)
         elif kind == "length":
-            factor = args.threshold_factor
-            experiment = length_plan(config, values,
-                                     1.2 if factor is None else factor)
+            experiment = length_plan(config, values, args.threshold_factor)
         else:
             deltas = _parse_value_list(args.deltas, "--deltas", float)
             experiment = mismatch_plan(config, deltas, values)
@@ -343,25 +325,26 @@ def cmd_compare_compression(args) -> int:
     protocol = args.protocol
 
     def plan(config):
-        _refuse_stray_flags(args, f"the {protocol} protocol")
-        values = ([config.matrix.lambda2] if args.values is None
-                  else _parse_value_list(args.values, "--values", float))
-        epsilons = _parse_value_list(
-            "0" if args.epsilon is None else args.epsilon, "--epsilon", float)
+        # the config's own matrix, or the symmetric one of each value
+        if args.values is None:
+            values = [config.matrix.lambda2]
+            matrices = [(values[0], config.matrix)]
+        else:
+            values = _parse_value_list(args.values, "--values", float)
+            matrices = ((lam, make_symmetric_matrix(lam)) for lam in values)
+        note = f"  protocol={protocol} values={values}"
+        if protocol == "fixed":
+            experiment = compression_plan(config, protocol, matrices)
+            return note, experiment, partial(finish, config)
+        epsilons = _parse_value_list(args.epsilon, "--epsilon", float)
         if any(eps < 0 for eps in epsilons):
             raise ValueError("--epsilon values must be >= 0")
         base_beta = config.load if args.base_beta is None else args.base_beta
         if not base_beta > 0:
             raise ValueError("--base-beta must be > 0")
-        # the config's own matrix, or the symmetric one of each value
-        matrices = ([(values[0], config.matrix)] if args.values is None
-                    else ((lam, make_symmetric_matrix(lam)) for lam in values))
         experiment = compression_plan(config, protocol, matrices, epsilons,
-                                      base_beta,
-                                      args.amplification or "entropy")
-        note = f"  protocol={protocol} values={values}"
-        if protocol == "bandwidth":
-            note += f" epsilons={epsilons} base_beta={base_beta:g}"
+                                      base_beta, args.amplification)
+        note += f" epsilons={epsilons} base_beta={base_beta:g}"
         return note, experiment, partial(finish, config)
 
     def finish(config, rows, reports, outputs):
@@ -662,44 +645,57 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     commands = parser.add_subparsers(dest="command", required=True)
 
+    common = argparse.ArgumentParser(add_help=False)
+    _add_common(common)
+
     simulate = commands.add_parser(
-        "simulate", help="one operating point, per-position BER CSV")
-    _add_common(simulate)
+        "simulate", parents=[common],
+        help="one operating point, per-position BER CSV")
     simulate.set_defaults(func=cmd_simulate)
 
     sweep = commands.add_parser(
         "sweep", help="curve studies over correlation, length or mismatch")
-    sweep.add_argument("kind", choices=("lambda2", "length", "mismatch"))
-    _add_common(sweep)
-    sweep.add_argument("--values", default=None,
-                       help="comma- or space-separated sweep values "
-                            "(eigenvalues, or word lengths for kind=length)")
-    sweep.add_argument("--deltas", default=None,
-                       help="relative perturbations for kind=mismatch")
-    sweep.add_argument("--threshold-factor", type=float, default=None,
-                       help="saturation threshold over the minimum BER "
-                            "(kind=length, default 1.2)")
     sweep.set_defaults(func=cmd_sweep)
+    kinds = sweep.add_subparsers(dest="kind", required=True)
+    lambda2 = kinds.add_parser("lambda2", parents=[common],
+                               help="normalized BER over second eigenvalues")
+    length = kinds.add_parser("length", parents=[common],
+                              help="saturation position over word lengths")
+    mismatch = kinds.add_parser(
+        "mismatch", parents=[common],
+        help="normalized BER under a misestimated transition matrix")
+    for kind, values in ((lambda2, "eigenvalues"), (length, "word lengths"),
+                         (mismatch, "eigenvalues")):
+        kind.add_argument("--values",
+                          help=f"comma- or space-separated {values}")
+    length.add_argument("--threshold-factor", type=float, default=1.2,
+                        help="saturation threshold over the minimum BER "
+                             "(default 1.2)")
+    mismatch.add_argument("--deltas",
+                          help="relative perturbations of the assumed matrix")
 
     compare = commands.add_parser(
         "compare-compression",
         help="detection of correlated sources vs compress-then-transmit")
-    compare.add_argument("protocol", choices=("bandwidth", "fixed"))
-    _add_common(compare)
-    compare.add_argument("--values", default=None,
-                         help="eigenvalues to compare at "
-                              "(default: the config matrix)")
-    compare.add_argument("--epsilon", default=None,
-                         help="rate excess values for protocol=bandwidth "
-                              "(default: 0)")
-    compare.add_argument("--base-beta", type=float, default=None,
-                         help="uncompressed load for protocol=bandwidth "
-                              "(default: config load)")
-    compare.add_argument("--amplification", choices=AMPLIFICATIONS,
-                         default=None,
-                         help="per-source-bit error accounting variant for "
-                              "protocol=bandwidth (default: entropy)")
     compare.set_defaults(func=cmd_compare_compression)
+    protocols = compare.add_subparsers(dest="protocol", required=True)
+    fixed = protocols.add_parser(
+        "fixed", parents=[common],
+        help="compression at the same load and noise")
+    bandwidth = protocols.add_parser(
+        "bandwidth", parents=[common],
+        help="compression that spends the bandwidth it frees on a lower load")
+    for protocol in (fixed, bandwidth):
+        protocol.add_argument("--values", help="eigenvalues to compare at "
+                                               "(default: the config matrix)")
+    bandwidth.add_argument("--epsilon", default="0",
+                           help="rate excess values (default: 0)")
+    bandwidth.add_argument("--base-beta", type=float,
+                           help="uncompressed load (default: config load)")
+    bandwidth.add_argument("--amplification", choices=AMPLIFICATIONS,
+                           default="entropy",
+                           help="per-source-bit error accounting variant "
+                                "(default: entropy)")
 
     plotdata = commands.add_parser(
         "plotdata", help="turn result CSVs into gnuplot data and scripts")

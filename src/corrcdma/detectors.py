@@ -217,24 +217,24 @@ def local_bias(soft: np.ndarray, matrix: TransitionMatrix, position: int) -> np.
     return m
 
 
-def _bias_sweep(padded, field, xi, model, schedule, forward, rng, scale,
-                work):
+def _bias_sweep(padded, field, xi, model, schedule, t, rng, scale, work):
     """Recompute the bias correction over the block, in schedule order.
 
     Arrays are column-major and hold a group of realizations side by
     side: padded[l + 1], field[l] and xi[l] are the (B, K) users of symbol
     column l of every trial, padded is (L + 2, B, K) with the current soft
     values in rows 1..L, and a trial's users never meet another trial's,
-    so the trials of a group are independent. Updates xi in place. PUS
-    computes every column from the same soft snapshot in whole-block
-    operations. The other schedules refresh each visited column's soft
-    value in padded to tanh(field + correction), so columns visited later
-    in a sweep see the new values of earlier columns (that is the whole
-    difference between the schedules); after one of them every row of
-    padded holds tanh(field + xi). In an ordered sweep the neighbour not
-    yet visited still holds its snapshot value, so that side is computed
-    for all columns at once, into an (L, 2, W) array whose row l is the
-    (minus, plus) pair of column l; RSUS computes both sides per column.
+    so the trials of a group are independent. Updates xi in place and
+    leaves tanh(field + xi) in every soft row: PUS computes every column
+    from one soft snapshot in whole-block operations, then refreshes them
+    all; the ordered schedules refresh each column as they visit it, so
+    later columns see the new values of earlier ones. SUS visits the
+    columns forward, BFUS forward at an even outer iteration t and
+    backward at an odd one, RSUS in an order drawn from rng. In an ordered
+    sweep the neighbour not yet visited still holds its snapshot value, so
+    that side is computed for all columns at once, into an (L, 2, W) array
+    whose row l is the (minus, plus) pair of column l; RSUS computes both
+    sides per column.
     model is one (9, 1) _neighbour_model for every trial, or a (9, B, K)
     array holding each trial's own. work is scratch of at least 4 L W
     floats, W = B K. Returns the boolean (L, B) mask of the columns whose
@@ -243,9 +243,9 @@ def _bias_sweep(padded, field, xi, model, schedule, forward, rng, scale,
     n_rows, n_trials, n_users = padded.shape
     word_len, width = n_rows - 2, n_trials * n_users
     left_w, right_w, edge = _model_terms(model.reshape(len(model), -1))
+    soft = padded[1:-1]
     padded = padded.reshape(n_rows, width)
     padded[0] = padded[-1] = edge
-    field = field.reshape(word_len, width)
     block = word_len * width
     pairs = work[:2 * block].reshape(word_len, 2, width)
     if schedule == "PUS":
@@ -257,7 +257,10 @@ def _bias_sweep(padded, field, xi, model, schedule, forward, rng, scale,
                      _terms(padded[2:, None], right_w, right), totals)
         _check_totals(totals)
         _correction(m, scale, xi_new)
-        return _commit(xi, xi_new)
+        changed = _commit(xi, xi_new)
+        np.tanh(np.add(field, xi, out=soft), out=soft)
+        return changed
+    field = field.reshape(word_len, width)
     totals = work[2 * block:3 * block].reshape(word_len, width)
     xi_new = work[3 * block:4 * block].reshape(word_len, width)
     # near is the side visited last (rows padded[l + offset], read fresh
@@ -267,7 +270,7 @@ def _bias_sweep(padded, field, xi, model, schedule, forward, rng, scale,
     if schedule == "RSUS":
         order, near_w, offset = rng.permutation(word_len), right_w, 2
         far = None
-    elif forward:
+    elif schedule == "SUS" or t % 2 == 0:
         order, near_w, offset = range(word_len), left_w, 0
         far = _terms(padded[2:, None], right_w, pairs)
     else:
@@ -448,7 +451,6 @@ def _run_engine(fields, corrs, load, sigma, opts, assumed=None, iterate=True,
     bounds = ([[] for _ in range(n_trials)]
               if opts.track_bounds and iterate else None)
     results = [None] * n_trials
-    forward = True
 
     def leave(slot, outcome):
         # record the trial in slot and move the group's last trial into it
@@ -492,15 +494,9 @@ def _run_engine(fields, corrs, load, sigma, opts, assumed=None, iterate=True,
                     estimates[trial] = estimate_transition(soft[:, slot].T,
                                                            PSEUDO_COUNT)
                     model[:, slot] = _neighbour_model(estimates[trial])
-            changed = _bias_sweep(padded[sl], h[sl], xi[sl], model[sl],
-                                  opts.schedule, forward, rng, scale, work)
-            if opts.schedule == "PUS":
-                # PUS changes xi alone; the MUD step and the ordered sweeps
-                # leave tanh(h + xi) in every row they change
-                np.tanh(np.add(h[sl], xi[sl], out=soft[sl]), out=soft[sl])
-            elif opts.schedule == "BFUS":
-                forward = not forward
-            active[sl] |= changed
+            # step and sweep both leave tanh(h + xi) in the rows they change
+            active[sl] |= _bias_sweep(padded[sl], h[sl], xi[sl], model[sl],
+                                      opts.schedule, t, rng, scale, work)
         if bounds is not None:
             for slot, trial in enumerate(trials):
                 q_pow, prec = stats[trial]

@@ -107,6 +107,13 @@ class ExperimentConfig:
             raise ValueError("matrix must be a TransitionMatrix")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        # a setting the variant never reads would be recorded, not run
+        if self.blind and self.variant != "correlated_mud":
+            raise ValueError(f"blind applies only to variant correlated_mud, "
+                             f"got {self.variant}")
+        if self.mismatch != 0.0 and not self.variant.startswith("correlated_"):
+            raise ValueError(f"mismatch applies only to the correlated "
+                             f"variants, got {self.variant}")
         DetectorOptions(max_iters=self.max_iters, schedule=self.schedule,
                         blind=self.blind)
         if self.ensemble < 1:
@@ -555,11 +562,11 @@ def paired_arms(config: ExperimentConfig) -> tuple[ExperimentConfig, ExperimentC
     The lambda2 and mismatch sweeps and the fixed-load protocol run these
     two arms whatever config.variant is, on identical realizations, and
     the bandwidth protocol takes its correlated arm from here; the plain
-    arm never carries a mismatch. Building them validates both,
-    so a config the arms reject (sigma = 0) fails before any run.
+    arm carries neither a mismatch nor the blind flag. Building them
+    validates both, so a config the arms reject (sigma = 0) fails first.
     """
     return (replace(config, variant="correlated_mud"),
-            replace(config, variant="plain_mud", mismatch=0.0))
+            replace(config, variant="plain_mud", mismatch=0.0, blind=False))
 
 
 def lambda2_plan(config: ExperimentConfig, lambda2_values) -> Plan:

@@ -252,16 +252,16 @@ def test_worker_budget_is_checked_up_front(tmp_path, capsys, monkeypatch,
     # a length without two positions has no saturation position
     (["sweep", "length", "--values", "1,4,8", *TINY],
      "word lengths must be >= 2 for a saturation position, got 1"),
-    # a sweep flag given to a kind that does not read it
+    # a flag given to a kind that does not declare it: argparse exits
     (["sweep", "lambda2", "--values", "0.1,0.2", "--deltas", "0.1", *TINY],
-     "--deltas applies only to sweep kind mismatch"),
+     "unrecognized arguments: --deltas 0.1"),
     (["sweep", "length", "--values", "8,16,32", "--deltas", "0.1", *TINY],
-     "--deltas applies only to sweep kind mismatch"),
+     "unrecognized arguments: --deltas 0.1"),
     (["sweep", "lambda2", "--values", "0.1", "--threshold-factor", "3",
-      *TINY], "--threshold-factor applies only to sweep kind length"),
+      *TINY], "unrecognized arguments: --threshold-factor 3"),
     (["sweep", "mismatch", "--values", "0.5", "--deltas", "0.1",
       "--threshold-factor", "1.5", *TINY],
-     "--threshold-factor applies only to sweep kind length"),
+     "unrecognized arguments: --threshold-factor 1.5"),
     (["compare-compression", "bandwidth", *TINY, "--base-beta", "inf"],
      "base_beta must be finite"),
     (["compare-compression", "bandwidth", *TINY, "--base-beta", "nan"],
@@ -269,15 +269,15 @@ def test_worker_budget_is_checked_up_front(tmp_path, capsys, monkeypatch,
     (["compare-compression", "bandwidth", *TINY, "--epsilon", "-0.1"],
      "--epsilon values must be >= 0"),
     (["compare-compression", "fixed", *TINY, "--base-beta", "inf"],
-     "--base-beta applies only to the bandwidth protocol"),
+     "unrecognized arguments: --base-beta inf"),
     (["compare-compression", "fixed", *TINY, "--base-beta", "0.5"],
-     "--base-beta applies only to the bandwidth protocol"),
+     "unrecognized arguments: --base-beta 0.5"),
     (["compare-compression", "fixed", *TINY, "--epsilon", "0.5"],
-     "--epsilon applies only to the bandwidth protocol"),
+     "unrecognized arguments: --epsilon 0.5"),
     (["compare-compression", "fixed", *TINY, "--epsilon", "0"],
-     "--epsilon applies only to the bandwidth protocol"),
+     "unrecognized arguments: --epsilon 0"),
     (["compare-compression", "fixed", *TINY, "--amplification", "rate"],
-     "--amplification applies only to the bandwidth protocol"),
+     "unrecognized arguments: --amplification rate"),
     # sweep values whose per-arm files would share a name
     (["sweep", "lambda2", "--values", "0.1,0.10000001", *TINY],
      "sweep points lambda2=0.1 delta=0 length=10 and lambda2=0.10000001 "
@@ -319,6 +319,19 @@ def test_worker_budget_is_checked_up_front(tmp_path, capsys, monkeypatch,
       "0.1", *TINY], "perturbed element 1.0725 outside [0, 1]"),
     (["compare-compression", "bandwidth", "--values", "0.3,0.95",
       "--mismatch", "0.1", *TINY], "perturbed element 1.0725 outside [0, 1]"),
+    # a setting the variant's detector never reads
+    (["simulate", *TINY, "--variant", "plain_mud", "--blind", "true"],
+     "blind applies only to variant correlated_mud, got plain_mud"),
+    (["simulate", *TINY, "--variant", "correlated_sumf", "--blind", "true"],
+     "blind applies only to variant correlated_mud, got correlated_sumf"),
+    (["simulate", *TINY, "--variant", "plain_sumf", "--mismatch", "0.1"],
+     "mismatch applies only to the correlated variants, got plain_sumf"),
+    (["simulate", *TINY, "--variant", "plain_mud", "--mismatch", "0.1"],
+     "mismatch applies only to the correlated variants, got plain_mud"),
+    # the paired commands build their base config before their arms
+    (["sweep", "lambda2", "--values", "0.5", *TINY, "--variant",
+      "plain_mud", "--blind", "true"],
+     "blind applies only to variant correlated_mud, got plain_mud"),
 ], ids=["matrix-nan", "sigma-nan", "sigma-inf", "load-inf", "lambda2-range",
         "threshold-one", "threshold-nan", "threshold-zero", "length-one",
         "lambda2-deltas", "length-deltas", "lambda2-threshold",
@@ -332,13 +345,22 @@ def test_worker_budget_is_checked_up_front(tmp_path, capsys, monkeypatch,
         "length-values-float", "lambda2-values-word", "mismatch-deltas-word",
         "bandwidth-epsilon-word",
         "fixed-mismatch-infeasible",
-        "bandwidth-mismatch-infeasible"])
+        "bandwidth-mismatch-infeasible", "plain-mud-blind",
+        "correlated-sumf-blind", "plain-sumf-mismatch", "plain-mud-mismatch",
+        "lambda2-plain-blind"])
 @pytest.mark.parametrize("dry_run", [True, False], ids=["dry", "run"])
 def test_rejected_input_exits_2_and_writes_nothing(tmp_path, capsys, argv,
                                                    message, dry_run):
+    # an input argparse refuses (a flag the command does not declare) ends
+    # main with SystemExit(2); every other one is refused by main's return
     out = tmp_path / "rejected"
-    code = main([*argv, "--out-dir", str(out),
-                 *(["--dry-run"] if dry_run else [])])
+    argv = [*argv, "--out-dir", str(out), *(["--dry-run"] if dry_run else [])]
+    if message.startswith("unrecognized arguments"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        code = excinfo.value.code
+    else:
+        code = main(argv)
     assert code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
@@ -486,6 +508,9 @@ def plain_arm(lam, **fields):
     (["simulate"], [tiny_arm()]),
     (["sweep", "lambda2", "--values", "0,0.5"],
      [tiny_arm(lam=0.0), plain_arm(0.0), tiny_arm(lam=0.5), plain_arm(0.5)]),
+    # the plain arm does not carry the blind flag it never reads
+    (["sweep", "lambda2", "--values", "0.5", "--blind", "true"],
+     [tiny_arm(lam=0.5, blind=True), plain_arm(0.5)]),
     (["sweep", "length", "--values", "16,8,32"],
      [tiny_arm(word_length=length) for length in (16, 8, 32)]),
     # 0.9 + 0.1 is infeasible, so 0.9 runs its plain arm and one other
@@ -501,7 +526,8 @@ def plain_arm(lam, **fields):
       "--epsilon", "0,0.05,0.1"],
      [tiny_arm(lam=0.5), *(plain_arm(0.0, n_users=k) for k in (24, 26, 27)),
       tiny_arm(lam=0.8), *(plain_arm(0.0, n_users=k) for k in (14, 15))]),
-], ids=["simulate", "lambda2", "length", "mismatch", "fixed", "bandwidth"])
+], ids=["simulate", "lambda2", "lambda2-blind", "length", "mismatch",
+        "fixed", "bandwidth"])
 def test_each_command_makes_one_joint_run(tmp_path, monkeypatch, argv, arms):
     # one monte_carlo_arms call over the distinct arms in run order, and
     # no study function planning them again
@@ -703,6 +729,29 @@ def test_bandwidth_flags_are_read_by_bandwidth(capsys):
     assert main(["compare-compression", "fixed", *TINY, "--dry-run"]) == 0
     note = capsys.readouterr().out.splitlines()[-1]
     assert "protocol=fixed" in note and "epsilon" not in note
+
+
+# the flags each experiment kind declares beyond the common ones
+KIND_FLAGS = {
+    ("sweep", "lambda2"): ["--values"],
+    ("sweep", "length"): ["--values", "--threshold-factor"],
+    ("sweep", "mismatch"): ["--values", "--deltas"],
+    ("compare-compression", "fixed"): ["--values"],
+    ("compare-compression", "bandwidth"): ["--values", "--epsilon",
+                                           "--base-beta", "--amplification"],
+}
+
+
+@pytest.mark.parametrize("command", KIND_FLAGS, ids="-".join)
+def test_each_kind_helps_with_its_own_flags(capsys, command):
+    with pytest.raises(SystemExit) as excinfo:
+        main([*command, "--help"])
+    assert excinfo.value.code == 0
+    text = capsys.readouterr().out
+    assert f"usage: corrcdma {' '.join(command)} " in text
+    assert "--out-dir" in text and "--seed" in text
+    for flag in {f for flags in KIND_FLAGS.values() for f in flags}:
+        assert (flag in text) == (flag in KIND_FLAGS[command]), flag
 
 
 def test_negative_rate_excess_is_a_usage_error(tmp_path, capsys):

@@ -587,12 +587,14 @@ class TestLockstep:
     # arrays (the property tests check groups against lone runs)
 
     @pytest.mark.parametrize("schedule,forward", [
-        ("SUS", True), ("BFUS", True), ("BFUS", False), ("RSUS", True)])
+        ("SUS", True), ("BFUS", True), ("BFUS", False), ("RSUS", True),
+        ("PUS", True)])
     @pytest.mark.parametrize("scale", [1.0, 1.39])
     def test_ordered_sweep_leaves_tanh_of_field(self, schedule, forward,
                                                 scale):
-        # every soft row an ordered sweep leaves is tanh(field + xi) bit for
-        # bit, so the engine does not recompute it after the sweep
+        # every soft row an ordered sweep leaves, and every row after PUS,
+        # is tanh(field + xi) bit for bit, so the engine does not recompute
+        # it after the sweep; BFUS sweeps forward at even iterations
         model = detectors._neighbour_model(
             TransitionMatrix([[0.9, 0.1], [0.3, 0.7]]))
         trials = 1 if schedule == "RSUS" else 3
@@ -602,8 +604,9 @@ class TestLockstep:
             xi = rng.standard_normal((12, trials, 10))
             padded = np.zeros((14, trials, 10))
             padded[1:-1] = np.tanh(field + xi)
-            detectors._bias_sweep(padded, field, xi, model, schedule, forward,
-                                  rng, scale, np.empty(4 * padded[1:-1].size))
+            detectors._bias_sweep(padded, field, xi, model, schedule,
+                                  0 if forward else 1, rng, scale,
+                                  np.empty(4 * padded[1:-1].size))
             assert np.array_equal(padded[1:-1], np.tanh(field + xi))
 
     def test_mud_step_commits_only_its_rows(self):
@@ -707,11 +710,13 @@ class TestLockstep:
         padded = np.zeros((14, 2, 10))
         padded[1:-1] = np.tanh(field)
         work = np.empty(4 * field.size)
-        detectors._bias_sweep(padded, field, xi, model, "PUS", True, None,
+        detectors._bias_sweep(padded, field, xi, model, "PUS", 0, None,
                               1.0, work)
+        # the same soft snapshot again; the sweep refreshed the soft rows
+        padded[1:-1] = np.tanh(field)
         xi[:, 1] = 0.0
-        changed = detectors._bias_sweep(padded, field, xi, model, "PUS",
-                                        True, None, 1.0, work)
+        changed = detectors._bias_sweep(padded, field, xi, model, "PUS", 1,
+                                        None, 1.0, work)
         assert changed.shape == (12, 2)
         assert not changed[:, 0].any() and changed[:, 1].all()
 

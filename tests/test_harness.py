@@ -21,6 +21,7 @@ import pytest
 
 from corrcdma import cli, harness
 from corrcdma.harness import (
+    VARIANTS,
     BerReport,
     ExperimentConfig,
     default_workers,
@@ -68,6 +69,20 @@ def test_config_rejects_out_of_range_fields():
                 dict(sigma=np.nan, variant="plain_sumf")):
         with pytest.raises(ValueError):
             small_config(**bad)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_config_refuses_settings_its_variant_never_reads(variant):
+    # only the correlated MUD runs blind, and only a correlated variant
+    # assumes a matrix that a mismatch could perturb
+    for unread, readers in ((dict(blind=True), ("correlated_mud",)),
+                            (dict(mismatch=0.05), ("correlated_mud",
+                                                   "correlated_sumf"))):
+        if variant in readers:
+            small_config(variant=variant, **unread)
+        else:
+            with pytest.raises(ValueError, match=f"got {variant}"):
+                small_config(variant=variant, **unread)
 
 
 @pytest.mark.parametrize("data, key", [
@@ -119,13 +134,14 @@ def test_config_dict_round_trip():
 def test_from_dict_accepts_string_values():
     cfg = ExperimentConfig.from_dict({
         "spread_factor": "80", "n_users": "40", "sigma": "0.5",
-        "word_length": "9", "lambda2": "0.6", "variant": "plain_mud",
+        "word_length": "9", "lambda2": "0.6", "variant": "correlated_mud",
         "schedule": "BFUS", "blind": "yes", "mismatch": "0.0",
         "ensemble": "3", "seed": "11", "max_iters": "25",
     })
     assert cfg.spread_factor == 80 and cfg.n_users == 40
     assert cfg.matrix == make_symmetric_matrix(0.6)
     assert cfg.blind is True and cfg.schedule == "BFUS"
+    assert cfg.variant == "correlated_mud"
 
 
 def test_from_dict_load_shorthand():

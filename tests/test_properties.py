@@ -191,16 +191,18 @@ def test_grouped_engine_equals_single_runs(group):
 
 @st.composite
 def configs(draw):
-    """A toy ExperimentConfig of any variant, schedule and blind flag."""
-    blind = draw(st.booleans())
+    """A toy ExperimentConfig of any variant and schedule, blind or not
+    where the variant reads the flag."""
+    variant = draw(st.sampled_from(VARIANTS))
+    blind = variant == "correlated_mud" and draw(st.booleans())
     return ExperimentConfig(
         spread_factor=draw(st.integers(2, 20)),
         n_users=draw(st.integers(1, 16)),
         sigma=draw(st.sampled_from((0.3, 0.8, 1.5))),
         word_length=draw(st.integers(2 if blind else 1, 8)),
         matrix=make_symmetric_matrix(draw(st.sampled_from((0.0, 0.5, 0.9)))),
-        variant=draw(st.sampled_from(VARIANTS)),
-        schedule=draw(st.sampled_from(SCHEDULES)), blind=blind,
+        variant=variant, schedule=draw(st.sampled_from(SCHEDULES)),
+        blind=blind,
         ensemble=draw(st.integers(1, 6)), seed=draw(st.integers(0, 2**16)),
         max_iters=draw(st.integers(1, 30)))
 
@@ -243,8 +245,9 @@ def test_report_independent_of_workers_and_groups(config, group_users):
 @st.composite
 def joint_runs(draw):
     """Arms of any variant, schedule, blind flag, assumed-matrix mismatch
-    and ensemble on one or two channels, so that some arms share their
-    realizations, with a permutation of the arms and a split point."""
+    (the last two where the variant reads them) and ensemble on one or two
+    channels, so that some arms share their realizations, with a
+    permutation of the arms and a split point."""
     channels = [dict(
         spread_factor=draw(st.integers(2, 20)),
         n_users=draw(st.integers(1, 16)),
@@ -253,13 +256,17 @@ def joint_runs(draw):
         matrix=make_symmetric_matrix(draw(st.sampled_from((0.0, 0.5, 0.9)))),
         seed=draw(st.integers(0, 2**16)))
         for _ in range(draw(st.integers(1, 2)))]
-    arms = [ExperimentConfig(
-        **draw(st.sampled_from(channels)),
-        variant=draw(st.sampled_from(VARIANTS)),
-        schedule=draw(st.sampled_from(SCHEDULES)), blind=draw(st.booleans()),
-        mismatch=draw(st.sampled_from((0.0, -0.05))),
-        ensemble=draw(st.integers(1, 4)), max_iters=draw(st.integers(1, 30)))
-        for _ in range(draw(st.integers(1, 5)))]
+    arms = []
+    for _ in range(draw(st.integers(1, 5))):
+        variant = draw(st.sampled_from(VARIANTS))
+        arms.append(ExperimentConfig(
+            **draw(st.sampled_from(channels)), variant=variant,
+            schedule=draw(st.sampled_from(SCHEDULES)),
+            blind=variant == "correlated_mud" and draw(st.booleans()),
+            mismatch=(draw(st.sampled_from((0.0, -0.05)))
+                      if variant.startswith("correlated_") else 0.0),
+            ensemble=draw(st.integers(1, 4)),
+            max_iters=draw(st.integers(1, 30))))
     order = draw(st.permutations(range(len(arms))))
     return arms, order, draw(st.integers(0, len(arms)))
 
