@@ -3,14 +3,15 @@
 The detection scheme for correlated sources competes against classic
 separation: compress the source to i.i.d. bits, transmit, detect, decompress.
 Two protocols quantify that comparison, each as arithmetic on measured
-error rates; harness.compression_plan plans the arms that measure them. The
-bandwidth-expansion protocol lets the compressed stream spend the spare
-bandwidth on longer spreading codes (equivalently a lower load) and charges
-each compressed-bit error a multiplicative factor for the errors it smears
-over the reconstructed source. The fixed-load protocol keeps the channel
-identical, treats the detector's error rate as the crossover probability of
-a binary symmetric channel, and asks what residual error an ideal source
-decoder leaves. compression_point checks a point and gives its user counts.
+error rates; harness.fixed_plan and harness.bandwidth_plan plan the arms
+that measure them. The bandwidth-expansion protocol lets the compressed
+stream spend the spare bandwidth on longer spreading codes (equivalently a
+lower load) and charges each compressed-bit error a multiplicative factor
+for the errors it smears over the reconstructed source. The fixed-load
+protocol keeps the channel identical, treats the detector's error rate as
+the crossover probability of a binary symmetric channel, and asks what
+residual error an ideal source decoder leaves. compression_point checks a
+point and gives its entropy and rate.
 
 Also here: the word-position saturation metric (how far into a word the
 per-position BER settles to its floor) and its log-log slope fit.
@@ -111,16 +112,11 @@ def error_ratio(numerator: float, denominator: float) -> float:
     return numerator / denominator
 
 
-def compression_point(matrix: TransitionMatrix, rate_excess: float = 0.0,
-                      spread_factor=None, base_beta=None):
-    """Check one comparison point; returns (entropy_bits, rate, users).
+def compression_point(matrix: TransitionMatrix, rate_excess: float = 0.0):
+    """Check one comparison point; returns (entropy_bits, rate).
 
-    rate is (1 + rate_excess) * H_b. users is None unless spread_factor and
-    base_beta are given (the bandwidth protocol), then it is the user count
-    pair (round(N * base_beta), round(N * base_beta * rate)) of the full and
-    the reduced load. Raises ValueError for a negative rate_excess, a
-    source of zero entropy, a rate above 1, a non-finite base_beta or a load
-    that rounds to no user.
+    rate is (1 + rate_excess) * H_b. Raises ValueError for a negative
+    rate_excess, a source of zero entropy or a rate above 1.
     """
     if rate_excess < 0.0:
         raise ValueError(f"rate_excess must be >= 0, got {rate_excess}")
@@ -130,16 +126,7 @@ def compression_point(matrix: TransitionMatrix, rate_excess: float = 0.0,
     rate = (1.0 + rate_excess) * entropy
     if rate > 1.0:
         raise ValueError(f"effective rate (1+eps)*H_b = {rate:.4f} exceeds 1")
-    if base_beta is None:
-        return entropy, rate, None
-    if not math.isfinite(base_beta):
-        raise ValueError(f"base_beta must be finite, got {base_beta}")
-    users = (int(round(spread_factor * base_beta)),
-             int(round(spread_factor * base_beta * rate)))
-    if min(users) < 1:
-        raise ValueError(
-            f"infeasible load: round({spread_factor} * {base_beta} * {rate:.4f}) < 1 user")
-    return entropy, rate, users
+    return entropy, rate
 
 
 def bandwidth_expansion_comparison(matrix: TransitionMatrix,
@@ -151,7 +138,7 @@ def bandwidth_expansion_comparison(matrix: TransitionMatrix,
 
     Compressing at rate r = (1 + rate_excess) * H_b shortens the stream r
     times, so the compressed bits ride at the reduced load base_beta * r
-    (harness.compression_plan plans both arms). p_corr is the measured BER of
+    (harness.bandwidth_arms builds both arms). p_corr is the measured BER of
     the correlated scheme at the full load, p_reduced that of the plain
     detector on memoryless bits at the reduced load.
 
@@ -164,7 +151,7 @@ def bandwidth_expansion_comparison(matrix: TransitionMatrix,
     """
     if amplification not in AMPLIFICATIONS:
         raise ValueError(f"amplification must be one of {AMPLIFICATIONS}")
-    entropy, rate, _ = compression_point(matrix, rate_excess)
+    entropy, rate = compression_point(matrix, rate_excess)
     amp = entropy if amplification == "entropy" else rate
     p_comp = min(p_reduced / amp, 1.0)
     return CompressionComparison(p_corr, p_comp, error_ratio(p_corr, p_comp),
@@ -181,7 +168,7 @@ def fixed_load_comparison(matrix: TransitionMatrix, p_corr: float,
     feeding an ideal source decoder; the decoder's residual error is the
     compression alternative's cost.
     """
-    entropy, _, _ = compression_point(matrix)
+    entropy, _ = compression_point(matrix)
     p_comp = bsc_residual_error(entropy, p_plain)
     return CompressionComparison(p_corr, p_comp, error_ratio(p_corr, p_comp),
                                  entropy, "fixed_load_bsc")

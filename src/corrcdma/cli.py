@@ -18,7 +18,6 @@ import warnings
 from contextlib import suppress
 from dataclasses import replace
 from datetime import datetime, timezone
-from functools import partial
 from itertools import product, takewhile
 from pathlib import Path
 
@@ -37,9 +36,10 @@ from .harness import (
     SHORTHANDS,
     ExperimentConfig,
     Plan,
+    bandwidth_plan,
     check_workers,
-    compression_plan,
     default_workers,
+    fixed_plan,
     lambda2_plan,
     length_plan,
     mismatch_plan,
@@ -221,11 +221,12 @@ def _run_experiment(args, command: str, plan) -> int:
     exits 2 and writes nothing. plan returns (note, Plan, finish):
     --dry-run prints the config and the note, if any, and exits 0.
     Otherwise the plan's runs are made in one monte_carlo_arms call and
-    reduced once. finish(result, reports, outputs) writes the outputs (the
-    {config: report} lookup gives the per-arm files), prints the results
-    and returns a function giving the closing line, printed once the
-    outputs are validated and the manifest is written. A failure before
-    that removes every output and exits 1.
+    reduced once. finish(config, result, reports, outputs) writes the
+    outputs (the {config: report} lookup gives the per-arm files) and
+    prints the results. Once the outputs are validated and the manifest is
+    written, the closing line names the one result file, or for a sweep
+    the count of files written (the manifest counted) and their directory.
+    A failure before that removes every output and exits 1.
     """
     try:
         config = _resolve_config(args)
@@ -243,28 +244,29 @@ def _run_experiment(args, command: str, plan) -> int:
     started = _timestamp()
     try:
         reports = monte_carlo_arms(experiment.runs, workers)
-        closing = finish(experiment.reduce(reports), reports, outputs)
+        finish(config, experiment.reduce(reports), reports, outputs)
         outputs.validate()
         _write_manifest(outputs, command, config, started, workers)
     except Exception as exc:
         outputs.discard()
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(closing())
+    # a sweep writes a file per arm besides its curve (none when every
+    # mismatch point is infeasible); the other commands one result file
+    print(f"wrote {len(outputs.paths)} files to {outputs.out_dir}"
+          if command.startswith("sweep-") else f"wrote {outputs.paths[0]}")
     return 0
 
 
 def cmd_simulate(args) -> int:
-    def finish(report, reports, outputs):
-        path = outputs.target("ber.csv")
-        write_ber_csv(path, report)
+    def finish(config, report, reports, outputs):
+        write_ber_csv(outputs.target("ber.csv"), report)
         print(f"aggregate BER {report.aggregate:.6f} "
               f"({report.errors_total} errors / {report.bits_total} bits)")
         print(f"iterations median {report.iters_median:g} "
               f"max {report.iters_max}; "
               f"unconverged positions {report.unconverged_positions}; "
               f"divergences {report.divergences}")
-        return lambda: f"wrote {path}"
 
     return _run_experiment(
         args, "simulate", lambda config: (
@@ -289,7 +291,7 @@ def cmd_sweep(args) -> int:
             experiment = mismatch_plan(config, deltas, values)
             note += f" deltas={deltas}"
         _check_arm_files(experiment.runs)
-        return note, experiment, partial(finish, config)
+        return note, experiment, finish
 
     def finish(config, result, reports, outputs):
         for cfg, report in reports.items():
@@ -316,7 +318,6 @@ def cmd_sweep(args) -> int:
                        else f"infeasible ({point.reason})")
                 print(f"lambda2 {point.lambda2:g} delta "
                       f"{point.rel_delta:+g} {tag}")
-        return lambda: f"wrote {len(outputs.paths)} files to {outputs.out_dir}"
 
     return _run_experiment(args, f"sweep-{kind}", plan)
 
@@ -334,18 +335,17 @@ def cmd_compare_compression(args) -> int:
             matrices = ((lam, make_symmetric_matrix(lam)) for lam in values)
         note = f"  protocol={protocol} values={values}"
         if protocol == "fixed":
-            experiment = compression_plan(config, protocol, matrices)
-            return note, experiment, partial(finish, config)
+            return note, fixed_plan(config, matrices), finish
         epsilons = _parse_value_list(args.epsilon, "--epsilon", float)
         if any(eps < 0 for eps in epsilons):
             raise ValueError("--epsilon values must be >= 0")
         base_beta = config.load if args.base_beta is None else args.base_beta
         if not base_beta > 0:
             raise ValueError("--base-beta must be > 0")
-        experiment = compression_plan(config, protocol, matrices, epsilons,
-                                      base_beta, args.amplification)
+        experiment = bandwidth_plan(config, matrices, epsilons, base_beta,
+                                    args.amplification)
         note += f" epsilons={epsilons} base_beta={base_beta:g}"
-        return note, experiment, partial(finish, config)
+        return note, experiment, finish
 
     def finish(config, rows, reports, outputs):
         print("lambda2  epsilon  p_corr    p_comp    ratio"
@@ -356,9 +356,8 @@ def cmd_compare_compression(args) -> int:
                      f"{config.sigma:<6g} {config.load:<6g} {lam:<8g}")
             print(f"{point} {comparison.p_corr:<9.5f} "
                   f"{comparison.p_comp:<9.5f} {comparison.ratio:.4f}")
-        path = outputs.target(f"comparison_{protocol}.csv")
-        write_comparison_csv(path, config, rows)
-        return lambda: f"wrote {path}"
+        write_comparison_csv(outputs.target(f"comparison_{protocol}.csv"),
+                             config, rows)
 
     return _run_experiment(args, f"compare-compression-{protocol}", plan)
 
@@ -651,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = commands.add_parser(
         "simulate", parents=[common],
         help="one operating point, per-position BER CSV")
-    simulate.set_defaults(func=cmd_simulate)
+    simulate.set_defaults(func=cmd_simulate, parser=simulate)
 
     sweep = commands.add_parser(
         "sweep", help="curve studies over correlation, length or mismatch")
@@ -666,6 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="normalized BER under a misestimated transition matrix")
     for kind, values in ((lambda2, "eigenvalues"), (length, "word lengths"),
                          (mismatch, "eigenvalues")):
+        kind.set_defaults(parser=kind)
         kind.add_argument("--values",
                           help=f"comma- or space-separated {values}")
     length.add_argument("--threshold-factor", type=float, default=1.2,
@@ -686,6 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bandwidth", parents=[common],
         help="compression that spends the bandwidth it frees on a lower load")
     for protocol in (fixed, bandwidth):
+        protocol.set_defaults(parser=protocol)
         protocol.add_argument("--values", help="eigenvalues to compare at "
                                                "(default: the config matrix)")
     bandwidth.add_argument("--epsilon", default="0",
@@ -703,11 +704,11 @@ def build_parser() -> argparse.ArgumentParser:
                           help="CSV files produced by this tool")
     plotdata.add_argument("--out-dir", default=".")
     plotdata.add_argument("--dry-run", action="store_true")
-    plotdata.set_defaults(func=cmd_plotdata)
+    plotdata.set_defaults(func=cmd_plotdata, parser=plotdata)
 
     selftest = commands.add_parser(
         "selftest", help="run the built-in oracle checks quickly")
-    selftest.set_defaults(func=cmd_selftest)
+    selftest.set_defaults(func=cmd_selftest, parser=selftest)
 
     return parser
 
@@ -720,8 +721,11 @@ def _print_warning(message, category, filename, lineno, file=None,
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # a flag the typed command does not declare is refused with that
+    # command's usage, not the top-level one
+    args, extras = build_parser().parse_known_args(argv)
+    if extras:
+        args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     with warnings.catch_warnings():
         warnings.showwarning = _print_warning
         return args.func(args)

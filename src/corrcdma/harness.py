@@ -26,6 +26,7 @@ from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -731,61 +732,66 @@ def bandwidth_arms(config: ExperimentConfig, matrix: TransitionMatrix,
     base_beta) on matrix, with config's mismatch, and does not depend on
     rate_excess; the reduced arm is the plain MUD on memoryless bits at
     round(N * base_beta * rate) users. Everything else is config's. The
-    point and both arms are checked as they are built.
+    point, the load (finite, a user in each arm) and both arms are checked
+    as they are built.
     """
-    _, _, (n_users, reduced_users) = compression_point(
-        matrix, rate_excess, config.spread_factor, base_beta)
-    corr_arm, _ = paired_arms(replace(config, matrix=matrix, n_users=n_users))
+    rate = compression_point(matrix, rate_excess)[1]
+    if not math.isfinite(base_beta):
+        raise ValueError(f"base_beta must be finite, got {base_beta}")
+    full = config.spread_factor * base_beta
+    users = int(round(full)), int(round(full * rate))
+    if min(users) < 1:
+        raise ValueError(f"infeasible load: round({config.spread_factor} * "
+                         f"{base_beta} * {rate:.4f}) < 1 user")
+    corr_arm, _ = paired_arms(replace(config, matrix=matrix, n_users=users[0]))
     _, reduced_arm = paired_arms(replace(
-        config, matrix=iid_matrix(), n_users=reduced_users, mismatch=0.0))
+        config, matrix=iid_matrix(), n_users=users[1], mismatch=0.0))
     return corr_arm, reduced_arm
 
 
-def compression_plan(config: ExperimentConfig, protocol: str, matrices,
-                     rate_excesses=(0.0,), base_beta: float | None = None,
-                     amplification: str = "entropy") -> Plan:
-    """Direct correlated detection against compress-then-transmit, reduced
-    to the (lambda2, entropy_bits, epsilon, CompressionComparison) rows
-    write_comparison_csv takes.
-
-    matrices holds (lambda2, matrix) pairs: each source compared, with the
-    eigenvalue its rows report. The "fixed" protocol runs paired_arms on
-    each matrix, one row per matrix at epsilon 0, and reduces by
-    fixed_load_comparison. The "bandwidth" protocol runs bandwidth_arms at
-    base_beta (default config.load) for every rate excess, one row per
-    (matrix, excess) pair, and reduces by bandwidth_expansion_comparison;
-    the rows of one matrix share its correlated arm. Every point is
-    checked, and every arm built, before the plan exists.
-    """
-    if protocol not in ("fixed", "bandwidth"):
-        raise ValueError(f"unknown protocol {protocol!r}")
-    if amplification not in AMPLIFICATIONS:
-        raise ValueError(f"amplification must be one of {AMPLIFICATIONS}")
-    base_beta = config.load if base_beta is None else base_beta
-    points = []  # (lambda2, entropy, epsilon, (correlated arm, other arm))
-    for lam, matrix in matrices:
-        entropy = compression_point(matrix)[0]
-        if protocol == "fixed":
-            points.append((lam, entropy, 0.0,
-                           paired_arms(replace(config, matrix=matrix))))
-        else:
-            points += [(lam, entropy, eps,
-                        bandwidth_arms(config, matrix, eps, base_beta))
-                       for eps in rate_excesses]
-
+def _comparison_plan(points, compare) -> Plan:
+    """The Plan of (lambda2, entropy_bits, epsilon, (correlated arm, other
+    arm)) points, reduced to the (lambda2, entropy_bits, epsilon,
+    CompressionComparison) rows write_comparison_csv takes by
+    compare(matrix, epsilon, p_corr, p_other) on the arms' BERs."""
     def reduce(reports):
-        rows = []
-        for lam, entropy, eps, (corr_arm, other_arm) in points:
-            p_corr = reports[corr_arm].aggregate
-            p_other = reports[other_arm].aggregate
-            rows.append((lam, entropy, eps, (
-                fixed_load_comparison(corr_arm.matrix, p_corr, p_other)
-                if protocol == "fixed" else bandwidth_expansion_comparison(
-                    corr_arm.matrix, eps, p_corr, p_other, amplification))))
-        return rows
+        return [(lam, entropy, eps, compare(corr.matrix, eps,
+                                            reports[corr].aggregate,
+                                            reports[other].aggregate))
+                for lam, entropy, eps, (corr, other) in points]
 
     return Plan(tuple(dict.fromkeys(
         cfg for *_, arms in points for cfg in arms)), reduce)
+
+
+def fixed_plan(config: ExperimentConfig, matrices) -> Plan:
+    """Direct correlated detection against compression at the same load and
+    noise, one row at epsilon 0 per (lambda2, matrix) pair of matrices:
+    paired_arms on the matrix, reduced by fixed_load_comparison. Every
+    point is checked, and every arm built, before the plan exists."""
+    return _comparison_plan(
+        [(lam, compression_point(matrix)[0], 0.0,
+          paired_arms(replace(config, matrix=matrix)))
+         for lam, matrix in matrices],
+        lambda matrix, _, p_corr, p_plain:
+        fixed_load_comparison(matrix, p_corr, p_plain))
+
+
+def bandwidth_plan(config: ExperimentConfig, matrices, rate_excesses,
+                   base_beta: float, amplification: str = "entropy") -> Plan:
+    """Direct correlated detection against compression that spends the
+    bandwidth it frees on a lower load, one row per ((lambda2, matrix),
+    rate excess) pair: bandwidth_arms at base_beta, reduced by
+    bandwidth_expansion_comparison with amplification. The rows of one
+    matrix share its correlated arm. Every point is checked, and every arm
+    built, before the plan exists."""
+    if amplification not in AMPLIFICATIONS:
+        raise ValueError(f"amplification must be one of {AMPLIFICATIONS}")
+    return _comparison_plan(
+        [(lam, compression_point(matrix)[0], eps,
+          bandwidth_arms(config, matrix, eps, base_beta))
+         for lam, matrix in matrices for eps in rate_excesses],
+        partial(bandwidth_expansion_comparison, amplification=amplification))
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,8 @@ from corrcdma.detectors import (
 )
 from corrcdma.harness import (
     ExperimentConfig,
-    compression_plan,
+    bandwidth_plan,
+    fixed_plan,
     length_scaling_study,
     mismatch_study,
     monte_carlo,
@@ -193,8 +194,7 @@ def test_criterion_07_fixed_load_compression_table():
                               word_length=100,
                               matrix=make_symmetric_matrix(assumed_lambda2),
                               ensemble=100, seed=107)
-    plan = compression_plan(config, "fixed",
-                            [(assumed_lambda2, config.matrix)])
+    plan = fixed_plan(config, [(assumed_lambda2, config.matrix)])
     reports = monte_carlo_arms(plan.runs)
     ((_, _, _, comparison),) = plan.reduce(reports)
     p_corr, crossover = (reports[arm].aggregate for arm in plan.runs)
@@ -228,9 +228,8 @@ def test_criterion_08_bandwidth_expansion_comparison():
                               word_length=30,
                               matrix=make_symmetric_matrix(0.8),
                               ensemble=100, seed=108)
-    rows = compression_plan(
-        config, "bandwidth",
-        [(lam, make_symmetric_matrix(lam)) for lam in (0.5, 0.8)],
+    rows = bandwidth_plan(
+        config, [(lam, make_symmetric_matrix(lam)) for lam in (0.5, 0.8)],
         (0.0, 0.05), 0.8).run()
     comparisons = {(lam, eps): comparison
                    for lam, _, eps, comparison in rows}

@@ -249,10 +249,8 @@ def test_bandwidth_expansion_domain_errors():
 def test_compression_point_quantities():
     matrix = make_symmetric_matrix(0.8)
     entropy = source_stats(matrix).entropy_bits
-    assert compression_point(matrix) == (entropy, entropy, None)
-    got = compression_point(matrix, 0.05, 500, 0.8)
-    assert got == (entropy, 1.05 * entropy,
-                   (400, int(round(500 * 0.8 * 1.05 * entropy))))
+    assert compression_point(matrix) == (entropy, entropy)
+    assert compression_point(matrix, 0.05) == (entropy, 1.05 * entropy)
 
 
 @pytest.mark.parametrize("args, message", [
@@ -260,14 +258,23 @@ def test_compression_point_quantities():
     ((make_symmetric_matrix(1.0),), "entropy is zero"),
     ((make_symmetric_matrix(-1.0),), "entropy is zero"),
     ((make_symmetric_matrix(0.1), 0.05), "exceeds 1"),
-    ((make_symmetric_matrix(0.8), 0.0, 4, 0.25), "infeasible load"),
-    ((make_symmetric_matrix(0.8), 0.0, 500, 0.0), "infeasible load"),
-    ((make_symmetric_matrix(0.8), 0.0, 500, math.inf), "must be finite"),
-    ((make_symmetric_matrix(0.8), 0.0, 500, math.nan), "must be finite"),
 ])
 def test_compression_point_rejects(args, message):
     with pytest.raises(ValueError, match=message):
         compression_point(*args)
+
+
+@pytest.mark.parametrize("spread_factor, base_beta, message", [
+    (4, 0.25, "infeasible load"),
+    (500, 0.0, "infeasible load"),
+    (500, math.inf, "must be finite"),
+    (500, math.nan, "must be finite"),
+], ids=["no-user", "zero-load", "inf", "nan"])
+def test_bandwidth_arms_reject_the_load(spread_factor, base_beta, message):
+    # the user counts are the bandwidth protocol's: its arms check the load
+    with pytest.raises(ValueError, match=message):
+        bandwidth_arms(_bandwidth_config(spread_factor),
+                       make_symmetric_matrix(0.8), 0.0, base_beta)
 
 
 def test_protocols_check_the_point_before_running():

@@ -355,14 +355,20 @@ def test_rejected_input_exits_2_and_writes_nothing(tmp_path, capsys, argv,
     # main with SystemExit(2); every other one is refused by main's return
     out = tmp_path / "rejected"
     argv = [*argv, "--out-dir", str(out), *(["--dry-run"] if dry_run else [])]
-    if message.startswith("unrecognized arguments"):
+    stray = message.startswith("unrecognized arguments")
+    if stray:
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         code = excinfo.value.code
     else:
         code = main(argv)
     assert code == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    if stray:  # with the usage and the name of the kind typed
+        kind = f"corrcdma {argv[0]} {argv[1]}"
+        assert err.startswith(f"usage: {kind} [-h] ")
+        assert f"\n{kind}: error: {message}" in err
     assert not out.exists()
 
 
@@ -377,7 +383,8 @@ def test_config_flags_are_the_config_keys(tmp_path, capsys):
     keys = {f.name for f in dataclasses.fields(ExperimentConfig)}
     assert set(samples) == keys | set(SHORTHANDS)
     dests = set(vars(build_parser().parse_args(["simulate"])))
-    others = {"command", "func", "config", "out_dir", "workers", "dry_run"}
+    others = {"command", "func", "parser", "config", "out_dir", "workers",
+              "dry_run"}
     assert dests - others == set(samples)
     main(["simulate", "--dry-run"])
     default = capsys.readouterr().out
@@ -393,6 +400,21 @@ def test_config_flags_are_the_config_keys(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # sweep
+
+
+@pytest.mark.parametrize("argv, closing", [
+    (["simulate"], "wrote {out}/ber.csv"),
+    (["compare-compression", "fixed"], "wrote {out}/comparison_fixed.csv"),
+    (["sweep", "lambda2", "--values", "0.5"], "wrote 4 files to {out}"),
+    # every point infeasible: the sweep writes its curve file alone
+    (["sweep", "mismatch", "--values", "0.95", "--deltas", "0.1"],
+     "wrote 2 files to {out}"),
+], ids=["simulate", "fixed", "lambda2", "mismatch-infeasible"])
+def test_each_command_closes_with_what_it_wrote(tmp_path, capsys, argv,
+                                                closing):
+    out = tmp_path / "out"
+    assert main([*argv, *TINY, "--out-dir", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == closing.format(out=out)
 
 
 def test_lambda2_sweep_writes_curve_and_point_files(tmp_path):
@@ -439,11 +461,12 @@ def per_arm_outputs(command, values, deltas, out):
         for lam in values:
             matrix = make_symmetric_matrix(lam)
             for eps in deltas:
-                entropy, _, (full, reduced) = compression_point(
-                    matrix, eps, config.spread_factor, config.load)
-                corr = replace(config, matrix=matrix, n_users=full)
+                entropy, rate = compression_point(matrix, eps)
+                full = config.spread_factor * config.load
+                corr = replace(config, matrix=matrix, n_users=round(full))
                 plain = replace(config, variant="plain_mud",
-                                matrix=iid_matrix(), n_users=reduced)
+                                matrix=iid_matrix(),
+                                n_users=round(full * rate))
                 rows.append((lam, entropy, eps, bandwidth_expansion_comparison(
                     matrix, eps, run(corr).aggregate,
                     run(plain).aggregate)))

@@ -7,6 +7,7 @@ report claims.
 """
 
 import dataclasses
+import math
 import multiprocessing
 import os
 import signal
@@ -818,35 +819,68 @@ def test_plans_list_their_runs_in_run_order():
         ("correlated_mud", sym(0.3), -0.05)]
     (infeasible,) = harness.mismatch_plan(cfg, [0.1], [0.95]).reduce({})
     assert not infeasible.feasible and "outside [0, 1]" in infeasible.reason
-    # the fixed protocol runs each matrix's paired arms; the bandwidth
-    # points of one matrix share its correlated arm
+    # the fixed plan runs each matrix's paired arms; the bandwidth points
+    # of one matrix share its correlated arm
     matrix = sym(0.8)
-    assert harness.compression_plan(cfg, "fixed", [(0.8, matrix)]).runs \
+    assert harness.fixed_plan(cfg, [(0.8, matrix)]).runs \
         == harness.paired_arms(replace(cfg, matrix=matrix))
     (corr, exact), (_, excess) = (harness.bandwidth_arms(cfg, matrix, eps, 0.5)
                                   for eps in (0.0, 0.05))
-    assert harness.compression_plan(cfg, "bandwidth", [(0.8, matrix)],
-                                    [0.0, 0.05], 0.5).runs == (
-        corr, exact, excess)
+    assert harness.bandwidth_plan(cfg, [(0.8, matrix)], [0.0, 0.05],
+                                  0.5).runs == (corr, exact, excess)
 
 
-@pytest.mark.parametrize("protocol, rate_excesses, amplification, message", [
-    ("separate", (0.0,), "entropy", "unknown protocol"),
-    ("bandwidth", (0.0,), "bits", "amplification must be one of"),
-    ("fixed", (0.0,), "entropy", "source entropy is zero"),
-    ("bandwidth", (0.0, -0.1), "entropy", "rate_excess must be >= 0"),
-])
+@pytest.mark.parametrize(
+    "protocol, rate_excesses, amplification, message", [
+        ("bandwidth", (0.0,), "bits", "amplification must be one of"),
+        ("fixed", (0.0,), "entropy", "source entropy is zero"),
+        ("bandwidth", (0.0, -0.1), "entropy", "rate_excess must be >= 0"),
+    ],
+    # the ids these cases had beside a removed fourth one
+    ids=["bandwidth-rate_excesses1-bits-amplification must be one of",
+         "fixed-rate_excesses2-entropy-source entropy is zero",
+         "bandwidth-rate_excesses3-entropy-rate_excess must be >= 0"])
 def test_compression_plan_checks_every_point_up_front(
         protocol, rate_excesses, amplification, message):
-    # a bad protocol, amplification or point fails as the plan is built;
-    # the fixed protocol's second matrix has no entropy
+    # a bad amplification or point fails as the plan is built; the fixed
+    # plan's second matrix has no entropy
     cfg = small_config(ensemble=1)
     matrices = [(0.5, make_symmetric_matrix(0.5))]
-    if protocol == "fixed":
-        matrices.append((1.0, make_symmetric_matrix(1.0)))
     with pytest.raises(ValueError, match=message):
-        harness.compression_plan(cfg, protocol, matrices, rate_excesses,
-                                 amplification=amplification)
+        if protocol == "fixed":
+            harness.fixed_plan(cfg, [*matrices,
+                                     (1.0, make_symmetric_matrix(1.0))])
+        else:
+            harness.bandwidth_plan(cfg, matrices, rate_excesses, cfg.load,
+                                   amplification)
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    (((0.05, 0.1),), {}),
+    ((), {"rate_excesses": (0.05,)}),
+    ((), {"base_beta": 0.3}),
+    ((), {"base_beta": math.inf}),
+    ((), {"amplification": "rate"}),
+], ids=["rate-excesses", "rate-excesses-keyword", "base-beta",
+        "base-beta-inf", "amplification"])
+def test_fixed_plan_takes_no_bandwidth_setting(args, kwargs):
+    # the fixed protocol reads none of the bandwidth protocol's settings,
+    # so passing one is an error rather than a setting silently dropped
+    cfg = small_config(ensemble=1)
+    matrices = [(0.5, make_symmetric_matrix(0.5))]
+    with pytest.raises(TypeError):
+        harness.fixed_plan(cfg, matrices, *args, **kwargs)
+
+
+def test_bandwidth_plan_has_no_default_base_load():
+    # the base load is the bandwidth protocol's own setting: a caller names
+    # it, and the config's load is not read in its place
+    cfg = small_config(ensemble=1)
+    matrices = [(0.5, make_symmetric_matrix(0.5))]
+    with pytest.raises(TypeError, match="base_beta"):
+        harness.bandwidth_plan(cfg, matrices, (0.0,))
+    with pytest.raises(TypeError, match="base_beta"):
+        harness.bandwidth_plan(cfg, matrices, (0.0,), amplification="rate")
 
 
 def test_bandwidth_arms_pin_everything_but_the_arm():
