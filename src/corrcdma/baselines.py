@@ -85,14 +85,12 @@ class CompressionComparison:
     """Head-to-head of direct correlated detection vs compress-then-send.
 
     p_corr is the measured BER of the correlated scheme, p_comp the per
-    source bit error attributed to the compression alternative, ratio their
-    quotient (below 1 means direct detection wins), rate the compression
-    rate assumed, protocol the comparison recipe used.
+    source bit error attributed to the compression alternative, rate the
+    compression rate assumed, protocol the comparison recipe used.
     """
 
     p_corr: float
     p_comp: float
-    ratio: float
     rate: float
     protocol: str
 
@@ -100,8 +98,12 @@ class CompressionComparison:
         for name, value in (("p_corr", self.p_corr), ("p_comp", self.p_comp)):
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} outside [0, 1]: {value}")
-        if self.p_comp > 0.0 and abs(self.ratio - self.p_corr / self.p_comp) > 1e-12:
-            raise ValueError("ratio inconsistent with p_corr/p_comp")
+
+    @property
+    def ratio(self) -> float:
+        """p_corr over p_comp, zero-safe: below 1 means direct detection
+        wins."""
+        return error_ratio(self.p_corr, self.p_comp)
 
 
 def error_ratio(numerator: float, denominator: float) -> float:
@@ -154,8 +156,7 @@ def bandwidth_expansion_comparison(matrix: TransitionMatrix,
     entropy, rate = compression_point(matrix, rate_excess)
     amp = entropy if amplification == "entropy" else rate
     p_comp = min(p_reduced / amp, 1.0)
-    return CompressionComparison(p_corr, p_comp, error_ratio(p_corr, p_comp),
-                                 rate, "bandwidth_expansion")
+    return CompressionComparison(p_corr, p_comp, rate, "bandwidth_expansion")
 
 
 def fixed_load_comparison(matrix: TransitionMatrix, p_corr: float,
@@ -170,8 +171,7 @@ def fixed_load_comparison(matrix: TransitionMatrix, p_corr: float,
     """
     entropy, _ = compression_point(matrix)
     p_comp = bsc_residual_error(entropy, p_plain)
-    return CompressionComparison(p_corr, p_comp, error_ratio(p_corr, p_comp),
-                                 entropy, "fixed_load_bsc")
+    return CompressionComparison(p_corr, p_comp, entropy, "fixed_load_bsc")
 
 
 def check_threshold_factor(threshold_factor: float) -> None:

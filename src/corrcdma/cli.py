@@ -1,10 +1,11 @@
 """Command-line frontend: experiments as subcommands with CSV and plot data.
 
-Every subcommand resolves one experiment config from an optional config
+Every experiment subcommand resolves one config from an optional config
 file (flat key=value lines or a JSON object) plus flag overrides, with
-flags winning. Results land in --out-dir as CSV files with a `# key=value`
-header block, followed by a manifest.json naming every output; on any
-failure the partial outputs are removed and the exit status is nonzero.
+flags winning. Results land in --out-dir (CSV files with a `# key=value`
+header block, or plotdata's gnuplot files), followed by a manifest.json
+naming every output; on any failure the partial outputs are removed and
+the exit status is nonzero.
 """
 
 from __future__ import annotations
@@ -213,30 +214,34 @@ def _check_arm_files(runs):
 # subcommands
 
 
-def _run_experiment(args, command: str, plan) -> int:
-    """The lifecycle of an experiment command: plan, one joint run, reduce.
+def _run_command(args, command: str, plan) -> int:
+    """The lifecycle of every command but selftest: plan, one joint run,
+    reduce, write.
 
-    The config, the worker budget and, through plan(config), every run the
-    command will make are checked before anything runs; an error there
-    exits 2 and writes nothing. plan returns (note, Plan, finish):
-    --dry-run prints the config and the note, if any, and exits 0.
-    Otherwise the plan's runs are made in one monte_carlo_arms call and
-    reduced once. finish(config, result, reports, outputs) writes the
-    outputs (the {config: report} lookup gives the per-arm files) and
-    prints the results. Once the outputs are validated and the manifest is
-    written, the closing line names the one result file, or for a sweep
-    the count of files written (the manifest counted) and their directory.
-    A failure before that removes every output and exits 1.
+    The config, the worker budget and, through plan(config), every run and
+    input the command uses are checked before anything runs or is written;
+    an error there exits 2 and writes nothing. plotdata takes neither a
+    config nor a worker budget: its plan gets None and runs nothing. plan
+    returns (note, Plan, finish): --dry-run prints the config and the
+    note, each if any, and exits 0. Otherwise the plan's runs are made in
+    one monte_carlo_arms call and reduced once. finish(config, result,
+    reports, outputs) writes the outputs (the {config: report} lookup
+    gives the per-arm files) and prints the results. Once the outputs are
+    validated and the manifest is written, the closing line of a sweep
+    names the count of files written (the manifest counted) and their
+    directory, and every other command names each result file. A failure
+    after planning removes every output and exits 1.
     """
     try:
-        config = _resolve_config(args)
-        workers = _resolve_workers(args)
+        config, workers = ((_resolve_config(args), _resolve_workers(args))
+                           if "config" in args else (None, None))
         note, experiment, finish = plan(config)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.dry_run:
-        _print_config(config)
+        if config is not None:
+            _print_config(config)
         if note is not None:
             print(note)
         return 0
@@ -252,9 +257,12 @@ def _run_experiment(args, command: str, plan) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     # a sweep writes a file per arm besides its curve (none when every
-    # mismatch point is infeasible); the other commands one result file
-    print(f"wrote {len(outputs.paths)} files to {outputs.out_dir}"
-          if command.startswith("sweep-") else f"wrote {outputs.paths[0]}")
+    # mismatch point is infeasible)
+    if command.startswith("sweep-"):
+        print(f"wrote {len(outputs.paths)} files to {outputs.out_dir}")
+    else:
+        for path in outputs.paths[:-1]:  # the manifest comes last
+            print(f"wrote {path}")
     return 0
 
 
@@ -268,7 +276,7 @@ def cmd_simulate(args) -> int:
               f"unconverged positions {report.unconverged_positions}; "
               f"divergences {report.divergences}")
 
-    return _run_experiment(
+    return _run_command(
         args, "simulate", lambda config: (
             None, Plan((config,), lambda reports: reports[config]), finish))
 
@@ -319,11 +327,12 @@ def cmd_sweep(args) -> int:
                 print(f"lambda2 {point.lambda2:g} delta "
                       f"{point.rel_delta:+g} {tag}")
 
-    return _run_experiment(args, f"sweep-{kind}", plan)
+    return _run_command(args, f"sweep-{kind}", plan)
 
 
 def cmd_compare_compression(args) -> int:
     protocol = args.protocol
+    settings = {}  # the bandwidth settings, which the config lacks
 
     def plan(config):
         # the config's own matrix, or the symmetric one of each value
@@ -345,6 +354,7 @@ def cmd_compare_compression(args) -> int:
         experiment = bandwidth_plan(config, matrices, epsilons, base_beta,
                                     args.amplification)
         note += f" epsilons={epsilons} base_beta={base_beta:g}"
+        settings.update(base_beta=base_beta, amplification=args.amplification)
         return note, experiment, finish
 
     def finish(config, rows, reports, outputs):
@@ -357,9 +367,9 @@ def cmd_compare_compression(args) -> int:
             print(f"{point} {comparison.p_corr:<9.5f} "
                   f"{comparison.p_comp:<9.5f} {comparison.ratio:.4f}")
         write_comparison_csv(outputs.target(f"comparison_{protocol}.csv"),
-                             config, rows)
+                             config, rows, settings)
 
-    return _run_experiment(args, f"compare-compression-{protocol}", plan)
+    return _run_command(args, f"compare-compression-{protocol}", plan)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +440,10 @@ def _grouped_plot(family, rows, col, dat_name):
                                    clauses)
 
 
-def _emit_plotdata(path, outputs) -> list:
+def _plot_texts(path, dat_name) -> tuple[str, str]:
+    """The .dat and .gp texts of one result CSV, the script reading the
+    data as dat_name; ValueError naming the file for an input that is not
+    one of this tool's result files or has no plottable row."""
     header, columns, rows = read_csv_with_header(path)
     family = _detect_family(path, columns)
     col = {name: index for index, name in enumerate(columns)}
@@ -439,9 +452,6 @@ def _emit_plotdata(path, outputs) -> list:
             if "feasible" not in col or r[col["feasible"]] == "true"]
     if not rows:
         raise ValueError(f"{path}: no plottable row")
-    stem = Path(path).stem
-    dat_path = outputs.target(f"{stem}.dat")
-    gp_path = outputs.target(f"{stem}.gp")
 
     if family == "ber_profile":
         body = [f"# relative_position ber std_err"]
@@ -449,8 +459,8 @@ def _emit_plotdata(path, outputs) -> list:
                  f"{r[col['std_err']]}" for r in rows]
         blocks = ["\n".join(body)]
         clauses = [
-            f"\"{dat_path.name}\" using 1:2 with linespoints title \"BER\"",
-            f"\"{dat_path.name}\" using 1:2:3 with yerrorbars notitle",
+            f"\"{dat_name}\" using 1:2 with linespoints title \"BER\"",
+            f"\"{dat_name}\" using 1:2:3 with yerrorbars notitle",
         ]
         script = _gnuplot_script("BER", "relative symbol position", "y",
                                  clauses)
@@ -461,19 +471,19 @@ def _emit_plotdata(path, outputs) -> list:
         inset += [f"{r[col['correlation_length']]} {r[col['normalized']]}"
                   for r in rows]
         blocks = ["\n".join(main), "\n".join(inset)]
-        clauses = [f"\"{dat_path.name}\" index 0 using 1:2 with linespoints "
+        clauses = [f"\"{dat_name}\" index 0 using 1:2 with linespoints "
                    f"title \"normalized BER\""]
         script = _gnuplot_script("normalized BER", "second eigenvalue",
                                  None, clauses)
         script += (f"# inset vs correlation length:\n"
-                   f"# plot \"{dat_path.name}\" index 1 using 1:2 "
+                   f"# plot \"{dat_name}\" index 1 using 1:2 "
                    f"with linespoints\n")
     elif family == "length_scaling":
         body = ["# length saturation_position"]
         body += [f"{r[col['length']]} {r[col['saturation_position']]}"
                  for r in rows]
         blocks = ["\n".join(body)]
-        clauses = [f"\"{dat_path.name}\" using 1:2 with points pointtype 7 "
+        clauses = [f"\"{dat_name}\" using 1:2 with points pointtype 7 "
                    f"title \"saturation position\""]
         script = ""
         if "slope" in header and "intercept" in header:
@@ -483,41 +493,30 @@ def _emit_plotdata(path, outputs) -> list:
         script += _gnuplot_script("saturation position", "word length",
                                   "xy", clauses)
     else:  # mismatch_surface, compression_comparison
-        blocks, script = _grouped_plot(family, rows, col, dat_path.name)
+        blocks, script = _grouped_plot(family, rows, col, dat_name)
 
-    dat_path.write_text("\n\n\n".join(blocks) + "\n")
-    gp_path.write_text(script)
-    return [dat_path, gp_path]
+    return "\n\n\n".join(blocks) + "\n", script
 
 
 def cmd_plotdata(args) -> int:
-    outputs = _OutputSet(args.out_dir)
-    started = _timestamp()
-    try:
-        stems = {}
-        for path in args.inputs:
-            if not Path(path).exists():
-                raise ValueError(f"{path}: no such input file")
-            stem = Path(path).stem
-            if stem in stems:
-                raise ValueError(f"{stems[stem]} and {path} would both "
+    def plan(config):
+        # every input is read and rendered before anything is written
+        texts = {}  # stem -> (input, .dat text, .gp text)
+        for path in map(Path, args.inputs):
+            stem = path.stem
+            if stem in texts:
+                raise ValueError(f"{texts[stem][0]} and {path} would both "
                                  f"write {stem}.dat and {stem}.gp")
-            stems[stem] = path
-        if args.dry_run:
-            print(f"{len(args.inputs)} input files readable")
-            return 0
-        written = []
-        for path in args.inputs:
-            written.extend(_emit_plotdata(path, outputs))
-        outputs.validate()
-        _write_manifest(outputs, "plotdata", None, started)
-    except Exception as exc:
-        outputs.discard()
-        print(f"error: {exc}", file=sys.stderr)
-        return 1 if not isinstance(exc, ValueError) else 2
-    for path in written:
-        print(f"wrote {path}")
-    return 0
+            texts[stem] = (path, *_plot_texts(path, f"{stem}.dat"))
+        return (f"{len(texts)} input files readable",
+                Plan((), lambda reports: texts), finish)
+
+    def finish(config, texts, reports, outputs):
+        for stem, (_, dat, script) in texts.items():
+            outputs.target(f"{stem}.dat").write_text(dat)
+            outputs.target(f"{stem}.gp").write_text(script)
+
+    return _run_command(args, "plotdata", plan)
 
 
 # ---------------------------------------------------------------------------

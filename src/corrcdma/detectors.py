@@ -33,8 +33,6 @@ SCHEDULES = ("PUS", "SUS", "BFUS", "RSUS")
 # Biases are clamped to |m| <= 1 - CLAMP_EPS before atanh, so a saturated
 # neighbor prior yields a large but finite correction.
 CLAMP_EPS = 1e-12
-# Additive smoothing of the blind transition estimator.
-PSEUDO_COUNT = 1.0
 # Users per lockstep group of the engine, whose bias sweep and MUD step
 # (all but its per-realization K x K product) each run once over the whole
 # group. On a 2-core x86-64 machine (AVX-512, numpy 2.4) an SUS bias sweep
@@ -491,8 +489,7 @@ def _run_engine(fields, corrs, load, sigma, opts, assumed=None, iterate=True,
         if correlated:
             if blind and t > 0:
                 for slot, trial in enumerate(trials):
-                    estimates[trial] = estimate_transition(soft[:, slot].T,
-                                                           PSEUDO_COUNT)
+                    estimates[trial] = estimate_transition(soft[:, slot].T)
                     model[:, slot] = _neighbour_model(estimates[trial])
             # step and sweep both leave tanh(h + xi) in the rows they change
             active[sl] |= _bias_sweep(padded[sl], h[sl], xi[sl], model[sl],

@@ -27,6 +27,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import takewhile
 
 import numpy as np
 
@@ -611,10 +612,12 @@ def normalized_ber_sweep(config: ExperimentConfig, lambda2_values,
 
 @dataclass(frozen=True)
 class LengthScalingResult:
-    """Saturation positions per word length and their log-log fit."""
+    """Saturation positions per word length, the threshold factor they were
+    found with and their log-log fit."""
 
     lengths: tuple
     positions: tuple
+    threshold_factor: float
     slope: float
     intercept: float
 
@@ -641,8 +644,8 @@ def length_plan(config: ExperimentConfig, lengths,
         positions = [saturation_position(reports[cfg].per_position,
                                          threshold_factor) for cfg in configs]
         slope, intercept = fit_loglog_slope(lengths, positions)
-        return LengthScalingResult(tuple(lengths), tuple(positions), slope,
-                                   intercept)
+        return LengthScalingResult(tuple(lengths), tuple(positions),
+                                   threshold_factor, slope, intercept)
 
     return Plan(configs, reduce)
 
@@ -712,15 +715,6 @@ def mismatch_plan(config: ExperimentConfig, rel_deltas,
         return surface
 
     return Plan(tuple(runs), reduce)
-
-
-def mismatch_study(config: ExperimentConfig, rel_deltas, lambda2_values,
-                   workers: int | None = None,
-                   run_report=None) -> list[MismatchPoint]:
-    """Normalized BER surface over (perturbation, correlation) pairs:
-    mismatch_plan run jointly."""
-    return mismatch_plan(config, rel_deltas, lambda2_values).run(workers,
-                                                                 run_report)
 
 
 def bandwidth_arms(config: ExperimentConfig, matrix: TransitionMatrix,
@@ -865,7 +859,8 @@ def write_sweep_csv(path, config: ExperimentConfig, points):
 def write_length_csv(path, config: ExperimentConfig, result: LengthScalingResult):
     rows = list(zip(result.lengths, result.positions))
     _write_csv(path, config,
-               {"slope": result.slope, "intercept": result.intercept},
+               {"slope": result.slope, "intercept": result.intercept,
+                "threshold_factor": result.threshold_factor},
                CSV_COLUMNS["length_scaling"], rows)
 
 
@@ -875,37 +870,44 @@ def write_mismatch_csv(path, config: ExperimentConfig, points):
     _write_csv(path, config, None, CSV_COLUMNS["mismatch_surface"], rows)
 
 
-def write_comparison_csv(path, config: ExperimentConfig, rows):
-    """rows: (lambda2, entropy_bits, epsilon, CompressionComparison) tuples."""
+def write_comparison_csv(path, config: ExperimentConfig, rows,
+                         extra: dict | None = None):
+    """rows: (lambda2, entropy_bits, epsilon, CompressionComparison) tuples;
+    extra: the protocol's settings the config does not hold, as header
+    lines."""
     flat = [(lam, entropy, eps, c.p_corr, c.p_comp, c.ratio, c.rate,
              c.protocol, config.ensemble, config.seed)
             for lam, entropy, eps, c in rows]
-    _write_csv(path, config, None, CSV_COLUMNS["compression_comparison"],
+    _write_csv(path, config, extra, CSV_COLUMNS["compression_comparison"],
                flat)
 
 
 def read_csv_with_header(path):
     """Read a file written by the writers above.
 
-    Returns (header dict, column names, rows as string lists).
+    Returns (header dict, column names, rows as string lists). A file that
+    does not decode or parse, has no column row or has a row of another
+    width than the column row is a ValueError naming path.
     """
+    try:
+        with open(path, "r", newline="") as handle:
+            lines = handle.read().splitlines(keepends=True)
+        comments = list(takewhile(lambda line: line.startswith("#"), lines))
+        reader = csv.reader(io.StringIO("".join(lines[len(comments):])))
+        table = [row for row in reader if row]
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
     header = {}
-    with open(path, "r", newline="") as handle:
-        text = handle.read()
-    lines = text.splitlines(keepends=True)
-    body_start = 0
-    for line in lines:
-        if not line.startswith("#"):
-            break
-        body_start += 1
-        stripped = line[1:].strip()
-        if "=" in stripped:
-            key, _, value = stripped.partition("=")
+    for line in comments:
+        key, sep, value = line[1:].strip().partition("=")
+        if sep:
             header[key.strip()] = value.strip()
-    reader = csv.reader(io.StringIO("".join(lines[body_start:])))
-    table = [row for row in reader if row]
     if not table:
         raise ValueError(f"{path}: no column row found")
+    for number, row in enumerate(table[1:], start=1):
+        if len(row) != len(table[0]):
+            raise ValueError(f"{path}: row {number} has {len(row)} cells, "
+                             f"the column row {len(table[0])}")
     return header, table[0], table[1:]
 
 

@@ -39,7 +39,7 @@ from corrcdma.harness import (
     bandwidth_plan,
     fixed_plan,
     length_scaling_study,
-    mismatch_study,
+    mismatch_plan,
     monte_carlo,
     monte_carlo_arms,
     normalized_ber_sweep,
@@ -254,7 +254,7 @@ def test_criterion_09_mismatch_robustness():
                               word_length=100,
                               matrix=make_symmetric_matrix(0.6),
                               ensemble=100, seed=109)
-    points = mismatch_study(config, [-0.10, 0.10], [0.6])
+    points = mismatch_plan(config, [-0.10, 0.10], [0.6]).run()
     passed = all(p.feasible and p.normalized < 1.0 for p in points)
     detail = "; ".join(f"delta {p.rel_delta:+.2f} normalized "
                        f"{p.normalized:.4f}" for p in points)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from corrcdma.baselines import (
-    CompressionComparison,
     bandwidth_expansion_comparison,
     binary_entropy,
     bsc_residual_error,
@@ -289,6 +288,9 @@ def test_protocols_check_the_point_before_running():
                        0.8)
     with pytest.raises(ValueError, match="entropy is zero"):
         fixed_load_comparison(make_symmetric_matrix(1.0), 0.1, 0.1)
+    # an error rate above 1 is no comparison
+    with pytest.raises(ValueError, match="p_corr outside"):
+        fixed_load_comparison(make_symmetric_matrix(0.8), 1.2, 0.1)
 
 
 def test_fixed_load_comparison_arithmetic():
@@ -309,13 +311,6 @@ def test_fixed_load_comparison_error_free_channel():
     assert math.isinf(result.ratio)
     both_zero = fixed_load_comparison(matrix, 0.0, 0.0)
     assert both_zero.ratio == 1.0
-
-
-def test_comparison_invariant_enforced():
-    with pytest.raises(ValueError):
-        CompressionComparison(0.1, 0.2, 3.0, 0.5, "bandwidth_expansion")
-    with pytest.raises(ValueError):
-        CompressionComparison(1.2, 0.2, 6.0, 0.5, "bandwidth_expansion")
 
 
 # ---------------------------------------------------------------------------

@@ -409,12 +409,22 @@ def test_config_flags_are_the_config_keys(tmp_path, capsys):
     # every point infeasible: the sweep writes its curve file alone
     (["sweep", "mismatch", "--values", "0.95", "--deltas", "0.1"],
      "wrote 2 files to {out}"),
-], ids=["simulate", "fixed", "lambda2", "mismatch-infeasible"])
+    # a line for each file, the manifest aside
+    (["plotdata", "{run}/ber.csv"], "wrote {out}/ber.dat\nwrote {out}/ber.gp"),
+], ids=["simulate", "fixed", "lambda2", "mismatch-infeasible", "plotdata"])
 def test_each_command_closes_with_what_it_wrote(tmp_path, capsys, argv,
                                                 closing):
     out = tmp_path / "out"
-    assert main([*argv, *TINY, "--out-dir", str(out)]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == closing.format(out=out)
+    if argv[0] == "plotdata":  # it plots what simulate wrote
+        run = tmp_path / "run"
+        assert main(["simulate", *TINY, "--out-dir", str(run)]) == 0
+        argv = [arg.format(run=run) for arg in argv]
+    else:
+        argv = [*argv, *TINY]
+    capsys.readouterr()
+    assert main([*argv, "--out-dir", str(out)]) == 0
+    closing = closing.format(out=out).splitlines()
+    assert capsys.readouterr().out.splitlines()[-len(closing):] == closing
 
 
 def test_lambda2_sweep_writes_curve_and_point_files(tmp_path):
@@ -470,15 +480,16 @@ def per_arm_outputs(command, values, deltas, out):
                 rows.append((lam, entropy, eps, bandwidth_expansion_comparison(
                     matrix, eps, run(corr).aggregate,
                     run(plain).aggregate)))
-        harness.write_comparison_csv(out / "comparison_bandwidth.csv",
-                                     config, rows)
+        harness.write_comparison_csv(
+            out / "comparison_bandwidth.csv", config, rows,
+            {"base_beta": config.load, "amplification": "entropy"})
         return
     if command == "lambda2":
         points = harness.normalized_ber_sweep(config, values, run_report=run)
         harness.write_sweep_csv(out / "sweep_lambda2.csv", config, points)
     else:
-        points = harness.mismatch_study(config, deltas, values,
-                                        run_report=run)
+        points = harness.mismatch_plan(config, deltas, values).run(
+            run_report=run)
         harness.write_mismatch_csv(out / "sweep_mismatch.csv", config,
                                    points)
     for report in reports:
@@ -566,8 +577,7 @@ def test_each_command_makes_one_joint_run(tmp_path, monkeypatch, argv, arms):
 
     monkeypatch.setattr(harness, "monte_carlo_arms", spy)
     monkeypatch.setattr(cli, "monte_carlo_arms", spy)
-    for name in ("normalized_ber_sweep", "length_scaling_study",
-                 "mismatch_study"):
+    for name in ("normalized_ber_sweep", "length_scaling_study"):
         monkeypatch.setattr(harness, name, study)
         monkeypatch.setattr(cli, name, study, raising=False)
     assert main([*argv, *TINY, "--out-dir", str(tmp_path / "out")]) == 0
@@ -754,6 +764,29 @@ def test_bandwidth_flags_are_read_by_bandwidth(capsys):
     assert "protocol=fixed" in note and "epsilon" not in note
 
 
+@pytest.mark.parametrize("argv, name, settings", [
+    (["compare-compression", "bandwidth", "--values", "0.8", "--base-beta",
+      "0.4", "--amplification", "rate"], "comparison_bandwidth.csv",
+     {"base_beta": "0.4", "amplification": "rate"}),
+    # the default base load is the config's
+    (["compare-compression", "bandwidth", "--values", "0.8"],
+     "comparison_bandwidth.csv", {"base_beta": "0.5",
+                                  "amplification": "entropy"}),
+    (["sweep", "length", "--values", "8,16,32", "--threshold-factor", "1.5"],
+     "sweep_length.csv", {"threshold_factor": "1.5"}),
+    (["sweep", "length", "--values", "8,16,32"], "sweep_length.csv",
+     {"threshold_factor": "1.2"}),
+], ids=["bandwidth", "bandwidth-default", "length", "length-default"])
+def test_settings_outside_the_config_are_in_the_header(tmp_path, argv, name,
+                                                       settings):
+    # a flag that changes the rows but is no config key is recorded with
+    # them, in the result file's header
+    out = tmp_path / "out"
+    assert main([*argv, *TINY, "--out-dir", str(out)]) == 0
+    header, _, _ = read_csv_with_header(out / name)
+    assert {key: header.get(key) for key in settings} == settings
+
+
 # the flags each experiment kind declares beyond the common ones
 KIND_FLAGS = {
     ("sweep", "lambda2"): ["--values"],
@@ -819,6 +852,34 @@ def test_plotdata_blocks_sweep_inset(tmp_path):
     assert "\n\n\n" in dat  # two gnuplot index blocks
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate"],
+    ["sweep", "lambda2", "--values", "0,0.5"],
+    ["sweep", "length", "--values", "8,16,32"],
+    # 0.95 + 0.1 is infeasible: its row is left out of the plot
+    ["sweep", "mismatch", "--values", "0.5,0.95", "--deltas", "0.1"],
+    ["compare-compression", "fixed", "--values", "0.5,0.8"],
+    ["compare-compression", "bandwidth", "--values", "0.5",
+     "--epsilon", "0,0.05"],
+], ids=["simulate", "lambda2", "length", "mismatch", "fixed", "bandwidth"])
+def test_plotdata_reads_what_the_commands_write(tmp_path, capsys, argv):
+    # the input checks refuse none of the result files of the five
+    # families, per-arm files included, dry or real
+    run = tmp_path / "run"
+    assert main([*argv, *TINY, "--out-dir", str(run)]) == 0
+    inputs = sorted(run.glob("*.csv"))
+    out = tmp_path / "plots"
+    capsys.readouterr()
+    assert main(["plotdata", *map(str, inputs), "--out-dir", str(out),
+                 "--dry-run"]) == 0
+    assert capsys.readouterr().out == f"{len(inputs)} input files readable\n"
+    assert not out.exists()
+    assert main(["plotdata", *map(str, inputs), "--out-dir", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["manifest.json", *(p.stem + ext for p in inputs
+                            for ext in (".dat", ".gp"))])
+
+
 PLOT_HEAD = ('set datafile commentschars "#"\nset xlabel "second eigenvalue"\n'
              'set ylabel "{}"\nset key top right\nplot ')
 
@@ -868,35 +929,52 @@ def test_plotdata_schema_mismatch_names_the_column(tmp_path, capsys):
     bad.write_text("# corrcdma=0\nposition,relative_position,errors,bits,"
                    "wrong,std_err\n0,0.1,1,60,0.1,0.01\n")
     plot_dir = tmp_path / "plots"
-    code = main(["plotdata", str(bad), "--out-dir", str(plot_dir)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "ber" in err and "wrong" not in err.split("offending")[0]
-    assert not plot_dir.exists()
+    for dry_run in ([], ["--dry-run"]):
+        code = main(["plotdata", str(bad), "--out-dir", str(plot_dir),
+                     *dry_run])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: unrecognized schema" in err
+        assert "ber" in err and "wrong" not in err.split("offending")[0]
+        assert not plot_dir.exists()
 
 
-@pytest.mark.parametrize("csv", [
-    "lambda2,rel_delta,feasible,reason,p_corr,p_plain,normalized\n"
-    "0.8,0.5,false,perturbed element 1.2 outside [0, 1] (rel_delta=0.5),"
-    "nan,nan,nan\n",
-    "position,relative_position,errors,bits,ber,std_err\n",
-], ids=["infeasible-only", "no-rows"])
+BER_COLUMNS = "position,relative_position,errors,bits,ber,std_err\n"
+
+
+@pytest.mark.parametrize("csv, message", [
+    ("lambda2,rel_delta,feasible,reason,p_corr,p_plain,normalized\n"
+     '0.8,0.5,false,"perturbed element 1.2 outside [0, 1] (rel_delta=0.5)",'
+     "nan,nan,nan\n", "no plottable row"),
+    (BER_COLUMNS, "no plottable row"),
+    (BER_COLUMNS + "0,0.5,1,60,0.1,0.01\n1,1.0,1,60,0.1\n",
+     "row 2 has 5 cells, the column row 6"),
+    (BER_COLUMNS + "0,1.0,1,60," + "1" * 140_000 + ",0.01\n",
+     "field larger than field limit (131072)"),
+], ids=["infeasible-only", "no-rows", "short-row", "oversized-field"])
 def test_plotdata_refuses_a_file_without_plottable_rows(tmp_path, capsys,
-                                                        csv):
-    # gnuplot cannot run a bare plot command, so nothing is written
+                                                        csv, message):
+    # gnuplot cannot run a bare plot command, and a row of another width
+    # or a field the csv module refuses is no row to plot: a dry run
+    # refuses the file as the run does, and neither writes anything
     path = tmp_path / "empty.csv"
     path.write_text("# corrcdma=0.1.0\n" + csv)
     out = tmp_path / "plots"
-    assert main(["plotdata", str(path), "--out-dir", str(out)]) == 2
-    assert f"{path}: no plottable row" in capsys.readouterr().err
-    assert not out.exists()
+    for dry_run in ([], ["--dry-run"]):
+        assert main(["plotdata", str(path), "--out-dir", str(out),
+                     *dry_run]) == 2
+        assert f"{path}: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_plotdata_missing_input_fails(tmp_path, capsys):
-    code = main(["plotdata", str(tmp_path / "absent.csv"),
-                 "--out-dir", str(tmp_path)])
-    assert code == 2
-    assert "absent.csv" in capsys.readouterr().err
+    out = tmp_path / "plots"
+    for dry_run in ([], ["--dry-run"]):
+        code = main(["plotdata", str(tmp_path / "absent.csv"),
+                     "--out-dir", str(out), *dry_run])
+        assert code == 2
+        assert "absent.csv" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("dry_run", [True, False], ids=["dry", "run"])
@@ -923,28 +1001,31 @@ def test_plotdata_failure_removes_earlier_outputs(tmp_path):
     code = main(["plotdata", str(run_dir / "ber.csv"), str(bad),
                  "--out-dir", str(plot_dir)])
     assert code == 2
-    # the first input's emitted files must not survive the second's failure,
-    # nor the output directory the run created for them
+    # the second input is refused before the first one's files are
+    # written, so neither they nor the output directory appear
     assert not (plot_dir / "ber.dat").exists()
     assert not (plot_dir / "ber.gp").exists()
     assert not plot_dir.exists()
 
 
-def test_failure_keeps_an_existing_out_dir(tmp_path):
+def test_failure_keeps_an_existing_out_dir(tmp_path, capsys, monkeypatch):
+    # a write that fails once the inputs are checked exits 1 and removes
+    # every output: the directories the run made go, the one that was
+    # there stays
     run_dir = tmp_path / "run"
     assert main(["simulate", *TINY, "--out-dir", str(run_dir)]) == 0
-    bad = tmp_path / "bad.csv"
-    bad.write_text("# corrcdma=0\nnot_a_column\n1\n")
+
+    def full_disk(*args):
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(cli, "_write_manifest", full_disk)
     plot_dir = tmp_path / "plots"
     plot_dir.mkdir()
     (plot_dir / "notes.txt").write_text("kept")
-    code = main(["plotdata", str(run_dir / "ber.csv"), str(bad),
-                 "--out-dir", str(plot_dir / "a" / "b")])
-    assert code == 2
-    # the directories the run made go, the one that was there stays
-    assert sorted(p.name for p in plot_dir.iterdir()) == ["notes.txt"]
+    for out in (plot_dir / "a" / "b", plot_dir):
+        code = main(["plotdata", str(run_dir / "ber.csv"),
+                     "--out-dir", str(out)])
+        assert code == 1
+        assert "error: No space left on device" in capsys.readouterr().err
+        assert sorted(p.name for p in plot_dir.iterdir()) == ["notes.txt"]
     assert (plot_dir / "notes.txt").read_text() == "kept"
-    code = main(["plotdata", str(run_dir / "ber.csv"), str(bad),
-                 "--out-dir", str(plot_dir)])
-    assert code == 2
-    assert sorted(p.name for p in plot_dir.iterdir()) == ["notes.txt"]

@@ -27,7 +27,7 @@ from corrcdma.harness import (
     ExperimentConfig,
     default_workers,
     length_scaling_study,
-    mismatch_study,
+    mismatch_plan,
     monte_carlo,
     normalized_ber_sweep,
     read_csv_with_header,
@@ -412,8 +412,9 @@ def test_studies_read_the_joint_run(workers):
             == normalized_ber_sweep(cfg, [0.0, 0.5, 0.8],
                                     run_report=per_arm))
     # 0.9 + 0.1 is infeasible; -0.1 assumes an asymmetric matrix
-    joint = mismatch_study(cfg, [-0.1, 0.1], [0.5, 0.9], workers)
-    alone = mismatch_study(cfg, [-0.1, 0.1], [0.5, 0.9], run_report=per_arm)
+    plan = mismatch_plan(cfg, [-0.1, 0.1], [0.5, 0.9])
+    joint = plan.run(workers)
+    alone = plan.run(run_report=per_arm)
     assert [p.normalized for p in joint if p.feasible] == [
         p.normalized for p in alone if p.feasible]
     assert [p.reason for p in joint] == [p.reason for p in alone]
@@ -569,7 +570,7 @@ def test_many_payloads_run_in_parallel_as_serially(pools):
 def test_a_joint_run_without_trials_makes_no_pool(pools):
     # a mismatch study whose every perturbation is infeasible runs no arm
     assert harness.monte_carlo_arms([], workers=2) == {}
-    (point,) = mismatch_study(small_config(), [0.2], [0.9], workers=2)
+    (point,) = mismatch_plan(small_config(), [0.2], [0.9]).run(workers=2)
     assert not point.feasible
     assert pools == []
 
@@ -747,7 +748,7 @@ def test_length_study_checks_every_length_before_running():
 
 def test_mismatch_study_records_infeasible_points():
     cfg = small_config(ensemble=2)
-    points = mismatch_study(cfg, [0.10], [0.9])
+    points = mismatch_plan(cfg, [0.10], [0.9]).run()
     (point,) = points
     assert not point.feasible
     assert point.reason and "0.9" in point.reason or point.reason
@@ -757,8 +758,8 @@ def test_mismatch_study_records_infeasible_points():
 def test_mismatch_study_checks_every_eigenvalue_before_running():
     ran = []
     with pytest.raises(ValueError, match="lambda2 must lie in"):
-        mismatch_study(small_config(ensemble=1), [0.1], [0.5, 1.5],
-                       run_report=ran.append)
+        mismatch_plan(small_config(ensemble=1), [0.1], [0.5, 1.5]).run(
+            run_report=ran.append)
     assert ran == []
 
 
@@ -770,8 +771,8 @@ def test_mismatch_study_runs_each_plain_arm_once_per_eigenvalue():
         ran.append((cfg.variant, cfg.matrix.lambda2, cfg.mismatch))
         return SimpleNamespace(aggregate=0.1)
 
-    mismatch_study(small_config(ensemble=1), [0.1, -0.05, 0.05], [0.9, 0.3],
-                   run_report=record)
+    mismatch_plan(small_config(ensemble=1), [0.1, -0.05, 0.05],
+                  [0.9, 0.3]).run(run_report=record)
     assert ran == [
         ("plain_mud", pytest.approx(0.9), 0.0),
         ("correlated_mud", pytest.approx(0.9), -0.05),
@@ -786,7 +787,7 @@ def test_mismatch_study_runs_each_plain_arm_once_per_eigenvalue():
 def test_mismatch_study_zero_delta_matches_sweep():
     cfg = small_config(ensemble=3)
     (sweep_point,) = normalized_ber_sweep(cfg, [0.6])
-    (mis_point,) = mismatch_study(cfg, [0.0], [0.6])
+    (mis_point,) = mismatch_plan(cfg, [0.0], [0.6]).run()
     assert mis_point.feasible
     assert mis_point.normalized == sweep_point.normalized
     assert mis_point.p_corr == sweep_point.p_corr
@@ -794,7 +795,7 @@ def test_mismatch_study_zero_delta_matches_sweep():
 
 def test_mismatch_study_orders_points_per_eigenvalue():
     cfg = small_config(ensemble=1)
-    points = mismatch_study(cfg, [-0.05, 0.05], [0.3, 0.5])
+    points = mismatch_plan(cfg, [-0.05, 0.05], [0.3, 0.5]).run()
     assert [(p.lambda2, p.rel_delta) for p in points] == [
         (0.3, -0.05), (0.3, 0.05), (0.5, -0.05), (0.5, 0.05)]
 
@@ -972,7 +973,7 @@ def test_length_csv_keeps_fit_in_header(tmp_path):
 
 def test_mismatch_csv_round_trip(tmp_path):
     cfg = small_config(ensemble=1)
-    points = mismatch_study(cfg, [0.10], [0.5, 0.9])
+    points = mismatch_plan(cfg, [0.10], [0.5, 0.9]).run()
     path = tmp_path / "mismatch.csv"
     write_mismatch_csv(path, cfg, points)
     _, columns, rows = read_csv_with_header(path)
