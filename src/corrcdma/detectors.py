@@ -36,11 +36,12 @@ CLAMP_EPS = 1e-12
 # Users per lockstep group of the engine, whose bias sweep and MUD step
 # (all but its per-realization K x K product) each run once over the whole
 # group. On a 2-core x86-64 machine (AVX-512, numpy 2.4) an SUS bias sweep
-# over 80 columns of W users cost about 60, 45, 32, 27 and 25 ns per user
-# and column at W = 200, 400, 800, 1,000 and 1,600: below about 1,000 users
-# the numpy call overhead dominates, above it a larger group only adds
-# memory (a 1,200-user group of three C4 arms raised the peak resident
-# memory of a sweep by 9.6 MB).
+# over 80 columns of W users, on 64-byte-aligned rows, cost about 34, 24,
+# 19, 19 and 17 ns per user and column at W = 200, 400, 800, 1,000 and
+# 1,600 (medians of five runs): below about 1,000 users the numpy call
+# overhead dominates, above it a larger group only adds memory (a 1,200-user
+# group of three C4 arms raised the peak resident memory of a sweep by
+# 9.6 MB).
 GROUP_USERS = 1000
 
 
@@ -154,38 +155,51 @@ def _terms(s, weights, out):
     return np.add(out, w0, out=out)
 
 
-def _message(own, other, total, rows=None):
-    """Posterior mean of a symbol given its two neighbours' terms.
+def _update_columns(columns, weights, near, scale):
+    """The column update of every bias sweep and of local_bias.
 
-    p(b) = own(b) * other(b) and m = (p(+1) - p(-1)) / (p(+1) + p(-1)).
-    own and other are the left and right terms in either order, each
-    (..., 2, n) with the pair on the second-to-last axis. The normaliser
-    goes to total, which the caller checks for zeros with _check_totals; m
-    is written over the plus row of own and returned, and the minus row is
-    clobbered. rows may hold the (minus, plus) views of own, taken once by
-    a caller that reuses own for every column.
+    columns yields (s, other, total, x, field, soft) views, one tuple per
+    column in visiting order, or one for the whole block: s is the soft
+    value of the neighbour on the side of weights, other the (minus, plus)
+    terms of the other neighbour, (2, n) per column, (L, 2, n) per block.
+    Each update writes the terms w0 + w1 s to near and the products
+    p(b) = near(b) * other(b) over them, the normaliser p(+1) + p(-1) to
+    total, m = (p(+1) - p(-1)) / total over the plus row of near, the
+    correction scale * atanh(m), m clamped to |m| <= 1 - CLAMP_EPS, to x,
+    and tanh(field + x) to soft, which a later column reads. Returns the
+    plus row (the last m). The caller checks the totals with _check_totals.
     """
-    p = np.multiply(own, other, out=own)
-    p0, p1 = (p[..., 0, :], p[..., 1, :]) if rows is None else rows
-    np.add(p1, p0, out=total)
-    np.subtract(p1, p0, out=p1)
-    return np.divide(p1, total, out=p1)
+    w0, w1 = weights
+    minus, plus = near[..., 0, :], near[..., 1, :]
+    multiply, add, subtract, divide = np.multiply, np.add, np.subtract, np.divide
+    maximum, minimum, arctanh, tanh = np.maximum, np.minimum, np.arctanh, np.tanh
+    # a row costs as much in call overhead as in arithmetic: positional
+    # outputs (maximum and minimum take only the keyword) and array bounds
+    # trim it
+    cap = np.array(1.0 - CLAMP_EPS)
+    low, scaled = -cap, scale != 1.0
+    with np.errstate(invalid="ignore"):  # 0/0 only where _check_totals raises
+        for s, other, total, x, field, soft in columns:
+            multiply(w1, s, near)
+            add(near, w0, near)
+            multiply(near, other, near)
+            add(plus, minus, total)
+            subtract(plus, minus, plus)
+            divide(plus, total, plus)
+            maximum(plus, low, out=x)
+            minimum(x, cap, out=x)
+            arctanh(x, x)
+            if scaled:
+                multiply(x, scale, x)
+            add(field, x, soft)
+            tanh(soft, soft)
+    return plus
 
 
 def _check_totals(total):
     if not total.all():
         raise ValueError("neighbours impossible under the assumed transition "
                          "matrix: both symbol hypotheses have zero probability")
-
-
-def _correction(m, scale, out):
-    """scale * atanh(m) with m clamped to |m| <= 1 - CLAMP_EPS, into out."""
-    cap = 1.0 - CLAMP_EPS
-    np.maximum(m, -cap, out=out)
-    np.minimum(out, cap, out=out)
-    np.arctanh(out, out=out)
-    if scale != 1.0:
-        np.multiply(out, scale, out=out)
 
 
 def local_bias(soft: np.ndarray, matrix: TransitionMatrix, position: int) -> np.ndarray:
@@ -195,8 +209,8 @@ def local_bias(soft: np.ndarray, matrix: TransitionMatrix, position: int) -> np.
     block (a hard neighbor is +-1, an uninformed one 0); position is the
     0-based column. A missing neighbor at either word edge is replaced by
     the stationary distribution of the assumed matrix. Returns the (K,)
-    vector of biases in [-1, 1], computed by the same message function as
-    the detectors' bias sweeps.
+    vector of biases in [-1, 1], computed by the same column update as the
+    detectors' bias sweeps.
     """
     s = np.asarray(soft, dtype=np.float64)
     if s.ndim != 2:
@@ -207,10 +221,10 @@ def local_bias(soft: np.ndarray, matrix: TransitionMatrix, position: int) -> np.
     left_w, right_w, edge = _model_terms(_neighbour_model(matrix))
     prev = s[:, position - 1] if position > 0 else edge
     after = s[:, position + 1] if position < word_len - 1 else edge
-    work = np.empty((5, n_users))
-    with np.errstate(invalid="ignore"):  # 0/0 only where _check_totals raises
-        m = _message(_terms(prev, left_w, work[0:2]),
-                     _terms(after, right_w, work[2:4]), work[4])
+    work = np.empty((7, n_users))
+    # the correction and soft value the update also leaves go to scratch
+    m = _update_columns([(prev, _terms(after, right_w, work[2:4]), work[4],
+                          work[5], 0.0, work[6])], left_w, work[0:2], 1.0)
     _check_totals(work[4])
     return m
 
@@ -228,60 +242,54 @@ def _bias_sweep(padded, field, xi, model, schedule, t, rng, scale, work):
     all; the ordered schedules refresh each column as they visit it, so
     later columns see the new values of earlier ones. SUS visits the
     columns forward, BFUS forward at an even outer iteration t and
-    backward at an odd one, RSUS in an order drawn from rng. In an ordered
-    sweep the neighbour not yet visited still holds its snapshot value, so
-    that side is computed for all columns at once, into an (L, 2, W) array
-    whose row l is the (minus, plus) pair of column l; RSUS computes both
-    sides per column.
+    backward at an odd one, RSUS in an order drawn from rng. Every schedule
+    runs _update_columns, PUS on one tuple of whole-block views. In an
+    ordered sweep the neighbour not yet visited still holds its snapshot
+    value, so that side is computed for all columns at once, into an
+    (L, 2, W) array whose row l is the (minus, plus) pair of column l; RSUS
+    computes the left side of each column as it visits it.
     model is one (9, 1) _neighbour_model for every trial, or a (9, B, K)
-    array holding each trial's own. work is scratch of at least 4 L W
-    floats, W = B K. Returns the boolean (L, B) mask of the columns whose
+    array holding each trial's own. work is scratch of at least
+    4 (L + 1) W floats, W = B K: two (L, 2, W) arrays, the first for the
+    left terms of PUS or the far side of an ordered sweep, the second for
+    the right terms of PUS, whose rows then take the normaliser and the
+    new correction of each column, and the (2, W) near and left pairs of
+    an ordered sweep. Returns the boolean (L, B) mask of the columns whose
     correction changed bitwise, per trial.
     """
     n_rows, n_trials, n_users = padded.shape
     word_len, width = n_rows - 2, n_trials * n_users
     left_w, right_w, edge = _model_terms(model.reshape(len(model), -1))
-    soft = padded[1:-1]
     padded = padded.reshape(n_rows, width)
     padded[0] = padded[-1] = edge
+    field = field.reshape(word_len, width)
+    soft = padded[1:-1]
     block = word_len * width
     pairs = work[:2 * block].reshape(word_len, 2, width)
+    # the update writes a column's normaliser and correction only after it
+    # has multiplied in the terms these rows hold for PUS
+    rest = work[2 * block:4 * block].reshape(word_len, 2, width)
+    totals, xi_new = rest[:, 0], rest[:, 1]
+    near, left = work[4 * block:4 * (block + width)].reshape(2, 2, width)
     if schedule == "PUS":
-        # the right terms are spent once multiplied in, so their rows take
-        # the normalisers and the new correction
-        right = work[2 * block:4 * block].reshape(word_len, 2, width)
-        totals, xi_new = right[:, 0], right[:, 1]
-        m = _message(_terms(padded[:-2, None], left_w, pairs),
-                     _terms(padded[2:, None], right_w, right), totals)
-        _check_totals(totals)
-        _correction(m, scale, xi_new)
-        changed = _commit(xi, xi_new)
-        np.tanh(np.add(field, xi, out=soft), out=soft)
-        return changed
-    field = field.reshape(word_len, width)
-    totals = work[2 * block:3 * block].reshape(word_len, width)
-    xi_new = work[3 * block:4 * block].reshape(word_len, width)
-    # near is the side visited last (rows padded[l + offset], read fresh
-    # per column) and far the side not yet visited (all columns at once);
-    # RSUS reads both sides fresh, the left one into left
-    near, left = np.empty((2, 2, width))
-    if schedule == "RSUS":
-        order, near_w, offset = rng.permutation(word_len), right_w, 2
-        far = None
+        near, near_w = pairs, left_w
+        columns = [(padded[:-2, None], _terms(padded[2:, None], right_w, rest),
+                    totals, xi_new, field, soft)]
+    elif schedule == "RSUS":
+        near_w = right_w
+        columns = ((padded[l + 2], _terms(padded[l], left_w, left), totals[l],
+                    xi_new[l], field[l], padded[l + 1])
+                   for l in rng.permutation(word_len))
     elif schedule == "SUS" or t % 2 == 0:
-        order, near_w, offset = range(word_len), left_w, 0
-        far = _terms(padded[2:, None], right_w, pairs)
+        near_w = left_w
+        columns = zip(padded[:-2], _terms(padded[2:, None], right_w, pairs),
+                      totals, xi_new, field, soft)
     else:
-        order, near_w, offset = range(word_len - 1, -1, -1), right_w, 2
-        far = _terms(padded[:-2, None], left_w, pairs)
-    rows = near[0], near[1]
-    for l in order:
-        other = _terms(padded[l], left_w, left) if far is None else far[l]
-        m = _message(_terms(padded[l + offset], near_w, near), other,
-                     totals[l], rows)
-        x, s = xi_new[l], padded[l + 1]
-        _correction(m, scale, x)
-        np.tanh(np.add(field[l], x, out=s), out=s)
+        near_w = right_w
+        columns = zip(*(a[::-1] for a in (
+            padded[2:], _terms(padded[:-2, None], left_w, pairs), totals,
+            xi_new, field, soft)))
+    _update_columns(columns, near_w, near, scale)
     _check_totals(totals)
     return _commit(xi, xi_new)
 
@@ -418,10 +426,15 @@ def _run_engine(fields, corrs, load, sigma, opts, assumed=None, iterate=True,
     # that grows with L * K is allocated inside the loop, and the single
     # block keeps the heap from fragmenting across trials (separate buffers
     # raised the peak resident memory of a C7 ensemble by one Gram matrix,
-    # 5 MB).
-    block = np.empty((9 * word_len + 11, n_trials, n_users))
+    # 5 MB). It starts at a 64-byte boundary (np.empty's data may sit 16 or
+    # 48 bytes past one, as the heap's history falls), so with B K a
+    # multiple of 8 every row the sweep and the MUD step visit is aligned.
+    size = (9 * word_len + 15) * n_trials * n_users
+    raw = np.empty(size + 8)
+    start = -raw.ctypes.data % 64 // 8
+    block = raw[start:start + size].reshape(-1, n_trials, n_users)
     h0, h, xi, interference, work, padded, model = np.split(
-        block, [*np.cumsum([1, 1, 1, 1, 4]) * word_len, 9 * word_len + 2])
+        block, np.cumsum([word_len] * 4 + [4 * word_len + 4, word_len + 2]))
     work = work.reshape(-1)
     soft = padded[1:-1]
     for b, field in enumerate(fields):

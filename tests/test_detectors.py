@@ -308,6 +308,32 @@ class TestMudStep:
         with pytest.raises(ValueError):
             mud_detect(s, y, 0.0)
 
+    @pytest.mark.parametrize("n_rows", [1, 5])
+    def test_soft_power_sums_users_in_index_order(self, n_rows):
+        # the soft power of every gathered row is the sequential sum of its
+        # users' squared soft values in index order, bit for bit, for one
+        # row and for several (a pairwise reduction differs in the last bits)
+        word_len, users = 6, 64
+        for seed in range(20):
+            _, _, s, _ = make_instance(1100 + seed, 80, users, 2, 0.7)
+            rng = np.random.default_rng(1120 + seed)
+            soft, matched, field, interference, xi = (
+                rng.standard_normal((word_len, users)) for _ in range(5))
+            np.tanh(field + xi, out=soft)
+            gain = rng.random(word_len)
+            rows = np.sort(rng.choice(word_len, n_rows, replace=False))
+            expected = []
+            for row in soft[rows]:
+                total = 0.0
+                for value in row:
+                    total += value * value
+                expected.append(total / users)
+            q_pow, _, _ = detectors._mud_step(
+                rows, [n_rows], [s.corr], soft, matched, field, interference,
+                gain, xi, 0.8, 0.7, np.empty((3, word_len, users)),
+                np.empty((word_len, users), dtype=bool))
+            assert q_pow.tolist() == expected
+
 
 class TestMudDetect:
     def test_easy_point_error_free(self):
@@ -606,7 +632,7 @@ class TestLockstep:
             padded[1:-1] = np.tanh(field + xi)
             detectors._bias_sweep(padded, field, xi, model, schedule,
                                   0 if forward else 1, rng, scale,
-                                  np.empty(4 * padded[1:-1].size))
+                                  np.empty(4 * padded.size))
             assert np.array_equal(padded[1:-1], np.tanh(field + xi))
 
     def test_mud_step_commits_only_its_rows(self):
@@ -709,7 +735,7 @@ class TestLockstep:
         xi = np.zeros_like(field)
         padded = np.zeros((14, 2, 10))
         padded[1:-1] = np.tanh(field)
-        work = np.empty(4 * field.size)
+        work = np.empty(4 * (field.size + field[0].size))
         detectors._bias_sweep(padded, field, xi, model, "PUS", 0, None,
                               1.0, work)
         # the same soft snapshot again; the sweep refreshed the soft rows
@@ -828,6 +854,147 @@ class TestLockstep:
             if blind:
                 assert np.array_equal(a.estimated_matrix.matrix,
                                       b.estimated_matrix.matrix)
+
+
+def reference_terms(s, w0, w1):
+    """The (minus, plus) neighbour terms w0 + w1 s, on the last two axes."""
+    return np.add(np.multiply(w1, s), w0)
+
+
+def reference_message(own, other):
+    """Posterior mean from the two neighbours' (minus, plus) terms, and the
+    normaliser."""
+    p = np.multiply(own, other)
+    p0, p1 = p[..., 0, :], p[..., 1, :]
+    total = np.add(p1, p0)
+    return np.divide(np.subtract(p1, p0), total), total
+
+
+def reference_correction(m, scale):
+    cap = 1.0 - detectors.CLAMP_EPS
+    x = np.arctanh(np.minimum(np.maximum(m, -cap), cap))
+    return np.multiply(x, scale) if scale != 1.0 else x
+
+
+def reference_sweep(padded, field, xi, model, schedule, t, rng, scale):
+    """One bias sweep composed column by column from the neighbour terms,
+    the message, the clamped atanh correction and the soft refresh, in the
+    schedule's order; updates padded and xi in place as _bias_sweep does
+    and returns its (L, B) mask of changed corrections."""
+    n_rows, n_trials, n_users = padded.shape
+    word_len, width = n_rows - 2, n_trials * n_users
+    model = model.reshape(len(model), -1)
+    left, right = (model[0:2], model[2:4]), (model[4:6], model[6:8])
+    soft = padded.reshape(n_rows, width)
+    soft[0] = soft[-1] = model[8]
+    field = field.reshape(word_len, width)
+    xi_new = np.empty((word_len, width))
+    if schedule == "PUS":
+        for l in range(word_len):
+            m, total = reference_message(reference_terms(soft[l], *left),
+                                         reference_terms(soft[l + 2], *right))
+            assert total.all()
+            xi_new[l] = reference_correction(m, scale)
+        soft[1:-1] = np.tanh(np.add(field, xi_new))
+    else:
+        if schedule == "RSUS":
+            order = rng.permutation(word_len)
+        elif schedule == "SUS" or t % 2 == 0:
+            order = range(word_len)
+        else:
+            order = range(word_len - 1, -1, -1)
+        for l in order:
+            m, total = reference_message(reference_terms(soft[l], *left),
+                                         reference_terms(soft[l + 2], *right))
+            assert total.all()
+            xi_new[l] = reference_correction(m, scale)
+            soft[l + 1] = np.tanh(np.add(field[l], xi_new[l]))
+    xi_new = xi_new.reshape(xi.shape)
+    changed = np.any(xi_new != xi, axis=2)
+    xi[:] = xi_new
+    return changed
+
+
+class TestColumnUpdate:
+    # the one column update of every sweep against the column-by-column
+    # composition it replaced
+
+    @pytest.mark.parametrize("offset", [0, 1], ids=["aligned", "misaligned"])
+    @pytest.mark.parametrize("scale", [1.0, 1.39])
+    @pytest.mark.parametrize("trials", [1, 3])
+    @pytest.mark.parametrize("schedule,t", [
+        ("SUS", 0), ("PUS", 0), ("BFUS", 0), ("BFUS", 1), ("RSUS", 0)])
+    def test_sweep_matches_the_column_composition(self, schedule, t, trials,
+                                                  scale, offset):
+        # the corrections, every soft row and the changed mask, bit for
+        # bit, with a model per slot, over words of one, two and seven
+        # columns, on state carved from a block that starts on a 64-byte
+        # boundary or one float past it (16 users keep every row on the
+        # block's alignment)
+        users = 16
+        matrices = [TransitionMatrix([[0.9, 0.1], [0.3, 0.7]]),
+                    make_symmetric_matrix(0.8), make_symmetric_matrix(-0.4)]
+        for word_len in (1, 2, 7):
+            rng = np.random.default_rng(1800 + 10 * word_len + trials)
+            shape = (word_len, trials, users)
+            size = (9 * word_len + 15) * trials * users
+            raw = np.empty(size + 16)
+            start = -raw.ctypes.data % 64 // 8 + offset
+            block = raw[start:start + size].reshape(-1, trials, users)
+            field, xi, padded, model, work = np.split(block, np.cumsum(
+                [word_len, word_len, word_len + 2, 9]))
+            work = work.reshape(-1)
+            for b in range(trials):
+                model[:, b] = detectors._neighbour_model(matrices[b])
+            field[:] = 2.0 * rng.standard_normal(shape)
+            xi[:] = rng.standard_normal(shape)
+            padded[1:-1] = np.tanh(field + xi)
+
+            def reference(xi):
+                want_padded, want_xi = padded.copy(), xi.copy()
+                changed = reference_sweep(
+                    want_padded, field, want_xi, model, schedule, t,
+                    np.random.default_rng(1890), scale)
+                return want_padded, want_xi, changed
+
+            # one column of the first slot already holds its new correction
+            xi[word_len // 2, 0] = reference(xi)[1][word_len // 2, 0]
+            want_padded, want_xi, want_changed = reference(xi)
+            changed = detectors._bias_sweep(padded, field, xi, model,
+                                            schedule, t,
+                                            np.random.default_rng(1890),
+                                            scale, work)
+            assert np.array_equal(xi, want_xi)
+            assert np.array_equal(padded, want_padded)
+            assert np.array_equal(changed, want_changed)
+            assert not changed[word_len // 2, 0]
+            assert changed.sum() == changed.size - 1
+
+    @pytest.mark.parametrize("schedule,t", [
+        ("SUS", 0), ("PUS", 0), ("BFUS", 0), ("BFUS", 1), ("RSUS", 0)])
+    def test_impossible_neighbours_raise(self, schedule, t):
+        # the frozen chain makes a column between neighbours certainly -1
+        # and +1 impossible; every sweep raises the documented ValueError,
+        # with no numpy warning on the way (the test run turns warnings
+        # into errors)
+        model = detectors._neighbour_model(make_symmetric_matrix(1.0))
+        field = np.array([-40.0, 0.0, 40.0]).reshape(3, 1, 1)
+        xi = np.zeros_like(field)
+        padded = np.zeros((5, 1, 1))
+        padded[1:-1] = np.tanh(field)
+        with pytest.raises(ValueError, match="neighbours impossible under "
+                           "the assumed transition matrix"):
+            detectors._bias_sweep(padded, field, xi, model, schedule, t,
+                                  np.random.default_rng(0), 1.0,
+                                  np.empty(4 * padded.size))
+
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_detector_refuses_impossible_neighbours(self, schedule):
+        # the same through the correlated SUMF, whose field is the matched one
+        s, y = single_user_fields([-40.0, 0.0, 40.0])
+        with pytest.raises(ValueError, match="neighbours impossible"):
+            correlated_sumf_detect(s, y, make_symmetric_matrix(1.0), 0.8,
+                                   schedule_opts(schedule))
 
 
 class TestCorrelatedMud:
