@@ -31,7 +31,8 @@ from .baselines import (
     bsc_residual_error,
     inverse_binary_entropy,
 )
-from .detectors import local_bias
+from .channel import generate_spreading, transmit
+from .detectors import correlated_mud_detect, local_bias, mud_detect
 from .harness import (
     CSV_COLUMNS,
     SHORTHANDS,
@@ -54,7 +55,12 @@ from .harness import (
     write_mismatch_csv,
     write_sweep_csv,
 )
-from .markov import TransitionMatrix, make_symmetric_matrix
+from .markov import (
+    TransitionMatrix,
+    generate_block,
+    iid_matrix,
+    make_symmetric_matrix,
+)
 
 def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
@@ -560,14 +566,22 @@ def _selftest_checks():
         return _bias_enumeration_error(rng, 10) < 1e-12
 
     def reduction_identity():
-        cfg = ExperimentConfig(spread_factor=60, n_users=30, sigma=0.8,
-                               word_length=10,
-                               matrix=make_symmetric_matrix(0.0),
-                               variant="correlated_mud", ensemble=2, seed=5)
-        corr = monte_carlo(cfg)
-        plain = monte_carlo(replace(cfg, variant="plain_mud"))
-        return np.array_equal(corr.errors_by_position,
-                              plain.errors_by_position)
+        # the detectors, not monte_carlo: a joint run detects a memoryless
+        # correlated arm as the plain MUD, so its reports would compare
+        # the plain MUD with itself
+        for _ in range(3):
+            block = generate_block(iid_matrix(), 30, 10, rng)
+            spreading = generate_spreading(60, 30, rng)
+            received = transmit(spreading, block, 0.8, rng)
+            corr = correlated_mud_detect(spreading, received, iid_matrix(),
+                                         0.8)
+            plain = mud_detect(spreading, received, 0.8)
+            if not all(np.array_equal(getattr(corr, name),
+                                      getattr(plain, name))
+                       for name in ("bits", "field", "iters", "converged",
+                                    "outer_iterations")):
+                return False
+        return True
 
     def deterministic_and_worker_free():
         cfg = ExperimentConfig(spread_factor=50, n_users=25, sigma=0.8,
@@ -579,6 +593,18 @@ def _selftest_checks():
                                again.errors_by_position)
                 and np.array_equal(one.errors_by_position,
                                    two.errors_by_position))
+
+    def joint_equals_lone_runs():
+        # the channels of two seeds and three eigenvalues share trial 0 and
+        # their payloads, and each lambda2 = 0 correlated arm rides on its
+        # plain arm
+        cfg = ExperimentConfig(spread_factor=50, n_users=25, sigma=0.8,
+                               word_length=8, ensemble=1)
+        plans = [lambda2_plan(replace(cfg, seed=seed), [0.0, 0.4, 0.8])
+                 for seed in (11, 12)]
+        joint = monte_carlo_arms([cfg for plan in plans for cfg in plan.runs])
+        return all(plan.reduce(joint) == plan.run(run_report=monte_carlo)
+                   for plan in plans)
 
     def paired_zero_correlation():
         cfg = ExperimentConfig(spread_factor=50, n_users=25, sigma=0.8,
@@ -593,6 +619,8 @@ def _selftest_checks():
         ("memoryless matrix reduces to plain detector", reduction_identity),
         ("reports deterministic and worker-independent",
          deterministic_and_worker_free),
+        ("joint sweep equals per-arm runs point by point",
+         joint_equals_lone_runs),
         ("zero-correlation normalized BER is exactly 1",
          paired_zero_correlation),
     )

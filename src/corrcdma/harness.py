@@ -7,7 +7,8 @@ or completion order. The arms of a paired study run jointly: each trial's
 realization (source block, spreading codes and noise) is drawn once and
 detected by every arm that shares its channel fields, so pairing holds by
 construction and every normalized quantity (correlated over plain
-detection) reflects only the detectors' differences.
+detection) reflects only the detectors' differences. Arms that make the
+same detection of a realization share its one run.
 
 Per-position error counts are summed as integers, so aggregation is exact
 and commutative; all rates derive from the final counts.
@@ -74,9 +75,9 @@ class ExperimentConfig:
     """One fully pinned Monte-Carlo experiment.
 
     matrix is the generator's transition matrix; mismatch perturbs the
-    detector-assumed copy only. seed is the master seed every trial stream
-    derives from. schedule, blind and max_iters are DetectorOptions' knobs,
-    with its defaults and its checks.
+    detector-assumed copy only, which blind mode never reads. seed is the
+    master seed every trial stream derives from. schedule, blind and
+    max_iters are DetectorOptions' knobs, with its defaults and its checks.
     """
 
     spread_factor: int = 1000
@@ -116,6 +117,9 @@ class ExperimentConfig:
         if self.mismatch != 0.0 and not self.variant.startswith("correlated_"):
             raise ValueError(f"mismatch applies only to the correlated "
                              f"variants, got {self.variant}")
+        if self.blind and self.mismatch != 0.0:
+            raise ValueError("mismatch does not apply to blind mode, which "
+                             "re-estimates the matrix from the memoryless one")
         DetectorOptions(max_iters=self.max_iters, schedule=self.schedule,
                         blind=self.blind)
         if self.ensemble < 1:
@@ -273,10 +277,29 @@ def _channel(config: ExperimentConfig) -> tuple:
 def _engine_kind(config: ExperimentConfig) -> tuple:
     """The fields one detection engine run needs equal across its slots;
     the slots may differ in their realization and in the matrix their
-    detector assumes."""
+    detector assumes. A slot is one distinct detection of a realization,
+    run once for every arm it serves."""
     return (config.variant, config.schedule, config.blind, config.max_iters,
             config.spread_factor, config.n_users, config.word_length,
             config.sigma)
+
+
+def _detection(config: ExperimentConfig) -> tuple[tuple, ExperimentConfig]:
+    """The detection config's arm makes of a realization, as (key, run):
+    run is the config it runs as, key run's engine kind and assumed
+    matrix. Arms of one realization with equal keys share one detection.
+
+    A correlated MUD arm that assumes the memoryless matrix and is not
+    blind detects bit for bit as the plain MUD, since its bias field
+    vanishes, so it runs as the plain arm it equals. Every other arm runs
+    as itself: the correlated matched filter counts one sweep where the
+    plain one counts none, and a blind arm re-estimates its matrix.
+    """
+    run = config
+    if (config.variant == "correlated_mud" and not config.blind
+            and config.detector_matrix() == iid_matrix()):
+        run = replace(config, variant="plain_mud", mismatch=0.0)
+    return (_engine_kind(run), run.detector_matrix()), run
 
 
 def _realization(config: ExperimentConfig, trial_index: int, with_corr: bool):
@@ -336,22 +359,31 @@ def _detect_realizations(payload) -> list[tuple[ExperimentConfig, TrialOutcome]]
     """The outcome of every arm on every realization of payload.
 
     payload holds (trial index, arms) pairs, the arms being configs with
-    the same channel fields. Each realization is drawn once, and the slots
-    of each engine kind, across arms and realizations, go to one engine
-    call, which groups them. A slot's result does not depend on its group,
-    so each outcome equals its trial run alone. Returns (config, outcome)
-    pairs in slot order, so each config's outcomes come in payload order.
+    the same channel fields. Each realization is drawn once and each of
+    its distinct detections (_detection's keys) runs once, its outcome
+    going to every arm that maps to it. A detection is keyed by the
+    realization's place in payload, not by its trial index, which the
+    realizations of different channels share. The slots of each engine
+    kind, across realizations, go to one engine call, which groups them.
+    A slot's result does not depend on its group, so each outcome equals
+    its trial run alone. Returns (config, outcome) pairs in payload order.
     """
-    kinds = {}  # engine kind -> (config, trial index, realization) slots
-    for index, arms in payload:
+    kinds = {}  # engine kind -> {(place, assumed matrix): slot}
+    arms_slots = []  # (config, engine kind, slot key) in payload order
+    for place, (index, arms) in enumerate(payload):
         realization = _realization(
             arms[0], index, any(cfg.variant in MUD_VARIANTS for cfg in arms))
         for cfg in arms:
-            kinds.setdefault(_engine_kind(cfg), []).append(
-                (cfg, index, realization))
-    return [(cfg, _outcome(cfg, realization, result))
-            for slots in kinds.values()
-            for (cfg, _, realization), result in zip(slots, _detect(slots))]
+            (kind, assumed), run = _detection(cfg)
+            kinds.setdefault(kind, {}).setdefault(
+                (place, assumed), (run, index, realization))
+            arms_slots.append((cfg, kind, (place, assumed)))
+    outcomes = {}
+    for kind, slots in kinds.items():
+        for key, (run, _, realization), result in zip(
+                slots, slots.values(), _detect(list(slots.values()))):
+            outcomes[kind, key] = _outcome(run, realization, result)
+    return [(cfg, outcomes[kind, key]) for cfg, kind, key in arms_slots]
 
 
 def run_trial(config: ExperimentConfig, trial_index: int) -> TrialOutcome:
@@ -378,14 +410,17 @@ def _realizations(arms) -> list[tuple]:
 def _payloads(realizations, workers: int | None = None) -> list[list]:
     """The realizations in pool payloads, each detected by one worker call.
 
-    Realizations whose arms are of the same engine kinds fill a payload in
-    order, up to a worker's share of them and detectors.GROUP_USERS users
-    in the fullest engine call, the most that one lockstep group of the
-    engine holds.
+    Realizations are bucketed and sized by their distinct detections
+    (_detection's keys), each of which runs once: realizations whose
+    detections are of the same engine kinds fill a payload in order, up to
+    a worker's share of them and detectors.GROUP_USERS users in the
+    fullest engine call, the most that one lockstep group of the engine
+    holds.
     """
     buckets = {}
     for index, arms in realizations:
-        kinds = Counter(_engine_kind(cfg) for cfg in arms)
+        kinds = Counter(kind for kind, _ in
+                        {_detection(cfg)[0] for cfg in arms})
         buckets.setdefault(frozenset(kinds), []).append(
             ((index, arms), arms[0].n_users * max(kinds.values())))
     payloads = []
@@ -453,8 +488,10 @@ def monte_carlo_arms(configs, workers: int | None = None
 
     Arms with the same channel fields (seed, generator matrix, sizes and
     noise) share each trial's realization, drawn once, so their pairing
-    holds by construction; arms of one engine kind are detected in
-    lockstep across arms and trials. Payloads of realizations, the only
+    holds by construction; each distinct detection of a realization runs
+    once for every arm that makes it (a memoryless correlated MUD arm
+    rides on the plain one, see _detection), and the detections of one
+    engine kind run in lockstep across arms and trials. Payloads of realizations, the only
     split of the work, run in order, optionally across processes, one
     payload per pool task. Counts are integers and their summation
     commutative, and an outcome depends neither on its group nor on the
@@ -681,9 +718,12 @@ def mismatch_plan(config: ExperimentConfig, rel_deltas,
     the perturbed copy. Per eigenvalue with a feasible perturbation the
     plan runs the plain arm, then every feasible correlated arm; an
     infeasible one (an element pushed out of [0, 1]) runs nothing and its
-    point records the validation message. All is checked before the plan
-    exists.
+    point records the validation message. A blind base, which never reads
+    an assumed matrix, is refused. All is checked before the plan exists.
     """
+    if config.blind:
+        raise ValueError("the mismatch sweep needs a detector that reads its "
+                         "assumed matrix; blind mode re-estimates it")
     arms = []  # (lambda2, plain arm, [(delta, correlated arm, reason)])
     runs = []
     for lam in map(float, lambda2_values):

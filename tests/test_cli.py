@@ -332,6 +332,14 @@ def test_worker_budget_is_checked_up_front(tmp_path, capsys, monkeypatch,
     (["sweep", "lambda2", "--values", "0.5", *TINY, "--variant",
       "plain_mud", "--blind", "true"],
      "blind applies only to variant correlated_mud, got plain_mud"),
+    # blind mode re-estimates the matrix and never reads a mismatch
+    (["simulate", *TINY, "--blind", "true", "--mismatch", "0.1"],
+     "mismatch does not apply to blind mode"),
+    (["compare-compression", "fixed", *TINY, "--blind", "true",
+      "--mismatch", "0.1"], "mismatch does not apply to blind mode"),
+    (["sweep", "mismatch", "--values", "0.6", "--deltas=-0.1,0,0.1",
+      "--blind", "true", *TINY],
+     "the mismatch sweep needs a detector that reads its assumed matrix"),
 ], ids=["matrix-nan", "sigma-nan", "sigma-inf", "load-inf", "lambda2-range",
         "threshold-one", "threshold-nan", "threshold-zero", "length-one",
         "lambda2-deltas", "length-deltas", "lambda2-threshold",
@@ -347,7 +355,8 @@ def test_worker_budget_is_checked_up_front(tmp_path, capsys, monkeypatch,
         "fixed-mismatch-infeasible",
         "bandwidth-mismatch-infeasible", "plain-mud-blind",
         "correlated-sumf-blind", "plain-sumf-mismatch", "plain-mud-mismatch",
-        "lambda2-plain-blind"])
+        "lambda2-plain-blind", "blind-mismatch", "fixed-blind-mismatch",
+        "mismatch-sweep-blind"])
 @pytest.mark.parametrize("dry_run", [True, False], ids=["dry", "run"])
 def test_rejected_input_exits_2_and_writes_nothing(tmp_path, capsys, argv,
                                                    message, dry_run):

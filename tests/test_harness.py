@@ -104,6 +104,18 @@ def test_config_rejects_infeasible_mismatch_eagerly():
         small_config(matrix=make_symmetric_matrix(0.9), mismatch=0.10)
 
 
+def test_blind_mode_refuses_a_mismatch_it_never_reads():
+    # blind mode starts from the memoryless matrix and re-estimates it
+    with pytest.raises(ValueError, match="mismatch does not apply to blind"):
+        small_config(blind=True, mismatch=0.05)
+    small_config(blind=True, mismatch=0.0)
+    # the mismatch surface refuses a blind base before any delta, rather
+    # than filing every nonzero delta as infeasible
+    for deltas in ([0.0], [-0.1, 0.0, 0.1]):
+        with pytest.raises(ValueError, match="blind mode re-estimates it"):
+            mismatch_plan(small_config(blind=True), deltas, [0.6])
+
+
 def test_config_requires_transition_matrix_instance():
     with pytest.raises(ValueError):
         small_config(matrix=np.eye(2))
@@ -126,10 +138,11 @@ def test_beta_above_one_is_supported():
 
 
 def test_config_dict_round_trip():
-    cfg = small_config(blind=True, schedule="PUS", mismatch=0.05)
-    again = ExperimentConfig.from_dict(cfg.to_dict())
-    assert again == cfg
-    assert isinstance(again.matrix, TransitionMatrix)
+    for cfg in (small_config(blind=True, schedule="PUS"),
+                small_config(schedule="PUS", mismatch=0.05)):
+        again = ExperimentConfig.from_dict(cfg.to_dict())
+        assert again == cfg
+        assert isinstance(again.matrix, TransitionMatrix)
 
 
 def test_from_dict_accepts_string_values():
@@ -317,15 +330,16 @@ def test_group_size_rule():
 
 
 def test_paired_arms_share_realizations_and_groups():
-    # the C4 sweep: each realization carries a correlated and a plain arm,
-    # one slot of each engine kind, so two 400-user realizations fill a
-    # group whatever their eigenvalue
+    # the C4 sweep: each realization carries a correlated and a plain arm;
+    # at lambda2 = 0 both detect as the plain MUD, one slot, and the other
+    # two realizations hold one slot of each engine kind, so their
+    # correlated slots fill one 800-user group
     c4 = small_config(spread_factor=500, n_users=400, word_length=100,
                       ensemble=1)
     arms = harness.lambda2_plan(c4, [0.0, 0.4, 0.8]).runs
     realizations = harness._realizations(arms)
     assert [len(cfgs) for _, cfgs in realizations] == [2, 2, 2]
-    assert payload_sizes(*arms) == [2, 1]
+    assert payload_sizes(*arms) == [1, 2]
     # arms of another size or length draw their own realizations
     assert len(harness._realizations(
         [c4, replace(c4, word_length=50), replace(c4, n_users=399)])) == 3
@@ -369,6 +383,88 @@ def test_pairing_holds_for_every_config_field(name):
     assert shared == ([0, 1] if name in SAME_REALIZATIONS else [])
     assert ((harness._engine_kind(base) == harness._engine_kind(other))
             == (name in SAME_ENGINE))
+
+
+# ---------------------------------------------------------------------------
+# distinct detections: a memoryless correlated MUD arm rides on the plain one
+
+
+def spy_slots(monkeypatch):
+    """The (variant, generator matrix, blind flag, assumed matrix) of every
+    slot harness._detect is sent, in order; it detects none, so every
+    slot counts the matched-filter decisions."""
+    sent = []
+
+    def detect(slots):
+        sent.extend((cfg.variant, cfg.matrix, cfg.blind,
+                     cfg.detector_matrix()) for cfg, _, _ in slots)
+        return [None] * len(slots)
+
+    monkeypatch.setattr(harness, "_detect", detect)
+    return sent
+
+
+def test_each_distinct_detection_of_a_realization_runs_once(monkeypatch):
+    # the C4 sweep at ensemble 1 sends 5 slots, not 6: the lambda2 = 0
+    # correlated arm detects as its plain arm, and gets its outcomes
+    sent = spy_slots(monkeypatch)
+    c4 = small_config(spread_factor=500, n_users=400, word_length=100,
+                      ensemble=1)
+    arms = harness.lambda2_plan(c4, [0.0, 0.4, 0.8]).runs
+    reports = harness.monte_carlo_arms(arms)
+    lam = {value: make_symmetric_matrix(value) for value in (0.0, 0.4, 0.8)}
+    assert sent == [("plain_mud", lam[0.0], False, lam[0.0]),
+                    ("correlated_mud", lam[0.4], False, lam[0.4]),
+                    ("correlated_mud", lam[0.8], False, lam[0.8]),
+                    ("plain_mud", lam[0.4], False, lam[0.4]),
+                    ("plain_mud", lam[0.8], False, lam[0.8])]
+    assert_same_report(reports[arms[0]], reports[arms[1]])
+
+
+def test_arms_unlike_the_plain_mud_keep_their_own_slot(monkeypatch):
+    # a blind arm re-estimates its matrix, the correlated matched filter
+    # counts a sweep the plain one does not, and a mismatched arm assumes a
+    # matrix that is not memoryless; only the last arm rides on the first
+    cfg = small_config(matrix=iid_matrix(), ensemble=1)
+    sumf = replace(cfg, variant="correlated_sumf")
+    assert monte_carlo(sumf).iters_max == 1
+    assert monte_carlo(replace(sumf, variant="plain_sumf")).iters_max == 0
+    sent = spy_slots(monkeypatch)
+    mismatched = replace(cfg, mismatch=0.05)
+    harness.monte_carlo_arms([replace(cfg, variant="plain_mud"),
+                              replace(cfg, blind=True), sumf, mismatched,
+                              cfg])
+    iid = iid_matrix()
+    assert sent == [("plain_mud", iid, False, iid),
+                    ("correlated_mud", iid, True, iid),
+                    ("correlated_sumf", iid, False, iid),
+                    ("correlated_mud", iid, False,
+                     mismatched.detector_matrix())]
+    assert mismatched.detector_matrix() != iid
+
+
+@pytest.mark.parametrize("workers", [None, 1, 2], ids=["unset", "1", "2"])
+@pytest.mark.parametrize("ensemble", [1, 3])
+def test_memoryless_arms_in_a_joint_run_equal_lone_runs(workers, ensemble):
+    # channels that differ only in eigenvalue or seed share their trial
+    # indices and their payloads; every memoryless correlated arm, whatever
+    # its ensemble or schedule, rides on a plain slot of its own channel
+    cfg = small_config(ensemble=ensemble)
+    arms = [*harness.lambda2_plan(cfg, [0.0, 0.4, 0.8]).runs,
+            *harness.lambda2_plan(replace(cfg, seed=8), [0.0, 0.8]).runs,
+            *harness.lambda2_plan(replace(cfg, schedule="RSUS"),
+                                  [0.0, 0.6]).runs,
+            *harness.mismatch_plan(cfg, [-0.1, 0.1], [0.0]).runs,
+            replace(cfg, matrix=iid_matrix(), ensemble=ensemble + 1),
+            replace(cfg, matrix=iid_matrix(), blind=True),
+            replace(cfg, matrix=iid_matrix(), variant="correlated_sumf")]
+    joint = harness.monte_carlo_arms(arms, workers)
+    assert list(joint) == list(dict.fromkeys(arms))
+    for cfg, report in joint.items():
+        alone = monte_carlo(cfg)
+        assert_same_report(report, alone)
+        assert np.array_equal(report.per_position, alone.per_position)
+        assert np.array_equal(report.std_err, alone.std_err)
 
 
 # ---------------------------------------------------------------------------
