@@ -29,6 +29,10 @@ from .markov import TransitionMatrix, source_stats
 
 AMPLIFICATIONS = ("entropy", "rate")
 
+# How far above the minimum BER a word position counts as saturated, unless
+# a study asks for another factor.
+DEFAULT_THRESHOLD_FACTOR = 1.2
+
 
 def binary_entropy(f):
     """H2(f) = -f log2 f - (1-f) log2 (1-f), elementwise, with 0 log 0 = 0."""
@@ -117,11 +121,12 @@ def error_ratio(numerator: float, denominator: float) -> float:
 def compression_point(matrix: TransitionMatrix, rate_excess: float = 0.0):
     """Check one comparison point; returns (entropy_bits, rate).
 
-    rate is (1 + rate_excess) * H_b. Raises ValueError for a negative
-    rate_excess, a source of zero entropy or a rate above 1.
+    rate is (1 + rate_excess) * H_b. Raises ValueError for a negative or
+    non-finite rate_excess, a source of zero entropy or a rate above 1.
     """
-    if rate_excess < 0.0:
-        raise ValueError(f"rate_excess must be >= 0, got {rate_excess}")
+    if not 0.0 <= rate_excess < math.inf:
+        raise ValueError(f"rate_excess must be >= 0 and finite, got "
+                         f"{rate_excess}")
     entropy = source_stats(matrix).entropy_bits
     if entropy <= 0.0:
         raise ValueError("source entropy is zero: nothing to transmit after compression")
@@ -182,7 +187,9 @@ def check_threshold_factor(threshold_factor: float) -> None:
                          f"{threshold_factor}")
 
 
-def saturation_position(ber_by_position, threshold_factor: float = 1.2) -> float:
+def saturation_position(ber_by_position,
+                        threshold_factor: float = DEFAULT_THRESHOLD_FACTOR
+                        ) -> float:
     """Relative word position where the per-position BER settles.
 
     Returns the first position (0-based, scanning from the word start)
@@ -197,8 +204,8 @@ def saturation_position(ber_by_position, threshold_factor: float = 1.2) -> float
     ber = np.asarray(ber_by_position, dtype=np.float64)
     if ber.ndim != 1 or ber.size < 2:
         raise ValueError("need a 1-d array of at least 2 per-position values")
-    if np.any(ber < 0.0):
-        raise ValueError("BER values must be >= 0")
+    if not np.all((ber >= 0.0) & (ber < math.inf)):
+        raise ValueError("BER values must be >= 0 and finite")
     check_threshold_factor(threshold_factor)
     if not ber.any():
         return 0.0
@@ -209,14 +216,19 @@ def saturation_position(ber_by_position, threshold_factor: float = 1.2) -> float
 def fit_loglog_slope(lengths, positions):
     """Least-squares slope of log(position) against log(length).
 
-    Zero positions carry no log-domain information; they are dropped with a
-    warning. Fewer than two usable points abort the fit with ValueError.
-    Returns (slope, intercept).
+    Lengths must be finite and positive, positions finite and >= 0, else
+    ValueError naming the argument. Zero positions carry no log-domain
+    information; they are dropped with a warning. Fewer than two usable
+    points abort the fit with ValueError. Returns (slope, intercept).
     """
     x = np.asarray(lengths, dtype=np.float64)
     y = np.asarray(positions, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("lengths and positions must be 1-d arrays of equal size")
+    if not np.all((x > 0.0) & (x < math.inf)):
+        raise ValueError("lengths must be > 0 and finite")
+    if not np.all((y >= 0.0) & (y < math.inf)):
+        raise ValueError("positions must be >= 0 and finite")
     keep = y > 0.0
     if not keep.all():
         warnings.warn(f"excluding {int((~keep).sum())} zero position(s) from the "

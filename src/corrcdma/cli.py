@@ -27,6 +27,7 @@ import numpy as np
 from . import __version__
 from .baselines import (
     AMPLIFICATIONS,
+    DEFAULT_THRESHOLD_FACTOR,
     binary_entropy,
     bsc_residual_error,
     inverse_binary_entropy,
@@ -47,7 +48,6 @@ from .harness import (
     mismatch_plan,
     monte_carlo,
     monte_carlo_arms,
-    normalized_ber_sweep,
     read_csv_with_header,
     write_ber_csv,
     write_comparison_csv,
@@ -596,21 +596,18 @@ def _selftest_checks():
 
     def joint_equals_lone_runs():
         # the channels of two seeds and three eigenvalues share trial 0 and
-        # their payloads, and each lambda2 = 0 correlated arm rides on its
-        # plain arm
+        # their payloads, and each lambda2 = 0 correlated arm runs as its
+        # plain arm; so does the memoryless bandwidth point's correlated
+        # arm, as the reduced arm of its own plan
         cfg = ExperimentConfig(spread_factor=50, n_users=25, sigma=0.8,
                                word_length=8, ensemble=1)
         plans = [lambda2_plan(replace(cfg, seed=seed), [0.0, 0.4, 0.8])
                  for seed in (11, 12)]
+        plans.append(bandwidth_plan(replace(cfg, seed=13),
+                                    [(0.0, iid_matrix())], [0.0], cfg.load))
         joint = monte_carlo_arms([cfg for plan in plans for cfg in plan.runs])
         return all(plan.reduce(joint) == plan.run(run_report=monte_carlo)
                    for plan in plans)
-
-    def paired_zero_correlation():
-        cfg = ExperimentConfig(spread_factor=50, n_users=25, sigma=0.8,
-                               word_length=8, ensemble=2, seed=3)
-        (point,) = normalized_ber_sweep(cfg, [0.0])
-        return point.normalized == 1.0
 
     return (
         ("binary entropy inverts to 1e-9", entropy_round_trip),
@@ -621,8 +618,6 @@ def _selftest_checks():
          deterministic_and_worker_free),
         ("joint sweep equals per-arm runs point by point",
          joint_equals_lone_runs),
-        ("zero-correlation normalized BER is exactly 1",
-         paired_zero_correlation),
     )
 
 
@@ -695,9 +690,10 @@ def build_parser() -> argparse.ArgumentParser:
         kind.set_defaults(parser=kind)
         kind.add_argument("--values",
                           help=f"comma- or space-separated {values}")
-    length.add_argument("--threshold-factor", type=float, default=1.2,
+    length.add_argument("--threshold-factor", type=float,
+                        default=DEFAULT_THRESHOLD_FACTOR,
                         help="saturation threshold over the minimum BER "
-                             "(default 1.2)")
+                             f"(default {DEFAULT_THRESHOLD_FACTOR})")
     mismatch.add_argument("--deltas",
                           help="relative perturbations of the assumed matrix")
 

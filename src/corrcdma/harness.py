@@ -7,8 +7,8 @@ or completion order. The arms of a paired study run jointly: each trial's
 realization (source block, spreading codes and noise) is drawn once and
 detected by every arm that shares its channel fields, so pairing holds by
 construction and every normalized quantity (correlated over plain
-detection) reflects only the detectors' differences. Arms that make the
-same detection of a realization share its one run.
+detection) reflects only the detectors' differences. An arm that detects
+bit for bit as another runs as it, once (see _runs_as).
 
 Per-position error counts are summed as integers, so aggregation is exact
 and commutative; all rates derive from the final counts.
@@ -35,6 +35,7 @@ import numpy as np
 from . import __version__, detectors
 from .baselines import (
     AMPLIFICATIONS,
+    DEFAULT_THRESHOLD_FACTOR,
     bandwidth_expansion_comparison,
     check_threshold_factor,
     compression_point,
@@ -277,17 +278,14 @@ def _channel(config: ExperimentConfig) -> tuple:
 def _engine_kind(config: ExperimentConfig) -> tuple:
     """The fields one detection engine run needs equal across its slots;
     the slots may differ in their realization and in the matrix their
-    detector assumes. A slot is one distinct detection of a realization,
-    run once for every arm it serves."""
+    detector assumes. A slot is one run on one realization."""
     return (config.variant, config.schedule, config.blind, config.max_iters,
             config.spread_factor, config.n_users, config.word_length,
             config.sigma)
 
 
-def _detection(config: ExperimentConfig) -> tuple[tuple, ExperimentConfig]:
-    """The detection config's arm makes of a realization, as (key, run):
-    run is the config it runs as, key run's engine kind and assumed
-    matrix. Arms of one realization with equal keys share one detection.
+def _runs_as(config: ExperimentConfig) -> ExperimentConfig:
+    """The config an arm runs as, the one place arms alias.
 
     A correlated MUD arm that assumes the memoryless matrix and is not
     blind detects bit for bit as the plain MUD, since its bias field
@@ -295,11 +293,10 @@ def _detection(config: ExperimentConfig) -> tuple[tuple, ExperimentConfig]:
     as itself: the correlated matched filter counts one sweep where the
     plain one counts none, and a blind arm re-estimates its matrix.
     """
-    run = config
     if (config.variant == "correlated_mud" and not config.blind
             and config.detector_matrix() == iid_matrix()):
-        run = replace(config, variant="plain_mud", mismatch=0.0)
-    return (_engine_kind(run), run.detector_matrix()), run
+        return replace(config, variant="plain_mud", mismatch=0.0)
+    return config
 
 
 def _realization(config: ExperimentConfig, trial_index: int, with_corr: bool):
@@ -356,51 +353,43 @@ def _outcome(config: ExperimentConfig, realization, result) -> TrialOutcome:
 
 
 def _detect_realizations(payload) -> list[tuple[ExperimentConfig, TrialOutcome]]:
-    """The outcome of every arm on every realization of payload.
+    """The outcome of every run on every realization of payload.
 
-    payload holds (trial index, arms) pairs, the arms being configs with
-    the same channel fields. Each realization is drawn once and each of
-    its distinct detections (_detection's keys) runs once, its outcome
-    going to every arm that maps to it. A detection is keyed by the
-    realization's place in payload, not by its trial index, which the
-    realizations of different channels share. The slots of each engine
-    kind, across realizations, go to one engine call, which groups them.
-    A slot's result does not depend on its group, so each outcome equals
-    its trial run alone. Returns (config, outcome) pairs in payload order.
+    payload holds (trial index, runs) pairs, the runs being configs with
+    the same channel fields. Each realization is drawn once, and each run
+    on it is one slot. The slots of each engine kind, across runs and
+    realizations, go to one engine call, which groups them. A slot's
+    result does not depend on its group, so each outcome equals its trial
+    run alone. Returns (run, outcome) pairs, one per slot.
     """
-    kinds = {}  # engine kind -> {(place, assumed matrix): slot}
-    arms_slots = []  # (config, engine kind, slot key) in payload order
-    for place, (index, arms) in enumerate(payload):
+    kinds = {}  # engine kind -> (run, trial index, realization) slots
+    for index, runs in payload:
         realization = _realization(
-            arms[0], index, any(cfg.variant in MUD_VARIANTS for cfg in arms))
-        for cfg in arms:
-            (kind, assumed), run = _detection(cfg)
-            kinds.setdefault(kind, {}).setdefault(
-                (place, assumed), (run, index, realization))
-            arms_slots.append((cfg, kind, (place, assumed)))
-    outcomes = {}
-    for kind, slots in kinds.items():
-        for key, (run, _, realization), result in zip(
-                slots, slots.values(), _detect(list(slots.values()))):
-            outcomes[kind, key] = _outcome(run, realization, result)
-    return [(cfg, outcomes[kind, key]) for cfg, kind, key in arms_slots]
+            runs[0], index, any(cfg.variant in MUD_VARIANTS for cfg in runs))
+        for cfg in runs:
+            kinds.setdefault(_engine_kind(cfg), []).append(
+                (cfg, index, realization))
+    return [(cfg, _outcome(cfg, realization, result))
+            for slots in kinds.values()
+            for (cfg, _, realization), result in zip(slots, _detect(slots))]
 
 
 def run_trial(config: ExperimentConfig, trial_index: int) -> TrialOutcome:
     """One ensemble sample: generate, transmit, detect, count errors; a
     deterministic function of (config.seed, trial_index), through the
-    path every joint run takes. A trial whose detector diverges still
-    counts, with the matched-filter decisions."""
-    return _detect_realizations([(trial_index, (config,))])[0][1]
+    path every joint run takes, config run as _runs_as aliases it. A
+    trial whose detector diverges still counts, with the matched-filter
+    decisions."""
+    return _detect_realizations([(trial_index, (_runs_as(config),))])[0][1]
 
 
-def _realizations(arms) -> list[tuple]:
-    """(trial index, arms) of every realization the arms run: arms with the
-    same channel fields share the realizations of their common trial
+def _realizations(runs) -> list[tuple]:
+    """(trial index, runs) of every realization the runs make: runs with
+    the same channel fields share the realizations of their common trial
     indices. Channels come in order of first appearance, each in trial
     order."""
     channels = {}
-    for cfg in arms:
+    for cfg in runs:
         channels.setdefault(_channel(cfg), []).append(cfg)
     return [(index, tuple(cfg for cfg in group if index < cfg.ensemble))
             for group in channels.values()
@@ -410,19 +399,16 @@ def _realizations(arms) -> list[tuple]:
 def _payloads(realizations, workers: int | None = None) -> list[list]:
     """The realizations in pool payloads, each detected by one worker call.
 
-    Realizations are bucketed and sized by their distinct detections
-    (_detection's keys), each of which runs once: realizations whose
-    detections are of the same engine kinds fill a payload in order, up to
-    a worker's share of them and detectors.GROUP_USERS users in the
-    fullest engine call, the most that one lockstep group of the engine
-    holds.
+    Realizations whose runs are of the same engine kinds fill a payload in
+    order, up to a worker's share of them and detectors.GROUP_USERS users
+    in the fullest engine call, the most that one lockstep group of the
+    engine holds.
     """
     buckets = {}
-    for index, arms in realizations:
-        kinds = Counter(kind for kind, _ in
-                        {_detection(cfg)[0] for cfg in arms})
+    for index, runs in realizations:
+        kinds = Counter(map(_engine_kind, runs))
         buckets.setdefault(frozenset(kinds), []).append(
-            ((index, arms), arms[0].n_users * max(kinds.values())))
+            ((index, runs), runs[0].n_users * max(kinds.values())))
     payloads = []
     for bucket in buckets.values():
         share = -(-len(bucket) // (workers or 1))
@@ -486,26 +472,28 @@ def monte_carlo_arms(configs, workers: int | None = None
     config in order of first appearance, from one joint run of their
     trials.
 
-    Arms with the same channel fields (seed, generator matrix, sizes and
-    noise) share each trial's realization, drawn once, so their pairing
-    holds by construction; each distinct detection of a realization runs
-    once for every arm that makes it (a memoryless correlated MUD arm
-    rides on the plain one, see _detection), and the detections of one
-    engine kind run in lockstep across arms and trials. Payloads of realizations, the only
-    split of the work, run in order, optionally across processes, one
-    payload per pool task. Counts are integers and their summation
-    commutative, and an outcome depends neither on its group nor on the
-    other arms, so every report is bit-identical to its arm run alone, for
-    any worker count. The worker processes are forked once per
-    process and worker count, by the first parallel call, and every later
-    call reuses them; code patched in this process after that fork is not
-    seen by the workers, so a caller that patches worker-side code must run
-    serially. A pool that breaks (a worker died) raises BrokenProcessPool
-    and is dropped, and the next parallel call forks a fresh one.
+    Each arm runs as _runs_as aliases it, once per distinct run, so a
+    memoryless correlated MUD arm shares the trials of the plain arm it
+    equals and reports them under its own config. Runs with the same
+    channel fields (seed, generator matrix, sizes and noise) share each
+    trial's realization, drawn once, so their pairing holds by
+    construction; runs of one engine kind are detected in lockstep across
+    runs and trials. Payloads of realizations, the only split of the work,
+    run in order, optionally across processes, one payload per pool task.
+    Counts are integers and their summation commutative, and an outcome
+    depends neither on its group nor on the other runs, so every report is
+    bit-identical to its arm run alone, for any worker count. The worker
+    processes are forked once per process and worker count, by the first
+    parallel call, and every later call reuses them; code patched in this
+    process after that fork is not seen by the workers, so a caller that
+    patches worker-side code must run serially. A pool that breaks (a
+    worker died) raises BrokenProcessPool and is dropped, and the next
+    parallel call forks a fresh one.
     """
     check_workers(workers)
-    arms = list(dict.fromkeys(configs))
-    payloads = _payloads(_realizations(arms), workers)
+    runs = {arm: _runs_as(arm) for arm in configs}
+    outcomes = {run: [] for run in runs.values()}
+    payloads = _payloads(_realizations(outcomes), workers)
     if workers is None or workers == 1 or len(payloads) <= 1:
         groups = map(_detect_realizations, payloads)
     else:
@@ -515,11 +503,10 @@ def monte_carlo_arms(configs, workers: int | None = None
         except BrokenProcessPool:
             shutdown_pool()
             raise
-    outcomes = {cfg: [] for cfg in arms}
     for group in groups:
-        for cfg, outcome in group:
-            outcomes[cfg].append(outcome)
-    return {cfg: _report(cfg, trials) for cfg, trials in outcomes.items()}
+        for run, outcome in group:
+            outcomes[run].append(outcome)
+    return {arm: _report(arm, outcomes[run]) for arm, run in runs.items()}
 
 
 def monte_carlo(config: ExperimentConfig, workers: int | None = None) -> BerReport:
@@ -528,7 +515,8 @@ def monte_carlo(config: ExperimentConfig, workers: int | None = None) -> BerRepo
 
 
 def _report(config: ExperimentConfig, outcomes) -> BerReport:
-    """The ensemble's report from its trials' outcomes, in trial order."""
+    """The ensemble's report from its trials' outcomes, in any order: the
+    counts are summed and the iteration statistics are order-free."""
     errors = np.zeros(config.word_length, dtype=np.int64)
     iters_all = []
     unconverged = 0
@@ -611,9 +599,10 @@ def paired_arms(config: ExperimentConfig) -> tuple[ExperimentConfig, ExperimentC
 def lambda2_plan(config: ExperimentConfig, lambda2_values) -> Plan:
     """The paired sweep over second eigenvalues, reduced to a SweepPoint
     per value. Each point runs its correlated arm, then its plain arm
-    (paired_arms on the symmetric matrix of its eigenvalue). Every value is
-    checked to lie in [0, 1) and every arm built, and so validated, before
-    the plan exists."""
+    (paired_arms on the symmetric matrix of its eigenvalue); at lambda2 = 0
+    the correlated arm runs as the plain one (_runs_as), so that point's
+    ratio is exactly 1. Every value is checked to lie in [0, 1) and every
+    arm built, and so validated, before the plan exists."""
     points = []
     for lam in map(float, lambda2_values):
         if not 0.0 <= lam < 1.0:
@@ -642,8 +631,8 @@ def normalized_ber_sweep(config: ExperimentConfig, lambda2_values,
                          workers: int | None = None,
                          run_report=None) -> list[SweepPoint]:
     """Paired correlated-MUD over plain-MUD BER for each second eigenvalue:
-    lambda2_plan run jointly, so at lambda2 = 0 the reduction property
-    makes the ratio exactly 1."""
+    lambda2_plan run jointly. At lambda2 = 0 the ratio is exactly 1 by
+    construction, since the correlated arm runs as the plain one."""
     return lambda2_plan(config, lambda2_values).run(workers, run_report)
 
 
@@ -660,7 +649,7 @@ class LengthScalingResult:
 
 
 def length_plan(config: ExperimentConfig, lengths,
-                threshold_factor: float = 1.2) -> Plan:
+                threshold_factor: float = DEFAULT_THRESHOLD_FACTOR) -> Plan:
     """The word-length study: config at every length, each curve reduced
     to its saturation position and log(position) fitted over log(length).
     Every config is built (and so validated), the threshold factor checked
@@ -688,7 +677,7 @@ def length_plan(config: ExperimentConfig, lengths,
 
 
 def length_scaling_study(config: ExperimentConfig, lengths,
-                         threshold_factor: float = 1.2,
+                         threshold_factor: float = DEFAULT_THRESHOLD_FACTOR,
                          workers: int | None = None,
                          run_report=None) -> LengthScalingResult:
     """Saturation position vs word length: length_plan run jointly."""

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from corrcdma.baselines import (
+    DEFAULT_THRESHOLD_FACTOR,
     bandwidth_expansion_comparison,
     binary_entropy,
     bsc_residual_error,
@@ -16,7 +17,7 @@ from corrcdma.baselines import (
     inverse_binary_entropy,
     saturation_position,
 )
-from corrcdma.harness import ExperimentConfig, bandwidth_arms
+from corrcdma.harness import ExperimentConfig, bandwidth_arms, bandwidth_plan
 from corrcdma.markov import iid_matrix, make_symmetric_matrix, source_stats
 
 
@@ -257,10 +258,21 @@ def test_compression_point_quantities():
     ((make_symmetric_matrix(1.0),), "entropy is zero"),
     ((make_symmetric_matrix(-1.0),), "entropy is zero"),
     ((make_symmetric_matrix(0.1), 0.05), "exceeds 1"),
+    ((make_symmetric_matrix(0.8), math.nan), "rate_excess must be >= 0"),
+    ((make_symmetric_matrix(0.8), math.inf), "rate_excess must be >= 0"),
 ])
 def test_compression_point_rejects(args, message):
     with pytest.raises(ValueError, match=message):
         compression_point(*args)
+
+
+def test_protocols_reject_a_non_finite_rate_excess():
+    # the point's own check, not numpy, refuses it, in both protocol layers
+    matrix = make_symmetric_matrix(0.8)
+    with pytest.raises(ValueError, match="rate_excess must be >= 0"):
+        bandwidth_expansion_comparison(matrix, math.nan, 0.05, 0.1)
+    with pytest.raises(ValueError, match="rate_excess must be >= 0"):
+        bandwidth_plan(_bandwidth_config(), [(0.8, matrix)], [math.nan], 0.5)
 
 
 @pytest.mark.parametrize("spread_factor, base_beta, message", [
@@ -373,6 +385,16 @@ def test_saturation_validation():
     for factor in (1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="threshold_factor"):
             saturation_position([0.1, 0.2], factor)
+    for ber in ([0.1, math.nan, 0.2], [math.inf, math.inf], [0.1, math.inf]):
+        with pytest.raises(ValueError, match="BER values must be >= 0 and "
+                                             "finite"):
+            saturation_position(ber, 1.2)
+
+
+def test_saturation_default_factor_is_the_named_one():
+    ber = [0.3, 0.13, 0.11, 0.1, 0.1]  # 0.11 <= 1.2 * 0.1 < 0.13
+    assert saturation_position(ber) == 2 / 5
+    assert DEFAULT_THRESHOLD_FACTOR == 1.2
 
 
 # ---------------------------------------------------------------------------
@@ -399,3 +421,19 @@ def test_loglog_slope_needs_two_points():
     with pytest.raises(ValueError):
         with pytest.warns(UserWarning):
             fit_loglog_slope([10.0, 20.0], [0.1, 0.0])
+
+
+@pytest.mark.parametrize("lengths, positions, name", [
+    ([10.0, 20.0, 40.0], [0.4, math.nan, 0.1], "positions"),
+    ([10.0, 20.0, 40.0], [0.4, math.inf, 0.1], "positions"),
+    ([10.0, 20.0, 40.0], [0.4, -0.2, 0.1], "positions"),
+    ([10.0, 0.0, 40.0], [0.4, 0.2, 0.1], "lengths"),
+    ([10.0, -20.0, 40.0], [0.4, 0.2, 0.1], "lengths"),
+    ([10.0, math.nan, 40.0], [0.4, 0.2, 0.1], "lengths"),
+    ([10.0, math.inf, 40.0], [0.4, 0.2, 0.1], "lengths"),
+], ids=["nan-position", "inf-position", "negative-position", "zero-length",
+        "negative-length", "nan-length", "inf-length"])
+def test_loglog_slope_rejects_what_it_cannot_fit(lengths, positions, name):
+    # refused by name, before numpy's log warns or a NaN counts as a zero
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        fit_loglog_slope(lengths, positions)

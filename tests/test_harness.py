@@ -309,9 +309,11 @@ def test_divergence_inside_a_group_falls_back_for_that_trial_only(
 
 
 def payload_sizes(*arms, workers=None):
-    """Realizations per pool payload of a joint run of arms."""
+    """Realizations per pool payload of a joint run of arms, each arm run
+    as monte_carlo_arms aliases it."""
+    runs = dict.fromkeys(map(harness._runs_as, arms))
     return [len(payload) for payload in harness._payloads(
-        harness._realizations(arms), workers)]
+        harness._realizations(runs), workers)]
 
 
 def test_group_size_rule():
@@ -465,6 +467,72 @@ def test_memoryless_arms_in_a_joint_run_equal_lone_runs(workers, ensemble):
         assert_same_report(report, alone)
         assert np.array_equal(report.per_position, alone.per_position)
         assert np.array_equal(report.std_err, alone.std_err)
+
+
+def is_memoryless_correlated_mud(cfg):
+    return (cfg.variant == "correlated_mud" and not cfg.blind
+            and cfg.detector_matrix() == iid_matrix())
+
+
+def test_no_payload_holds_a_memoryless_correlated_mud_run(monkeypatch):
+    # monte_carlo_arms aliases every arm before it builds payloads, so the
+    # workers see runs only, each once per realization; a memoryless
+    # bandwidth point sends one slot per realization, its correlated arm
+    # running as its plain reduced arm
+    sent = []
+    detect_realizations = harness._detect_realizations
+
+    def spy(payload):
+        sent.append(payload)
+        return detect_realizations(payload)
+
+    monkeypatch.setattr(harness, "_detect_realizations", spy)
+    cfg = small_config(ensemble=2)
+    bandwidth = harness.bandwidth_plan(cfg, [(0.0, iid_matrix())], [0.0],
+                                       cfg.load)
+    arms = [arm for plan in (
+        harness.lambda2_plan(cfg, [0.0, 0.5]),
+        harness.mismatch_plan(cfg, [-0.1, 0.0, 0.1], [0.0, 0.6]),
+        harness.length_plan(replace(cfg, matrix=iid_matrix()), [4, 6, 8]),
+        harness.fixed_plan(cfg, [(0.8, make_symmetric_matrix(0.8))]),
+        bandwidth) for arm in plan.runs]
+    arms.append(replace(cfg, matrix=iid_matrix(), blind=True))
+    assert sum(map(is_memoryless_correlated_mud, arms)) == 6
+    reports = harness.monte_carlo_arms(arms)
+    assert [report.config for report in reports.values()] == list(
+        dict.fromkeys(arms))
+    realizations = [runs for payload in sent for _, runs in payload]
+    assert not any(map(is_memoryless_correlated_mud,
+                       (run for runs in realizations for run in runs)))
+    assert all(len(set(runs)) == len(runs) for runs in realizations)
+    assert any(run.blind for runs in realizations for run in runs)
+    sent.clear()
+    harness.monte_carlo_arms(bandwidth.runs)
+    assert [runs for payload in sent for _, runs in payload] == [
+        (bandwidth.runs[1],)] * 2
+
+
+@pytest.mark.parametrize("schedule", ["SUS", "PUS", "BFUS", "RSUS"])
+def test_run_trial_of_a_memoryless_correlated_arm_is_its_plain_twins(
+        monkeypatch, schedule):
+    sent = []
+    detect = harness._detect
+
+    def spy(slots):
+        sent.extend(cfg.variant for cfg, _, _ in slots)
+        return detect(slots)
+
+    monkeypatch.setattr(harness, "_detect", spy)
+    cfg = small_config(matrix=iid_matrix(), schedule=schedule)
+    twin = replace(cfg, variant="plain_mud")
+    for index in range(3):
+        corr, plain = run_trial(cfg, index), run_trial(twin, index)
+        assert np.array_equal(corr.errors_by_position,
+                              plain.errors_by_position)
+        assert np.array_equal(corr.iters, plain.iters)
+        assert corr.unconverged_positions == plain.unconverged_positions
+        assert corr.diverged == plain.diverged
+    assert sent == ["plain_mud"] * 6
 
 
 # ---------------------------------------------------------------------------
