@@ -16,6 +16,9 @@ class SpreadingMatrix:
 
     chips is the int8 matrix, the only copy kept: transmit, the matched
     filter and the correlation matrix each convert it for their own product.
+    The constructor checks the chips and keeps a read-only int8 copy of
+    them; generate_spreading hands over its freshly drawn chips through
+    _adopt, which runs the same checks and keeps that array itself.
     corr[k, j] = (1/N) sum_mu chips[mu, k] * chips[mu, j] (unit diagonal) is
     the O(K^2) operand of the iterative detectors only, so it is computed on
     first access and cached: matched-filter runs never build it. Its entries
@@ -25,12 +28,22 @@ class SpreadingMatrix:
     __slots__ = ("chips", "_corr")
 
     def __init__(self, chips):
-        c = np.asarray(chips)
+        self._keep(np.asarray(chips), copy=True)
+
+    @classmethod
+    def _adopt(cls, chips: np.ndarray) -> "SpreadingMatrix":
+        """A SpreadingMatrix of int8 chips that no one else holds, kept
+        without a copy (and made read-only)."""
+        spreading = cls.__new__(cls)
+        spreading._keep(chips, copy=False)
+        return spreading
+
+    def _keep(self, c: np.ndarray, copy: bool):
         if c.ndim != 2:
             raise ValueError(f"chips must be 2-d, got shape {c.shape}")
         if not _all_unit(c):
             raise ValueError("chips must all be +-1")
-        c = c.astype(np.int8, copy=True)
+        c = c.astype(np.int8, copy=copy)
         c.flags.writeable = False
         self.chips = c
         self._corr = None
@@ -88,21 +101,50 @@ def generate_spreading(spread_factor: int, n_users: int,
     per-byte loop. numpy's bounded int8 draw takes one byte at a time, low
     byte first, from the generator's 32-bit outputs and maps it to
     (byte * 2) >> 8 (Lemire's multiply-shift, which never rejects a byte on
-    a range of 2), so its value is the byte's top bit. One full-range draw
-    of ceil(N K / 4) words, read as little-endian bytes, holds those bytes
+    a range of 2), so its value is the byte's top bit. The ceil(N K / 4)
+    32-bit outputs of _words, read as little-endian bytes, hold those bytes
     in that order; each becomes +1 exactly when its top bit is set.
     """
     if spread_factor < 1 or n_users < 1:
         raise ValueError("spread_factor and n_users must be >= 1")
     size = spread_factor * n_users
-    words = rng.integers(0, 2**32, size=-(-size // 4), dtype=np.uint32)
-    chips = words.astype("<u4", copy=False).view(np.int8)[:size]
+    chips = _words(rng, -(-size // 4)).view(np.int8)[:size]
     # in place on the int8 bytes: ~b >> 7 is 0 where the top bit of b is
     # set and -1 where it is clear, and | 1 makes those +1 and -1
     np.invert(chips, out=chips)
     chips >>= 7
     chips |= 1
-    return SpreadingMatrix(chips.reshape(spread_factor, n_users))
+    return SpreadingMatrix._adopt(chips.reshape(spread_factor, n_users))
+
+
+def _words(rng: np.random.Generator, count: int) -> np.ndarray:
+    """The next count 32-bit outputs of rng, as little-endian uint32: the
+    values of rng.integers(0, 2**32, size=count, dtype=np.uint32), and rng
+    left where that draw leaves it.
+
+    numpy's PCG64 makes its 32-bit outputs by splitting each 64-bit output
+    into its low half, returned first, and its high half, buffered for the
+    next 32-bit draw. So while no half is buffered, its raw 64-bit outputs
+    read as little-endian bytes are those words, two per output, without a
+    call per word. A buffered half and an odd last word each take one
+    32-bit draw, which also leaves the buffer as that draw would. Every
+    other bit generator takes the 32-bit draw throughout: MT19937's raw
+    outputs, for one, are 32-bit.
+    """
+    def draw(n):
+        return rng.integers(0, 2**32, size=n, dtype=np.uint32).astype(
+            "<u4", copy=False)
+
+    bit_generator = rng.bit_generator
+    if type(bit_generator) is not np.random.PCG64:
+        return draw(count)
+    parts = [draw(1)] if bit_generator.state["has_uint32"] else []
+    pairs, odd = divmod(count - len(parts), 2)
+    parts.append(bit_generator.random_raw(pairs).astype(
+        "<u8", copy=False).view("<u4"))
+    if odd:
+        parts.append(draw(1))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def transmit(spreading: SpreadingMatrix, block: np.ndarray, sigma: float,

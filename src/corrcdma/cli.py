@@ -14,6 +14,8 @@ import argparse
 import dataclasses
 import json
 import math
+import os
+import platform
 import sys
 import warnings
 from contextlib import suppress
@@ -169,6 +171,32 @@ class _OutputSet:
                 read_csv_with_header(path)
 
 
+# The environment variables that set the BLAS library's thread count.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+
+
+def _environment() -> dict:
+    """The software and CPU budget a run's timings and results come from:
+    Python, numpy, numpy's BLAS, the CPUs this process may run on and the
+    BLAS thread variables as set (None when unset). What this numpy or
+    platform cannot tell (a numpy before 1.25 has no dict mode of
+    show_config, some platforms no CPU affinity) reads None."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = {}
+    affinity = getattr(os, "sched_getaffinity", None)
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "cpus_allowed": len(affinity(0)) if affinity else None,
+        "blas_threads": {key: os.environ.get(key) for key in BLAS_THREAD_VARS},
+    }
+
+
 def _write_manifest(outputs: _OutputSet, command: str, config, started: str,
                     workers=None):
     names = sorted(path.name for path in outputs.paths)
@@ -176,6 +204,7 @@ def _write_manifest(outputs: _OutputSet, command: str, config, started: str,
     payload = {
         "command": command,
         "config": None if config is None else config.to_dict(),
+        "environment": _environment(),
         "seed": None if config is None else config.seed,
         "started": started,
         "finished": _timestamp(),

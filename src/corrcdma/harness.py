@@ -49,7 +49,6 @@ from .detectors import (
     DetectorDivergence,
     DetectorOptions,
     _run_engine,
-    hard_decisions,
     sumf,
 )
 from .markov import (
@@ -291,11 +290,20 @@ def _runs_as(config: ExperimentConfig) -> ExperimentConfig:
     blind detects bit for bit as the plain MUD, since its bias field
     vanishes, so it runs as the plain arm it equals. Every other arm runs
     as itself: the correlated matched filter counts one sweep where the
-    plain one counts none, and a blind arm re-estimates its matrix.
+    plain one counts none, and a blind arm re-estimates its matrix. A
+    plain arm then runs with the defaults of the fields it never reads, so
+    arms that differ only in them share one run: the plain MUD never reads
+    schedule (only a bias sweep does), the plain matched filter neither
+    schedule nor max_iters (it does not iterate).
     """
     if (config.variant == "correlated_mud" and not config.blind
             and config.detector_matrix() == iid_matrix()):
-        return replace(config, variant="plain_mud", mismatch=0.0)
+        config = replace(config, variant="plain_mud", mismatch=0.0)
+    if config.variant == "plain_mud":
+        return replace(config, schedule=DetectorOptions.schedule)
+    if config.variant == "plain_sumf":
+        return replace(config, schedule=DetectorOptions.schedule,
+                       max_iters=DetectorOptions.max_iters)
     return config
 
 
@@ -337,18 +345,25 @@ def _detect(slots):
 def _outcome(config: ExperimentConfig, realization, result) -> TrialOutcome:
     """A trial's error counts from its detection result; a trial whose
     detector diverged, like the plain matched filter, counts the
-    matched-filter decisions."""
+    matched-filter decisions.
+
+    Those decisions are hard_decisions(matched), +1 where matched >= 0
+    (-0.0 included, NaN not); a symbol is in error where that sign test
+    disagrees with block > 0, so they are counted from the two boolean
+    arrays without building the +-1 decisions.
+    """
     block, matched, _ = realization
     diverged = isinstance(result, DetectorDivergence)
     if result is None or diverged:
-        bits = hard_decisions(matched)
+        errors = np.count_nonzero((matched >= 0) != (block > 0), axis=0)
         iters = np.zeros(config.word_length, dtype=np.int64)
         unconverged = config.word_length if diverged else 0
     else:
-        bits, iters = result.bits, result.iters
+        errors = np.count_nonzero(result.bits != block, axis=0)
+        iters = result.iters
         unconverged = int(np.count_nonzero(~result.converged))
     return TrialOutcome(
-        errors_by_position=(bits != block).sum(axis=0, dtype=np.int64),
+        errors_by_position=errors.astype(np.int64, copy=False),
         iters=iters, unconverged_positions=unconverged, diverged=diverged)
 
 

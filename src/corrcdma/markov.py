@@ -147,7 +147,11 @@ def generate_block(t: TransitionMatrix, n_users: int, word_len: int,
     Markov word per user.
 
     The first symbol of each word is drawn from the stationary distribution;
-    every later symbol is drawn from the row of the current symbol.
+    every later symbol is drawn from the row of the current symbol: symbol
+    l is +1 when its uniform u falls below P(+1 | symbol l - 1). As
+    booleans, with a = u < P(+1 | -1) and b = u < P(+1 | +1), that is
+    a ^ (prev & (a ^ b)) for any matrix, so the only per-symbol work is one
+    AND and one XOR over the users.
     """
     if n_users < 1 or word_len < 1:
         raise ValueError("n_users and word_len must be >= 1")
@@ -158,12 +162,14 @@ def generate_block(t: TransitionMatrix, n_users: int, word_len: int,
     # symbol of n_users draws each
     u = rng.random((word_len, n_users))
     # up[l] is whether symbol l is +1: first as if symbol l - 1 were -1,
-    # then overwritten where symbol l - 1 turns out to be +1
+    # then flipped where symbol l - 1 is +1 and the two rows disagree
     up = u < p_up_from[0]
-    up_after_plus = u < p_up_from[1]
+    differ = u < p_up_from[1]
+    differ ^= up
     np.less(u[0], mu_plus, out=up[0])
-    for l in range(1, word_len):
-        np.copyto(up[l], up_after_plus[l], where=up[l - 1])
+    for prev, row, flip in zip(up, up[1:], differ[1:]):
+        flip &= prev
+        row ^= flip
     block = up.T.astype(np.int8, order="C")
     block *= 2
     block -= 1

@@ -74,28 +74,34 @@ class TestSpreading:
     def test_chips_equal_bounded_int8_draw(self, n, k, seed, advance):
         # oracle: the per-byte bounded draw the chips were defined by; the
         # word draw must give the same chips and leave the generator where
-        # the oracle leaves it, so every later draw of a run is unchanged
-        rngs = [np.random.default_rng(seed) for _ in range(2)]
-        for rng in rngs:
-            if advance == "random":
-                rng.random(3)
-            elif advance == "normal":
-                rng.standard_normal(5)
-            elif advance == "int8":
-                # ends mid-word, with half of a 64-bit output still buffered
-                rng.integers(0, 2, size=3, dtype=np.int8)
-        want = rngs[0].integers(0, 2, size=(n, k), dtype=np.int8) * 2 - 1
-        got = generate_spreading(n, k, rngs[1]).chips
-        assert got.dtype == np.int8 and got.shape == (n, k)
-        assert not got.flags.writeable
-        assert np.array_equal(got, want)
-        old, new = rngs
-        assert new.random() == old.random()
-        assert new.standard_normal() == old.standard_normal()
-        assert np.array_equal(new.integers(0, 2**32, size=3, dtype=np.uint32),
-                              old.integers(0, 2**32, size=3, dtype=np.uint32))
-        assert new.integers(0, 2, dtype=np.int8) == old.integers(
-            0, 2, dtype=np.int8)
+        # the oracle leaves it, so every later draw of a run is unchanged.
+        # PCG64 (numpy's default) gives its words as raw 64-bit outputs,
+        # MT19937 and PCG64DXSM as 32-bit draws
+        for bit_generator in (np.random.PCG64, np.random.MT19937,
+                              np.random.PCG64DXSM):
+            rngs = [np.random.Generator(bit_generator(seed))
+                    for _ in range(2)]
+            for rng in rngs:
+                if advance == "random":
+                    rng.random(3)
+                elif advance == "normal":
+                    rng.standard_normal(5)
+                elif advance == "int8":
+                    # ends mid-word, with half of a 64-bit output buffered
+                    rng.integers(0, 2, size=3, dtype=np.int8)
+            want = rngs[0].integers(0, 2, size=(n, k), dtype=np.int8) * 2 - 1
+            got = generate_spreading(n, k, rngs[1]).chips
+            assert got.dtype == np.int8 and got.shape == (n, k)
+            assert not got.flags.writeable
+            assert np.array_equal(got, want)
+            old, new = rngs
+            assert new.random() == old.random()
+            assert new.standard_normal() == old.standard_normal()
+            assert np.array_equal(
+                new.integers(0, 2**32, size=3, dtype=np.uint32),
+                old.integers(0, 2**32, size=3, dtype=np.uint32))
+            assert new.integers(0, 2, dtype=np.int8) == old.integers(
+                0, 2, dtype=np.int8)
 
     def test_rejects_nonbinary(self):
         with pytest.raises(ValueError):
@@ -114,6 +120,17 @@ class TestSpreading:
         s = SpreadingMatrix(given)
         assert s.chips.dtype == np.int8 and not s.chips.flags.writeable
         assert np.array_equal(s.chips, was) and np.array_equal(given, was)
+        assert not np.shares_memory(s.chips, given)
+
+    def test_adopt_keeps_fresh_chips_after_the_same_checks(self):
+        # generate_spreading's path: no copy, the same +-1 and shape checks
+        chips = np.array([[1, -1], [-1, 1]], dtype=np.int8)
+        s = SpreadingMatrix._adopt(chips)
+        assert s.chips is chips and not chips.flags.writeable
+        for bad in (np.array([[1, 0]], dtype=np.int8),
+                    np.ones(3, dtype=np.int8)):
+            with pytest.raises(ValueError, match="chips must"):
+                SpreadingMatrix._adopt(bad)
 
 
 NON_UNIT = [pytest.param(value, dtype, id=f"{np.dtype(dtype).name}-{value}")

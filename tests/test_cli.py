@@ -8,11 +8,13 @@ linger after a failure.
 import dataclasses
 import json
 import os
+import platform
 import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import corrcdma
@@ -88,6 +90,32 @@ def test_manifest_records_the_worker_budget(tmp_path, monkeypatch, flag, env,
                  *(["--workers", flag] if flag else [])]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["workers"] == expected
+
+
+def test_manifest_records_the_environment(tmp_path, monkeypatch):
+    # the software and CPU budget of the run, the BLAS thread variables as
+    # set; the CSV is the one a run without the block writes
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "2")
+    out = tmp_path / "run"
+    assert main(["simulate", *TINY, "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    env = manifest["environment"]
+    assert sorted(env) == ["blas", "blas_threads", "blas_version",
+                           "cpus_allowed", "numpy", "python"]
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert env["blas"] == blas.get("name")
+    assert env["blas_version"] == blas.get("version")
+    assert env["cpus_allowed"] == len(os.sched_getaffinity(0)) >= 1
+    assert env["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1",
+                                   "OMP_NUM_THREADS": None,
+                                   "MKL_NUM_THREADS": "2"}
+    assert manifest["outputs"] == ["ber.csv"]
+    header, _, _ = read_csv_with_header(out / "ber.csv")
+    assert not set(header) & {"environment", "blas", "python", "numpy"}
 
 
 def test_parallel_run_exits_and_leaves_no_workers(tmp_path):

@@ -39,6 +39,7 @@ from corrcdma.harness import (
     write_sweep_csv,
 )
 from corrcdma.baselines import bandwidth_expansion_comparison
+from corrcdma.detectors import DetectorDivergence, hard_decisions
 from corrcdma.markov import (
     TransitionMatrix,
     iid_matrix,
@@ -445,6 +446,34 @@ def test_arms_unlike_the_plain_mud_keep_their_own_slot(monkeypatch):
     assert mismatched.detector_matrix() != iid
 
 
+@pytest.mark.parametrize("variant, unread", [
+    ("plain_sumf", dict(schedule="PUS", max_iters=7)),
+    ("plain_mud", dict(schedule="RSUS")),
+], ids=["plain_sumf", "plain_mud"])
+def test_plain_arms_share_a_run_across_fields_they_never_read(
+        monkeypatch, variant, unread):
+    # the matched filter never reads schedule or max_iters, the plain MUD
+    # never schedule: an arm that sets them runs as the default arm, one
+    # draw and one slot per realization, and each reports under its own
+    # config
+    drawn, slots = [], []
+    realization, detect = harness._realization, harness._detect
+    monkeypatch.setattr(harness, "_realization", lambda cfg, index, corr: (
+        drawn.append(index) or realization(cfg, index, corr)))
+    monkeypatch.setattr(harness, "_detect", lambda sent: (
+        slots.extend(sent) or detect(sent)))
+    default = small_config(variant=variant, ensemble=3)
+    odd = replace(default, **unread)
+    reports = harness.monte_carlo_arms([odd, default])
+    assert drawn == [0, 1, 2]
+    assert len(slots) == 3
+    assert reports[odd].config == odd
+    assert reports[default].config == default
+    assert_same_report(reports[odd], reports[default])
+    assert harness.run_trial(odd, 1).errors_by_position.tolist() == (
+        harness.run_trial(default, 1).errors_by_position.tolist())
+
+
 @pytest.mark.parametrize("workers", [None, 1, 2], ids=["unset", "1", "2"])
 @pytest.mark.parametrize("ensemble", [1, 3])
 def test_memoryless_arms_in_a_joint_run_equal_lone_runs(workers, ensemble):
@@ -614,6 +643,27 @@ def test_divergence_in_one_arm_leaves_the_other_untouched(monkeypatch):
     expected = fallback.errors_by_position + sum(
         outcome.errors_by_position for outcome in alone[1:])
     assert np.array_equal(corr_report.errors_by_position, expected)
+
+
+@pytest.mark.parametrize("result", [None, DetectorDivergence(3)],
+                         ids=["plain", "diverged"])
+def test_sign_count_equals_the_decisions_it_skips(result):
+    # the plain decisions are counted from the field's sign test; the
+    # oracle builds hard_decisions and compares them, also where the
+    # field holds +0.0, -0.0 and NaN
+    rng = np.random.default_rng(11)
+    cfg = small_config(variant="plain_sumf", n_users=40, word_length=9)
+    block = np.where(rng.random((40, 9)) < 0.5, 1, -1).astype(np.int8)
+    field = rng.standard_normal((40, 9))
+    special = rng.integers(0, 4, size=field.shape)
+    field[special == 1] = 0.0
+    field[special == 2] = -0.0
+    field[special == 3] = np.nan
+    outcome = harness._outcome(cfg, (block, field, None), result)
+    want = (hard_decisions(field) != block).sum(axis=0)
+    assert outcome.errors_by_position.dtype == np.int64
+    assert np.array_equal(outcome.errors_by_position, want)
+    assert outcome.diverged == (result is not None)
 
 
 # ---------------------------------------------------------------------------

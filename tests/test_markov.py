@@ -202,6 +202,36 @@ class TestGeneration:
                 assert rng.random() == oracle_rng.random()
 
     @staticmethod
+    def masked_copy_sampler(t, n_users, word_len, rng):
+        # oracle: the block-at-once sampler with one masked copy per symbol
+        # row, symbol l taken from the +1 row's comparison wherever symbol
+        # l - 1 is +1
+        p_up_from = t.matrix[:, 1]
+        u = rng.random((word_len, n_users))
+        up = u < p_up_from[0]
+        up_after_plus = u < p_up_from[1]
+        np.less(u[0], t.stationary()[1], out=up[0])
+        for l in range(1, word_len):
+            np.copyto(up[l], up_after_plus[l], where=up[l - 1])
+        return np.where(up.T, 1, -1).astype(np.int8)
+
+    @pytest.mark.parametrize("word_len", [1, 2, 100])
+    @pytest.mark.parametrize("t", [
+        *(make_symmetric_matrix(lam) for lam in (0.0, 0.4, 0.8, 1.0)),
+        TransitionMatrix([[0.2, 0.8], [0.7, 0.3]]),  # P(+|-) > P(+|+)
+        TransitionMatrix([[0.95, 0.05], [0.4, 0.6]]),
+    ], ids=["lam0", "lam0.4", "lam0.8", "lam1", "anti", "asymmetric"])
+    def test_matches_the_masked_copy_sampler(self, t, word_len):
+        # the XOR recurrence gives the masked copy's booleans bit for bit,
+        # and the generator ends where the oracle leaves it
+        for seed in (0, 1, 2):
+            rng, oracle_rng = (np.random.default_rng(seed) for _ in range(2))
+            block = generate_block(t, 300, word_len, rng)
+            want = self.masked_copy_sampler(t, 300, word_len, oracle_rng)
+            assert np.array_equal(block, want)
+            assert rng.random() == oracle_rng.random()
+
+    @staticmethod
     def count_transitions(block):
         counts = np.zeros((2, 2))
         prev = block[:, :-1].ravel()
