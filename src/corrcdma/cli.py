@@ -43,7 +43,6 @@ from .harness import (
     Plan,
     bandwidth_plan,
     check_workers,
-    default_workers,
     fixed_plan,
     lambda2_plan,
     length_plan,
@@ -108,12 +107,6 @@ def _resolve_config(args) -> ExperimentConfig:
                 file_data.pop(twin, None)
     file_data.update(flag_data)
     return ExperimentConfig.from_dict(file_data)
-
-
-def _resolve_workers(args):
-    if args.workers is None:
-        return default_workers()
-    return check_workers(args.workers, "--workers")
 
 
 def _parse_value_list(text, option, cast=float):
@@ -268,7 +261,8 @@ def _run_command(args, command: str, plan) -> int:
     after planning removes every output and exits 1.
     """
     try:
-        config, workers = ((_resolve_config(args), _resolve_workers(args))
+        config, workers = ((_resolve_config(args),
+                            check_workers(args.workers, "--workers"))
                            if "config" in args else (None, None))
         note, experiment, finish = plan(config)
     except (ValueError, OSError) as exc:
@@ -615,13 +609,8 @@ def _selftest_checks():
     def deterministic_and_worker_free():
         cfg = ExperimentConfig(spread_factor=50, n_users=25, sigma=0.8,
                                word_length=8, ensemble=4, seed=9)
-        one = monte_carlo(cfg, workers=1)
-        again = monte_carlo(cfg, workers=1)
-        two = monte_carlo(cfg, workers=2)
-        return (np.array_equal(one.errors_by_position,
-                               again.errors_by_position)
-                and np.array_equal(one.errors_by_position,
-                                   two.errors_by_position))
+        return (monte_carlo(cfg, workers=1) == monte_carlo(cfg, workers=1)
+                == monte_carlo(cfg, workers=2))
 
     def joint_equals_lone_runs():
         # the channels of two seeds and three eigenvalues share trial 0 and
@@ -681,8 +670,7 @@ def _add_common(parser):
     parser.add_argument("--out-dir", default=".",
                         help="directory for CSV and manifest outputs")
     parser.add_argument("--workers", type=int, default=None,
-                        help="parallel trial budget "
-                             "(default: CORRCDMA_WORKERS or serial)")
+                        help="parallel trial budget (default: serial)")
     parser.add_argument("--dry-run", action="store_true",
                         help="validate the config and exit without running")
 

@@ -54,8 +54,18 @@ class DetectorDivergence(RuntimeError):
 
 
 def hard_decisions(x: np.ndarray) -> np.ndarray:
-    """Signum with the fixed tie rule sign(0) = +1, as int8."""
+    """The decisions on a field, as int8: +1 where x >= 0, so sign(0) =
+    sign(-0.0) = +1, and -1 elsewhere, NaN (which compares false) too."""
     return np.where(np.asarray(x) >= 0, np.int8(1), np.int8(-1))
+
+
+def decision_errors(field: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """The int64 count, per symbol position, of the users whose decision
+    on the (K, L) field, hard_decisions(field), differs from their +-1
+    symbol in block: where field >= 0 (-0.0 included, NaN not) disagrees
+    with block > 0, counted without building the +-1 decisions."""
+    errors = np.count_nonzero((field >= 0) != (block > 0), axis=0)
+    return errors.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -80,27 +90,32 @@ class DetectorOptions:
             raise ValueError(f"schedule must be one of {SCHEDULES}, got {self.schedule!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DetectionResult:
-    """Joint output of a detector run.
+    """Joint output of a detector run, whose decisions are its field's.
 
-    bits is K x L of +-1; field is the K x L final effective field (matched
-    or iterated field plus any bias): bits are its signs and its tanh the
-    soft values. iters and converged are per symbol position.
-    estimated_matrix is the last blind estimate when blind mode ran, else
-    None. bounds holds per-iteration (Q_min, Q_max, A_min, A_max, max|eta|)
-    rows when tracking was requested for a MUD variant: the soft power Q
-    and precision A range over the columns the MUD step updated in that
-    iteration (frozen columns are skipped), max|eta| over the whole block.
+    field is the K x L final effective field (matched or iterated field
+    plus any bias correction): its signs are the decisions, bits, and its
+    tanh the soft values, which keep those signs. iters and converged are
+    per symbol position. estimated_matrix is the last blind estimate when
+    blind mode ran, else None. bounds holds per-iteration (Q_min, Q_max,
+    A_min, A_max, max|eta|) rows when tracking was requested for a MUD
+    variant: the soft power Q and precision A range over the columns the
+    MUD step updated in that iteration (frozen columns are skipped),
+    max|eta| over the whole block. Results compare by identity.
     """
 
-    bits: np.ndarray
     field: np.ndarray
     iters: np.ndarray
     converged: np.ndarray
     outer_iterations: int
     estimated_matrix: TransitionMatrix | None = None
     bounds: list | None = None
+
+    @property
+    def bits(self) -> np.ndarray:
+        """The K x L +-1 decisions, hard_decisions(field), as int8."""
+        return hard_decisions(self.field)
 
 
 def sumf(spreading: SpreadingMatrix, received: np.ndarray) -> np.ndarray:
@@ -523,7 +538,6 @@ def _run_engine(fields, corrs, load, sigma, opts, assumed=None, iterate=True,
         for slot in np.flatnonzero(done)[::-1]:
             trial = trials[slot]
             leave(slot, DetectionResult(
-                bits=np.ascontiguousarray(hard_decisions(soft[:, slot].T)),
                 field=np.add(h[:, slot], xi[:, slot]).T.copy(),
                 iters=iters[:, slot].copy(),
                 converged=~active[:, slot], outer_iterations=t + 1,
@@ -596,10 +610,11 @@ def correlated_sumf_detect(spreading: SpreadingMatrix, received: np.ndarray,
 
 
 def sumf_detect(spreading: SpreadingMatrix, received: np.ndarray) -> DetectionResult:
-    """Plain matched-filter hard decisions, position by position."""
+    """Plain matched-filter detection: the result's field is the matched
+    field, so its bits are the matched filter's hard decisions."""
     matched = sumf(spreading, received)
     word_len = matched.shape[1]
     return DetectionResult(
-        bits=hard_decisions(matched), field=matched,
+        field=matched,
         iters=np.zeros(word_len, dtype=np.int64),
         converged=np.ones(word_len, dtype=bool), outer_iterations=0)

@@ -49,6 +49,7 @@ from .detectors import (
     DetectorDivergence,
     DetectorOptions,
     _run_engine,
+    decision_errors,
     sumf,
 )
 from .markov import (
@@ -75,9 +76,11 @@ class ExperimentConfig:
     """One fully pinned Monte-Carlo experiment.
 
     matrix is the generator's transition matrix; mismatch perturbs the
-    detector-assumed copy only, which blind mode never reads. seed is the
-    master seed every trial stream derives from. schedule, blind and
-    max_iters are DetectorOptions' knobs, with its defaults and its checks.
+    detector-assumed copy only, which blind mode never reads; a zero entry
+    in an assumed copy that is read is refused, as saturated neighbours
+    would be impossible under it mid-run. seed is the master seed every
+    trial stream derives from. schedule, blind and max_iters are
+    DetectorOptions' knobs, with its defaults and its checks.
     """
 
     spread_factor: int = 1000
@@ -126,8 +129,13 @@ class ExperimentConfig:
             raise ValueError("ensemble must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.mismatch != 0.0:
-            self.detector_matrix()  # fail fast on infeasible perturbations
+        if self.variant.startswith("correlated_") and not self.blind:
+            assumed = self.detector_matrix()  # an infeasible mismatch raises
+            if not assumed.matrix.all():
+                raise ValueError(
+                    f"variant {self.variant} cannot assume the transition "
+                    f"matrix {assumed.to_flat()}: a zero entry makes "
+                    f"saturated neighbours impossible")
 
     @property
     def load(self) -> float:
@@ -217,9 +225,10 @@ SHORTHANDS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrialOutcome:
-    """Integer error counts and iteration stats of one ensemble sample."""
+    """Integer error counts and iteration stats of one ensemble sample;
+    outcomes compare by identity."""
 
     errors_by_position: np.ndarray
     iters: np.ndarray
@@ -227,7 +236,7 @@ class TrialOutcome:
     diverged: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BerReport:
     """Ensemble-aggregated BER with exact count bookkeeping.
 
@@ -236,6 +245,8 @@ class BerReport:
     approximation sqrt(p(1-p)/bits). unconverged_positions counts symbol
     positions that hit the iteration cap, divergences counts trials whose
     detector field blew up (their matched-filter decisions are counted).
+    Reports compare by value: config, per-position counts and summary,
+    from which the rest derives.
     """
 
     config: ExperimentConfig
@@ -260,6 +271,14 @@ class BerReport:
             "unconverged_positions": self.unconverged_positions,
             "divergences": self.divergences,
         }
+
+    def __eq__(self, other):
+        if not isinstance(other, BerReport):
+            return NotImplemented
+        return (self.config == other.config
+                and np.array_equal(self.errors_by_position,
+                                   other.errors_by_position)
+                and self.summary() == other.summary())
 
 
 def _trial_rng(config: ExperimentConfig, trial_index: int, stream: int):
@@ -343,28 +362,20 @@ def _detect(slots):
 
 
 def _outcome(config: ExperimentConfig, realization, result) -> TrialOutcome:
-    """A trial's error counts from its detection result; a trial whose
-    detector diverged, like the plain matched filter, counts the
-    matched-filter decisions.
-
-    Those decisions are hard_decisions(matched), +1 where matched >= 0
-    (-0.0 included, NaN not); a symbol is in error where that sign test
-    disagrees with block > 0, so they are counted from the two boolean
-    arrays without building the +-1 decisions.
-    """
+    """A trial's error counts from its detection result: the decisions on
+    the result's field, or on the matched field for the plain matched
+    filter (no result) and a trial whose detector diverged."""
     block, matched, _ = realization
     diverged = isinstance(result, DetectorDivergence)
     if result is None or diverged:
-        errors = np.count_nonzero((matched >= 0) != (block > 0), axis=0)
-        iters = np.zeros(config.word_length, dtype=np.int64)
+        field, iters = matched, np.zeros(config.word_length, dtype=np.int64)
         unconverged = config.word_length if diverged else 0
     else:
-        errors = np.count_nonzero(result.bits != block, axis=0)
-        iters = result.iters
+        field, iters = result.field, result.iters
         unconverged = int(np.count_nonzero(~result.converged))
     return TrialOutcome(
-        errors_by_position=errors.astype(np.int64, copy=False),
-        iters=iters, unconverged_positions=unconverged, diverged=diverged)
+        errors_by_position=decision_errors(field, block), iters=iters,
+        unconverged_positions=unconverged, diverged=diverged)
 
 
 def _detect_realizations(payload) -> list[tuple[ExperimentConfig, TrialOutcome]]:
@@ -721,8 +732,8 @@ def mismatch_plan(config: ExperimentConfig, rel_deltas,
     The generator always uses the true matrix; the correlated arm assumes
     the perturbed copy. Per eigenvalue with a feasible perturbation the
     plan runs the plain arm, then every feasible correlated arm; an
-    infeasible one (an element pushed out of [0, 1]) runs nothing and its
-    point records the validation message. A blind base, which never reads
+    infeasible one (an element pushed out of [0, 1], or onto 0 or 1) runs
+    nothing and its point records the validation message. A blind base, which never reads
     an assumed matrix, is refused. All is checked before the plan exists.
     """
     if config.blind:
@@ -737,7 +748,7 @@ def mismatch_plan(config: ExperimentConfig, rel_deltas,
         for delta in map(float, rel_deltas):
             try:
                 points.append((delta, replace(corr_arm, mismatch=delta), None))
-            except ValueError as exc:  # the perturbation leaves [0, 1]
+            except ValueError as exc:  # the config refuses the perturbation
                 points.append((delta, None, str(exc)))
         feasible = [arm for _, arm, _ in points if arm is not None]
         runs += [plain_arm, *feasible] if feasible else []
@@ -961,16 +972,3 @@ def check_workers(workers: int | None, name: str = "workers") -> int | None:
     if workers is not None and workers < 1:
         raise ValueError(f"{name} must be >= 1, got {workers}")
     return workers
-
-
-def default_workers() -> int | None:
-    """Worker budget from the CORRCDMA_WORKERS environment variable."""
-    raw = os.environ.get("CORRCDMA_WORKERS")
-    if raw is None or not raw.strip():
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"CORRCDMA_WORKERS must be an integer, got {raw!r}") from None
-    return check_workers(value, "CORRCDMA_WORKERS")

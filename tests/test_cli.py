@@ -55,8 +55,7 @@ def test_selftest_passes(capsys):
 # simulate
 
 
-def test_simulate_writes_csv_and_manifest(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("CORRCDMA_WORKERS", raising=False)
+def test_simulate_writes_csv_and_manifest(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["simulate", *TINY, "--out-dir", str(out)]) == 0
     stdout = capsys.readouterr().out
@@ -77,17 +76,11 @@ def test_simulate_writes_csv_and_manifest(tmp_path, capsys, monkeypatch):
         assert (out / name).exists()
 
 
-@pytest.mark.parametrize("flag, env, expected", [
-    ("2", None, 2), (None, "3", 3), ("1", "3", 1)],
-    ids=["flag", "env", "flag-over-env"])
-def test_manifest_records_the_worker_budget(tmp_path, monkeypatch, flag, env,
-                                            expected):
-    monkeypatch.delenv("CORRCDMA_WORKERS", raising=False)
-    if env is not None:
-        monkeypatch.setenv("CORRCDMA_WORKERS", env)
+@pytest.mark.parametrize("flag, expected", [("2", 2)], ids=["flag"])
+def test_manifest_records_the_worker_budget(tmp_path, flag, expected):
     out = tmp_path / "run"
     assert main(["simulate", *TINY, "--out-dir", str(out),
-                 *(["--workers", flag] if flag else [])]) == 0
+                 "--workers", flag]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["workers"] == expected
 
@@ -228,36 +221,20 @@ def test_load_flag_displaces_file_user_count(tmp_path, capsys):
     assert "n_users=10" in capsys.readouterr().out
 
 
-def test_invalid_worker_environment_is_reported(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CORRCDMA_WORKERS", "0")
-    out = tmp_path / "env"
-    code = main(["simulate", *TINY, "--out-dir", str(out)])
-    assert code == 2
-    assert "CORRCDMA_WORKERS" in capsys.readouterr().err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("command", [
     ["simulate"],
     ["sweep", "lambda2", "--values", "0.5"],
     ["compare-compression", "fixed"],
 ], ids=["simulate", "sweep-lambda2", "compare-fixed"])
-@pytest.mark.parametrize("workers, env, message", [
-    ("0", None, "--workers must be >= 1"),
-    ("-2", None, "--workers must be >= 1"),
-    (None, "abc", "CORRCDMA_WORKERS must be an integer"),
-], ids=["flag-zero", "flag-negative", "env-text"])
+@pytest.mark.parametrize("workers, message", [
+    ("0", "--workers must be >= 1"),
+    ("-2", "--workers must be >= 1"),
+], ids=["flag-zero", "flag-negative"])
 @pytest.mark.parametrize("dry_run", [True, False], ids=["dry", "run"])
-def test_worker_budget_is_checked_up_front(tmp_path, capsys, monkeypatch,
-                                           command, workers, env, message,
-                                           dry_run):
-    if env is None:
-        monkeypatch.delenv("CORRCDMA_WORKERS", raising=False)
-    else:
-        monkeypatch.setenv("CORRCDMA_WORKERS", env)
+def test_worker_budget_is_checked_up_front(tmp_path, capsys, command, workers,
+                                           message, dry_run):
     out = tmp_path / "workers"
-    code = main([*command, *TINY, "--out-dir", str(out),
-                 *(["--workers", workers] if workers else []),
+    code = main([*command, *TINY, "--out-dir", str(out), "--workers", workers,
                  *(["--dry-run"] if dry_run else [])])
     assert code == 2
     assert message in capsys.readouterr().err
@@ -368,6 +345,17 @@ def test_worker_budget_is_checked_up_front(tmp_path, capsys, monkeypatch,
     (["sweep", "mismatch", "--values", "0.6", "--deltas=-0.1,0,0.1",
       "--blind", "true", *TINY],
      "the mismatch sweep needs a detector that reads its assumed matrix"),
+    # an assumed matrix with a zero entry: the frozen chain, and the 0.9
+    # stay probability of lambda2 = 0.8 scaled by 1 + 1/9 to exactly 1.0
+    (["simulate", *TINY, "--variant", "correlated_mud", "--lambda2", "1"],
+     "variant correlated_mud cannot assume the transition matrix "
+     "1.0,0.0,0.0,1.0"),
+    (["simulate", *TINY, "--variant", "correlated_sumf", "--mismatch",
+      "0.1111111111111111"],
+     "variant correlated_sumf cannot assume the transition matrix 1.0,0.0,"),
+    # an eigenvalue whose matrix has zero entries before any delta
+    (["sweep", "mismatch", "--values", "0.5,-1", "--deltas", "0.1", *TINY],
+     "cannot assume the transition matrix 0.0,1.0,1.0,0.0"),
 ], ids=["matrix-nan", "sigma-nan", "sigma-inf", "load-inf", "lambda2-range",
         "threshold-one", "threshold-nan", "threshold-zero", "length-one",
         "lambda2-deltas", "length-deltas", "lambda2-threshold",
@@ -384,7 +372,8 @@ def test_worker_budget_is_checked_up_front(tmp_path, capsys, monkeypatch,
         "bandwidth-mismatch-infeasible", "plain-mud-blind",
         "correlated-sumf-blind", "plain-sumf-mismatch", "plain-mud-mismatch",
         "lambda2-plain-blind", "blind-mismatch", "fixed-blind-mismatch",
-        "mismatch-sweep-blind"])
+        "mismatch-sweep-blind", "correlated-mud-zero-entry",
+        "mismatch-zero-entry", "mismatch-sweep-zero-entry"])
 @pytest.mark.parametrize("dry_run", [True, False], ids=["dry", "run"])
 def test_rejected_input_exits_2_and_writes_nothing(tmp_path, capsys, argv,
                                                    message, dry_run):
@@ -545,10 +534,8 @@ def per_arm_outputs(command, values, deltas, out):
     ["compare-compression", "bandwidth", "--values", "0.5,0.8",
      "--epsilon", "0,0.05,0.1"],
 ], ids=["lambda2", "mismatch", "fixed", "bandwidth"])
-def test_paired_commands_write_the_per_arm_bytes(tmp_path, monkeypatch,
-                                                 argv, workers):
+def test_paired_commands_write_the_per_arm_bytes(tmp_path, argv, workers):
     # the joint run writes byte for byte what running every arm alone does
-    monkeypatch.delenv("CORRCDMA_WORKERS", raising=False)
     out = tmp_path / "joint"
     flags = [] if workers is None else ["--workers", str(workers)]
     assert main([*argv, *TINY, *flags, "--out-dir", str(out)]) == 0
@@ -752,6 +739,24 @@ def test_mismatch_sweep_records_infeasible_points(tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().out
     _, _, rows = read_csv_with_header(out / "sweep_mismatch.csv")
     assert rows[0][2] == "true" and rows[1][2] == "false"
+
+
+def test_mismatch_sweep_records_a_zero_entry_as_infeasible(tmp_path,
+                                                           capsys):
+    # 0.9 * (1 + 1/9) is exactly 1.0, so the assumed matrix gets the row
+    # (1, 0): that point is refused as its config is built, not in the
+    # middle of the run, and the zero delta's point is written
+    out = tmp_path / "mis"
+    argv = ["sweep", "mismatch", "--values", "0.8", "--deltas",
+            "0,0.1111111111111111", "--sigma", "0.1", "--spread-factor",
+            "100", "--n-users", "60", "--word-length", "20", "--ensemble",
+            "6", "--seed", "1", "--out-dir", str(out)]
+    assert main(argv) == 0
+    assert "a zero entry" in capsys.readouterr().out
+    _, _, rows = read_csv_with_header(out / "sweep_mismatch.csv")
+    assert [row[2] for row in rows] == ["true", "false"]
+    assert "cannot assume the transition matrix 1.0,0.0," in rows[1][3]
+    assert rows[0][4] != "nan" and rows[1][4] == "nan"
 
 
 def test_length_sweep_reports_fit(tmp_path, capsys):

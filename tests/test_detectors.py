@@ -480,6 +480,48 @@ class TestCorrelatedReduction:
                     assert np.all(corr.iters == 1)
 
 
+@pytest.mark.parametrize("variant, schedule, blind", [
+    pytest.param(variant, schedule, blind,
+                 id="-".join([variant, schedule] + ["blind"] * blind))
+    for variant in ("plain_mud", "correlated_mud", "plain_sumf",
+                    "correlated_sumf")
+    for schedule in (SCHEDULES if variant.startswith("correlated_")
+                     else ("SUS",))
+    for blind in ((False, True) if variant == "correlated_mud" else (False,))])
+def test_bits_are_the_decisions_of_the_soft_values(variant, schedule, blind):
+    # a result stores only its field, and its bits are the field's signs:
+    # those of the soft values tanh(field) the engine's stop rule reads, in
+    # lone runs and in one group (the plain matched filter has no engine
+    # run, so no group)
+    matrix = make_symmetric_matrix(0.8)
+    detect = {
+        "plain_mud": lambda s, y, opts: mud_detect(s, y, 0.8, opts),
+        "correlated_mud": lambda s, y, opts: correlated_mud_detect(
+            s, y, matrix, 0.8, opts),
+        "plain_sumf": lambda s, y, opts: sumf_detect(s, y),
+        "correlated_sumf": lambda s, y, opts: correlated_sumf_detect(
+            s, y, matrix, 0.8, opts),
+    }[variant]
+    fields, corrs, results = [], [], []
+    for seed in range(3):
+        _, _, s, y = make_instance(1800 + seed, 40, 32, 15, 0.8, lam=0.8)
+        fields.append(sumf(s, y))
+        corrs.append(s.corr)
+        results.append(detect(s, y, schedule_opts(schedule, blind=blind)))
+    if variant != "plain_sumf":
+        results += detectors._run_engine(
+            fields, corrs, 32 / 40, 0.8,
+            DetectorOptions(schedule=schedule, blind=blind),
+            None if variant == "plain_mud" else [matrix] * 3,
+            variant.endswith("_mud"),
+            [np.random.default_rng(1810 + b) for b in range(3)])
+    assert "bits" not in DetectionResult.__dataclass_fields__
+    assert len(results) == (3 if variant == "plain_sumf" else 6)
+    for result in results:
+        assert np.array_equal(result.bits,
+                              hard_decisions(np.tanh(result.field)))
+
+
 class TestFreezeAndCap:
     # A column whose hard decisions repeat is frozen: the MUD step skips it,
     # so its committed state stays as it was, until a sweep changes its

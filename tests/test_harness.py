@@ -25,7 +25,6 @@ from corrcdma.harness import (
     VARIANTS,
     BerReport,
     ExperimentConfig,
-    default_workers,
     length_scaling_study,
     mismatch_plan,
     monte_carlo,
@@ -39,7 +38,11 @@ from corrcdma.harness import (
     write_sweep_csv,
 )
 from corrcdma.baselines import bandwidth_expansion_comparison
-from corrcdma.detectors import DetectorDivergence, hard_decisions
+from corrcdma.detectors import (
+    DetectionResult,
+    DetectorDivergence,
+    hard_decisions,
+)
 from corrcdma.markov import (
     TransitionMatrix,
     iid_matrix,
@@ -115,6 +118,32 @@ def test_blind_mode_refuses_a_mismatch_it_never_reads():
     for deltas in ([0.0], [-0.1, 0.0, 0.1]):
         with pytest.raises(ValueError, match="blind mode re-estimates it"):
             mismatch_plan(small_config(blind=True), deltas, [0.6])
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_config_refuses_an_assumed_matrix_with_a_zero_entry(variant):
+    # once a neighbour's belief saturates, a zero entry leaves a symbol no
+    # possible hypothesis; only the correlated variants assume a matrix
+    assumes = variant.startswith("correlated_")
+    for matrix in (make_symmetric_matrix(1.0), make_symmetric_matrix(-1.0),
+                   TransitionMatrix([[1.0, 0.0], [0.3, 0.7]])):
+        if assumes:
+            with pytest.raises(ValueError, match="a zero entry"):
+                small_config(variant=variant, matrix=matrix)
+        else:
+            small_config(variant=variant, matrix=matrix)
+    if assumes:
+        # lambda2 = 0.8 stays with 0.9, which 1 + 1/9 scales to exactly 1.0
+        with pytest.raises(ValueError, match="matrix 1.0,0.0,"):
+            small_config(variant=variant, mismatch=0.1111111111111111)
+
+
+def test_blind_mode_runs_on_a_generator_with_a_zero_entry():
+    # blind mode never reads the assumed matrix, and its estimates carry a
+    # pseudo-count, so the frozen chain runs
+    cfg = small_config(blind=True, matrix=make_symmetric_matrix(1.0),
+                       ensemble=2)
+    assert monte_carlo(cfg).bits_total == 30 * 12 * 2
 
 
 def test_config_requires_transition_matrix_instance():
@@ -645,12 +674,12 @@ def test_divergence_in_one_arm_leaves_the_other_untouched(monkeypatch):
     assert np.array_equal(corr_report.errors_by_position, expected)
 
 
-@pytest.mark.parametrize("result", [None, DetectorDivergence(3)],
-                         ids=["plain", "diverged"])
-def test_sign_count_equals_the_decisions_it_skips(result):
-    # the plain decisions are counted from the field's sign test; the
-    # oracle builds hard_decisions and compares them, also where the
-    # field holds +0.0, -0.0 and NaN
+@pytest.mark.parametrize("kind", ["plain", "diverged", "iterated"])
+def test_sign_count_equals_the_decisions_it_skips(kind):
+    # every trial is counted from a field's sign test, the matched field's
+    # for plain and diverged trials, the result's for an iterated one; the
+    # oracle builds hard_decisions and compares them, also where the field
+    # holds +0.0, -0.0 and NaN
     rng = np.random.default_rng(11)
     cfg = small_config(variant="plain_sumf", n_users=40, word_length=9)
     block = np.where(rng.random((40, 9)) < 0.5, 1, -1).astype(np.int8)
@@ -659,11 +688,19 @@ def test_sign_count_equals_the_decisions_it_skips(result):
     field[special == 1] = 0.0
     field[special == 2] = -0.0
     field[special == 3] = np.nan
-    outcome = harness._outcome(cfg, (block, field, None), result)
+    matched, result = field, None
+    if kind == "diverged":
+        result = DetectorDivergence(3)
+    elif kind == "iterated":
+        matched = -field  # the matched field must not be the one counted
+        result = DetectionResult(
+            field=field, iters=np.ones(9, dtype=np.int64),
+            converged=np.ones(9, dtype=bool), outer_iterations=1)
+    outcome = harness._outcome(cfg, (block, matched, None), result)
     want = (hard_decisions(field) != block).sum(axis=0)
     assert outcome.errors_by_position.dtype == np.int64
     assert np.array_equal(outcome.errors_by_position, want)
-    assert outcome.diverged == (result is not None)
+    assert outcome.diverged == (kind == "diverged")
 
 
 # ---------------------------------------------------------------------------
@@ -685,6 +722,19 @@ def test_report_matches_hand_aggregation():
     expected_se = np.sqrt(report.per_position * (1 - report.per_position)
                           / bits_per_position)
     assert np.allclose(report.std_err, expected_se, rtol=0, atol=0)
+
+
+def test_reports_compare_by_value():
+    # arrays inside make generated dataclass equality raise; a report
+    # compares its config, per-position counts and summary instead
+    cfg = small_config(ensemble=2)
+    report = monte_carlo(cfg)
+    assert report == monte_carlo(cfg)
+    assert report != monte_carlo(replace(cfg, seed=8))
+    assert report != report.summary()
+    # the per-trial records compare by identity
+    outcome = run_trial(cfg, 0)
+    assert outcome == outcome and outcome != run_trial(cfg, 0)
 
 
 def test_single_sample_report_equals_its_trial():
@@ -969,6 +1019,25 @@ def test_mismatch_study_records_infeasible_points():
     assert np.isnan(point.p_corr) and np.isnan(point.normalized)
 
 
+def test_mismatch_study_records_a_zero_entry_as_infeasible():
+    # 0.9 * (1 + 1/9) is exactly 1.0: the config refuses that assumed
+    # matrix, so its point runs nothing and records why, and the zero
+    # delta still runs
+    ran = []
+
+    def record(cfg):
+        ran.append((cfg.variant, cfg.mismatch))
+        return monte_carlo(cfg)
+
+    zero, saturated = mismatch_plan(small_config(ensemble=2),
+                                    [0.0, 0.1111111111111111],
+                                    [0.8]).run(run_report=record)
+    assert zero.feasible and not saturated.feasible
+    assert "a zero entry" in saturated.reason
+    assert np.isnan(saturated.p_corr) and not np.isnan(zero.p_corr)
+    assert ran == [("plain_mud", 0.0), ("correlated_mud", 0.0)]
+
+
 def test_mismatch_study_checks_every_eigenvalue_before_running():
     ran = []
     with pytest.raises(ValueError, match="lambda2 must lie in"):
@@ -1219,22 +1288,3 @@ def test_read_csv_rejects_headerless_empty_file(tmp_path):
     path.write_text("# corrcdma=0\n")
     with pytest.raises(ValueError):
         read_csv_with_header(path)
-
-
-# ---------------------------------------------------------------------------
-# worker environment variable
-
-
-def test_default_workers_reads_environment(monkeypatch):
-    monkeypatch.delenv("CORRCDMA_WORKERS", raising=False)
-    assert default_workers() is None
-    monkeypatch.setenv("CORRCDMA_WORKERS", "")
-    assert default_workers() is None
-    monkeypatch.setenv("CORRCDMA_WORKERS", "3")
-    assert default_workers() == 3
-    monkeypatch.setenv("CORRCDMA_WORKERS", "0")
-    with pytest.raises(ValueError, match="CORRCDMA_WORKERS must be >= 1"):
-        default_workers()
-    monkeypatch.setenv("CORRCDMA_WORKERS", "abc")
-    with pytest.raises(ValueError, match="CORRCDMA_WORKERS must be an integer"):
-        default_workers()

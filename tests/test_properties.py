@@ -177,8 +177,10 @@ def test_grouped_engine_equals_single_runs(group):
             assert result.iteration == alone.iteration
             continue
         assert_same(result, alone)
-        # the bits are the signs of the field the run returns
-        assert np.array_equal(result.bits, hard_decisions(result.field))
+        # the bits, the signs of the field the run returns, are those of
+        # its soft values
+        assert np.array_equal(result.bits,
+                              hard_decisions(np.tanh(result.field)))
         assert np.array_equal(result.converged, alone.converged)
         assert result.outer_iterations == alone.outer_iterations
         assert result.bounds == alone.bounds
