@@ -136,6 +136,10 @@ class _OutputSet:
 
     def __init__(self, out_dir):
         self.out_dir = Path(out_dir)
+        nearest = next(d for d in (self.out_dir, *self.out_dir.parents)
+                       if d.exists())
+        if not nearest.is_dir():
+            raise ValueError(f"--out-dir: {nearest} is not a directory")
         self.paths = []
         self.made = []  # directories target created, innermost first
 
@@ -246,25 +250,26 @@ def _run_command(args, command: str, plan) -> int:
     """The lifecycle of every command but selftest: plan, one joint run,
     reduce, write.
 
-    The config, the worker budget and, through plan(config), every run and
-    input the command uses are checked before anything runs or is written;
-    an error there exits 2 and writes nothing. plotdata takes neither a
-    config nor a worker budget: its plan gets None and runs nothing. plan
-    returns (note, Plan, finish): --dry-run prints the config and the
-    note, each if any, and exits 0. Otherwise the plan's runs are made in
-    one monte_carlo_arms call and reduced once. finish(config, result,
-    reports, outputs) writes the outputs (the {config: report} lookup
-    gives the per-arm files) and prints the results. Once the outputs are
-    validated and the manifest is written, the closing line of a sweep
-    names the count of files written (the manifest counted) and their
-    directory, and every other command names each result file. A failure
-    after planning removes every output and exits 1.
+    The config, the worker budget, --out-dir and, through plan(config),
+    every run and input the command uses are checked before anything runs
+    or is written; an error there exits 2 and writes nothing. plotdata
+    takes neither a config nor a worker budget: its plan gets None and runs
+    nothing. plan returns (note, Plan, finish): --dry-run prints the config
+    and the note, each if any, and exits 0. Otherwise the plan's runs are
+    made in one monte_carlo_arms call and reduced once. finish(config,
+    result, reports, outputs) writes the outputs (the {config: report}
+    lookup gives the per-arm files) and prints the results. Once the
+    outputs are validated and the manifest is written, the closing line of
+    a sweep names the count of files written (the manifest counted) and
+    their directory, and every other command names each result file. A
+    failure after planning removes every output and exits 1.
     """
     try:
         config, workers = ((_resolve_config(args),
                             check_workers(args.workers, "--workers"))
                            if "config" in args else (None, None))
         note, experiment, finish = plan(config)
+        outputs = _OutputSet(args.out_dir)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -274,7 +279,6 @@ def _run_command(args, command: str, plan) -> int:
         if note is not None:
             print(note)
         return 0
-    outputs = _OutputSet(args.out_dir)
     started = _timestamp()
     try:
         reports = monte_carlo_arms(experiment.runs, workers)

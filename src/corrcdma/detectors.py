@@ -101,8 +101,8 @@ class DetectionResult:
     blind mode ran, else None. bounds holds per-iteration (Q_min, Q_max,
     A_min, A_max, max|eta|) rows when tracking was requested for a MUD
     variant: the soft power Q and precision A range over the columns the
-    MUD step updated in that iteration (frozen columns are skipped),
-    max|eta| over the whole block. Results compare by identity.
+    MUD step updated in that iteration (skipping those whose decisions
+    repeated), max|eta| over the whole block. Results compare by identity.
     """
 
     field: np.ndarray
@@ -267,10 +267,9 @@ def _bias_sweep(padded, field, xi, model, schedule, t, rng, scale, work):
     array holding each trial's own. work is scratch of at least
     4 (L + 1) W floats, W = B K: two (L, 2, W) arrays, the first for the
     left terms of PUS or the far side of an ordered sweep, the second for
-    the right terms of PUS, whose rows then take the normaliser and the
-    new correction of each column, and the (2, W) near and left pairs of
-    an ordered sweep. Returns the boolean (L, B) mask of the columns whose
-    correction changed bitwise, per trial.
+    the right terms of PUS, whose first rows then take the normaliser of
+    each column, and the (2, W) near and left pairs of an ordered sweep.
+    Each column's correction goes straight into xi; returns nothing.
     """
     n_rows, n_trials, n_users = padded.shape
     word_len, width = n_rows - 2, n_trials * n_users
@@ -278,44 +277,35 @@ def _bias_sweep(padded, field, xi, model, schedule, t, rng, scale, work):
     padded = padded.reshape(n_rows, width)
     padded[0] = padded[-1] = edge
     field = field.reshape(word_len, width)
+    xi = xi.reshape(word_len, width)
     soft = padded[1:-1]
     block = word_len * width
     pairs = work[:2 * block].reshape(word_len, 2, width)
-    # the update writes a column's normaliser and correction only after it
-    # has multiplied in the terms these rows hold for PUS
+    # the update writes a column's normaliser only after it has multiplied
+    # in the terms these rows hold for PUS
     rest = work[2 * block:4 * block].reshape(word_len, 2, width)
-    totals, xi_new = rest[:, 0], rest[:, 1]
+    totals = rest[:, 0]
     near, left = work[4 * block:4 * (block + width)].reshape(2, 2, width)
     if schedule == "PUS":
         near, near_w = pairs, left_w
         columns = [(padded[:-2, None], _terms(padded[2:, None], right_w, rest),
-                    totals, xi_new, field, soft)]
+                    totals, xi, field, soft)]
     elif schedule == "RSUS":
         near_w = right_w
         columns = ((padded[l + 2], _terms(padded[l], left_w, left), totals[l],
-                    xi_new[l], field[l], padded[l + 1])
+                    xi[l], field[l], padded[l + 1])
                    for l in rng.permutation(word_len))
     elif schedule == "SUS" or t % 2 == 0:
         near_w = left_w
         columns = zip(padded[:-2], _terms(padded[2:, None], right_w, pairs),
-                      totals, xi_new, field, soft)
+                      totals, xi, field, soft)
     else:
         near_w = right_w
         columns = zip(*(a[::-1] for a in (
             padded[2:], _terms(padded[:-2, None], left_w, pairs), totals,
-            xi_new, field, soft)))
+            xi, field, soft)))
     _update_columns(columns, near_w, near, scale)
     _check_totals(totals)
-    return _commit(xi, xi_new)
-
-
-def _commit(xi, xi_new):
-    """Copy the new (L, W) correction into the (L, B, K) xi; the (L, B)
-    mask of the columns it changed, per trial."""
-    xi_new = xi_new.reshape(xi.shape)
-    changed = np.any(xi_new != xi, axis=2)
-    np.copyto(xi, xi_new)
-    return changed
 
 
 def _mud_step(rows, ends, corrs, soft, matched, field, interference, gain,
@@ -394,17 +384,17 @@ def _run_engine(fields, corrs, load, sigma, opts, assumed=None, iterate=True,
     iterate=False the matched-filter field is never updated and only the
     bias correction is refined (the correlated SUMF), scaled by the matched
     filter's interference-plus-noise variance load + sigma^2. Plain mode
-    (assumed is None) iterates every column independently until its hard
-    decisions repeat; the bias field stays identically zero. Correlated
-    mode runs a bias sweep in every outer iteration and stops at a global
-    hard-decision fixed point. Columns whose decisions repeated are frozen
-    (the step skips them, so their state stays as committed) and thaw
-    again if a later sweep changes their correction; a position is reported
-    converged exactly when it ends frozen. With a memoryless assumed matrix
-    no correction ever changes, which makes the two modes produce bitwise
-    identical results. In blind mode each realization's detector starts
-    from the memoryless matrix and re-estimates it from its own beliefs in
-    every outer iteration.
+    (assumed is None) keeps the bias field zero; correlated mode sweeps it
+    in every outer iteration. The one stop rule reads the hard decisions: a
+    column steps in an outer iteration exactly when its decisions changed
+    in the previous one (every column steps in the first), a realization
+    stops when none changed, and a position is converged exactly when its
+    decisions repeated in the last iteration. Step and sweep both leave
+    soft = tanh(field + xi), so a skipped column's decisions change only
+    when the sweep changes its correction. With a memoryless assumed matrix
+    every correction stays zero, which makes the two modes produce bitwise
+    identical results. In blind mode each realization's detector
+    re-estimates its matrix, from the memoryless one, in every iteration.
 
     The realizations run in consecutive lockstep groups of B: one for a
     correlated RSUS run, as each realization shuffles its own columns,
@@ -520,8 +510,8 @@ def _run_engine(fields, corrs, load, sigma, opts, assumed=None, iterate=True,
                     estimates[trial] = estimate_transition(soft[:, slot].T)
                     model[:, slot] = _neighbour_model(estimates[trial])
             # step and sweep both leave tanh(h + xi) in the rows they change
-            active[sl] |= _bias_sweep(padded[sl], h[sl], xi[sl], model[sl],
-                                      opts.schedule, t, rng, scale, work)
+            _bias_sweep(padded[sl], h[sl], xi[sl], model[sl], opts.schedule,
+                        t, rng, scale, work)
         if bounds is not None:
             for slot, trial in enumerate(trials):
                 q_pow, prec = stats[trial]
@@ -529,8 +519,7 @@ def _run_engine(fields, corrs, load, sigma, opts, assumed=None, iterate=True,
                                       float(prec.min()), float(prec.max()),
                                       float(np.abs(soft[:, slot]).max())))
         np.greater_equal(soft[sl], 0.0, out=dec[sl])
-        same = np.all(dec[sl] == prev_dec[sl], axis=2)
-        active[sl] &= ~same
+        np.any(dec[sl] != prev_dec[sl], axis=2, out=active[sl])
         prev_dec, dec = dec, prev_dec
         done = ~active[sl].any(axis=0)
         if t == opts.max_iters - 1:

@@ -21,6 +21,7 @@ import csv
 import dataclasses
 import io
 import math
+import operator
 import os
 from collections import Counter
 from collections.abc import Callable
@@ -198,7 +199,9 @@ def _parse_bool(value):
 
 # How from_dict casts a value, by the type name its field declares.
 _CASTS = {
-    "int": int,
+    # int() would truncate a float
+    "int": lambda value: (int(value) if isinstance(value, str)
+                          else operator.index(value)),
     "float": _parse_float,
     "str": str,
     "bool": _parse_bool,
@@ -209,8 +212,11 @@ _CASTS = {
 
 
 def _cast(kind: str, value, key: str):
-    """value cast to the type named kind, else ValueError naming key."""
+    """value cast to the type named kind, else ValueError naming key; only
+    bool takes a bool, which int() and float() would read as a number."""
     try:
+        if isinstance(value, bool) and kind != "bool":
+            raise ValueError(f"expects {kind}, got {value!r}")
         return _CASTS[kind](value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"config key {key}: {exc}") from None
@@ -864,10 +870,11 @@ CSV_COLUMNS = {
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
+    # a numpy float's repr names its type, and a numpy bool is not a bool
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value)).lower()
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 

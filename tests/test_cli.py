@@ -203,6 +203,20 @@ def test_json_config_is_accepted(tmp_path, capsys):
     assert "spread_factor=40" in out
 
 
+def test_json_config_refuses_a_number_it_would_truncate(tmp_path, capsys):
+    # int() would read seed 1.7 as 1, spread_factor 100.9 as 100 and
+    # ensemble true as 1; the first such key in field order is named
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"seed": 1.7, "spread_factor": 100.9,
+                                  "ensemble": True}))
+    out = tmp_path / "out"
+    for dry_run in ([], ["--dry-run"]):
+        assert main(["simulate", "--config", str(config), "--out-dir",
+                     str(out), *dry_run]) == 2
+        assert "config key spread_factor" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_flags_override_config_file(tmp_path, capsys):
     config = tmp_path / "conf.txt"
     config.write_text("sigma=0.5\nspread_factor=40\nn_users=20\nensemble=1\n")
@@ -356,6 +370,11 @@ def test_worker_budget_is_checked_up_front(tmp_path, capsys, command, workers,
     # an eigenvalue whose matrix has zero entries before any delta
     (["sweep", "mismatch", "--values", "0.5,-1", "--deltas", "0.1", *TINY],
      "cannot assume the transition matrix 0.0,1.0,1.0,0.0"),
+    # an --out-dir that is, or lies below, a regular file
+    (["simulate", *TINY, "--out-dir", "{taken}"], "is not a directory"),
+    (["simulate", *TINY, "--out-dir", "{taken}/sub"], "is not a directory"),
+    (["sweep", "lambda2", "--values", "0.5", *TINY, "--out-dir",
+      "{taken}/sub/deeper"], "is not a directory"),
 ], ids=["matrix-nan", "sigma-nan", "sigma-inf", "load-inf", "lambda2-range",
         "threshold-one", "threshold-nan", "threshold-zero", "length-one",
         "lambda2-deltas", "length-deltas", "lambda2-threshold",
@@ -373,14 +392,21 @@ def test_worker_budget_is_checked_up_front(tmp_path, capsys, command, workers,
         "correlated-sumf-blind", "plain-sumf-mismatch", "plain-mud-mismatch",
         "lambda2-plain-blind", "blind-mismatch", "fixed-blind-mismatch",
         "mismatch-sweep-blind", "correlated-mud-zero-entry",
-        "mismatch-zero-entry", "mismatch-sweep-zero-entry"])
+        "mismatch-zero-entry", "mismatch-sweep-zero-entry",
+        "out-dir-file", "out-dir-below-file", "sweep-out-dir-below-file"])
 @pytest.mark.parametrize("dry_run", [True, False], ids=["dry", "run"])
 def test_rejected_input_exits_2_and_writes_nothing(tmp_path, capsys, argv,
                                                    message, dry_run):
     # an input argparse refuses (a flag the command does not declare) ends
-    # main with SystemExit(2); every other one is refused by main's return
+    # main with SystemExit(2); every other one is refused by main's return.
+    # {taken} names a regular file, which must be left as it was
     out = tmp_path / "rejected"
-    argv = [*argv, "--out-dir", str(out), *(["--dry-run"] if dry_run else [])]
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    argv = [arg.format(taken=taken) for arg in argv]
+    if "--out-dir" not in argv:
+        argv += ["--out-dir", str(out)]
+    argv += ["--dry-run"] if dry_run else []
     stray = message.startswith("unrecognized arguments")
     if stray:
         with pytest.raises(SystemExit) as excinfo:
@@ -395,7 +421,8 @@ def test_rejected_input_exits_2_and_writes_nothing(tmp_path, capsys, argv,
         kind = f"corrcdma {argv[0]} {argv[1]}"
         assert err.startswith(f"usage: {kind} [-h] ")
         assert f"\n{kind}: error: {message}" in err
-    assert not out.exists()
+    assert list(tmp_path.iterdir()) == [taken]
+    assert taken.read_text() == "kept\n"
 
 
 def test_config_flags_are_the_config_keys(tmp_path, capsys):

@@ -465,8 +465,9 @@ class TestCorrelatedReduction:
                 assert corr.estimated_matrix == iid_matrix()
 
     def test_sumf_identical_with_memoryless_matrix(self):
-        # one sweep finds every correction unchanged (zero), so each column
-        # counts one iteration and converges on the matched-filter decisions
+        # one sweep leaves every correction zero and so every decision as it
+        # was: each column counts one iteration and converges on the
+        # matched-filter decisions
         for _, _, s, y in reduction_instances(400):
             plain = sumf_detect(s, y)
             for schedule in SCHEDULES:
@@ -523,9 +524,10 @@ def test_bits_are_the_decisions_of_the_soft_values(variant, schedule, blind):
 
 
 class TestFreezeAndCap:
-    # A column whose hard decisions repeat is frozen: the MUD step skips it,
-    # so its committed state stays as it was, until a sweep changes its
-    # correction (thaw). iters counts the iterations a column was active.
+    # A column steps in an outer iteration exactly when its hard decisions
+    # changed in the previous one: the MUD step skips the others, so their
+    # committed state stays as it was, and a column whose decisions the
+    # sweep alone flips steps again. iters counts the steps a column took.
 
     DETECTORS = [("plain", None)] + [("mud", sch) for sch in SCHEDULES] \
         + [("sumf", sch) for sch in SCHEDULES]
@@ -578,58 +580,80 @@ class TestFreezeAndCap:
                 assert np.array_equal(after.field[:, frozen],
                                       now.field[:, frozen])
 
-    @pytest.mark.parametrize("schedule", SCHEDULES)
-    def test_correlated_state_frozen_until_thawed(self, schedule,
-                                                  monkeypatch):
-        # spy on the engine: every MUD step leaves the field, interference
-        # and gain of the columns it skips bitwise as they were, a skipped
-        # column is only stepped again after a sweep changed its correction,
-        # and iters counts the steps each column took part in
-        steps, sweeps = [], []
-        real_step, real_sweep = detectors._mud_step, detectors._bias_sweep
+    @pytest.mark.parametrize("kind,schedule", [("plain", "SUS")] + [
+        (kind, schedule) for kind in ("mud", "blind")
+        for schedule in SCHEDULES])
+    def test_a_column_steps_exactly_when_its_decisions_changed(
+            self, kind, schedule, monkeypatch):
+        # spy on every MUD step, in lone runs and in one engine call on a
+        # group of three: at every step t >= 1 the columns a realization
+        # steps are exactly those whose decisions (the signs of the soft
+        # values the step reads) differ from those step t - 1 read; a step
+        # leaves the field, interference and gain of every other row
+        # bitwise as they were; iters counts each column's steps; and a
+        # position is converged exactly when its final decisions repeat the
+        # last step's. With a correction, some column steps again after an
+        # iteration without a step, its decisions flipped by the sweep alone
+        word_len = 15
+        matrix = None if kind == "plain" else [make_symmetric_matrix(0.8)]
+        opts = DetectorOptions(schedule=schedule, blind=kind == "blind")
+        fields, corrs = [], []
+        for seed in range(3):
+            _, _, s, y = make_instance(1300 + seed, 40, 32, word_len, 0.8,
+                                       lam=0.8)
+            fields.append(sumf(s, y))
+            corrs.append(s.corr)
+        trial_of = {id(c): b for b, c in enumerate(corrs)}
+        steps = [[] for _ in corrs]  # per trial: (columns, decisions)
+        real_step = detectors._mud_step
 
-        def step(rows, ends, corrs, soft, matched, field, interference, gain,
-                 *rest):
-            # a lone run: one slot, whose rows are its column indices
-            assert ends == [rows.size] and len(corrs) == 1
+        def step(rows, ends, step_corrs, soft, matched, field, interference,
+                 gain, *rest):
+            width = len(soft) // word_len
+            decisions = soft.reshape(word_len, width, -1) >= 0.0
             before = (field.copy(), interference.copy(), gain.copy())
-            out = real_step(rows, ends, corrs, soft, matched, field,
+            out = real_step(rows, ends, step_corrs, soft, matched, field,
                             interference, gain, *rest)
-            steps.append((rows.copy(), before,
-                          (field.copy(), interference.copy(), gain.copy())))
+            skipped = np.ones(len(field), dtype=bool)
+            skipped[rows] = False
+            for old, new in zip(before, (field, interference, gain)):
+                assert np.array_equal(old[skipped], new[skipped])
+            for slot, (start, end, corr) in enumerate(
+                    zip([0, *ends], ends, step_corrs)):
+                assert np.all(rows[start:end] % width == slot)
+                steps[trial_of[id(corr)]].append(
+                    (rows[start:end] // width, decisions[:, slot]))
             return out
 
-        def sweep(*args):
-            changed = real_sweep(*args)
-            sweeps.append(changed.copy())
-            return changed
-
         monkeypatch.setattr(detectors, "_mud_step", step)
-        monkeypatch.setattr(detectors, "_bias_sweep", sweep)
-        thaws = 0
-        for seed in range(4):
-            steps.clear()
-            sweeps.clear()
-            _, _, s, y = make_instance(1300 + seed, 40, 32, 15, 0.8, lam=0.8)
-            res = correlated_mud_detect(s, y, make_symmetric_matrix(0.8), 0.8,
-                                        schedule_opts(schedule))
-            assert len(steps) == len(sweeps) == res.outer_iterations
-            word_len = res.bits.shape[1]
-            taken = np.zeros(word_len, dtype=np.int64)
-            was = np.ones(word_len, dtype=bool)
-            for t, (cols, before, after) in enumerate(steps):
-                now = np.zeros(word_len, dtype=bool)
-                now[cols] = True
-                taken += now
-                for old, new in zip(before, after):
-                    assert np.array_equal(old[~now], new[~now])
-                if t > 0:
-                    resumed = now & ~was
-                    assert np.all(sweeps[t - 1][resumed])
-                    thaws += int(resumed.sum())
-                was = now
-            np.testing.assert_array_equal(res.iters, taken)
-        assert thaws > 0
+        rngs = [np.random.default_rng(1310 + b) for b in range(6)]
+        runs = [([b], lambda b=b: detectors._run_engine(
+            [fields[b]], [corrs[b]], 0.8, 0.8, opts, matrix,
+            rngs=rngs[b:b + 1])) for b in range(3)]
+        runs.append(([0, 1, 2], lambda: detectors._run_engine(
+            fields, corrs, 0.8, 0.8, opts, matrix and matrix * 3,
+            rngs=rngs[3:])))
+        resumed = 0
+        for trials, run in runs:
+            for record in steps:
+                record.clear()
+            for b, res in zip(trials, run()):
+                record = steps[b]
+                assert len(record) == res.outer_iterations
+                taken = np.zeros(word_len, dtype=np.int64)
+                for t, (cols, decisions) in enumerate(record):
+                    taken[cols] += 1
+                    if t == 0:
+                        assert np.array_equal(cols, np.arange(word_len))
+                        continue
+                    was, before = record[t - 1]
+                    np.testing.assert_array_equal(cols, np.flatnonzero(
+                        np.any(decisions != before, axis=1)))
+                    resumed += np.setdiff1d(cols, was).size
+                np.testing.assert_array_equal(res.iters, taken)
+                np.testing.assert_array_equal(res.converged, np.all(
+                    (res.field >= 0.0).T == record[-1][1], axis=1))
+        assert (resumed > 0) == (kind != "plain")
 
 
 def poisoning_step(target, iteration):
@@ -768,26 +792,6 @@ class TestLockstep:
         assert np.isfinite(field[:, np.arange(trials) != bad]).all()
         assert not np.isfinite(field[active[bad], bad]).all()
 
-    def test_sweep_reports_changes_per_trial(self):
-        # a trial whose corrections are already the sweep's reports no
-        # change, whatever its group-mates do
-        model = detectors._neighbour_model(make_symmetric_matrix(0.8))
-        rng = np.random.default_rng(1550)
-        field = rng.standard_normal((12, 2, 10))
-        xi = np.zeros_like(field)
-        padded = np.zeros((14, 2, 10))
-        padded[1:-1] = np.tanh(field)
-        work = np.empty(4 * (field.size + field[0].size))
-        detectors._bias_sweep(padded, field, xi, model, "PUS", 0, None,
-                              1.0, work)
-        # the same soft snapshot again; the sweep refreshed the soft rows
-        padded[1:-1] = np.tanh(field)
-        xi[:, 1] = 0.0
-        changed = detectors._bias_sweep(padded, field, xi, model, "PUS", 1,
-                                        None, 1.0, work)
-        assert changed.shape == (12, 2)
-        assert not changed[:, 0].any() and changed[:, 1].all()
-
     def test_divergence_leaves_the_others_running(self, monkeypatch):
         # a NaN written into one trial's soft values before its second step
         # makes that trial diverge; the rest of the group, whose slots move
@@ -883,7 +887,7 @@ class TestLockstep:
 
         def sweep(padded, *rest):
             widths.append(padded.shape[1])
-            return real_sweep(padded, *rest)
+            real_sweep(padded, *rest)
 
         monkeypatch.setattr(detectors, "_bias_sweep", sweep)
         monkeypatch.setattr(detectors, "GROUP_USERS", group_users)
@@ -921,8 +925,8 @@ def reference_correction(m, scale):
 def reference_sweep(padded, field, xi, model, schedule, t, rng, scale):
     """One bias sweep composed column by column from the neighbour terms,
     the message, the clamped atanh correction and the soft refresh, in the
-    schedule's order; updates padded and xi in place as _bias_sweep does
-    and returns its (L, B) mask of changed corrections."""
+    schedule's order; updates padded and xi in place as _bias_sweep
+    does."""
     n_rows, n_trials, n_users = padded.shape
     word_len, width = n_rows - 2, n_trials * n_users
     model = model.reshape(len(model), -1)
@@ -951,10 +955,7 @@ def reference_sweep(padded, field, xi, model, schedule, t, rng, scale):
             assert total.all()
             xi_new[l] = reference_correction(m, scale)
             soft[l + 1] = np.tanh(np.add(field[l], xi_new[l]))
-    xi_new = xi_new.reshape(xi.shape)
-    changed = np.any(xi_new != xi, axis=2)
-    xi[:] = xi_new
-    return changed
+    xi[:] = xi_new.reshape(xi.shape)
 
 
 class TestColumnUpdate:
@@ -968,11 +969,10 @@ class TestColumnUpdate:
         ("SUS", 0), ("PUS", 0), ("BFUS", 0), ("BFUS", 1), ("RSUS", 0)])
     def test_sweep_matches_the_column_composition(self, schedule, t, trials,
                                                   scale, offset):
-        # the corrections, every soft row and the changed mask, bit for
-        # bit, with a model per slot, over words of one, two and seven
-        # columns, on state carved from a block that starts on a 64-byte
-        # boundary or one float past it (16 users keep every row on the
-        # block's alignment)
+        # the corrections and every soft row, bit for bit, with a model per
+        # slot, over words of one, two and seven columns, on state carved
+        # from a block that starts on a 64-byte boundary or one float past
+        # it (16 users keep every row on the block's alignment)
         users = 16
         matrices = [TransitionMatrix([[0.9, 0.1], [0.3, 0.7]]),
                     make_symmetric_matrix(0.8), make_symmetric_matrix(-0.4)]
@@ -992,25 +992,14 @@ class TestColumnUpdate:
             xi[:] = rng.standard_normal(shape)
             padded[1:-1] = np.tanh(field + xi)
 
-            def reference(xi):
-                want_padded, want_xi = padded.copy(), xi.copy()
-                changed = reference_sweep(
-                    want_padded, field, want_xi, model, schedule, t,
-                    np.random.default_rng(1890), scale)
-                return want_padded, want_xi, changed
-
-            # one column of the first slot already holds its new correction
-            xi[word_len // 2, 0] = reference(xi)[1][word_len // 2, 0]
-            want_padded, want_xi, want_changed = reference(xi)
-            changed = detectors._bias_sweep(padded, field, xi, model,
-                                            schedule, t,
-                                            np.random.default_rng(1890),
-                                            scale, work)
+            want_padded, want_xi = padded.copy(), xi.copy()
+            reference_sweep(want_padded, field, want_xi, model, schedule, t,
+                            np.random.default_rng(1890), scale)
+            assert detectors._bias_sweep(
+                padded, field, xi, model, schedule, t,
+                np.random.default_rng(1890), scale, work) is None
             assert np.array_equal(xi, want_xi)
             assert np.array_equal(padded, want_padded)
-            assert np.array_equal(changed, want_changed)
-            assert not changed[word_len // 2, 0]
-            assert changed.sum() == changed.size - 1
 
     @pytest.mark.parametrize("schedule,t", [
         ("SUS", 0), ("PUS", 0), ("BFUS", 0), ("BFUS", 1), ("RSUS", 0)])

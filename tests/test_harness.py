@@ -96,7 +96,16 @@ def test_config_refuses_settings_its_variant_never_reads(variant):
     ({"lambda2": "nan"}, "lambda2"),
     ({"seed": float("inf")}, "seed"),
     ({"ensemble": [3]}, "ensemble"),
-], ids=["sigma-nan", "load-inf", "lambda2-nan", "seed-inf", "ensemble-list"])
+    # int() would truncate a float or take a bool, float() take a bool
+    ({"seed": 1.7}, "seed"),
+    ({"spread_factor": 100.9}, "spread_factor"),
+    ({"n_users": "1.7"}, "n_users"),
+    ({"ensemble": True}, "ensemble"),
+    ({"sigma": True}, "sigma"),
+    ({"lambda2": False}, "lambda2"),
+], ids=["sigma-nan", "load-inf", "lambda2-nan", "seed-inf", "ensemble-list",
+        "seed-float", "spread-factor-float", "n-users-float-text",
+        "ensemble-bool", "sigma-bool", "lambda2-bool"])
 def test_from_dict_names_the_key_of_a_value_it_cannot_cast(data, key):
     with pytest.raises(ValueError, match=f"config key {key}"):
         ExperimentConfig.from_dict(data)
@@ -165,6 +174,23 @@ def test_beta_above_one_is_supported():
     assert cfg.load == 1.5
     report = monte_carlo(cfg)
     assert report.bits_total == 30 * 12 * 2
+
+
+@pytest.mark.parametrize("workers", [None, 2], ids=["unset", "2"])
+def test_high_load_point_pins_the_oscillating_regime(workers):
+    # beta 1.2 at sigma 0.4: columns oscillate, so positions end at the cap
+    # unconverged and the decisions of the last iteration set the result
+    corr, plain = harness.paired_arms(ExperimentConfig(
+        spread_factor=100, n_users=120, sigma=0.4, word_length=100,
+        matrix=make_symmetric_matrix(0.8), ensemble=4, seed=11))
+    reports = harness.monte_carlo_arms([corr, plain], workers)
+    assert (reports[corr].errors_total, reports[corr].unconverged_positions,
+            reports[corr].iters_max) == (5269, 193, 50)
+    assert (reports[plain].errors_total,
+            reports[plain].unconverged_positions) == (1919, 38)
+    # ROADMAP item 12's documented fault, not a threshold: at this load the
+    # correlated MUD reads worse than the plain MUD it should beat (2.75)
+    assert reports[corr].aggregate / reports[plain].aggregate > 1.0
 
 
 def test_config_dict_round_trip():
@@ -655,11 +681,10 @@ def test_divergence_in_one_arm_leaves_the_other_untouched(monkeypatch):
     calls = []
 
     def sweep(padded, *rest):
-        changed = real_sweep(padded, *rest)
+        real_sweep(padded, *rest)
         if not calls:  # trial 0 is in slot 0 at the first sweep
             padded[1, 0, 0] = np.nan
         calls.append(padded.shape[1])
-        return changed
 
     monkeypatch.setattr(detectors, "_bias_sweep", sweep)
     reports = harness.monte_carlo_arms([corr, plain])
@@ -1226,6 +1251,21 @@ def test_ber_csv_rewrite_is_byte_identical(tmp_path):
     second = tmp_path / "b.csv"
     write_ber_csv(first, report)
     write_ber_csv(second, monte_carlo(cfg))
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_ber_csv_of_numpy_typed_config_is_byte_identical(tmp_path):
+    # a config of numpy scalars equals its Python-typed twin, so its file
+    # must too: no np.float64(...) or True in a header line
+    cfg = small_config(ensemble=2, blind=True)
+    typed = replace(cfg, sigma=np.float64(cfg.sigma), blind=np.True_,
+                    ensemble=np.int64(cfg.ensemble))
+    assert typed == cfg
+    report = monte_carlo(cfg)
+    first = tmp_path / "a.csv"
+    second = tmp_path / "b.csv"
+    write_ber_csv(first, report)
+    write_ber_csv(second, dataclasses.replace(report, config=typed))
     assert first.read_bytes() == second.read_bytes()
 
 

@@ -76,7 +76,7 @@ def test_memoryless_correlated_mud_is_plain_mud(instance, schedule, cap):
 @given(instances(), st.sampled_from(SCHEDULES), st.booleans())
 def test_memoryless_correlated_sumf_is_plain_sumf(instance, schedule, blind):
     # sumf_detect counts no iteration; the correlated SUMF counts the one
-    # sweep that finds every correction unchanged
+    # sweep, whose zero corrections leave every decision as it was
     spreading, received, sigma = instance
     plain = sumf_detect(spreading, received)
     corr = correlated_sumf_detect(spreading, received, iid_matrix(), sigma,
