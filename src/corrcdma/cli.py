@@ -519,7 +519,9 @@ def _plot_texts(path, dat_name) -> tuple[str, str]:
         clauses = [f"\"{dat_name}\" using 1:2 with points pointtype 7 "
                    f"title \"saturation position\""]
         script = ""
-        if "slope" in header and "intercept" in header:
+        # a study whose fit was undefined records a nan slope and intercept
+        fit = (header.get("slope", "nan"), header.get("intercept", "nan"))
+        if "nan" not in fit:
             script = (f"f(x) = exp({header['intercept']}) * "
                       f"x ** ({header['slope']})\n")
             clauses.append("f(x) with lines title \"fit\"")

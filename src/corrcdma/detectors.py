@@ -55,8 +55,16 @@ class DetectorDivergence(RuntimeError):
 
 def hard_decisions(x: np.ndarray) -> np.ndarray:
     """The decisions on a field, as int8: +1 where x >= 0, so sign(0) =
-    sign(-0.0) = +1, and -1 elsewhere, NaN (which compares false) too."""
-    return np.where(np.asarray(x) >= 0, np.int8(1), np.int8(-1))
+    sign(-0.0) = +1, and -1 elsewhere, NaN (which compares false) too.
+
+    Built in place on the bytes of the comparison (0 or 1, doubled, less
+    one): np.where on two scalars took about 25 times as long at K 800, L
+    100 on a 2-core x86-64 machine (numpy 2.4).
+    """
+    decisions = np.asarray(np.asarray(x) >= 0).view(np.int8)
+    decisions += decisions
+    decisions -= 1
+    return decisions
 
 
 def decision_errors(field: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -118,22 +126,84 @@ class DetectionResult:
         return hard_decisions(self.field)
 
 
-def sumf(spreading: SpreadingMatrix, received: np.ndarray) -> np.ndarray:
-    """Matched-filter front end: the (K, L) field.
-
-    Correlates every received symbol column with each user's chip sequence:
-    field[k, l] = (1/sqrt(N)) sum_mu received[mu, l] * chips[mu, k]. With
-    unit-energy signatures the field decomposes as the own symbol plus
-    code-correlation-weighted interference plus filtered noise.
-    """
+def _received(spreading: SpreadingMatrix, received) -> np.ndarray:
     y = np.asarray(received, dtype=np.float64)
     if y.ndim != 2 or y.shape[0] != spreading.spread_factor:
         raise ValueError(
             f"received shape {y.shape} incompatible with spreading factor "
             f"{spreading.spread_factor}")
+    return y
+
+
+def sumf(spreading: SpreadingMatrix, received: np.ndarray) -> np.ndarray:
+    """Matched-filter front end: the (K, L) field, in float64.
+
+    Correlates every received symbol column with each user's chip sequence:
+    field[k, l] = (1/sqrt(N)) sum_mu received[mu, l] * chips[mu, k]. With
+    unit-energy signatures the field decomposes as the own symbol plus
+    code-correlation-weighted interference plus filtered noise. Every
+    detector that iterates or biases the field starts from it; a caller
+    that needs only its signs takes sumf_decisions, which equals
+    hard_decisions of it without building it.
+    """
+    y = _received(spreading, received)
     field = spreading.chips.astype(np.float64).T @ y
     field /= np.sqrt(spreading.spread_factor)
     return field
+
+
+# Unit roundoffs of float32 and float64.
+_U32, _U64 = 2.0**-24, 2.0**-53
+
+
+def sumf_decisions(spreading: SpreadingMatrix,
+                   received: np.ndarray) -> np.ndarray:
+    """The matched filter's int8 decisions, hard_decisions(sumf(spreading,
+    received)) bit for bit, mostly from a float32 product.
+
+    The chips are exact in float32, so each term +-y32 of f = chips.T @ y32
+    is exact and only the N - 1 additions round, in whatever order BLAS
+    takes them. For any order (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, section 4.2) f lies within tau32 = (gamma(N-1)(1 + u)
+    + u) s of the exact product chips.T @ y, where s = sum_mu |y[mu, l]|
+    for its column, u = 2^-24 and gamma(n) = n u / (1 - n u), the last u
+    for the cast of y. sumf's float64 product lies within tau64 =
+    gamma(N-1) s, with u = 2^-53. Each bound carries an absolute term that
+    covers subnormals, flushed or not, and keeps a settled float64 value
+    too large to vanish when sumf divides it by sqrt(N). So where |f| >
+    tau32 + tau64, f has the sign of sumf's field, which is nonzero. The
+    entries inside that band, the ties (about 70 of 80,000 at N 1000, K
+    800, L 100, sigma 0.8), are summed again in float64, which settles
+    each one whose value lies beyond 2 tau64. If a tie stays unsettled (an
+    exactly zero field, say), the ties outnumber K / 2 (their gathered
+    columns would outgrow sumf's float64 chip copy), a column's s reaches
+    2^126 (float32 could overflow, so nothing is cast), N exceeds 2^20 or
+    y is not finite, the decisions come from sumf itself. No warning is
+    emitted but those sumf itself emits (a float64 overflow).
+    """
+    y = _received(spreading, received)
+    n = spreading.spread_factor
+    with np.errstate(over="ignore"):
+        s = np.abs(y).sum(axis=0)
+    if n > 2**20 or not np.all(s < 2.0**126):
+        return hard_decisions(sumf(spreading, y))
+    gamma32 = (n - 1) * _U32 / (1 - (n - 1) * _U32)
+    gamma64 = (n - 1) * _U64 / (1 - (n - 1) * _U64)
+    # the slack covers the rounding of s and of the bounds themselves
+    s *= 1 + 2.0**-20
+    tau64 = gamma64 * s + n * 2.0**-1020
+    band = (gamma32 * (1 + _U32) + _U32) * s + n * 2.0**-124 + tau64
+    band = np.nextafter(band.astype(np.float32), np.float32(np.inf))
+    f = spreading.chips.astype(np.float32).T @ y.astype(np.float32)
+    decisions = hard_decisions(f)
+    ks, ls = np.nonzero(np.abs(f, out=f) <= band)
+    if ks.size > spreading.n_users // 2:
+        return hard_decisions(sumf(spreading, y))
+    rechecked = (spreading.chips[:, ks] * y[:, ls]).sum(axis=0)
+    if not np.all(np.abs(rechecked) > 2 * tau64[ls]):
+        return hard_decisions(sumf(spreading, y))
+    decisions[ks, ls] = hard_decisions(rechecked)
+    return decisions
 
 
 def _neighbour_model(matrix: TransitionMatrix) -> np.ndarray:

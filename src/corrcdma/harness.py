@@ -23,6 +23,7 @@ import io
 import math
 import operator
 import os
+import warnings
 from collections import Counter
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
@@ -52,6 +53,7 @@ from .detectors import (
     _run_engine,
     decision_errors,
     sumf,
+    sumf_decisions,
 )
 from .markov import (
     TransitionMatrix,
@@ -332,18 +334,28 @@ def _runs_as(config: ExperimentConfig) -> ExperimentConfig:
     return config
 
 
-def _realization(config: ExperimentConfig, trial_index: int, with_corr: bool):
-    """What detection needs of one trial: its source block, matched field
-    and, if with_corr, code correlation matrix.
+def _realization(runs, trial_index: int):
+    """What the runs need of one trial, drawn with the channel fields of
+    runs[0]: its source block, its matched field and, if some run is a
+    MUD, the code correlation matrix.
 
-    The channel stream is drawn in a fixed order (source block, spreading
-    chips, noise), so every detector variant sees identical realizations;
-    the chips and the received samples are dropped once read.
+    When every run is the plain matched filter, which reads only the
+    field's signs, the matched field's place holds its int8 decisions,
+    sumf_decisions, and no float64 field is built; decision_errors counts
+    them as it counts the field. Every other realization builds the
+    float64 field with sumf. The channel stream is drawn in a fixed order
+    (source block, spreading chips, noise), so every detector variant sees
+    identical realizations; the chips and the received samples are
+    dropped once read, the received samples before the Gram is built.
     """
+    config = runs[0]
     rng = _trial_rng(config, trial_index, STREAM_CHANNEL)
     block = generate_block(config.matrix, config.n_users, config.word_length, rng)
     spreading = generate_spreading(config.spread_factor, config.n_users, rng)
-    matched = sumf(spreading, transmit(spreading, block, config.sigma, rng))
+    signs_only = all(cfg.variant == "plain_sumf" for cfg in runs)
+    matched = (sumf_decisions if signs_only else sumf)(
+        spreading, transmit(spreading, block, config.sigma, rng))
+    with_corr = any(cfg.variant in MUD_VARIANTS for cfg in runs)
     return block, matched, spreading.corr if with_corr else None
 
 
@@ -369,8 +381,10 @@ def _detect(slots):
 
 def _outcome(config: ExperimentConfig, realization, result) -> TrialOutcome:
     """A trial's error counts from its detection result: the decisions on
-    the result's field, or on the matched field for the plain matched
-    filter (no result) and a trial whose detector diverged."""
+    the result's field, or on the realization's matched field for the
+    plain matched filter (no result) and a trial whose detector diverged.
+    A realization of plain matched filter runs only holds the matched
+    field's int8 decisions in its place, which count the same."""
     block, matched, _ = realization
     diverged = isinstance(result, DetectorDivergence)
     if result is None or diverged:
@@ -396,8 +410,7 @@ def _detect_realizations(payload) -> list[tuple[ExperimentConfig, TrialOutcome]]
     """
     kinds = {}  # engine kind -> (run, trial index, realization) slots
     for index, runs in payload:
-        realization = _realization(
-            runs[0], index, any(cfg.variant in MUD_VARIANTS for cfg in runs))
+        realization = _realization(runs, index)
         for cfg in runs:
             kinds.setdefault(_engine_kind(cfg), []).append(
                 (cfg, index, realization))
@@ -687,8 +700,10 @@ def length_plan(config: ExperimentConfig, lengths,
     Every config is built (and so validated), the threshold factor checked
     and at least 3 distinct lengths of at least 2 (a saturation position
     needs two positions) required before the plan exists. Zero positions
-    are left out of the fit with a warning; fewer than two usable points
-    abort the reduction with ValueError."""
+    are left out of the fit with a warning. A fit that fit_loglog_slope
+    refuses (fewer than two nonzero positions) is reported as a NaN slope
+    and intercept, with a warning saying why, so the study keeps its
+    positions and every per-arm report."""
     check_threshold_factor(threshold_factor)
     lengths = [int(l) for l in lengths]
     if len(set(lengths)) < 3:
@@ -701,7 +716,14 @@ def length_plan(config: ExperimentConfig, lengths,
     def reduce(reports):
         positions = [saturation_position(reports[cfg].per_position,
                                          threshold_factor) for cfg in configs]
-        slope, intercept = fit_loglog_slope(lengths, positions)
+        try:
+            slope, intercept = fit_loglog_slope(lengths, positions)
+        except ValueError as exc:
+            # lengths and positions are valid by construction, so the one
+            # refusal is too few nonzero positions
+            warnings.warn(f"{exc}; slope and intercept are nan",
+                          stacklevel=2)
+            slope = intercept = math.nan
         return LengthScalingResult(tuple(lengths), tuple(positions),
                                    threshold_factor, slope, intercept)
 

@@ -11,6 +11,7 @@ import os
 import platform
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -796,6 +797,40 @@ def test_length_sweep_reports_fit(tmp_path, capsys):
     header, _, rows = read_csv_with_header(out / "sweep_length.csv")
     assert "slope" in header
     assert [int(r[0]) for r in rows] == [8, 16, 32]
+
+
+def test_length_sweep_with_an_undefined_fit_keeps_every_file(tmp_path,
+                                                             capsys):
+    # two of the three saturation positions are 0, so no log-log fit
+    # exists: the study records a nan slope and intercept, says why, and
+    # keeps every per-arm profile it measured; plotdata plots the points
+    # without a fit line
+    out = tmp_path / "len"
+    argv = ["sweep", "length", "--values", "4,8,12", "--spread-factor", "40",
+            "--n-users", "48", "--word-length", "12", "--ensemble", "3",
+            "--sigma", "0.6", "--seed", "5", "--out-dir", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")  # shown, not raised
+        assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "warning: excluding 2 zero position(s) from the log-log fit\n"
+        "warning: log-log fit needs at least two nonzero positions; slope "
+        "and intercept are nan\n")
+    assert "log-log slope nan" in captured.out
+    assert sorted(p.name for p in out.iterdir()) == [
+        *(f"ber_correlated_mud_lam0.8_L{length}_d0.csv"
+          for length in (12, 4, 8)), "manifest.json", "sweep_length.csv"]
+    header, _, rows = read_csv_with_header(out / "sweep_length.csv")
+    assert header["slope"] == header["intercept"] == "nan"
+    assert [r[1] for r in rows] == ["0.0", "0.125", "0.0"]
+    plots = tmp_path / "plots"
+    assert main(["plotdata", str(out / "sweep_length.csv"),
+                 "--out-dir", str(plots)]) == 0
+    script = (plots / "sweep_length.gp").read_text()
+    assert "f(x)" not in script
+    assert script.endswith('plot "sweep_length.dat" using 1:2 with points '
+                           'pointtype 7 title "saturation position"\n')
 
 
 # ---------------------------------------------------------------------------

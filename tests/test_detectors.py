@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from corrcdma.detectors import (
     local_bias,
     mud_detect,
     sumf,
+    sumf_decisions,
     sumf_detect,
 )
 from corrcdma.markov import (
@@ -109,6 +111,80 @@ class TestSumf:
         _, _, s, _ = make_instance(3, 16, 4, 3, 0.5)
         with pytest.raises(ValueError):
             sumf(s, np.zeros((8, 3)))
+
+
+class TestSumfDecisions:
+    """sumf_decisions against its reference, hard_decisions(sumf(...)),
+    with a spy on the float64 sumf telling whether the fallback ran."""
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        calls = []
+        real = detectors.sumf
+        monkeypatch.setattr(detectors, "sumf", lambda s, y: (
+            calls.append(y.shape) or real(s, y)))
+        return calls
+
+    @staticmethod
+    def decide(s, y):
+        """The decisions and their reference, no warning allowed."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sumf_decisions(s, y)
+        want = hard_decisions(sumf(s, y))
+        assert got.dtype == np.int8 and got.shape == want.shape
+        assert np.array_equal(got, want)
+        return got
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_c7_size_is_certified_in_float32(self, fallbacks, seed):
+        # N 1000, K 800, L 100, sigma 0.8: a few dozen ties, all settled
+        # by the float64 recheck
+        self.decide(*make_instance(seed, 1000, 800, 100, 0.8)[2:])
+        assert not fallbacks
+
+    def test_zero_received_column_falls_back(self, fallbacks):
+        _, _, s, y = make_instance(4, 32, 20, 5, 0.8)
+        y[:, 2] = 0.0  # its field is zero: +1 for every user
+        got = self.decide(s, y)
+        assert fallbacks
+        assert np.all(got[:, 2] == 1)
+
+    def test_exactly_zero_field_falls_back(self, fallbacks):
+        # sigma 0, N 4: some users' fields are exactly 0, ties that no
+        # float64 recheck can settle
+        _, _, s, y = make_instance(0, 4, 8, 1, 0.0)
+        zeros = np.count_nonzero(sumf(s, y) == 0)
+        assert 1 <= zeros <= s.n_users // 2  # so the recheck runs
+        self.decide(s, y)
+        assert fallbacks
+
+    def test_value_beyond_float32_range_falls_back(self, fallbacks):
+        # casting it to float32 would overflow (and warn)
+        _, _, s, y = make_instance(5, 16, 6, 3, 0.8)
+        y[3, 1] = -1e39
+        self.decide(s, y)
+        assert fallbacks
+
+    def test_recheck_settles_a_float32_tie(self, fallbacks):
+        # user 0 sums y = (1 + 0.6 ulp, -1 - 0.45 ulp, -0.3 ulp), ulp =
+        # 2^-23: exactly -0.15 ulp, but float32 rounds the first two to 1 +
+        # 1 ulp and -1, so its sum is +0.7 ulp, of the wrong sign and inside
+        # the float32 bound (about 9 * 2^-24 * 3), far outside the float64
+        # one (about 2^-53 * 6)
+        ulp = 2.0**-23
+        s = SpreadingMatrix(np.array([[1, 1], [1, -1], [1, 1]]))
+        y = np.array([[1 + 0.6 * ulp], [-1 - 0.45 * ulp], [-0.3 * ulp]])
+        float32 = s.chips.astype(np.float32).T @ y.astype(np.float32)
+        assert float32[0, 0] > 0
+        got = self.decide(s, y)
+        assert not fallbacks
+        assert got.tolist() == [[-1], [1]]
+
+    def test_shape_mismatch(self):
+        _, _, s, _ = make_instance(3, 16, 4, 3, 0.5)
+        with pytest.raises(ValueError):
+            sumf_decisions(s, np.zeros((8, 3)))
 
 
 class TestLocalBias:

@@ -329,7 +329,7 @@ def test_divergence_inside_a_group_falls_back_for_that_trial_only(
     cfg = small_config(ensemble=3)
     assert payload_sizes(cfg) == [3]
     alone = [run_trial(cfg, index) for index in range(3)]
-    corr = harness._realization(cfg, 1, True)[2]  # trial 1's
+    corr = harness._realization((cfg,), 1)[2]  # trial 1's
     real_step = detectors._mud_step
     calls = []
 
@@ -513,8 +513,8 @@ def test_plain_arms_share_a_run_across_fields_they_never_read(
     # config
     drawn, slots = [], []
     realization, detect = harness._realization, harness._detect
-    monkeypatch.setattr(harness, "_realization", lambda cfg, index, corr: (
-        drawn.append(index) or realization(cfg, index, corr)))
+    monkeypatch.setattr(harness, "_realization", lambda runs, index: (
+        drawn.append(index) or realization(runs, index)))
     monkeypatch.setattr(harness, "_detect", lambda sent: (
         slots.extend(sent) or detect(sent)))
     default = small_config(variant=variant, ensemble=3)
@@ -527,6 +527,25 @@ def test_plain_arms_share_a_run_across_fields_they_never_read(
     assert_same_report(reports[odd], reports[default])
     assert harness.run_trial(odd, 1).errors_by_position.tolist() == (
         harness.run_trial(default, 1).errors_by_position.tolist())
+
+
+def test_only_a_field_reading_run_builds_the_float64_field(monkeypatch):
+    # a realization of plain matched filter runs only holds the matched
+    # filter's decisions from sumf_decisions, which settles them without
+    # the float64 sumf here; a correlated matched filter on the same
+    # realizations reads the field, so sumf builds it once per realization
+    from corrcdma import detectors
+    calls = []
+    for module in (harness, detectors):
+        monkeypatch.setattr(module, "sumf", lambda s, y, name=module.__name__,
+                            real=module.sumf: calls.append(name) or real(s, y))
+    plain = small_config(variant="plain_sumf", ensemble=3)
+    alone = monte_carlo(plain)
+    assert calls == []
+    corr = replace(plain, variant="correlated_sumf")
+    joint = harness.monte_carlo_arms([plain, corr])
+    assert calls == ["corrcdma.harness"] * plain.ensemble
+    assert_same_report(joint[plain], alone)
 
 
 @pytest.mark.parametrize("workers", [None, 1, 2], ids=["unset", "1", "2"])
@@ -693,7 +712,7 @@ def test_divergence_in_one_arm_leaves_the_other_untouched(monkeypatch):
     assert_same_report(plain_report, plain_alone)
     assert corr_report.divergences == 1
     fallback = harness._outcome(
-        corr, harness._realization(corr, 0, False), None)
+        corr, harness._realization((corr,), 0), None)
     expected = fallback.errors_by_position + sum(
         outcome.errors_by_position for outcome in alone[1:])
     assert np.array_equal(corr_report.errors_by_position, expected)
@@ -1014,12 +1033,20 @@ def test_length_study_checks_the_threshold_before_any_run(factor):
     assert ran == []
 
 
-def test_length_study_aborts_on_flat_curves():
+def test_length_study_reports_an_undefined_fit_as_nan():
+    # flat curves saturate at position 0, which a log-log fit cannot use:
+    # the study keeps its positions and reports the fit as nan, warning
+    # why (fit_loglog_slope itself still refuses)
     cfg = small_config(ensemble=1)
     flat = lambda c: SimpleNamespace(per_position=np.zeros(c.word_length))
-    with pytest.warns(UserWarning):
-        with pytest.raises(ValueError):
-            length_scaling_study(cfg, [10, 20, 40], run_report=flat)
+    with pytest.warns(UserWarning) as caught:
+        result = length_scaling_study(cfg, [10, 20, 40], run_report=flat)
+    assert [str(w.message) for w in caught] == [
+        "excluding 3 zero position(s) from the log-log fit",
+        "log-log fit needs at least two nonzero positions; slope and "
+        "intercept are nan"]
+    assert result.positions == (0.0, 0.0, 0.0)
+    assert math.isnan(result.slope) and math.isnan(result.intercept)
 
 
 def test_length_study_needs_three_distinct_lengths():

@@ -27,6 +27,7 @@ from corrcdma.detectors import (
     hard_decisions,
     mud_detect,
     sumf,
+    sumf_decisions,
     sumf_detect,
 )
 from corrcdma.harness import VARIANTS, ExperimentConfig, monte_carlo, run_trial
@@ -124,6 +125,24 @@ def test_negated_signal_negates_the_detection(instance, arm, lam, schedule,
     if blind:
         assert np.array_equal(run[1].estimated_matrix.matrix,
                               run[0].estimated_matrix.matrix[::-1, ::-1])
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 8),
+       st.one_of(st.just(0.0), st.floats(0.05, 2.0)), st.floats(-30, 30),
+       st.integers(0, 2**32 - 1))
+def test_sumf_decisions_are_the_matched_filter_decisions(
+        spread, users, word_len, sigma, exponent, seed):
+    # the float32 certificate, its float64 recheck and its fallback
+    # together give the float64 field's decisions bit for bit, at any
+    # scale of the received samples (sigma 0 makes exact zeros)
+    rng = np.random.default_rng(seed)
+    block = generate_block(iid_matrix(), users, word_len, rng)
+    spreading = generate_spreading(spread, users, rng)
+    received = transmit(spreading, block, sigma, rng) * 10.0**exponent
+    got = sumf_decisions(spreading, received)
+    assert got.dtype == np.int8
+    assert np.array_equal(got, hard_decisions(sumf(spreading, received)))
 
 
 # ---------------------------------------------------------------------------
