@@ -8,6 +8,8 @@ Gaussian noise.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -164,7 +166,7 @@ def transmit(spreading: SpreadingMatrix, block: np.ndarray, sigma: float,
             f"block shape {b.shape} incompatible with {spreading.n_users} users")
     if not _all_unit(b):
         raise ValueError("block symbols must all be +-1")
-    if sigma < 0.0:
+    if not 0.0 <= sigma < math.inf:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     exact = np.float32 if spreading.n_users <= 2**24 else np.float64
     signal = (spreading.chips.astype(exact) @ b.astype(exact)).astype(np.float64)

@@ -21,6 +21,7 @@ preserved by running all iterative detectors through the same engine.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +77,26 @@ def decision_errors(field: np.ndarray, block: np.ndarray) -> np.ndarray:
     return errors.astype(np.int64, copy=False)
 
 
+def _check_int(value, name: str) -> None:
+    """ValueError naming name unless value is an integer, numpy's included:
+    operator.index takes it, and it is no bool, which would count as 0 or
+    1. A float count would otherwise fail mid-run, unnamed."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            operator.index(value)
+            return
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_bool(value, name: str) -> None:
+    """ValueError naming name unless value is a bool, numpy's included; a
+    string such as "false" would otherwise be read as true."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DetectorOptions:
     """Knobs shared by all iterative detectors.
@@ -92,6 +113,8 @@ class DetectorOptions:
     track_bounds: bool = False
 
     def __post_init__(self):
+        _check_int(self.max_iters, "max_iters")
+        _check_bool(self.blind, "blind")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.schedule not in SCHEDULES:
@@ -196,7 +219,10 @@ def sumf_decisions(spreading: SpreadingMatrix,
     band = np.nextafter(band.astype(np.float32), np.float32(np.inf))
     f = spreading.chips.astype(np.float32).T @ y.astype(np.float32)
     decisions = hard_decisions(f)
-    ks, ls = np.nonzero(np.abs(f, out=f) <= band)
+    # the flat search of the fresh C-ordered mask gives np.nonzero's (k, l)
+    # pairs in its order; the 2-D search took about 9 times as long (220
+    # against 24 us at K 800, L 100, 2-core x86-64, numpy 2.4)
+    ks, ls = np.divmod(np.flatnonzero(np.abs(f, out=f) <= band), f.shape[1])
     if ks.size > spreading.n_users // 2:
         return hard_decisions(sumf(spreading, y))
     rechecked = (spreading.chips[:, ks] * y[:, ls]).sum(axis=0)

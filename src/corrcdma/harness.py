@@ -50,6 +50,8 @@ from .channel import generate_spreading, transmit
 from .detectors import (
     DetectorDivergence,
     DetectorOptions,
+    _check_bool,
+    _check_int,
     _run_engine,
     decision_errors,
     sumf,
@@ -83,7 +85,8 @@ class ExperimentConfig:
     in an assumed copy that is read is refused, as saturated neighbours
     would be impossible under it mid-run. seed is the master seed every
     trial stream derives from. schedule, blind and max_iters are
-    DetectorOptions' knobs, with its defaults and its checks.
+    DetectorOptions' knobs, with its defaults and its checks. Every int
+    field must be an integer and blind a bool, numpy's included.
     """
 
     spread_factor: int = 1000
@@ -100,6 +103,10 @@ class ExperimentConfig:
     max_iters: int = DetectorOptions.max_iters
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            if f.type == "int":
+                _check_int(getattr(self, f.name), f.name)
+        _check_bool(self.blind, "blind")
         if self.spread_factor < 1 or self.n_users < 1:
             raise ValueError("spread_factor and n_users must be >= 1")
         if not 0.0 <= self.sigma < math.inf:
@@ -596,9 +603,7 @@ def _report(config: ExperimentConfig, outcomes) -> BerReport:
 @dataclass(frozen=True)
 class Plan:
     """An experiment: the configs it runs, in run order, and reduce, the
-    pure map from their {config: report} lookup to its result. An arm
-    that points share is listed once; a point listed twice lists its arms
-    twice."""
+    pure map from their {config: report} lookup to its result."""
 
     runs: tuple
     reduce: Callable[[dict], object]
@@ -616,7 +621,8 @@ class Plan:
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One correlation setting's paired correlated-vs-plain measurement."""
+    """One correlation setting's paired correlated-vs-plain measurement;
+    its fields, in order, are the normalized_sweep columns."""
 
     lambda2: float
     correlation_length: float
@@ -641,6 +647,15 @@ def paired_arms(config: ExperimentConfig) -> tuple[ExperimentConfig, ExperimentC
             replace(config, variant="plain_mud", mismatch=0.0, blind=False))
 
 
+def _points_plan(points, row) -> Plan:
+    """The Plan of points, tuples whose last item is the tuple of arms the
+    point reads: it runs those arms in point order, each config once, and
+    reduces to row(point, reports) per point."""
+    return Plan(tuple(dict.fromkeys(cfg for *_, arms in points
+                                    for cfg in arms)),
+                lambda reports: [row(point, reports) for point in points])
+
+
 def lambda2_plan(config: ExperimentConfig, lambda2_values) -> Plan:
     """The paired sweep over second eigenvalues, reduced to a SweepPoint
     per value. Each point runs its correlated arm, then its plain arm
@@ -652,24 +667,21 @@ def lambda2_plan(config: ExperimentConfig, lambda2_values) -> Plan:
     for lam in map(float, lambda2_values):
         if not 0.0 <= lam < 1.0:
             raise ValueError(f"lambda2 must lie in [0, 1), got {lam}")
-        points.append((lam, *paired_arms(
+        points.append((lam, paired_arms(
             replace(config, matrix=make_symmetric_matrix(lam)))))
 
-    def reduce(reports):
-        sweep = []
-        for lam, corr_arm, plain_arm in points:
-            corr, plain = reports[corr_arm], reports[plain_arm]
-            sweep.append(SweepPoint(
-                lambda2=lam,
-                correlation_length=source_stats(
-                    corr_arm.matrix).correlation_length,
-                p_corr=corr.aggregate, p_plain=plain.aggregate,
-                normalized=error_ratio(corr.aggregate, plain.aggregate),
-                errors_corr=corr.errors_total, errors_plain=plain.errors_total,
-                bits_total=corr.bits_total))
-        return sweep
+    def row(point, reports):
+        lam, (corr_arm, plain_arm) = point
+        corr, plain = reports[corr_arm], reports[plain_arm]
+        return SweepPoint(
+            lambda2=lam, correlation_length=source_stats(
+                corr_arm.matrix).correlation_length,
+            p_corr=corr.aggregate, p_plain=plain.aggregate,
+            normalized=error_ratio(corr.aggregate, plain.aggregate),
+            errors_corr=corr.errors_total, errors_plain=plain.errors_total,
+            bits_total=corr.bits_total)
 
-    return Plan(tuple(cfg for _, *arms in points for cfg in arms), reduce)
+    return _points_plan(points, row)
 
 
 def normalized_ber_sweep(config: ExperimentConfig, lambda2_values,
@@ -741,7 +753,8 @@ def length_scaling_study(config: ExperimentConfig, lengths,
 
 @dataclass(frozen=True)
 class MismatchPoint:
-    """Normalized BER under a detector-assumed matrix perturbation."""
+    """Normalized BER under a detector-assumed matrix perturbation; its
+    fields, in order, are the mismatch_surface columns."""
 
     lambda2: float
     rel_delta: float
@@ -761,43 +774,35 @@ def mismatch_plan(config: ExperimentConfig, rel_deltas,
     the perturbed copy. Per eigenvalue with a feasible perturbation the
     plan runs the plain arm, then every feasible correlated arm; an
     infeasible one (an element pushed out of [0, 1], or onto 0 or 1) runs
-    nothing and its point records the validation message. A blind base, which never reads
-    an assumed matrix, is refused. All is checked before the plan exists.
+    nothing and its point records the validation message. A blind base,
+    which never reads an assumed matrix, is refused. All is checked before
+    the plan exists.
     """
     if config.blind:
         raise ValueError("the mismatch sweep needs a detector that reads its "
                          "assumed matrix; blind mode re-estimates it")
-    arms = []  # (lambda2, plain arm, [(delta, correlated arm, reason)])
-    runs = []
+    points = []  # (lambda2, delta, reason, (plain arm, correlated arm) or ())
     for lam in map(float, lambda2_values):
         corr_arm, plain_arm = paired_arms(replace(
             config, matrix=make_symmetric_matrix(lam), mismatch=0.0))
-        points = []
         for delta in map(float, rel_deltas):
             try:
-                points.append((delta, replace(corr_arm, mismatch=delta), None))
+                arms = (plain_arm, replace(corr_arm, mismatch=delta))
             except ValueError as exc:  # the config refuses the perturbation
-                points.append((delta, None, str(exc)))
-        feasible = [arm for _, arm, _ in points if arm is not None]
-        runs += [plain_arm, *feasible] if feasible else []
-        arms.append((lam, plain_arm, points))
+                points.append((lam, delta, str(exc), ()))
+            else:
+                points.append((lam, delta, None, arms))
 
-    def reduce(reports):
-        surface = []
-        for lam, plain_arm, points in arms:
-            for delta, corr_arm, reason in points:
-                p_corr = p_plain = normalized = math.nan
-                if corr_arm is not None:
-                    p_corr = reports[corr_arm].aggregate
-                    p_plain = reports[plain_arm].aggregate
-                    normalized = error_ratio(p_corr, p_plain)
-                surface.append(MismatchPoint(
-                    lambda2=lam, rel_delta=delta,
-                    feasible=corr_arm is not None, reason=reason,
-                    p_corr=p_corr, p_plain=p_plain, normalized=normalized))
-        return surface
+    def row(point, reports):
+        lam, delta, reason, arms = point
+        p_plain, p_corr = ([reports[arm].aggregate for arm in arms]
+                           or [math.nan, math.nan])  # NaN when infeasible
+        return MismatchPoint(
+            lambda2=lam, rel_delta=delta, feasible=bool(arms), reason=reason,
+            p_corr=p_corr, p_plain=p_plain,
+            normalized=error_ratio(p_corr, p_plain))
 
-    return Plan(tuple(runs), reduce)
+    return _points_plan(points, row)
 
 
 def bandwidth_arms(config: ExperimentConfig, matrix: TransitionMatrix,
@@ -831,14 +836,13 @@ def _comparison_plan(points, compare) -> Plan:
     arm)) points, reduced to the (lambda2, entropy_bits, epsilon,
     CompressionComparison) rows write_comparison_csv takes by
     compare(matrix, epsilon, p_corr, p_other) on the arms' BERs."""
-    def reduce(reports):
-        return [(lam, entropy, eps, compare(corr.matrix, eps,
-                                            reports[corr].aggregate,
-                                            reports[other].aggregate))
-                for lam, entropy, eps, (corr, other) in points]
+    def row(point, reports):
+        lam, entropy, eps, (corr, other) = point
+        return lam, entropy, eps, compare(corr.matrix, eps,
+                                          reports[corr].aggregate,
+                                          reports[other].aggregate)
 
-    return Plan(tuple(dict.fromkeys(
-        cfg for *_, arms in points for cfg in arms)), reduce)
+    return _points_plan(points, row)
 
 
 def fixed_plan(config: ExperimentConfig, matrices) -> Plan:
@@ -875,16 +879,15 @@ def bandwidth_plan(config: ExperimentConfig, matrices, rate_excesses,
 # CSV persistence
 
 # Column row of every result file, by family; the plot-data reader detects a
-# file's family from its column row.
+# file's family from its column row. A paired family's columns are its
+# point's fields.
 CSV_COLUMNS = {
     "ber_profile": ("position", "relative_position", "errors", "bits", "ber",
                     "std_err"),
-    "normalized_sweep": ("lambda2", "correlation_length", "p_corr",
-                         "p_plain", "normalized", "errors_corr",
-                         "errors_plain", "bits_total"),
+    "normalized_sweep": tuple(f.name for f in dataclasses.fields(SweepPoint)),
     "length_scaling": ("length", "saturation_position"),
-    "mismatch_surface": ("lambda2", "rel_delta", "feasible", "reason",
-                         "p_corr", "p_plain", "normalized"),
+    "mismatch_surface": tuple(f.name
+                              for f in dataclasses.fields(MismatchPoint)),
     "compression_comparison": ("lambda2", "entropy_bits", "epsilon", "p_corr",
                                "p_comp", "ratio", "rate", "protocol",
                                "ensemble", "seed"),
@@ -892,7 +895,10 @@ CSV_COLUMNS = {
 
 
 def _format_cell(value) -> str:
-    # a numpy float's repr names its type, and a numpy bool is not a bool
+    # a numpy float's repr names its type, and a numpy bool is not a bool;
+    # an absent value (a feasible point's reason) is the empty cell
+    if value is None:
+        return ""
     if isinstance(value, (bool, np.bool_)):
         return str(bool(value)).lower()
     if isinstance(value, float):
@@ -934,10 +940,8 @@ def write_ber_csv(path, report: BerReport):
 
 
 def write_sweep_csv(path, config: ExperimentConfig, points):
-    rows = [(p.lambda2, p.correlation_length, p.p_corr, p.p_plain,
-             p.normalized, p.errors_corr, p.errors_plain, p.bits_total)
-            for p in points]
-    _write_csv(path, config, None, CSV_COLUMNS["normalized_sweep"], rows)
+    _write_csv(path, config, None, CSV_COLUMNS["normalized_sweep"],
+               map(dataclasses.astuple, points))
 
 
 def write_length_csv(path, config: ExperimentConfig, result: LengthScalingResult):
@@ -949,9 +953,8 @@ def write_length_csv(path, config: ExperimentConfig, result: LengthScalingResult
 
 
 def write_mismatch_csv(path, config: ExperimentConfig, points):
-    rows = [(p.lambda2, p.rel_delta, p.feasible, p.reason or "", p.p_corr,
-             p.p_plain, p.normalized) for p in points]
-    _write_csv(path, config, None, CSV_COLUMNS["mismatch_surface"], rows)
+    _write_csv(path, config, None, CSV_COLUMNS["mismatch_surface"],
+               map(dataclasses.astuple, points))
 
 
 def write_comparison_csv(path, config: ExperimentConfig, rows,

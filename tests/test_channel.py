@@ -166,9 +166,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             generate_spreading(10, 0, np.random.default_rng(0))
         s = generate_spreading(10, 5, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            transmit(s, np.ones((5, 2), dtype=np.int8), -0.1,
-                     np.random.default_rng(0))
+        for sigma in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="sigma must be >= 0"):
+                transmit(s, np.ones((5, 2), dtype=np.int8), sigma,
+                         np.random.default_rng(0))
 
 
 class TestTransmit:

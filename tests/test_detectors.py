@@ -1285,5 +1285,9 @@ class TestOptions:
     def test_validation(self):
         with pytest.raises(ValueError):
             DetectorOptions(max_iters=0)
+        with pytest.raises(ValueError, match="^max_iters must be an integer"):
+            DetectorOptions(max_iters=5.0)
+        with pytest.raises(ValueError, match="^blind must be a bool"):
+            DetectorOptions(blind="false")
         with pytest.raises(ValueError):
             DetectorOptions(schedule="ZIGZAG")

@@ -76,6 +76,22 @@ def test_config_rejects_out_of_range_fields():
             small_config(**bad)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("spread_factor", 30.0), ("n_users", 20.0), ("n_users", True),
+    ("word_length", 8.0), ("ensemble", 2.0), ("max_iters", 5.0),
+    ("seed", 1.5), ("blind", "false"),
+])
+def test_config_refuses_ill_typed_fields_when_built(name, value):
+    # a float count would build and fail mid-run with an unnamed TypeError,
+    # a bool count would count as 1, and a string blind flag would run
+    # blind; numpy's integers and bools build
+    with pytest.raises(ValueError, match=f"^{name} must be an? "):
+        small_config(**{name: value})
+    typed = np.bool_(False) if name == "blind" else np.int64(
+        getattr(small_config(), name))
+    assert getattr(small_config(**{name: typed}), name) == typed
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_config_refuses_settings_its_variant_never_reads(variant):
     # only the correlated MUD runs blind, and only a correlated variant
@@ -1166,6 +1182,33 @@ def test_plans_list_their_runs_in_run_order():
                                   0.5).runs == (corr, exact, excess)
 
 
+def test_paired_plans_run_a_repeated_point_once_and_keep_its_rows():
+    # a point repeated through the library lists its arms once, in point
+    # order, and still reduces to one row per point given
+    cfg = small_config(ensemble=1)
+    sym = make_symmetric_matrix
+    run = lambda c: SimpleNamespace(aggregate=0.1 if c.variant == "plain_mud"
+                                    else 0.05, errors_total=1, bits_total=20)
+    sweep = harness.lambda2_plan(cfg, [0.5, 0.0, 0.5])
+    assert [(c.variant, c.matrix) for c in sweep.runs] == [
+        ("correlated_mud", sym(0.5)), ("plain_mud", sym(0.5)),
+        ("correlated_mud", sym(0.0)), ("plain_mud", sym(0.0))]
+    assert [p.lambda2 for p in sweep.run(run_report=run)] == [0.5, 0.0, 0.5]
+    mismatch = harness.mismatch_plan(cfg, [0.1, 0.1, -0.05], [0.3, 0.3])
+    assert [(c.variant, c.mismatch) for c in mismatch.runs] == [
+        ("plain_mud", 0.0), ("correlated_mud", 0.1),
+        ("correlated_mud", -0.05)]
+    assert [(p.lambda2, p.rel_delta, p.normalized)
+            for p in mismatch.run(run_report=run)] == [
+        (lam, delta, 0.5) for lam in (0.3, 0.3) for delta in (0.1, 0.1, -0.05)]
+    matrix = sym(0.8)
+    bandwidth = harness.bandwidth_plan(cfg, [(0.8, matrix)] * 2, [0.0, 0.0],
+                                       0.5)
+    assert bandwidth.runs == harness.bandwidth_arms(cfg, matrix, 0.0, 0.5)
+    rows = bandwidth.run(run_report=run)
+    assert rows == [rows[0]] * 4
+
+
 @pytest.mark.parametrize(
     "protocol, rate_excesses, amplification, message", [
         ("bandwidth", (0.0,), "bits", "amplification must be one of"),
@@ -1308,6 +1351,17 @@ def test_sweep_csv_round_trip(tmp_path):
     assert int(header["ensemble"]) == cfg.ensemble
 
 
+def test_paired_families_keep_their_column_rows():
+    # the columns come from the point fields; the plot-data reader
+    # recognises each paired family by this column row
+    assert harness.CSV_COLUMNS["normalized_sweep"] == (
+        "lambda2", "correlation_length", "p_corr", "p_plain", "normalized",
+        "errors_corr", "errors_plain", "bits_total")
+    assert harness.CSV_COLUMNS["mismatch_surface"] == (
+        "lambda2", "rel_delta", "feasible", "reason", "p_corr", "p_plain",
+        "normalized")
+
+
 def test_length_csv_keeps_fit_in_header(tmp_path):
     cfg = small_config(ensemble=1)
     curve = lambda c: SimpleNamespace(
@@ -1329,6 +1383,7 @@ def test_mismatch_csv_round_trip(tmp_path):
     _, columns, rows = read_csv_with_header(path)
     assert columns[2] == "feasible"
     assert rows[0][2] == "true" and rows[1][2] == "false"
+    assert rows[0][3] == ""  # a feasible point has no reason
     assert rows[1][3] != ""  # the infeasibility reason is recorded
 
 
