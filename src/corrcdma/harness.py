@@ -21,6 +21,7 @@ import csv
 import dataclasses
 import io
 import math
+import numbers
 import operator
 import os
 import warnings
@@ -50,7 +51,6 @@ from .channel import generate_spreading, transmit
 from .detectors import (
     DetectorDivergence,
     DetectorOptions,
-    _check_bool,
     _check_int,
     _run_engine,
     decision_errors,
@@ -84,9 +84,10 @@ class ExperimentConfig:
     detector-assumed copy only, which blind mode never reads; a zero entry
     in an assumed copy that is read is refused, as saturated neighbours
     would be impossible under it mid-run. seed is the master seed every
-    trial stream derives from. schedule, blind and max_iters are
-    DetectorOptions' knobs, with its defaults and its checks. Every int
-    field must be an integer and blind a bool, numpy's included.
+    trial stream derives from. schedule, blind and max_iters are options'
+    knobs, with DetectorOptions' defaults and checks. An int field must be
+    an integer, blind a bool and a float field a real number but no bool,
+    numpy's included, stored as the float that runs.
     """
 
     spread_factor: int = 1000
@@ -104,9 +105,15 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
             if f.type == "int":
-                _check_int(getattr(self, f.name), f.name)
-        _check_bool(self.blind, "blind")
+                _check_int(value, f.name)
+            elif f.type == "float":
+                if type(value) is bool or not isinstance(value, numbers.Real):
+                    raise ValueError(f"{f.name} must be a real number, "
+                                     f"got {value!r}")
+                object.__setattr__(self, f.name, float(value))
+        self.options  # checks max_iters, schedule and blind
         if self.spread_factor < 1 or self.n_users < 1:
             raise ValueError("spread_factor and n_users must be >= 1")
         if not 0.0 <= self.sigma < math.inf:
@@ -133,8 +140,6 @@ class ExperimentConfig:
         if self.blind and self.mismatch != 0.0:
             raise ValueError("mismatch does not apply to blind mode, which "
                              "re-estimates the matrix from the memoryless one")
-        DetectorOptions(max_iters=self.max_iters, schedule=self.schedule,
-                        blind=self.blind)
         if self.ensemble < 1:
             raise ValueError("ensemble must be >= 1")
         if self.seed < 0:
@@ -146,6 +151,12 @@ class ExperimentConfig:
                     f"variant {self.variant} cannot assume the transition "
                     f"matrix {assumed.to_flat()}: a zero entry makes "
                     f"saturated neighbours impossible")
+
+    @property
+    def options(self) -> DetectorOptions:
+        """The DetectorOptions of the config's detector."""
+        return DetectorOptions(max_iters=self.max_iters,
+                               schedule=self.schedule, blind=self.blind)
 
     @property
     def load(self) -> float:
@@ -312,9 +323,8 @@ def _engine_kind(config: ExperimentConfig) -> tuple:
     """The fields one detection engine run needs equal across its slots;
     the slots may differ in their realization and in the matrix their
     detector assumes. A slot is one run on one realization."""
-    return (config.variant, config.schedule, config.blind, config.max_iters,
-            config.spread_factor, config.n_users, config.word_length,
-            config.sigma)
+    return (config.variant, config.options, config.spread_factor,
+            config.n_users, config.word_length, config.sigma)
 
 
 def _runs_as(config: ExperimentConfig) -> ExperimentConfig:
@@ -376,8 +386,7 @@ def _detect(slots):
     return _run_engine(
         [matched for _, _, (_, matched, _) in slots],
         [corr for _, _, (_, _, corr) in slots], config.load, config.sigma,
-        DetectorOptions(max_iters=config.max_iters, schedule=config.schedule,
-                        blind=config.blind),
+        config.options,
         assumed=(None if config.variant == "plain_mud"
                  else [cfg.detector_matrix() for cfg, _, _ in slots]),
         iterate=config.variant in MUD_VARIANTS,
@@ -435,43 +444,32 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialOutcome:
     return _detect_realizations([(trial_index, (_runs_as(config),))])[0][1]
 
 
-def _realizations(runs) -> list[tuple]:
-    """(trial index, runs) of every realization the runs make: runs with
-    the same channel fields share the realizations of their common trial
-    indices. Channels come in order of first appearance, each in trial
-    order."""
+def _payloads(runs, workers: int | None = None) -> list[list]:
+    """The (trial index, runs) realizations of the runs in pool payloads,
+    each detected by one worker call; runs with the same channel fields
+    share the realizations of their common trial indices.
+
+    The realizations of each set of engine calls (engine kinds with their
+    slot counts) are cut in order into equal payloads: a worker's share of
+    them, at most as many as put detectors.GROUP_USERS users, the most one
+    lockstep group holds, in the fullest engine call, and at least one.
+    """
     channels = {}
     for cfg in runs:
         channels.setdefault(_channel(cfg), []).append(cfg)
-    return [(index, tuple(cfg for cfg in group if index < cfg.ensemble))
-            for group in channels.values()
-            for index in range(max(cfg.ensemble for cfg in group))]
-
-
-def _payloads(realizations, workers: int | None = None) -> list[list]:
-    """The realizations in pool payloads, each detected by one worker call.
-
-    Realizations whose runs are of the same engine kinds fill a payload in
-    order, up to a worker's share of them and detectors.GROUP_USERS users
-    in the fullest engine call, the most that one lockstep group of the
-    engine holds.
-    """
-    buckets = {}
-    for index, runs in realizations:
-        kinds = Counter(map(_engine_kind, runs))
-        buckets.setdefault(frozenset(kinds), []).append(
-            ((index, runs), runs[0].n_users * max(kinds.values())))
+    calls = {}  # frozenset of (engine kind, slot count) -> realizations
+    for group in channels.values():
+        for index in range(max(cfg.ensemble for cfg in group)):
+            cfgs = tuple(cfg for cfg in group if index < cfg.ensemble)
+            calls.setdefault(frozenset(Counter(map(_engine_kind, cfgs))
+                                       .items()), []).append((index, cfgs))
     payloads = []
-    for bucket in buckets.values():
-        share = -(-len(bucket) // (workers or 1))
-        start = len(payloads)
-        for realization, users in bucket:
-            if (len(payloads) == start or len(payloads[-1]) == share
-                    or total + users > detectors.GROUP_USERS):
-                payloads.append([])
-                total = 0
-            payloads[-1].append(realization)
-            total += users
+    for key, realizations in calls.items():
+        users = realizations[0][1][0].n_users * max(n for _, n in key)
+        size = min(-(-len(realizations) // (workers or 1)),
+                   max(1, detectors.GROUP_USERS // users))
+        payloads += [realizations[start:start + size]
+                     for start in range(0, len(realizations), size)]
     return payloads
 
 
@@ -545,7 +543,7 @@ def monte_carlo_arms(configs, workers: int | None = None
     check_workers(workers)
     runs = {arm: _runs_as(arm) for arm in configs}
     outcomes = {run: [] for run in runs.values()}
-    payloads = _payloads(_realizations(outcomes), workers)
+    payloads = _payloads(outcomes, workers)
     if workers is None or workers == 1 or len(payloads) <= 1:
         groups = map(_detect_realizations, payloads)
     else:
@@ -660,9 +658,10 @@ def lambda2_plan(config: ExperimentConfig, lambda2_values) -> Plan:
     """The paired sweep over second eigenvalues, reduced to a SweepPoint
     per value. Each point runs its correlated arm, then its plain arm
     (paired_arms on the symmetric matrix of its eigenvalue); at lambda2 = 0
-    the correlated arm runs as the plain one (_runs_as), so that point's
-    ratio is exactly 1. Every value is checked to lie in [0, 1) and every
-    arm built, and so validated, before the plan exists."""
+    a correlated arm without a mismatch runs as the plain one (_runs_as),
+    so that point's ratio is exactly 1, while a mismatched one assumes a
+    perturbed matrix and runs as itself. Every value is checked to lie in
+    [0, 1) and every arm built, and so validated, before the plan exists."""
     points = []
     for lam in map(float, lambda2_values):
         if not 0.0 <= lam < 1.0:
@@ -688,8 +687,9 @@ def normalized_ber_sweep(config: ExperimentConfig, lambda2_values,
                          workers: int | None = None,
                          run_report=None) -> list[SweepPoint]:
     """Paired correlated-MUD over plain-MUD BER for each second eigenvalue:
-    lambda2_plan run jointly. At lambda2 = 0 the ratio is exactly 1 by
-    construction, since the correlated arm runs as the plain one."""
+    lambda2_plan run jointly. Without a mismatch the ratio at lambda2 = 0
+    is exactly 1 by construction, since the correlated arm runs as the
+    plain one."""
     return lambda2_plan(config, lambda2_values).run(workers, run_report)
 
 
@@ -906,20 +906,15 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _write_header(handle, config: ExperimentConfig | None, extra: dict | None):
-    handle.write(f"# corrcdma={__version__}\n")
-    items = {}
-    if config is not None:
-        items.update(config.to_dict())
-    if extra:
-        items.update(extra)
-    for key in sorted(items):
-        handle.write(f"# {key}={_format_cell(items[key])}\n")
-
-
-def _write_csv(path, config, extra, columns, rows):
+def _write_csv(path, config: ExperimentConfig, extra: dict | None, columns,
+               rows):
+    """The rows under a `# key=value` header of the version, the config's
+    fields and extra, sorted by key, and the column row."""
+    items = {**config.to_dict(), **(extra or {})}
     with open(path, "w", newline="") as handle:
-        _write_header(handle, config, extra)
+        handle.write(f"# corrcdma={__version__}\n")
+        for key in sorted(items):
+            handle.write(f"# {key}={_format_cell(items[key])}\n")
         writer = csv.writer(handle)
         writer.writerow(columns)
         for row in rows:

@@ -79,17 +79,44 @@ def test_config_rejects_out_of_range_fields():
 @pytest.mark.parametrize("name, value", [
     ("spread_factor", 30.0), ("n_users", 20.0), ("n_users", True),
     ("word_length", 8.0), ("ensemble", 2.0), ("max_iters", 5.0),
-    ("seed", 1.5), ("blind", "false"),
+    ("seed", 1.5), ("blind", "false"), ("sigma", True), ("sigma", np.True_),
+    ("sigma", "0.8"), ("sigma", None), ("sigma", 1 + 0j),
+    ("mismatch", "0.1"), ("mismatch", False),
 ])
 def test_config_refuses_ill_typed_fields_when_built(name, value):
     # a float count would build and fail mid-run with an unnamed TypeError,
-    # a bool count would count as 1, and a string blind flag would run
-    # blind; numpy's integers and bools build
+    # a bool count would count as 1, a string blind flag would run blind,
+    # a bool sigma would run as 1 and be recorded as true, and a string,
+    # None or complex float field would fail unnamed; numpy's integers,
+    # bools and floats build, a float field stored as the float that runs
     with pytest.raises(ValueError, match=f"^{name} must be an? "):
         small_config(**{name: value})
-    typed = np.bool_(False) if name == "blind" else np.int64(
-        getattr(small_config(), name))
-    assert getattr(small_config(**{name: typed}), name) == typed
+    floats = name in ("sigma", "mismatch")
+    if name == "blind":
+        typed = np.bool_(False)
+    elif floats:
+        typed = np.float32(0.05)
+    else:
+        typed = np.int64(getattr(small_config(), name))
+    built = getattr(small_config(**{name: typed}), name)
+    assert built == typed
+    assert type(built) is float or not floats
+
+
+def test_a_numpy_float_sigma_is_recorded_as_the_value_that_runs(tmp_path):
+    # float32 0.8 scales the noise by 0.800000011920929, which the header
+    # records, so the config read back from it is the config that ran;
+    # an int sigma is recorded as a float
+    cfg = small_config(sigma=np.float32(0.8))
+    assert cfg.sigma == float(np.float32(0.8)) != 0.8
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(path, cfg, [])
+    header, _, _ = read_csv_with_header(path)
+    assert header["sigma"] == "0.800000011920929"
+    del header["corrcdma"]
+    assert ExperimentConfig.from_dict(header) == cfg
+    write_sweep_csv(path, small_config(sigma=1), [])
+    assert read_csv_with_header(path)[0]["sigma"] == "1.0"
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -384,8 +411,14 @@ def payload_sizes(*arms, workers=None):
     """Realizations per pool payload of a joint run of arms, each arm run
     as monte_carlo_arms aliases it."""
     runs = dict.fromkeys(map(harness._runs_as, arms))
-    return [len(payload) for payload in harness._payloads(
-        harness._realizations(runs), workers)]
+    return [len(payload) for payload in harness._payloads(runs, workers)]
+
+
+def realizations(*runs):
+    """The (trial index, runs) realizations the runs make, unaliased: the
+    serial payloads flattened."""
+    return [realization for payload in harness._payloads(runs)
+            for realization in payload]
 
 
 def test_group_size_rule():
@@ -403,6 +436,42 @@ def test_group_size_rule():
                          workers=2) == [4, 4]
 
 
+def test_benchmark_workload_payloads_are_pinned():
+    # the four benchmark workloads' shapes, at their worker counts; a
+    # packing change that moves one shows here first
+    corr = ExperimentConfig(spread_factor=1000, n_users=800, word_length=100,
+                            ensemble=3, schedule="SUS", max_iters=50)
+    assert payload_sizes(corr, workers=1) == [1] * 3  # large_corr_mud
+    assert payload_sizes(*harness.lambda2_plan(corr, [0.8]).runs,
+                         workers=1) == [1] * 3
+    assert payload_sizes(replace(corr, variant="plain_sumf", ensemble=16),
+                         workers=1) == [1] * 16  # matched_filter_large
+    sweep = ExperimentConfig(spread_factor=500, n_users=400, word_length=100,
+                             ensemble=1)  # paired_sweep_cli
+    assert payload_sizes(*harness.lambda2_plan(sweep, [0.0, 0.4, 0.8]).runs,
+                         workers=1) == [1, 2]
+    short = ExperimentConfig(spread_factor=250, n_users=200, ensemble=8)
+    for length in (10, 20, 40, 80):  # short_words_pool, one arm at a time
+        assert payload_sizes(replace(short, word_length=length),
+                             workers=2) == [4, 4]
+
+
+@pytest.mark.parametrize("workers", [None, 2], ids=["unset", "2"])
+def test_realizations_of_one_kind_set_pack_by_their_slot_counts(workers):
+    # lambda2 0.5 carries two correlated slots per realization and 0.9, its
+    # delta 0.2 infeasible, one: the same engine kinds in other counts, so
+    # each eigenvalue's realizations fill payloads of their own
+    base = ExperimentConfig(spread_factor=100, n_users=60, word_length=10,
+                            ensemble=6, seed=5)
+    arms = harness.mismatch_plan(base, [0.05, 0.2], [0.5, 0.9]).runs
+    assert len(arms) == 5
+    assert payload_sizes(*arms, workers=workers) == (
+        [6, 6] if workers is None else [3, 3, 3, 3])
+    joint = harness.monte_carlo_arms(arms, workers)
+    for arm in arms:
+        assert_same_report(joint[arm], monte_carlo(arm))
+
+
 def test_paired_arms_share_realizations_and_groups():
     # the C4 sweep: each realization carries a correlated and a plain arm;
     # at lambda2 = 0 both detect as the plain MUD, one slot, and the other
@@ -411,20 +480,18 @@ def test_paired_arms_share_realizations_and_groups():
     c4 = small_config(spread_factor=500, n_users=400, word_length=100,
                       ensemble=1)
     arms = harness.lambda2_plan(c4, [0.0, 0.4, 0.8]).runs
-    realizations = harness._realizations(arms)
-    assert [len(cfgs) for _, cfgs in realizations] == [2, 2, 2]
+    assert [len(cfgs) for _, cfgs in realizations(*arms)] == [2, 2, 2]
     assert payload_sizes(*arms) == [1, 2]
     # arms of another size or length draw their own realizations
-    assert len(harness._realizations(
-        [c4, replace(c4, word_length=50), replace(c4, n_users=399)])) == 3
+    assert len(realizations(
+        c4, replace(c4, word_length=50), replace(c4, n_users=399))) == 3
     # two correlated arms of one realization fill a 400-user group each
     mismatch = harness.mismatch_plan(
         replace(c4, ensemble=3), [0.05, -0.05], [0.5]).runs
     assert len(mismatch) == 3
     assert payload_sizes(*mismatch) == [1, 1, 1]
     # a longer ensemble shares the realizations of the shorter one
-    shared = harness._realizations([c4, replace(c4, ensemble=3,
-                                                variant="plain_mud")])
+    shared = realizations(c4, replace(c4, ensemble=3, variant="plain_mud"))
     assert [(index, len(cfgs)) for index, cfgs in shared] == [
         (0, 2), (1, 1), (2, 1)]
 
@@ -452,7 +519,7 @@ def test_pairing_holds_for_every_config_field(name):
     base = small_config(ensemble=2)
     other = replace(base, **{name: ALTERNATES[name]})
     assert getattr(other, name) != getattr(base, name)
-    shared = [index for index, arms in harness._realizations([base, other])
+    shared = [index for index, arms in realizations(base, other)
               if arms == (base, other)]
     assert shared == ([0, 1] if name in SAME_REALIZATIONS else [])
     assert ((harness._engine_kind(base) == harness._engine_kind(other))
@@ -515,6 +582,23 @@ def test_arms_unlike_the_plain_mud_keep_their_own_slot(monkeypatch):
                     ("correlated_mud", iid, False,
                      mismatched.detector_matrix())]
     assert mismatched.detector_matrix() != iid
+
+
+@pytest.mark.parametrize("mismatch", [0.0, 0.05])
+def test_a_mismatched_lambda2_zero_arm_keeps_its_own_slot(monkeypatch,
+                                                          mismatch):
+    # at lambda2 = 0 the correlated arm runs as the plain one only when it
+    # assumes the memoryless matrix; a mismatch perturbs that assumption,
+    # so the arm detects as itself and the point's ratio need not be 1
+    sent = spy_slots(monkeypatch)
+    corr, plain = harness.lambda2_plan(small_config(ensemble=1,
+                                                    mismatch=mismatch),
+                                       [0.0]).runs
+    harness.monte_carlo_arms([corr, plain])
+    iid = iid_matrix()
+    plain_slot = ("plain_mud", iid, False, iid)
+    corr_slot = ("correlated_mud", iid, False, corr.detector_matrix())
+    assert sent == ([corr_slot, plain_slot] if mismatch else [plain_slot])
 
 
 @pytest.mark.parametrize("variant, unread", [
