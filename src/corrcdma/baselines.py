@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .detectors import _check_real
 from .markov import TransitionMatrix, source_stats
 
 AMPLIFICATIONS = ("entropy", "rate")
@@ -71,17 +72,19 @@ def bsc_residual_error(entropy_bits: float, crossover: float) -> float:
     and decoded by an ideal decoder. The residual error p solves
     entropy_bits = (1 - H2(crossover)) / (1 - H2(p)). When the channel's
     surviving information 1 - H2(crossover) already reaches entropy_bits,
-    decoding is error-free and 0.0 is returned.
+    decoding is error-free and 0.0 is returned. Any crossover in [0, 1] is
+    taken: the capacity 1 - H2 is symmetric, so crossover and 1 -
+    crossover leave the same residual, and a crossover of 0.5, a channel
+    that carries nothing, leaves 0.5.
     """
     if entropy_bits <= 0.0 or entropy_bits > 1.0:
         raise ValueError(f"entropy_bits must lie in (0, 1], got {entropy_bits}")
-    if not 0.0 <= crossover < 0.5:
-        raise ValueError(f"crossover must lie in [0, 0.5), got {crossover}")
+    if not 0.0 <= crossover <= 1.0:
+        raise ValueError(f"crossover must lie in [0, 1], got {crossover}")
     surviving = 1.0 - binary_entropy(crossover)
     if surviving >= entropy_bits:
         return 0.0
-    target = 1.0 - surviving / entropy_bits
-    return min(max(inverse_binary_entropy(target), 0.0), 0.5)
+    return inverse_binary_entropy(1.0 - surviving / entropy_bits)
 
 
 @dataclass(frozen=True)
@@ -121,9 +124,11 @@ def error_ratio(numerator: float, denominator: float) -> float:
 def compression_point(matrix: TransitionMatrix, rate_excess: float = 0.0):
     """Check one comparison point; returns (entropy_bits, rate).
 
-    rate is (1 + rate_excess) * H_b. Raises ValueError for a negative or
-    non-finite rate_excess, a source of zero entropy or a rate above 1.
+    rate is (1 + rate_excess) * H_b. Raises ValueError for a rate_excess
+    that is not a real number (a bool or a string), negative or not
+    finite, a source of zero entropy or a rate above 1.
     """
+    rate_excess = _check_real(rate_excess, "rate_excess")
     if not 0.0 <= rate_excess < math.inf:
         raise ValueError(f"rate_excess must be >= 0 and finite, got "
                          f"{rate_excess}")
@@ -179,12 +184,14 @@ def fixed_load_comparison(matrix: TransitionMatrix, p_corr: float,
     return CompressionComparison(p_corr, p_comp, entropy, "fixed_load_bsc")
 
 
-def check_threshold_factor(threshold_factor: float) -> None:
-    """ValueError unless threshold_factor is a finite number above 1 (NaN
-    fails)."""
+def check_threshold_factor(threshold_factor: float) -> float:
+    """threshold_factor as a float, else ValueError naming it: a real number
+    (no bool or string), finite and above 1 (NaN fails)."""
+    threshold_factor = _check_real(threshold_factor, "threshold_factor")
     if not 1.0 < threshold_factor < math.inf:
         raise ValueError("threshold_factor must be finite and exceed 1, got "
                          f"{threshold_factor}")
+    return threshold_factor
 
 
 def saturation_position(ber_by_position,
@@ -206,7 +213,7 @@ def saturation_position(ber_by_position,
         raise ValueError("need a 1-d array of at least 2 per-position values")
     if not np.all((ber >= 0.0) & (ber < math.inf)):
         raise ValueError("BER values must be >= 0 and finite")
-    check_threshold_factor(threshold_factor)
+    threshold_factor = check_threshold_factor(threshold_factor)
     if not ber.any():
         return 0.0
     threshold = threshold_factor * float(ber.min())

@@ -21,6 +21,7 @@ preserved by running all iterative detectors through the same engine.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -44,6 +45,12 @@ CLAMP_EPS = 1e-12
 # group of three C4 arms raised the peak resident memory of a sweep by
 # 9.6 MB).
 GROUP_USERS = 1000
+
+
+def _lockstep_width(users: int) -> int:
+    """The realizations per lockstep group when each carries users users:
+    as many as GROUP_USERS users hold, and at least one."""
+    return max(1, GROUP_USERS // users)
 
 
 class DetectorDivergence(RuntimeError):
@@ -77,24 +84,34 @@ def decision_errors(field: np.ndarray, block: np.ndarray) -> np.ndarray:
     return errors.astype(np.int64, copy=False)
 
 
-def _check_int(value, name: str) -> None:
-    """ValueError naming name unless value is an integer, numpy's included:
-    operator.index takes it, and it is no bool, which would count as 0 or
-    1. A float count would otherwise fail mid-run, unnamed."""
+# The readers of a caller's typed value, shared by the whole run layer: each
+# returns the Python value that runs, else raises a ValueError naming name.
+def _check_int(value, name: str) -> int:
+    """value as an int: an integer, numpy's included (operator.index takes
+    it), but no bool, which would count as 0 or 1, and no float, which a
+    cast would truncate."""
     if not isinstance(value, (bool, np.bool_)):
         try:
-            operator.index(value)
-            return
+            return operator.index(value)
         except TypeError:
             pass
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _check_bool(value, name: str) -> None:
-    """ValueError naming name unless value is a bool, numpy's included; a
-    string such as "false" would otherwise be read as true."""
+def _check_real(value, name: str) -> float:
+    """value as a float: a real number, numpy's included, but no bool,
+    which would run as 0 or 1 and be recorded as a flag, and no string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def _check_bool(value, name: str) -> bool:
+    """value as a bool: a bool, numpy's included; a string such as "false"
+    would otherwise be read as true."""
     if not isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
 
 
 @dataclass(frozen=True)
@@ -103,7 +120,9 @@ class DetectorOptions:
 
     max_iters caps both the per-position iteration count of the plain MUD
     and the outer-iteration count of the correlated variants. blind applies
-    to the correlated MUD only. schedule_rng feeds RSUS (seed 0 if None).
+    to the correlated MUD only. schedule_rng feeds RSUS (seed 0 if None):
+    None or a numpy.random.Generator. Every field is checked as the
+    options are built, a bad one a ValueError naming it.
     """
 
     max_iters: int = 50
@@ -115,10 +134,15 @@ class DetectorOptions:
     def __post_init__(self):
         _check_int(self.max_iters, "max_iters")
         _check_bool(self.blind, "blind")
+        _check_bool(self.track_bounds, "track_bounds")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.schedule not in SCHEDULES:
             raise ValueError(f"schedule must be one of {SCHEDULES}, got {self.schedule!r}")
+        if not (self.schedule_rng is None
+                or isinstance(self.schedule_rng, np.random.Generator)):
+            raise ValueError(f"schedule_rng must be None or a numpy.random."
+                             f"Generator, got {self.schedule_rng!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -494,7 +518,7 @@ def _run_engine(fields, corrs, load, sigma, opts, assumed=None, iterate=True,
 
     The realizations run in consecutive lockstep groups of B: one for a
     correlated RSUS run, as each realization shuffles its own columns,
-    else as many as GROUP_USERS users hold, at least one. A group's state
+    else _lockstep_width(K), as many as GROUP_USERS users hold. A group's state
     is held in (L, B, K) arrays, each slot with its own matrix's neighbour
     weights and edge value, one copy per user, so every element sees the
     scalars a lone run of its realization would. The MUD step and the bias
@@ -511,7 +535,7 @@ def _run_engine(fields, corrs, load, sigma, opts, assumed=None, iterate=True,
     rsus = correlated and opts.schedule == "RSUS"
     n_trials = len(fields)
     n_users, word_len = fields[0].shape
-    width = 1 if rsus else max(1, GROUP_USERS // n_users)
+    width = 1 if rsus else _lockstep_width(n_users)
     if n_trials > width:  # one run per group
         return [result for s in range(0, n_trials, width)
                 for result in _run_engine(

@@ -21,7 +21,6 @@ import csv
 import dataclasses
 import io
 import math
-import numbers
 import operator
 import os
 import warnings
@@ -35,7 +34,7 @@ from itertools import takewhile
 
 import numpy as np
 
-from . import __version__, detectors
+from . import __version__
 from .baselines import (
     AMPLIFICATIONS,
     DEFAULT_THRESHOLD_FACTOR,
@@ -51,7 +50,10 @@ from .channel import generate_spreading, transmit
 from .detectors import (
     DetectorDivergence,
     DetectorOptions,
+    _check_bool,
     _check_int,
+    _check_real,
+    _lockstep_width,
     _run_engine,
     decision_errors,
     sumf,
@@ -72,6 +74,10 @@ STREAM_SCHEDULE = 1
 VARIANTS = ("plain_mud", "correlated_mud", "plain_sumf", "correlated_sumf")
 MUD_VARIANTS = ("plain_mud", "correlated_mud")
 
+# The reader of each typed config field, by the type name it declares.
+_READERS = {"int": _check_int, "float": _check_real, "bool": _check_bool}
+
+
 def _default_matrix() -> TransitionMatrix:
     return make_symmetric_matrix(0.8)
 
@@ -87,7 +93,7 @@ class ExperimentConfig:
     trial stream derives from. schedule, blind and max_iters are options'
     knobs, with DetectorOptions' defaults and checks. An int field must be
     an integer, blind a bool and a float field a real number but no bool,
-    numpy's included, stored as the float that runs.
+    numpy's included, each stored as the Python value that runs.
     """
 
     spread_factor: int = 1000
@@ -105,15 +111,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if f.type == "int":
-                _check_int(value, f.name)
-            elif f.type == "float":
-                if type(value) is bool or not isinstance(value, numbers.Real):
-                    raise ValueError(f"{f.name} must be a real number, "
-                                     f"got {value!r}")
-                object.__setattr__(self, f.name, float(value))
-        self.options  # checks max_iters, schedule and blind
+            if f.type in _READERS:
+                object.__setattr__(self, f.name, _READERS[f.type](
+                    getattr(self, f.name), f.name))
+        self.options  # checks schedule and max_iters >= 1
         if self.spread_factor < 1 or self.n_users < 1:
             raise ValueError("spread_factor and n_users must be >= 1")
         if not 0.0 <= self.sigma < math.inf:
@@ -451,8 +452,9 @@ def _payloads(runs, workers: int | None = None) -> list[list]:
 
     The realizations of each set of engine calls (engine kinds with their
     slot counts) are cut in order into equal payloads: a worker's share of
-    them, at most as many as put detectors.GROUP_USERS users, the most one
-    lockstep group holds, in the fullest engine call, and at least one.
+    them, at most the lockstep width of the fullest engine call,
+    detectors._lockstep_width of K times its slot count, so a payload's
+    realizations fit one lockstep group.
     """
     channels = {}
     for cfg in runs:
@@ -467,7 +469,7 @@ def _payloads(runs, workers: int | None = None) -> list[list]:
     for key, realizations in calls.items():
         users = realizations[0][1][0].n_users * max(n for _, n in key)
         size = min(-(-len(realizations) // (workers or 1)),
-                   max(1, detectors.GROUP_USERS // users))
+                   _lockstep_width(users))
         payloads += [realizations[start:start + size]
                      for start in range(0, len(realizations), size)]
     return payloads
@@ -660,10 +662,12 @@ def lambda2_plan(config: ExperimentConfig, lambda2_values) -> Plan:
     (paired_arms on the symmetric matrix of its eigenvalue); at lambda2 = 0
     a correlated arm without a mismatch runs as the plain one (_runs_as),
     so that point's ratio is exactly 1, while a mismatched one assumes a
-    perturbed matrix and runs as itself. Every value is checked to lie in
-    [0, 1) and every arm built, and so validated, before the plan exists."""
+    perturbed matrix and runs as itself. Every value is read as a real
+    number and checked to lie in [0, 1), and every arm built, and so
+    validated, before the plan exists."""
     points = []
-    for lam in map(float, lambda2_values):
+    for lam in lambda2_values:
+        lam = _check_real(lam, "lambda2_values")
         if not 0.0 <= lam < 1.0:
             raise ValueError(f"lambda2 must lie in [0, 1), got {lam}")
         points.append((lam, paired_arms(
@@ -710,14 +714,14 @@ def length_plan(config: ExperimentConfig, lengths,
     """The word-length study: config at every length, each curve reduced
     to its saturation position and log(position) fitted over log(length).
     Every config is built (and so validated), the threshold factor checked
-    and at least 3 distinct lengths of at least 2 (a saturation position
-    needs two positions) required before the plan exists. Zero positions
-    are left out of the fit with a warning. A fit that fit_loglog_slope
-    refuses (fewer than two nonzero positions) is reported as a NaN slope
-    and intercept, with a warning saying why, so the study keeps its
-    positions and every per-arm report."""
-    check_threshold_factor(threshold_factor)
-    lengths = [int(l) for l in lengths]
+    and at least 3 distinct lengths, integers of at least 2 (a saturation
+    position needs two positions), required before the plan exists. Zero
+    positions are left out of the fit with a warning. A fit that
+    fit_loglog_slope refuses (fewer than two nonzero positions) is reported
+    as a NaN slope and intercept, with a warning saying why, so the study
+    keeps its positions and every per-arm report."""
+    threshold_factor = check_threshold_factor(threshold_factor)
+    lengths = [_check_int(length, "lengths") for length in lengths]
     if len(set(lengths)) < 3:
         raise ValueError("need at least 3 distinct word lengths")
     configs = tuple(replace(config, word_length=length) for length in lengths)
@@ -775,17 +779,20 @@ def mismatch_plan(config: ExperimentConfig, rel_deltas,
     plan runs the plain arm, then every feasible correlated arm; an
     infeasible one (an element pushed out of [0, 1], or onto 0 or 1) runs
     nothing and its point records the validation message. A blind base,
-    which never reads an assumed matrix, is refused. All is checked before
-    the plan exists.
+    which never reads an assumed matrix, is refused. Every eigenvalue and
+    perturbation is read as a real number, and all is checked, before the
+    plan exists.
     """
     if config.blind:
         raise ValueError("the mismatch sweep needs a detector that reads its "
                          "assumed matrix; blind mode re-estimates it")
+    deltas = [_check_real(delta, "rel_deltas") for delta in rel_deltas]
     points = []  # (lambda2, delta, reason, (plain arm, correlated arm) or ())
-    for lam in map(float, lambda2_values):
+    for lam in lambda2_values:
+        lam = _check_real(lam, "lambda2_values")
         corr_arm, plain_arm = paired_arms(replace(
             config, matrix=make_symmetric_matrix(lam), mismatch=0.0))
-        for delta in map(float, rel_deltas):
+        for delta in deltas:
             try:
                 arms = (plain_arm, replace(corr_arm, mismatch=delta))
             except ValueError as exc:  # the config refuses the perturbation
@@ -814,10 +821,11 @@ def bandwidth_arms(config: ExperimentConfig, matrix: TransitionMatrix,
     base_beta) on matrix, with config's mismatch, and does not depend on
     rate_excess; the reduced arm is the plain MUD on memoryless bits at
     round(N * base_beta * rate) users. Everything else is config's. The
-    point, the load (finite, a user in each arm) and both arms are checked
-    as they are built.
+    point, the load (a finite real number, a user in each arm) and both
+    arms are checked as they are built.
     """
     rate = compression_point(matrix, rate_excess)[1]
+    base_beta = _check_real(base_beta, "base_beta")
     if not math.isfinite(base_beta):
         raise ValueError(f"base_beta must be finite, got {base_beta}")
     full = config.spread_factor * base_beta
@@ -849,10 +857,11 @@ def fixed_plan(config: ExperimentConfig, matrices) -> Plan:
     """Direct correlated detection against compression at the same load and
     noise, one row at epsilon 0 per (lambda2, matrix) pair of matrices:
     paired_arms on the matrix, reduced by fixed_load_comparison. Every
-    point is checked, and every arm built, before the plan exists."""
+    label is read as a real number, every point checked and every arm
+    built before the plan exists."""
     return _comparison_plan(
-        [(lam, compression_point(matrix)[0], 0.0,
-          paired_arms(replace(config, matrix=matrix)))
+        [(_check_real(lam, "matrices label"), compression_point(matrix)[0],
+          0.0, paired_arms(replace(config, matrix=matrix)))
          for lam, matrix in matrices],
         lambda matrix, _, p_corr, p_plain:
         fixed_load_comparison(matrix, p_corr, p_plain))
@@ -864,14 +873,16 @@ def bandwidth_plan(config: ExperimentConfig, matrices, rate_excesses,
     bandwidth it frees on a lower load, one row per ((lambda2, matrix),
     rate excess) pair: bandwidth_arms at base_beta, reduced by
     bandwidth_expansion_comparison with amplification. The rows of one
-    matrix share its correlated arm. Every point is checked, and every arm
-    built, before the plan exists."""
+    matrix share its correlated arm. Every label, rate excess and base_beta
+    is read as a real number, every point checked and every arm built
+    before the plan exists."""
     if amplification not in AMPLIFICATIONS:
         raise ValueError(f"amplification must be one of {AMPLIFICATIONS}")
+    excesses = [_check_real(eps, "rate_excesses") for eps in rate_excesses]
     return _comparison_plan(
-        [(lam, compression_point(matrix)[0], eps,
-          bandwidth_arms(config, matrix, eps, base_beta))
-         for lam, matrix in matrices for eps in rate_excesses],
+        [(_check_real(lam, "matrices label"), compression_point(matrix)[0],
+          eps, bandwidth_arms(config, matrix, eps, base_beta))
+         for lam, matrix in matrices for eps in excesses],
         partial(bandwidth_expansion_comparison, amplification=amplification))
 
 
@@ -994,8 +1005,11 @@ def read_csv_with_header(path):
 
 
 def check_workers(workers: int | None, name: str = "workers") -> int | None:
-    """The worker budget itself; None (serial) or at least 1, else ValueError
-    naming its source."""
-    if workers is not None and workers < 1:
+    """The worker budget as it runs: None (serial) or an integer (no bool)
+    of at least 1, else ValueError naming its source."""
+    if workers is None:
+        return None
+    workers = _check_int(workers, name)
+    if workers < 1:
         raise ValueError(f"{name} must be >= 1, got {workers}")
     return workers

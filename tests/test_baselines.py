@@ -151,8 +151,16 @@ def test_bsc_residual_domain_errors():
         bsc_residual_error(-0.2, 0.1)
     with pytest.raises(ValueError):
         bsc_residual_error(1.1, 0.1)
-    with pytest.raises(ValueError):
-        bsc_residual_error(0.5, 0.5)
+    for crossover in (-0.1, 1.1, math.nan):
+        with pytest.raises(ValueError, match="^crossover must lie in"):
+            bsc_residual_error(0.5, crossover)
+    # the capacity 1 - H2 is symmetric: a crossover of 1/2 carries nothing,
+    # and p and 1 - p leave the same residual
+    assert bsc_residual_error(0.5, 0.5) == 0.5
+    for p in (0.125, 0.25, 0.375):
+        assert (bsc_residual_error(0.5, 1.0 - p)
+                == bsc_residual_error(0.5, p) > 0.0)
+    assert bsc_residual_error(0.5, 1.0) == bsc_residual_error(0.5, 0.0) == 0.0
 
 
 def test_bsc_residual_near_table_operating_point():

@@ -847,6 +847,21 @@ def test_fixed_comparison_prints_table(tmp_path, capsys):
     assert rows[0][columns.index("protocol")] == "fixed_load_bsc"
 
 
+def test_fixed_comparison_runs_where_the_plain_ber_reaches_one_half(
+        tmp_path, capsys):
+    # at sigma 100 the plain BER of seed 2 is 0.504: a BSC crossover above
+    # 1/2 leaves the residual of its complement, so the run writes its
+    # files instead of failing after every trial
+    out = tmp_path / "fixed"
+    assert main(["compare-compression", "fixed", "--values", "0.8",
+                 "--spread-factor", "8", "--n-users", "6", "--word-length",
+                 "10", "--ensemble", "4", "--sigma", "100", "--seed", "2",
+                 "--out-dir", str(out)]) == 0
+    _, columns, rows = read_csv_with_header(out / "comparison_fixed.csv")
+    assert 0.49 < float(rows[0][columns.index("p_comp")]) < 0.5
+    assert (out / "manifest.json").exists()
+
+
 def test_bandwidth_comparison_sweeps_epsilon(tmp_path, capsys):
     out = tmp_path / "bw"
     assert main(["compare-compression", "bandwidth", "--values", "0.8",

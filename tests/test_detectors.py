@@ -1291,3 +1291,13 @@ class TestOptions:
             DetectorOptions(blind="false")
         with pytest.raises(ValueError):
             DetectorOptions(schedule="ZIGZAG")
+        # a string flag would record bounds, an integer RSUS stream would
+        # fail at the first sweep with an unnamed AttributeError
+        for bad in ("false", 1, None):
+            with pytest.raises(ValueError, match="^track_bounds must be a bool"):
+                DetectorOptions(track_bounds=bad)
+        for bad in (5, np.random.RandomState(5), np.random.PCG64(5)):
+            with pytest.raises(ValueError, match="^schedule_rng must be None "
+                                                 "or a numpy.random.Generator"):
+                DetectorOptions(schedule="RSUS", schedule_rng=bad)
+        assert DetectorOptions(track_bounds=np.True_).track_bounds

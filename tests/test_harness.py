@@ -7,6 +7,7 @@ report claims.
 """
 
 import dataclasses
+import json
 import math
 import multiprocessing
 import os
@@ -81,26 +82,127 @@ def test_config_rejects_out_of_range_fields():
     ("word_length", 8.0), ("ensemble", 2.0), ("max_iters", 5.0),
     ("seed", 1.5), ("blind", "false"), ("sigma", True), ("sigma", np.True_),
     ("sigma", "0.8"), ("sigma", None), ("sigma", 1 + 0j),
-    ("mismatch", "0.1"), ("mismatch", False),
+    ("mismatch", "0.1"), ("mismatch", False), ("mismatch", None),
 ])
 def test_config_refuses_ill_typed_fields_when_built(name, value):
     # a float count would build and fail mid-run with an unnamed TypeError,
     # a bool count would count as 1, a string blind flag would run blind,
     # a bool sigma would run as 1 and be recorded as true, and a string,
     # None or complex float field would fail unnamed; numpy's integers,
-    # bools and floats build, a float field stored as the float that runs
+    # bools and floats build, each stored as the Python value that runs,
+    # so the config's dict is JSON as a manifest writes it
     with pytest.raises(ValueError, match=f"^{name} must be an? "):
         small_config(**{name: value})
-    floats = name in ("sigma", "mismatch")
     if name == "blind":
-        typed = np.bool_(False)
-    elif floats:
-        typed = np.float32(0.05)
+        typed, kind = np.bool_(False), bool
+    elif name in ("sigma", "mismatch"):
+        typed, kind = np.float32(0.05), float
     else:
-        typed = np.int64(getattr(small_config(), name))
-    built = getattr(small_config(**{name: typed}), name)
-    assert built == typed
-    assert type(built) is float or not floats
+        typed, kind = np.int64(getattr(small_config(), name)), int
+    config = small_config(**{name: typed})
+    assert getattr(config, name) == typed
+    assert type(getattr(config, name)) is kind
+    json.dumps(config.to_dict())
+
+
+M08 = make_symmetric_matrix(0.8)
+
+
+# (id, call on small_config(), argument the refusal names): each entry
+# point reads its values as the config reads its fields; a bare cast would
+# run a string eigenvalue or perturbation, write a bool label or rate
+# excess as "true", run a worker budget of True serially and a length of
+# 4.7 as 4, or fail unnamed with a TypeError
+ILL_TYPED_ENTRIES = [
+    ("lambda2_plan-str", lambda cfg: harness.lambda2_plan(cfg, ["0.5"]),
+     "lambda2_values"),
+    ("lambda2_plan-bool", lambda cfg: harness.lambda2_plan(cfg, [False]),
+     "lambda2_values"),
+    ("lambda2_plan-None", lambda cfg: harness.lambda2_plan(cfg, [None]),
+     "lambda2_values"),
+    ("lambda2_plan-complex",
+     lambda cfg: harness.lambda2_plan(cfg, [0.5 + 0j]), "lambda2_values"),
+    ("mismatch_plan-delta-str",
+     lambda cfg: mismatch_plan(cfg, ["0.1"], [0.5]), "rel_deltas"),
+    ("mismatch_plan-delta-bool",
+     lambda cfg: mismatch_plan(cfg, [True], [0.5]), "rel_deltas"),
+    ("mismatch_plan-value-str",
+     lambda cfg: mismatch_plan(cfg, [0.1], ["0.5"]), "lambda2_values"),
+    ("mismatch_plan-value-None",
+     lambda cfg: mismatch_plan(cfg, [0.1], [None]), "lambda2_values"),
+    ("length_plan-4.7",
+     lambda cfg: harness.length_plan(cfg, [4.7, 8, 12]), "lengths"),
+    ("length_plan-bool",
+     lambda cfg: harness.length_plan(cfg, [True, 8, 12]), "lengths"),
+    ("length_plan-threshold-str",
+     lambda cfg: harness.length_plan(cfg, [4, 8, 12], "1.5"),
+     "threshold_factor"),
+    ("length_plan-threshold-bool",
+     lambda cfg: harness.length_plan(cfg, [4, 8, 12], True),
+     "threshold_factor"),
+    ("fixed_plan-label-bool",
+     lambda cfg: harness.fixed_plan(cfg, [(True, M08)]), "matrices label"),
+    ("fixed_plan-label-str",
+     lambda cfg: harness.fixed_plan(cfg, [("0.8", M08)]), "matrices label"),
+    ("bandwidth_plan-label-None",
+     lambda cfg: harness.bandwidth_plan(cfg, [(None, M08)], [0.0], 0.5),
+     "matrices label"),
+    ("bandwidth_plan-excess-bool",
+     lambda cfg: harness.bandwidth_plan(cfg, [(0.8, M08)], [True], 0.5),
+     "rate_excesses"),
+    ("bandwidth_plan-excess-str",
+     lambda cfg: harness.bandwidth_plan(cfg, [(0.8, M08)], ["0.1"], 0.5),
+     "rate_excesses"),
+    ("bandwidth_plan-base_beta-bool",
+     lambda cfg: harness.bandwidth_plan(cfg, [(0.8, M08)], [0.0], True),
+     "base_beta"),
+    ("bandwidth_plan-base_beta-complex",
+     lambda cfg: harness.bandwidth_plan(cfg, [(0.8, M08)], [0.0], 0.5 + 0j),
+     "base_beta"),
+    ("workers-2.5", lambda cfg: monte_carlo(cfg, 2.5), "workers"),
+    ("workers-1.0", lambda cfg: monte_carlo(cfg, 1.0), "workers"),
+    ("workers-bool", lambda cfg: monte_carlo(cfg, True), "workers"),
+    ("workers-str", lambda cfg: monte_carlo(cfg, "2"), "workers"),
+]
+
+
+@pytest.mark.parametrize("call, name", [case[1:] for case in ILL_TYPED_ENTRIES],
+                         ids=[case[0] for case in ILL_TYPED_ENTRIES])
+def test_plans_and_worker_budget_refuse_ill_typed_values_when_built(
+        monkeypatch, call, name):
+    def no_trial(payload):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "_detect_realizations", no_trial)
+    with pytest.raises(ValueError,
+                       match=f"^{name} must be (a real number|an integer), "):
+        call(small_config())
+
+
+def test_plans_and_worker_budget_read_numpy_values_as_they_run():
+    # numpy's numbers are read as the Python numbers a plan would cast them
+    # to, so a plan of numpy values is the plan of their Python values
+    cfg = small_config()
+    assert harness.check_workers(np.int64(2)) == 2
+    assert type(harness.check_workers(np.int64(2))) is int
+    lengths = harness.length_plan(cfg, np.array([4, 8, 12]),
+                                  np.float64(1.5))
+    assert lengths.runs == harness.length_plan(cfg, [4, 8, 12], 1.5).runs
+    assert (harness.lambda2_plan(cfg, np.array([0.0, 0.5])).runs
+            == harness.lambda2_plan(cfg, [0.0, 0.5]).runs)
+    assert (mismatch_plan(cfg, np.array([0.05]), [np.float32(0.5)]).runs
+            == mismatch_plan(cfg, [0.05], [0.5]).runs)
+
+
+def test_plans_read_a_one_pass_value_list_for_every_eigenvalue():
+    # the perturbations and rate excesses are read once, so an iterator
+    # covers every eigenvalue, not only the first
+    cfg = small_config(ensemble=1)
+    assert (mismatch_plan(cfg, iter([0.05]), [0.5, 0.8]).runs
+            == mismatch_plan(cfg, [0.05], [0.5, 0.8]).runs)
+    matrices = [(0.5, make_symmetric_matrix(0.5)), (0.8, M08)]
+    assert (harness.bandwidth_plan(cfg, matrices, iter([0.0]), 0.5).runs
+            == harness.bandwidth_plan(cfg, matrices, [0.0], 0.5).runs)
 
 
 def test_a_numpy_float_sigma_is_recorded_as_the_value_that_runs(tmp_path):
