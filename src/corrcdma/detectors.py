@@ -33,17 +33,20 @@ from .markov import TransitionMatrix, estimate_transition, iid_matrix
 SCHEDULES = ("PUS", "SUS", "BFUS", "RSUS")
 
 # Biases are clamped to |m| <= 1 - CLAMP_EPS before atanh, so a saturated
-# neighbor prior yields a large but finite correction.
+# neighbor prior yields a large but finite correction. A sweep skips the
+# clamp, and the check of its totals, when _clamp_needed proves both idle for
+# the assumed matrices: when each neighbour product is at least CLAMP_FLOOR.
 CLAMP_EPS = 1e-12
+CLAMP_FLOOR = 2.0**-30
 # Users per lockstep group of the engine, whose bias sweep and MUD step
 # (all but its per-realization K x K product) each run once over the whole
 # group. On a 2-core x86-64 machine (AVX-512, numpy 2.4) an SUS bias sweep
-# over 80 columns of W users, on 64-byte-aligned rows, cost about 34, 24,
-# 19, 19 and 17 ns per user and column at W = 200, 400, 800, 1,000 and
-# 1,600 (medians of five runs): below about 1,000 users the numpy call
-# overhead dominates, above it a larger group only adds memory (a 1,200-user
-# group of three C4 arms raised the peak resident memory of a sweep by
-# 9.6 MB).
+# over 80 columns of W users, on 64-byte-aligned rows, cost about 25, 18,
+# 15, 14 and 13 ns per user and column at W = 200, 400, 800, 1,000 and
+# 1,600 (medians of five runs, two interpreters): below about 1,000 users
+# the numpy call overhead dominates, above it a larger group only adds
+# memory (a 1,200-user group of three C4 arms raised the peak resident
+# memory of a sweep by 9.6 MB).
 GROUP_USERS = 1000
 
 
@@ -290,40 +293,48 @@ def _terms(s, weights, out):
     return np.add(out, w0, out=out)
 
 
-def _update_columns(columns, weights, near, scale):
+def _update_columns(columns, weights, near, scale, clamp):
     """The column update of every bias sweep and of local_bias.
 
     columns yields (s, other, total, x, field, soft) views, one tuple per
     column in visiting order, or one for the whole block: s is the soft
-    value of the neighbour on the side of weights, other the (minus, plus)
-    terms of the other neighbour, (2, n) per column, (L, 2, n) per block.
-    Each update writes the terms w0 + w1 s to near and the products
+    value of the neighbour on the side of weights, (n,) per column, (L, n)
+    per block, and other the (minus, plus) terms of the other neighbour,
+    (2, n) per column, (L, 2, n) per block. Each update writes the terms
+    w0 + w1 s to near, one row product per hypothesis, and the products
     p(b) = near(b) * other(b) over them, the normaliser p(+1) + p(-1) to
     total, m = (p(+1) - p(-1)) / total over the plus row of near, the
-    correction scale * atanh(m), m clamped to |m| <= 1 - CLAMP_EPS, to x,
-    and tanh(field + x) to soft, which a later column reads. Returns the
-    plus row (the last m). The caller checks the totals with _check_totals.
+    correction scale * atanh(m) to x, and tanh(field + x) to soft, which a
+    later column reads. With clamp, m is clamped to |m| <= 1 - CLAMP_EPS
+    first; without, the caller has proved the clamp idle (_clamp_needed).
+    Returns the plus row (the last m). The caller checks the totals with
+    _check_totals where it clamps.
     """
-    w0, w1 = weights
+    w0, (w1_minus, w1_plus) = weights
     minus, plus = near[..., 0, :], near[..., 1, :]
     multiply, add, subtract, divide = np.multiply, np.add, np.subtract, np.divide
     maximum, minimum, arctanh, tanh = np.maximum, np.minimum, np.arctanh, np.tanh
     # a row costs as much in call overhead as in arithmetic: positional
-    # outputs (maximum and minimum take only the keyword) and array bounds
-    # trim it
+    # outputs (maximum and minimum take only the keyword), array bounds and
+    # two contiguous row products in place of one that broadcasts s over
+    # the pair (0.8 against 1.8 us at 800 users) trim it
     cap = np.array(1.0 - CLAMP_EPS)
     low, scaled = -cap, scale != 1.0
     with np.errstate(invalid="ignore"):  # 0/0 only where _check_totals raises
         for s, other, total, x, field, soft in columns:
-            multiply(w1, s, near)
+            multiply(w1_minus, s, minus)
+            multiply(w1_plus, s, plus)
             add(near, w0, near)
             multiply(near, other, near)
             add(plus, minus, total)
             subtract(plus, minus, plus)
             divide(plus, total, plus)
-            maximum(plus, low, out=x)
-            minimum(x, cap, out=x)
-            arctanh(x, x)
+            if clamp:
+                maximum(plus, low, out=x)
+                minimum(x, cap, out=x)
+                arctanh(x, x)
+            else:
+                arctanh(plus, x)
             if scaled:
                 multiply(x, scale, x)
             add(field, x, soft)
@@ -335,6 +346,32 @@ def _check_totals(total):
     if not total.all():
         raise ValueError("neighbours impossible under the assumed transition "
                          "matrix: both symbol hypotheses have zero probability")
+
+
+def _clamp_needed(model) -> bool:
+    """Whether a sweep over the (9, ...) neighbour models must clamp m and
+    check its totals: False only where a rounding bound proves both idle.
+
+    Each model is a row-stochastic matrix's, so on the soft range [-1, 1]
+    a neighbour term w0 + w1 s is a convex combination of two entries: at
+    most 1 and at least f = w0 - |w1| (min(T0b, T1b) on the left,
+    min(Tb0, Tb1) on the right). So each product p(b) lies in [p_min, 1],
+    p_min = f_left f_right, the totals are positive and |m| = |p(+1) -
+    p(-1)| / (p(+1) + p(-1)) <= 1 - p_min. In floating point every
+    operation of the update errs by at most the unit roundoff u = 2^-53
+    relative (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+    section 2.2), the product w1 s by at most u / 2 absolute (|w1| <= 1/2,
+    and s is a tanh or the edge value), and the floors by a few u
+    relative, so the computed |m| stays below 1 - p_min + 16 u.
+    Where every slot's p_min reaches CLAMP_FLOOR = 2^-30, that is below
+    the cap 1 - CLAMP_EPS, every total exceeds 2^-31, and the clamp and
+    _check_totals change nothing: a NaN soft value gives a NaN m either
+    way (maximum and minimum keep it, and a NaN total passes the check). A
+    floor that is NaN, not positive or below CLAMP_FLOOR keeps both.
+    """
+    left, right = (np.min(model[r:r + 2] - np.abs(model[r + 2:r + 4]))
+                   for r in (0, 4))
+    return not (left > 0 and right > 0 and left * right >= CLAMP_FLOOR)
 
 
 def local_bias(soft: np.ndarray, matrix: TransitionMatrix, position: int) -> np.ndarray:
@@ -351,20 +388,26 @@ def local_bias(soft: np.ndarray, matrix: TransitionMatrix, position: int) -> np.
     if s.ndim != 2:
         raise ValueError(f"soft must have shape (K, L), got {s.shape}")
     n_users, word_len = s.shape
+    position = _check_int(position, "position")
     if not 0 <= position < word_len:
         raise ValueError(f"position {position} outside word of length {word_len}")
-    left_w, right_w, edge = _model_terms(_neighbour_model(matrix))
+    model = _neighbour_model(matrix)
+    clamp = _clamp_needed(model)
+    left_w, right_w, edge = _model_terms(model)
     prev = s[:, position - 1] if position > 0 else edge
     after = s[:, position + 1] if position < word_len - 1 else edge
     work = np.empty((7, n_users))
     # the correction and soft value the update also leaves go to scratch
     m = _update_columns([(prev, _terms(after, right_w, work[2:4]), work[4],
-                          work[5], 0.0, work[6])], left_w, work[0:2], 1.0)
-    _check_totals(work[4])
+                          work[5], 0.0, work[6])], left_w, work[0:2], 1.0,
+                        clamp)
+    if clamp:
+        _check_totals(work[4])
     return m
 
 
-def _bias_sweep(padded, field, xi, model, schedule, t, rng, scale, work):
+def _bias_sweep(padded, field, xi, model, schedule, t, rng, scale, work,
+                clamp):
     """Recompute the bias correction over the block, in schedule order.
 
     Arrays are column-major and hold a group of realizations side by
@@ -389,7 +432,9 @@ def _bias_sweep(padded, field, xi, model, schedule, t, rng, scale, work):
     left terms of PUS or the far side of an ordered sweep, the second for
     the right terms of PUS, whose first rows then take the normaliser of
     each column, and the (2, W) near and left pairs of an ordered sweep.
-    Each column's correction goes straight into xi; returns nothing.
+    clamp is _clamp_needed of the models: with it the sweep clamps m and
+    checks its totals. Each column's correction goes straight into xi;
+    returns nothing.
     """
     n_rows, n_trials, n_users = padded.shape
     word_len, width = n_rows - 2, n_trials * n_users
@@ -408,7 +453,7 @@ def _bias_sweep(padded, field, xi, model, schedule, t, rng, scale, work):
     near, left = work[4 * block:4 * (block + width)].reshape(2, 2, width)
     if schedule == "PUS":
         near, near_w = pairs, left_w
-        columns = [(padded[:-2, None], _terms(padded[2:, None], right_w, rest),
+        columns = [(padded[:-2], _terms(padded[2:, None], right_w, rest),
                     totals, xi, field, soft)]
     elif schedule == "RSUS":
         near_w = right_w
@@ -424,8 +469,9 @@ def _bias_sweep(padded, field, xi, model, schedule, t, rng, scale, work):
         columns = zip(*(a[::-1] for a in (
             padded[2:], _terms(padded[:-2, None], left_w, pairs), totals,
             xi, field, soft)))
-    _update_columns(columns, near_w, near, scale)
-    _check_totals(totals)
+    _update_columns(columns, near_w, near, scale, clamp)
+    if clamp:
+        _check_totals(totals)
 
 
 def _mud_step(rows, ends, corrs, soft, matched, field, interference, gain,
@@ -451,16 +497,22 @@ def _mud_step(rows, ends, corrs, soft, matched, field, interference, gain,
     the per-row soft power and precision and the list, ascending, of the
     slots whose new field has a non-finite value: those have diverged.
     """
-    n = rows.size
+    n, n_users = rows.size, soft.shape[1]
     # mode="clip" writes straight into the work buffer ("raise" would stage
     # the gather in a fresh array); rows are valid row indices
     s = np.take(soft, rows, axis=0, out=work[0, :n], mode="clip")
+    # the soft power adds each row's users in index order, the order a
+    # reduction over the users axis of a (K, L) array takes, so it does not
+    # depend on the layout: a reduction over the leading axis of a C-ordered
+    # (K, n) block of squares adds its rows one by one, vectorised across
+    # the columns, where a running sum along each row is serial. numpy sums
+    # a lone contiguous column pairwise, so one row is padded to two columns
+    squares = work[1:].reshape(-1)[:n_users * max(n, 2)].reshape(n_users, -1)
+    np.copyto(squares[:, :n], s.T)
+    squares[:, n:] = 0.0
+    np.multiply(squares, squares, out=squares)
+    q_pow = np.add.reduce(squares, axis=0)[:n] / n_users
     u_new = work[1, :n]
-    # a running sum adds the users in index order, the order a reduction
-    # over the users axis of a (K, L) array takes, so the soft power does
-    # not depend on the layout
-    np.multiply(s, s, out=u_new)
-    q_pow = np.add.accumulate(u_new, axis=1, out=u_new)[:, -1] / s.shape[1]
     precision = 1.0 / (sigma * sigma + load * (1.0 - q_pow))
     carry = load * (1.0 - q_pow) * precision
     start = 0
@@ -577,6 +629,9 @@ def _run_engine(fields, corrs, load, sigma, opts, assumed=None, iterate=True,
     xi_rows = xi.reshape(n_rows, n_users)
     for b, matrix in enumerate(assumed if correlated else ()):
         model[:, b] = _neighbour_model(estimates[b] if blind else matrix)
+    # a trial that leaves only drops its slot's model, so the floor over
+    # every slot holds for the run; blind mode takes it with each estimate
+    clamp = correlated and _clamp_needed(model)
     finite = np.empty((n_rows, n_users), dtype=bool)
     np.tanh(np.add(h, xi, out=soft), out=soft)
     prev_dec = soft >= 0.0
@@ -629,9 +684,10 @@ def _run_engine(fields, corrs, load, sigma, opts, assumed=None, iterate=True,
                 for slot, trial in enumerate(trials):
                     estimates[trial] = estimate_transition(soft[:, slot].T)
                     model[:, slot] = _neighbour_model(estimates[trial])
+                clamp = _clamp_needed(model[sl])
             # step and sweep both leave tanh(h + xi) in the rows they change
             _bias_sweep(padded[sl], h[sl], xi[sl], model[sl], opts.schedule,
-                        t, rng, scale, work)
+                        t, rng, scale, work, clamp)
         if bounds is not None:
             for slot, trial in enumerate(trials):
                 q_pow, prec = stats[trial]

@@ -268,6 +268,12 @@ class TestLocalBias:
             local_bias(np.zeros((1, 3)), iid_matrix(), 3)
         with pytest.raises(ValueError):
             local_bias(np.zeros((1, 3, 2)), iid_matrix(), 1)
+        # a bool would run column 0 or 1, a float fail inside numpy: both
+        # are refused by name, as the run layer refuses them
+        for position in (True, 1.0):
+            with pytest.raises(ValueError, match="position must be an integer"):
+                local_bias(np.zeros((1, 3)), iid_matrix(), position)
+        assert local_bias(np.zeros((1, 3)), iid_matrix(), np.int64(1)) == 0.0
 
 
 class TestBiasedDecision:
@@ -303,6 +309,41 @@ class TestBiasedDecision:
         res = correlated_sumf_detect(s, y, make_symmetric_matrix(1.0), 0.8)
         assert np.all(np.isfinite(res.field))
         np.testing.assert_array_equal(res.bits, [[1, -1, 1]])
+
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_matrix_below_the_floor_keeps_the_clamp(self, schedule):
+        # entries of 1e-13 put the neighbour products below CLAMP_FLOOR, so
+        # the sweep clamps: certain neighbours round m to exactly 1, and the
+        # middle column's correction is the clamped one, not atanh(1) = inf
+        t = TransitionMatrix([[1 - 1e-13, 1e-13], [1e-13, 1 - 1e-13]])
+        assert detectors._clamp_needed(detectors._neighbour_model(t))
+        s, y = single_user_fields([50.0, -0.1, 50.0])
+        res = correlated_sumf_detect(s, y, t, 0.8, schedule_opts(schedule))
+        correction = 0.89 * math.atanh(1.0 - detectors.CLAMP_EPS)
+        assert abs(res.field[0, 1] - (-0.1 + correction)) < 1e-12
+        np.testing.assert_array_equal(res.bits, [[1, 1, 1]])
+
+    def test_clamp_floor(self):
+        # the clamp is skipped exactly where both neighbours' terms are at
+        # least f and f_left f_right reaches CLAMP_FLOOR = 2^-30: the floor
+        # of a model is the least entry of its matrix's columns (left) and
+        # rows (right); the frozen chain and a 2^-16 entry keep the clamp
+        def needed(*matrices):
+            return detectors._clamp_needed(np.stack(
+                [detectors._neighbour_model(t) for t in matrices], axis=1))
+
+        edge = 2.0**-15
+        assert not needed(make_symmetric_matrix(0.8))
+        assert not needed(TransitionMatrix([[1 - edge, edge], [edge, 1 - edge]]))
+        assert not needed(TransitionMatrix([[0.9, 0.1], [0.3, 0.7]]),
+                          make_symmetric_matrix(-0.6), iid_matrix())
+        for low in (make_symmetric_matrix(1.0), make_symmetric_matrix(-1.0),
+                    TransitionMatrix([[1 - edge / 2, edge / 2], [0.5, 0.5]])):
+            assert needed(low)
+            assert needed(make_symmetric_matrix(0.8), low)
+        model = detectors._neighbour_model(make_symmetric_matrix(0.8))
+        model[0, 0] = np.nan
+        assert detectors._clamp_needed(model)
 
 
 class TestMudStep:
@@ -384,12 +425,16 @@ class TestMudStep:
         with pytest.raises(ValueError):
             mud_detect(s, y, 0.0)
 
-    @pytest.mark.parametrize("n_rows", [1, 5])
-    def test_soft_power_sums_users_in_index_order(self, n_rows):
+    @pytest.mark.parametrize("word_len,n_rows,slots", [
+        (6, 1, 1), (6, 2, 1), (6, 5, 1), (1, 1, 1), (6, 5, 2)])
+    def test_soft_power_sums_users_in_index_order(self, word_len, n_rows,
+                                                  slots):
         # the soft power of every gathered row is the sequential sum of its
         # users' squared soft values in index order, bit for bit, for one
-        # row and for several (a pairwise reduction differs in the last bits)
-        word_len, users = 6, 64
+        # row, two and several, over one slot or two (a pairwise reduction
+        # differs in the last bits); a one-row step of a one-column word
+        # has only 3 K floats of scratch
+        users = 64
         for seed in range(20):
             _, _, s, _ = make_instance(1100 + seed, 80, users, 2, 0.7)
             rng = np.random.default_rng(1120 + seed)
@@ -404,9 +449,11 @@ class TestMudStep:
                 for value in row:
                     total += value * value
                 expected.append(total / users)
+            ends = [n_rows * (b + 1) // slots for b in range(slots)]
             q_pow, _, _ = detectors._mud_step(
-                rows, [n_rows], [s.corr], soft, matched, field, interference,
-                gain, xi, 0.8, 0.7, np.empty((3, word_len, users)),
+                rows, ends, [s.corr] * slots, soft, matched, field,
+                interference, gain, xi, 0.8, 0.7,
+                np.empty((3, word_len, users)),
                 np.empty((word_len, users), dtype=bool))
             assert q_pow.tolist() == expected
 
@@ -774,7 +821,8 @@ class TestLockstep:
             padded[1:-1] = np.tanh(field + xi)
             detectors._bias_sweep(padded, field, xi, model, schedule,
                                   0 if forward else 1, rng, scale,
-                                  np.empty(4 * padded.size))
+                                  np.empty(4 * padded.size),
+                                  detectors._clamp_needed(model))
             assert np.array_equal(padded[1:-1], np.tanh(field + xi))
 
     def test_mud_step_commits_only_its_rows(self):
@@ -1073,7 +1121,8 @@ class TestColumnUpdate:
                             np.random.default_rng(1890), scale)
             assert detectors._bias_sweep(
                 padded, field, xi, model, schedule, t,
-                np.random.default_rng(1890), scale, work) is None
+                np.random.default_rng(1890), scale, work,
+                detectors._clamp_needed(model)) is None
             assert np.array_equal(xi, want_xi)
             assert np.array_equal(padded, want_padded)
 
@@ -1093,7 +1142,8 @@ class TestColumnUpdate:
                            "the assumed transition matrix"):
             detectors._bias_sweep(padded, field, xi, model, schedule, t,
                                   np.random.default_rng(0), 1.0,
-                                  np.empty(4 * padded.size))
+                                  np.empty(4 * padded.size),
+                                  detectors._clamp_needed(model))
 
     @pytest.mark.parametrize("schedule", SCHEDULES)
     def test_detector_refuses_impossible_neighbours(self, schedule):

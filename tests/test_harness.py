@@ -338,6 +338,36 @@ def test_high_load_point_pins_the_oscillating_regime(workers):
     assert reports[corr].aggregate / reports[plain].aggregate > 1.0
 
 
+# (errors_total, unconverged_positions, iters_max) of each correlated arm at
+# one sub-second point, recorded before the certified clamp skip, the
+# row-wise neighbour terms and the in-order soft-power reduce went in; the
+# same under the Haswell, SkylakeX and Prescott OpenBLAS kernels
+EXACT_ENGINE_COUNTS = {
+    ("correlated_mud", "SUS", False): (893, 0, 16),
+    ("correlated_mud", "PUS", False): (944, 24, 50),
+    ("correlated_mud", "BFUS", False): (906, 0, 15),
+    ("correlated_mud", "RSUS", False): (931, 0, 12),
+    ("correlated_mud", "SUS", True): (923, 0, 17),
+    ("correlated_sumf", "SUS", False): (2854, 0, 9),
+    ("correlated_sumf", "PUS", False): (2820, 179, 50),
+}
+
+
+def test_correlated_engine_counts_are_pinned():
+    # an exactness guard for changes to the engine's inner loops: a change
+    # that keeps every field bit for bit keeps these integers
+    base = ExperimentConfig(
+        spread_factor=100, n_users=80, sigma=0.8, word_length=50,
+        matrix=make_symmetric_matrix(0.8), ensemble=4, seed=33, max_iters=50)
+    arms = {key: replace(base, variant=key[0], schedule=key[1], blind=key[2])
+            for key in EXACT_ENGINE_COUNTS}
+    reports = harness.monte_carlo_arms(list(arms.values()))
+    counts = {key: (reports[cfg].errors_total,
+                    reports[cfg].unconverged_positions, reports[cfg].iters_max)
+              for key, cfg in arms.items()}
+    assert counts == EXACT_ENGINE_COUNTS
+
+
 def test_config_dict_round_trip():
     for cfg in (small_config(blind=True, schedule="PUS"),
                 small_config(schedule="PUS", mismatch=0.05)):

@@ -31,7 +31,14 @@ from corrcdma.detectors import (
     sumf_detect,
 )
 from corrcdma.harness import VARIANTS, ExperimentConfig, monte_carlo, run_trial
-from corrcdma.markov import generate_block, iid_matrix, make_symmetric_matrix
+from corrcdma.markov import (
+    TransitionMatrix,
+    estimate_transition,
+    generate_block,
+    iid_matrix,
+    make_symmetric_matrix,
+    perturb_element,
+)
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None,
                              max_examples=100)
@@ -208,6 +215,75 @@ def test_grouped_engine_equals_single_runs(group):
         else:
             assert np.array_equal(result.estimated_matrix.matrix,
                                   alone.estimated_matrix.matrix)
+
+
+# every entry at least 4e-5 keeps each neighbour product above CLAMP_FLOOR
+# (2^-30, about 9.3e-10), so a sweep under these matrices skips its clamp
+ENTRY = 4e-5
+
+
+@st.composite
+def certified_matrices(draw):
+    """An assumed matrix a sweep certifies: symmetric, asymmetric,
+    mismatched (an element perturbed, as harness mismatch arms assume) or a
+    blind estimate from soft values."""
+    kind = draw(st.sampled_from(("symmetric", "asymmetric", "mismatched",
+                                 "estimated")))
+    if kind == "asymmetric":
+        a, b = (draw(st.floats(ENTRY, 1 - ENTRY)) for _ in range(2))
+        return TransitionMatrix([[a, 1 - a], [b, 1 - b]])
+    if kind == "estimated":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return estimate_transition(np.tanh(3 * rng.standard_normal((4, 6))))
+    t = make_symmetric_matrix(draw(st.floats(-0.9998, 0.9998)))
+    if kind == "mismatched":
+        t = perturb_element(t, draw(st.floats(-0.5, 0.5)))
+        assert t.matrix.min() >= ENTRY
+    return t
+
+
+# soft values the sweep must treat alike with and without the clamp: hard,
+# signed zero, NaN and, per slot, its matrix's stationary edge value
+SPECIAL_SOFT = (1.0, -1.0, 0.0, -0.0, np.nan, "edge")
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(certified_matrices(), min_size=1, max_size=3),
+       st.integers(1, 6), st.integers(1, 5), st.sampled_from(SCHEDULES),
+       st.integers(0, 1), st.sampled_from((1.0, 0.8 + 0.8**2)), st.data())
+def test_certified_sweep_equals_the_clamped_one(matrices, word_len, users,
+                                                schedule, t, scale, data):
+    # a sweep whose models certify the clamp idle skips it and the totals
+    # check, and leaves every correction and soft row bit for bit as the
+    # clamped sweep does: the per-column tuples of SUS, BFUS (t even and
+    # odd) and RSUS and the whole-block tuple of PUS, at the unit scale of
+    # the MUD and the correlated SUMF's load + sigma^2
+    trials = len(matrices)
+    shape = (word_len, trials, users)
+    model = np.repeat(np.stack([detectors._neighbour_model(m)
+                                for m in matrices], axis=1), users, axis=2)
+    assert not detectors._clamp_needed(model)
+    values = data.draw(st.lists(
+        st.one_of(st.sampled_from(SPECIAL_SOFT), st.floats(-1.0, 1.0)),
+        min_size=model[8].size * word_len, max_size=model[8].size * word_len))
+    edges = np.broadcast_to(model[8], shape).reshape(-1)
+    soft = np.array([edges[i] if v == "edge" else v
+                     for i, v in enumerate(values)]).reshape(shape)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    field = 3.0 * rng.standard_normal(shape)
+    seed = data.draw(st.integers(0, 2**16))
+    runs = []
+    for clamp in (True, False):
+        padded = np.zeros((word_len + 2, trials, users))
+        padded[1:-1] = soft
+        xi = np.zeros(shape)
+        detectors._bias_sweep(padded, field, xi, model, schedule, t,
+                              np.random.default_rng(seed), scale,
+                              np.empty(4 * padded.size), clamp)
+        runs.append((padded.view(np.int64), xi.view(np.int64)))
+    (padded_clamped, xi_clamped), (padded_certified, xi_certified) = runs
+    assert np.array_equal(xi_certified, xi_clamped)
+    assert np.array_equal(padded_certified, padded_clamped)
 
 
 @st.composite
