@@ -425,15 +425,8 @@ class TestMudStep:
         with pytest.raises(ValueError):
             mud_detect(s, y, 0.0)
 
-    @pytest.mark.parametrize("word_len,n_rows,slots", [
-        (6, 1, 1), (6, 2, 1), (6, 5, 1), (1, 1, 1), (6, 5, 2)])
-    def test_soft_power_sums_users_in_index_order(self, word_len, n_rows,
-                                                  slots):
-        # the soft power of every gathered row is the sequential sum of its
-        # users' squared soft values in index order, bit for bit, for one
-        # row, two and several, over one slot or two (a pairwise reduction
-        # differs in the last bits); a one-row step of a one-column word
-        # has only 3 K floats of scratch
+    @staticmethod
+    def _check_soft_power(word_len, n_rows, slots):
         users = 64
         for seed in range(20):
             _, _, s, _ = make_instance(1100 + seed, 80, users, 2, 0.7)
@@ -456,6 +449,22 @@ class TestMudStep:
                 np.empty((3, word_len, users)),
                 np.empty((word_len, users), dtype=bool))
             assert q_pow.tolist() == expected
+
+    @pytest.mark.parametrize("n_rows", [1, 2, 5])
+    def test_soft_power_sums_users_in_index_order(self, n_rows):
+        # the soft power of every gathered row is the sequential sum of its
+        # users' squared soft values in index order, bit for bit, for one
+        # row, two and several (a pairwise reduction differs in the last
+        # bits)
+        self._check_soft_power(6, n_rows, 1)
+
+    @pytest.mark.parametrize("word_len,n_rows,slots", [(1, 1, 1), (6, 5, 2)],
+                             ids=["one_column_word", "two_slots"])
+    def test_soft_power_index_order_edge_shapes(self, word_len, n_rows,
+                                                slots):
+        # the same in-order sum for a one-row step of a one-column word,
+        # which has only 3 K floats of scratch, and over two slots
+        self._check_soft_power(word_len, n_rows, slots)
 
 
 class TestMudDetect:
