@@ -17,6 +17,7 @@ and commutative; all rates derive from the final counts.
 from __future__ import annotations
 
 import atexit
+import contextlib
 import csv
 import dataclasses
 import io
@@ -193,8 +194,9 @@ class ExperimentConfig:
                 kwargs[f.name] = _cast(f.type, data.pop(f.name), f.name)
         for key, (name, expand) in SHORTHANDS.items():
             if key in data:
-                kwargs[name] = expand(_cast("float", data.pop(key), key),
-                                      kwargs)
+                number = _cast("float", data.pop(key), key)
+                with _naming(key):
+                    kwargs[name] = expand(number, kwargs)
         if data:
             raise ValueError(f"unknown config key: {sorted(data)[0]}")
         return cls(**kwargs)
@@ -232,15 +234,23 @@ _CASTS = {
 }
 
 
+@contextlib.contextmanager
+def _naming(key: str):
+    """Re-raise a failed cast or expansion of key's value as a ValueError
+    naming key."""
+    try:
+        yield
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"config key {key}: {exc}") from None
+
+
 def _cast(kind: str, value, key: str):
     """value cast to the type named kind, else ValueError naming key; only
     bool takes a bool, which int() and float() would read as a number."""
-    try:
+    with _naming(key):
         if isinstance(value, bool) and kind != "bool":
             raise ValueError(f"expects {kind}, got {value!r}")
         return _CASTS[kind](value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"config key {key}: {exc}") from None
 
 
 # Config keys that are not fields: key -> (the field it sets, its value from

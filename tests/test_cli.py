@@ -262,6 +262,8 @@ def test_worker_budget_is_checked_up_front(tmp_path, capsys, command, workers,
     (["simulate", *TINY, "--sigma", "inf"], "config key sigma"),
     (["simulate", "--spread-factor", "60", "--load", "inf", "--ensemble", "2"],
      "config key load"),
+    (["simulate", "--spread-factor", "60", "--load", "1e308", "--ensemble",
+      "2"], "config key load: cannot convert float infinity to integer"),
     (["simulate", *TINY, "--lambda2", "1.5"], "lambda2 must lie in [-1, 1]"),
     (["sweep", "length", "--values", "8,16,32", *TINY,
       "--threshold-factor", "1.0"], "threshold_factor must be finite"),
@@ -376,9 +378,9 @@ def test_worker_budget_is_checked_up_front(tmp_path, capsys, command, workers,
     (["simulate", *TINY, "--out-dir", "{taken}/sub"], "is not a directory"),
     (["sweep", "lambda2", "--values", "0.5", *TINY, "--out-dir",
       "{taken}/sub/deeper"], "is not a directory"),
-], ids=["matrix-nan", "sigma-nan", "sigma-inf", "load-inf", "lambda2-range",
-        "threshold-one", "threshold-nan", "threshold-zero", "length-one",
-        "lambda2-deltas", "length-deltas", "lambda2-threshold",
+], ids=["matrix-nan", "sigma-nan", "sigma-inf", "load-inf", "load-overflow",
+        "lambda2-range", "threshold-one", "threshold-nan", "threshold-zero",
+        "length-one", "lambda2-deltas", "length-deltas", "lambda2-threshold",
         "mismatch-threshold", "base-beta-inf", "base-beta-nan",
         "epsilon-negative", "fixed-base-beta-inf", "fixed-base-beta",
         "fixed-epsilon", "fixed-epsilon-zero", "fixed-amplification",

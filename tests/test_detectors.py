@@ -1,8 +1,11 @@
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
+
+import conftest
 
 from corrcdma import detectors
 from corrcdma.channel import SpreadingMatrix, generate_spreading, transmit
@@ -263,6 +266,21 @@ class TestLocalBias:
                            "the assumed transition matrix"):
             local_bias(soft, make_symmetric_matrix(1.0), 1)
 
+    @pytest.mark.parametrize("value", [2.0, -1.0000000000000002, np.inf,
+                                       np.nan])
+    def test_soft_outside_the_unit_range_is_refused(self, value):
+        # a neighbour's soft value of 2 gave a bias of 1.6 at lambda2 = 0.8;
+        # the whole block is checked, a column position 1 never reads too
+        t = make_symmetric_matrix(0.8)
+        soft = np.zeros((2, 4))
+        for column in (0, 3):
+            soft[1, column] = value
+            with pytest.raises(ValueError, match=r"^soft values must lie in "
+                                                 r"\[-1, 1\]"):
+                local_bias(soft, t, 1)
+            soft[1, column] = np.copysign(1.0, value)
+        assert np.all(np.abs(local_bias(soft, t, 1)) <= 1.0)
+
     def test_position_out_of_range(self):
         with pytest.raises(ValueError):
             local_bias(np.zeros((1, 3)), iid_matrix(), 3)
@@ -350,12 +368,12 @@ class TestMudStep:
     # the synchronous update, checked through mud_detect against hand
     # arithmetic and the scalar transcription above
 
-    def test_zero_soft_substitution(self):
+    def test_zero_soft_substitution(self, monkeypatch):
         # zero matched field: soft power 0, precision 1 / (sigma^2 + load)
         s = generate_spreading(8, 4, np.random.default_rng(0))
-        res = mud_detect(s, np.zeros((8, 1)), 0.8,
-                         DetectorOptions(max_iters=1, track_bounds=True))
-        q_lo, q_hi, a_lo, a_hi, _ = res.bounds[0]
+        steps = conftest.record_steps(monkeypatch)
+        mud_detect(s, np.zeros((8, 1)), 0.8, DetectorOptions(max_iters=1))
+        q_lo, q_hi, a_lo, a_hi, _ = steps[0]
         assert q_lo == q_hi == 0.0
         assert abs(a_lo - 1.0 / (0.64 + 0.5)) < 1e-15
         assert abs(a_hi - 1.0 / (0.64 + 0.5)) < 1e-15
@@ -389,18 +407,20 @@ class TestMudStep:
         res = mud_detect(s, y, sigma, DetectorOptions(max_iters=1))
         assert abs(res.field[0, 0] - h1) < 1e-14
 
-    def test_matches_scalar_transcription(self):
+    def test_matches_scalar_transcription(self, monkeypatch):
         # per-iteration soft power and precision, final field and soft
         # decisions of single-column runs against the scalar oracle
         deepest = 0
+        records = conftest.record_steps(monkeypatch)
         for seed in range(10):
             _, _, s, y = make_instance(20 + seed, 20, 16, 1, 0.7)
             h0 = sumf(s, y)[:, 0]
-            res = mud_detect(s, y, 0.7, DetectorOptions(track_bounds=True))
+            records.clear()
+            res = mud_detect(s, y, 0.7)
             steps = int(res.iters[0])
             deepest = max(deepest, steps)
             ref = scalar_reference_steps(h0, s.corr, 16 / 20, 0.7, steps)
-            for (q_lo, q_hi, a_lo, a_hi, _), step in zip(res.bounds, ref):
+            for (q_lo, q_hi, a_lo, a_hi, _), step in zip(records, ref):
                 assert q_lo == q_hi and a_lo == a_hi
                 assert abs(q_lo - step[2]) < 1e-13
                 assert abs(a_lo - step[3]) < 1e-13
@@ -528,12 +548,14 @@ class TestMudDetect:
         assert np.array_equal(a.field, b.field)
         assert np.array_equal(a.iters, b.iters)
 
-    def test_bounds_invariants(self):
+    def test_bounds_invariants(self, monkeypatch):
         # soft in [-1, 1], soft power in [0, 1], precision positive, always
+        records = conftest.record_steps(monkeypatch)
         for seed in range(25):
             _, _, s, y = make_instance(200 + seed, 40, 24, 6, 0.6)
-            res = mud_detect(s, y, 0.6, DetectorOptions(track_bounds=True))
-            for q_lo, q_hi, a_lo, a_hi, eta_max in res.bounds:
+            records.clear()
+            mud_detect(s, y, 0.6)
+            for q_lo, q_hi, a_lo, a_hi, eta_max in records:
                 assert 0.0 <= q_lo <= q_hi <= 1.0
                 assert 0.0 < a_lo <= a_hi
                 assert eta_max <= 1.0
@@ -1350,13 +1372,18 @@ class TestOptions:
             DetectorOptions(blind="false")
         with pytest.raises(ValueError):
             DetectorOptions(schedule="ZIGZAG")
-        # a string flag would record bounds, an integer RSUS stream would
-        # fail at the first sweep with an unnamed AttributeError
-        for bad in ("false", 1, None):
-            with pytest.raises(ValueError, match="^track_bounds must be a bool"):
-                DetectorOptions(track_bounds=bad)
+        # an integer RSUS stream would fail at the first sweep with an
+        # unnamed AttributeError
         for bad in (5, np.random.RandomState(5), np.random.PCG64(5)):
             with pytest.raises(ValueError, match="^schedule_rng must be None "
                                                  "or a numpy.random.Generator"):
                 DetectorOptions(schedule="RSUS", schedule_rng=bad)
-        assert DetectorOptions(track_bounds=np.True_).track_bounds
+        assert DetectorOptions(blind=np.True_).blind
+
+    def test_fields_are_the_four_a_detector_reads(self):
+        # a knob no detector reads does not belong in the options: a
+        # per-step record is taken by a spy on detectors._mud_step
+        assert [f.name for f in dataclasses.fields(DetectorOptions)] == [
+            "max_iters", "schedule", "blind", "schedule_rng"]
+        with pytest.raises(TypeError):
+            DetectorOptions(track_bounds=True)

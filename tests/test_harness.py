@@ -238,6 +238,8 @@ def test_config_refuses_settings_its_variant_never_reads(variant):
 @pytest.mark.parametrize("data, key", [
     ({"sigma": "nan"}, "sigma"),
     ({"load": "inf"}, "load"),
+    # finite, but spread_factor * load overflows as it is rounded to n_users
+    ({"load": "1e308"}, "load"),
     ({"lambda2": "nan"}, "lambda2"),
     ({"seed": float("inf")}, "seed"),
     ({"ensemble": [3]}, "ensemble"),
@@ -248,9 +250,9 @@ def test_config_refuses_settings_its_variant_never_reads(variant):
     ({"ensemble": True}, "ensemble"),
     ({"sigma": True}, "sigma"),
     ({"lambda2": False}, "lambda2"),
-], ids=["sigma-nan", "load-inf", "lambda2-nan", "seed-inf", "ensemble-list",
-        "seed-float", "spread-factor-float", "n-users-float-text",
-        "ensemble-bool", "sigma-bool", "lambda2-bool"])
+], ids=["sigma-nan", "load-inf", "load-overflow", "lambda2-nan", "seed-inf",
+        "ensemble-list", "seed-float", "spread-factor-float",
+        "n-users-float-text", "ensemble-bool", "sigma-bool", "lambda2-bool"])
 def test_from_dict_names_the_key_of_a_value_it_cannot_cast(data, key):
     with pytest.raises(ValueError, match=f"config key {key}"):
         ExperimentConfig.from_dict(data)
