@@ -38,7 +38,7 @@ DEFAULT_THRESHOLD_FACTOR = 1.2
 def binary_entropy(f):
     """H2(f) = -f log2 f - (1-f) log2 (1-f), elementwise, with 0 log 0 = 0."""
     x = np.asarray(f, dtype=np.float64)
-    if np.any(x < 0.0) or np.any(x > 1.0):
+    if not np.all((x >= 0.0) & (x <= 1.0)):  # written so that NaN fails
         raise ValueError("binary_entropy argument outside [0, 1]")
     with np.errstate(divide="ignore", invalid="ignore"):
         h = -np.where(x > 0.0, x * np.log2(np.where(x > 0.0, x, 1.0)), 0.0) \
@@ -77,7 +77,7 @@ def bsc_residual_error(entropy_bits: float, crossover: float) -> float:
     crossover leave the same residual, and a crossover of 0.5, a channel
     that carries nothing, leaves 0.5.
     """
-    if entropy_bits <= 0.0 or entropy_bits > 1.0:
+    if not 0.0 < entropy_bits <= 1.0:
         raise ValueError(f"entropy_bits must lie in (0, 1], got {entropy_bits}")
     if not 0.0 <= crossover <= 1.0:
         raise ValueError(f"crossover must lie in [0, 1], got {crossover}")

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SpreadingMatrix
-from .markov import TransitionMatrix, estimate_transition, iid_matrix
+from .markov import (TransitionMatrix, _soft_block, estimate_transition,
+                     iid_matrix)
 
 SCHEDULES = ("PUS", "SUS", "BFUS", "RSUS")
 
@@ -378,11 +379,7 @@ def local_bias(soft: np.ndarray, matrix: TransitionMatrix, position: int) -> np.
     detectors' bias sweeps. A soft value outside [-1, 1], NaN included, is
     refused: the bias would leave that range, which _clamp_needed assumes.
     """
-    s = np.asarray(soft, dtype=np.float64)
-    if s.ndim != 2:
-        raise ValueError(f"soft must have shape (K, L), got {s.shape}")
-    if not np.all(np.abs(s) <= 1.0):
-        raise ValueError("soft values must lie in [-1, 1]")
+    s = _soft_block(soft)
     n_users, word_len = s.shape
     position = _check_int(position, "position")
     if not 0 <= position < word_len:

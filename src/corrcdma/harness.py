@@ -22,7 +22,6 @@ import csv
 import dataclasses
 import io
 import math
-import operator
 import os
 import warnings
 from collections import Counter
@@ -79,10 +78,6 @@ MUD_VARIANTS = ("plain_mud", "correlated_mud")
 _READERS = {"int": _check_int, "float": _check_real, "bool": _check_bool}
 
 
-def _default_matrix() -> TransitionMatrix:
-    return make_symmetric_matrix(0.8)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One fully pinned Monte-Carlo experiment.
@@ -101,7 +96,8 @@ class ExperimentConfig:
     n_users: int = 800
     sigma: float = 0.8
     word_length: int = 100
-    matrix: TransitionMatrix = field(default_factory=_default_matrix)
+    matrix: TransitionMatrix = field(
+        default_factory=partial(make_symmetric_matrix, 0.8))
     variant: str = "correlated_mud"
     schedule: str = DetectorOptions.schedule
     blind: bool = DetectorOptions.blind
@@ -132,6 +128,14 @@ class ExperimentConfig:
             raise ValueError("matrix must be a TransitionMatrix")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        # a trial allocates its chips (N K), its symbol block (K L) and, for
+        # a MUD, its Gram matrix (K K): each must fit one array
+        gram = self.n_users if self.variant in MUD_VARIANTS else 1
+        for name, size in (("spread_factor", self.spread_factor),
+                           ("word_length", self.word_length), ("n_users", gram)):
+            if self.n_users * size > np.iinfo(np.intp).max:
+                raise ValueError(f"n_users * {name} exceeds the "
+                                 f"{np.iinfo(np.intp).max} entries of an array")
         # a setting the variant never reads would be recorded, not run
         if self.blind and self.variant != "correlated_mud":
             raise ValueError(f"blind applies only to variant correlated_mud, "
@@ -170,30 +174,25 @@ class ExperimentConfig:
         return perturb_element(self.matrix, self.mismatch)
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = value.to_flat() if f.name == "matrix" else value
+        out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        out["matrix"] = self.matrix.to_flat()
         return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         """Build from string-or-typed key/value pairs.
 
-        The keys are the field names, each value cast by its field's type,
-        plus the SHORTHANDS, each of which excludes the field it sets.
-        Unknown keys are rejected by name.
+        The keys are the field names, each value read by _cast, plus the
+        SHORTHANDS, each of which excludes the field it sets and is read
+        as a float. Unknown keys are rejected by name.
         """
         data = dict(data)
-        for key, (name, _) in SHORTHANDS.items():
-            if key in data and name in data:
-                raise ValueError(f"config specifies both {key} and {name}")
-        kwargs = {}
-        for f in dataclasses.fields(cls):
-            if f.name in data:
-                kwargs[f.name] = _cast(f.type, data.pop(f.name), f.name)
+        kwargs = {f.name: _cast(f.type, data.pop(f.name), f.name)
+                  for f in dataclasses.fields(cls) if f.name in data}
         for key, (name, expand) in SHORTHANDS.items():
             if key in data:
+                if name in kwargs:
+                    raise ValueError(f"config specifies both {key} and {name}")
                 number = _cast("float", data.pop(key), key)
                 with _naming(key):
                     kwargs[name] = expand(number, kwargs)
@@ -202,36 +201,26 @@ class ExperimentConfig:
         return cls(**kwargs)
 
 
-def _parse_float(value):
-    number = float(value)
+def _parse_float(text):
+    number = float(text)
     if not math.isfinite(number):
-        raise ValueError(f"expects a finite number, got {value!r}")
+        raise ValueError(f"expects a finite number, got {text!r}")
     return number
 
 
-def _parse_bool(value):
-    if isinstance(value, bool):
-        return value
-    text = str(value).strip().lower()
-    if text in ("1", "true", "yes", "on"):
+def _parse_bool(text):
+    word = text.strip().lower()
+    if word in ("1", "true", "yes", "on"):
         return True
-    if text in ("0", "false", "no", "off"):
+    if word in ("0", "false", "no", "off"):
         return False
-    raise ValueError(f"expects a boolean, got {value!r}")
+    raise ValueError(f"expects a boolean, got {text!r}")
 
 
-# How from_dict casts a value, by the type name its field declares.
-_CASTS = {
-    # int() would truncate a float
-    "int": lambda value: (int(value) if isinstance(value, str)
-                          else operator.index(value)),
-    "float": _parse_float,
-    "str": str,
-    "bool": _parse_bool,
-    "TransitionMatrix": lambda value: (
-        value if isinstance(value, TransitionMatrix)
-        else TransitionMatrix.from_flat(str(value))),
-}
+# How from_dict parses a str value, by the type name its field declares;
+# int() of a str takes no float, which it would truncate.
+_PARSERS = {"int": int, "float": _parse_float, "str": str,
+            "bool": _parse_bool, "TransitionMatrix": TransitionMatrix.from_flat}
 
 
 @contextlib.contextmanager
@@ -245,12 +234,13 @@ def _naming(key: str):
 
 
 def _cast(kind: str, value, key: str):
-    """value cast to the type named kind, else ValueError naming key; only
-    bool takes a bool, which int() and float() would read as a number."""
+    """value of a field of the type named kind: parsed if it is a str,
+    then read by the field's reader, as the constructor reads it, if the
+    type has one; else ValueError naming key."""
     with _naming(key):
-        if isinstance(value, bool) and kind != "bool":
-            raise ValueError(f"expects {kind}, got {value!r}")
-        return _CASTS[kind](value)
+        if isinstance(value, str):
+            value = _PARSERS[kind](value)
+        return _READERS[kind](value, key) if kind in _READERS else value
 
 
 # Config keys that are not fields: key -> (the field it sets, its value from

@@ -177,6 +177,16 @@ def generate_block(t: TransitionMatrix, n_users: int, word_len: int,
     return block
 
 
+def _soft_block(soft) -> np.ndarray:
+    """soft as a float64 (K, L) array of values in [-1, 1], else ValueError."""
+    s = np.asarray(soft, dtype=np.float64)
+    if s.ndim != 2:
+        raise ValueError(f"soft must have shape (K, L), got {s.shape}")
+    if not np.all(np.abs(s) <= 1.0):  # written so that NaN fails
+        raise ValueError("soft values must lie in [-1, 1]")
+    return s
+
+
 def estimate_transition(soft: np.ndarray, pseudo_count: float = 1.0) -> TransitionMatrix:
     """Estimate a transition matrix from per-symbol soft values.
 
@@ -188,13 +198,9 @@ def estimate_transition(soft: np.ndarray, pseudo_count: float = 1.0) -> Transiti
     A row with zero total count (possible only at pseudo_count = 0) falls
     back to (0.5, 0.5).
     """
-    s = np.asarray(soft, dtype=np.float64)
-    if s.ndim != 2:
-        raise ValueError(f"soft must have shape (K, L), got {s.shape}")
+    s = _soft_block(soft)
     if s.shape[0] * (s.shape[1] - 1) == 0:
         raise ValueError("no transitions observable: need K >= 1 and L >= 2")
-    if np.any(np.abs(s) > 1.0):
-        raise ValueError("soft values must lie in [-1, 1]")
     # a fresh C-ordered array whatever the layout of soft: one einsum order
     q = np.empty(s.shape + (2,))
     np.subtract(1.0, s, out=q[..., 0])

@@ -77,6 +77,19 @@ def test_binary_entropy_domain_errors():
         binary_entropy(np.array([0.2, 1.2]))
 
 
+def test_binary_entropy_refuses_nan():
+    # NaN compares false with both bounds; it would read as entropy 0
+    with pytest.raises(ValueError, match="outside"):
+        binary_entropy(float("nan"))
+    with pytest.raises(ValueError, match="outside"):
+        binary_entropy(np.array([0.1, np.nan]))
+
+
+def test_bsc_residual_error_names_a_nan_entropy():
+    with pytest.raises(ValueError, match="entropy_bits must lie in"):
+        bsc_residual_error(float("nan"), 0.1)
+
+
 def test_inverse_binary_entropy_edges():
     assert inverse_binary_entropy(0.0) == 0.0
     assert inverse_binary_entropy(1.0) == 0.5

@@ -218,6 +218,29 @@ def test_json_config_refuses_a_number_it_would_truncate(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_json_config_refuses_a_count_for_blind(tmp_path, capsys):
+    # the reader of a bool field takes a bool, as the constructor does
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"blind": 1}))
+    out = tmp_path / "out"
+    for dry_run in ([], ["--dry-run"]):
+        assert main(["simulate", "--config", str(config), "--out-dir",
+                     str(out), *dry_run]) == 2
+        assert "config key blind" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_a_load_too_big_to_allocate_exits_2_and_writes_nothing(tmp_path,
+                                                                capsys):
+    # about 1e303 users at spread factor 1000: chips no array can hold
+    out = tmp_path / "out"
+    for dry_run in ([], ["--dry-run"]):
+        assert main(["simulate", "--load", "1e300", "--out-dir", str(out),
+                     *dry_run]) == 2
+        assert "n_users * spread_factor exceeds" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_flags_override_config_file(tmp_path, capsys):
     config = tmp_path / "conf.txt"
     config.write_text("sigma=0.5\nspread_factor=40\nn_users=20\nensemble=1\n")

@@ -11,11 +11,13 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import signal
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
+from decimal import Decimal
 from types import SimpleNamespace
 
 import numpy as np
@@ -412,6 +414,55 @@ def test_from_dict_names_the_unknown_key():
 def test_from_dict_rejects_non_boolean_blind():
     with pytest.raises(ValueError, match="blind"):
         ExperimentConfig.from_dict({"blind": "maybe"})
+
+
+@pytest.mark.parametrize("data, message", [
+    # each value is read by its field's reader, as the constructor reads it
+    ({"blind": 1}, "config key blind"),
+    ({"blind": 0}, "config key blind"),
+    ({"n_users": 4.0}, "config key n_users"),
+    ({"sigma": None}, "config key sigma"),
+    ({"sigma": Decimal("0.5")}, "config key sigma"),
+    ({"load": Decimal("0.5")}, "config key load"),
+    ({"matrix": [0.9, 0.1, 0.1, 0.9]}, "matrix must be a TransitionMatrix"),
+], ids=["blind-one", "blind-zero", "n-users-float", "sigma-none",
+        "sigma-decimal", "load-decimal", "matrix-list"])
+def test_from_dict_refuses_a_typed_value_its_field_refuses(data, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_dict(data)
+
+
+def test_from_dict_parses_text_for_every_field_type():
+    # a str value is parsed by its field's type before the field's reader
+    # runs, so every type a field declares needs its parser
+    types = {f.type for f in dataclasses.fields(ExperimentConfig)}
+    assert types <= set(harness._PARSERS)
+    assert set(harness._READERS) <= types
+    cfg = ExperimentConfig.from_dict({"blind": " On ", "matrix": "0.5,0.5,"
+                                      "0.5,0.5", "schedule": np.str_("PUS")})
+    assert cfg == ExperimentConfig(blind=True, schedule="PUS",
+                                   matrix=iid_matrix())
+    assert type(cfg.schedule) is str
+
+
+@pytest.mark.parametrize("sizes, product", [
+    (dict(spread_factor=2, n_users=2**62), "n_users * spread_factor"),
+    (dict(spread_factor=1, n_users=2**40, word_length=2**23),
+     "n_users * word_length"),
+    (dict(spread_factor=1, n_users=2**32, word_length=1),
+     "n_users * n_users"),
+], ids=["chips", "symbol-block", "gram"])
+def test_config_refuses_an_array_too_big_to_allocate(sizes, product):
+    # the chip matrix (N K), the symbol block (K L) and a MUD's Gram
+    # matrix (K K) must each fit one array, or a trial fails to allocate
+    with pytest.raises(ValueError, match=re.escape(product) + " exceeds"):
+        ExperimentConfig(**sizes)
+    if product == "n_users * n_users":
+        # the matched filter forms no Gram matrix
+        ExperimentConfig(**sizes, variant="plain_sumf")
+    # np.iinfo(np.intp).max entries fit
+    ExperimentConfig(spread_factor=1, n_users=np.iinfo(np.intp).max,
+                     word_length=1, variant="plain_sumf")
 
 
 # ---------------------------------------------------------------------------

@@ -353,6 +353,13 @@ class TestEstimation:
         with pytest.raises(ValueError, match=r"\[-1, 1\]"):
             estimate_transition(np.array([[0.5, 1.5, -0.2]]))
 
+    def test_refuses_nan(self):
+        # NaN compares false with every bound; it read as the memoryless
+        # matrix
+        for soft in ([[np.nan, 0.5, 0.2]], [[0.5, 0.2], [0.1, np.nan]]):
+            with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+                estimate_transition(np.array(soft))
+
 
 class TestPerturbation:
     def test_arithmetic(self):
