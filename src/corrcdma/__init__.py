@@ -22,12 +22,8 @@ from .detectors import (
     DetectionResult,
     DetectorDivergence,
     DetectorOptions,
-    correlated_mud_detect,
-    correlated_sumf_detect,
     local_bias,
-    mud_detect,
     sumf,
-    sumf_detect,
 )
 from .baselines import (
     AMPLIFICATIONS,
@@ -43,12 +39,9 @@ from .baselines import (
 from .harness import (
     BerReport,
     ExperimentConfig,
-    length_scaling_study,
     monte_carlo,
     monte_carlo_arms,
-    normalized_ber_sweep,
     read_csv_with_header,
-    run_trial,
     write_ber_csv,
     write_comparison_csv,
     write_length_csv,
@@ -70,8 +63,6 @@ __all__ = [
     "bandwidth_expansion_comparison",
     "binary_entropy",
     "bsc_residual_error",
-    "correlated_mud_detect",
-    "correlated_sumf_detect",
     "estimate_transition",
     "fit_loglog_slope",
     "fixed_load_comparison",
@@ -79,20 +70,15 @@ __all__ = [
     "generate_spreading",
     "iid_matrix",
     "inverse_binary_entropy",
-    "length_scaling_study",
     "local_bias",
     "make_symmetric_matrix",
     "monte_carlo",
     "monte_carlo_arms",
-    "mud_detect",
-    "normalized_ber_sweep",
     "perturb_element",
     "read_csv_with_header",
-    "run_trial",
     "saturation_position",
     "source_stats",
     "sumf",
-    "sumf_detect",
     "transmit",
     "write_ber_csv",
     "write_comparison_csv",

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detectors import _check_real
-from .markov import TransitionMatrix, source_stats
+from .markov import TransitionMatrix, _plogp, source_stats
 
 AMPLIFICATIONS = ("entropy", "rate")
 
@@ -40,9 +40,7 @@ def binary_entropy(f):
     x = np.asarray(f, dtype=np.float64)
     if not np.all((x >= 0.0) & (x <= 1.0)):  # written so that NaN fails
         raise ValueError("binary_entropy argument outside [0, 1]")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = -np.where(x > 0.0, x * np.log2(np.where(x > 0.0, x, 1.0)), 0.0) \
-            - np.where(x < 1.0, (1.0 - x) * np.log2(np.where(x < 1.0, 1.0 - x, 1.0)), 0.0)
+    h = -_plogp(x) - _plogp(1.0 - x)
     return float(h) if np.isscalar(f) or np.ndim(f) == 0 else h
 
 

@@ -35,7 +35,7 @@ from .baselines import (
     inverse_binary_entropy,
 )
 from .channel import generate_spreading, transmit
-from .detectors import correlated_mud_detect, local_bias, mud_detect
+from .detectors import DetectorOptions, _run_engine, local_bias, sumf
 from .harness import (
     CSV_COLUMNS,
     SHORTHANDS,
@@ -70,10 +70,7 @@ def _timestamp() -> str:
 def _load_config_file(path) -> dict:
     text = Path(path).read_text()
     if text.lstrip().startswith("{"):
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ValueError(f"{path}: JSON config must be an object")
-        return data
+        return json.loads(text)  # an object, or a JSONDecodeError
     data = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -456,16 +453,24 @@ _GROUPED = {
 }
 
 
+def _block(rows, col, names, label=None):
+    """One .dat block: the "# label" line if any, the "# names" line, then
+    the named cells of each row."""
+    lines = [] if label is None else [f"# {label}"]
+    lines.append("# " + " ".join(names))
+    lines += [" ".join(r[col[name]] for name in names) for r in rows]
+    return "\n".join(lines)
+
+
 def _grouped_plot(family, rows, col, dat_name):
     """The data blocks and script of a grouped family: lambda2 against the
     y column per group of rows, groups in first-seen order."""
     y, ylabel, keys, label, title = _GROUPED[family]
     groups = {}
     for r in rows:
-        groups.setdefault(tuple(r[col[k]] for k in keys), []).append(
-            f"{r[col['lambda2']]} {r[col[y]]}")
-    blocks = ["\n".join([f"# {label.format(*key)}", f"# lambda2 {y}", *lines])
-              for key, lines in groups.items()]
+        groups.setdefault(tuple(r[col[k]] for k in keys), []).append(r)
+    blocks = [_block(group, col, ("lambda2", y), label.format(*key))
+              for key, group in groups.items()]
     clauses = [f"\"{dat_name}\" index {i} using 1:2 with linespoints "
                f"title \"{title.format(*key)}\""
                for i, key in enumerate(groups)]
@@ -487,10 +492,7 @@ def _plot_texts(path, dat_name) -> tuple[str, str]:
         raise ValueError(f"{path}: no plottable row")
 
     if family == "ber_profile":
-        body = [f"# relative_position ber std_err"]
-        body += [f"{r[col['relative_position']]} {r[col['ber']]} "
-                 f"{r[col['std_err']]}" for r in rows]
-        blocks = ["\n".join(body)]
+        blocks = [_block(rows, col, ("relative_position", "ber", "std_err"))]
         clauses = [
             f"\"{dat_name}\" using 1:2 with linespoints title \"BER\"",
             f"\"{dat_name}\" using 1:2:3 with yerrorbars notitle",
@@ -498,12 +500,8 @@ def _plot_texts(path, dat_name) -> tuple[str, str]:
         script = _gnuplot_script("BER", "relative symbol position", "y",
                                  clauses)
     elif family == "normalized_sweep":
-        main = ["# lambda2 normalized"]
-        main += [f"{r[col['lambda2']]} {r[col['normalized']]}" for r in rows]
-        inset = ["# correlation_length normalized"]
-        inset += [f"{r[col['correlation_length']]} {r[col['normalized']]}"
-                  for r in rows]
-        blocks = ["\n".join(main), "\n".join(inset)]
+        blocks = [_block(rows, col, (x, "normalized"))
+                  for x in ("lambda2", "correlation_length")]
         clauses = [f"\"{dat_name}\" index 0 using 1:2 with linespoints "
                    f"title \"normalized BER\""]
         script = _gnuplot_script("normalized BER", "second eigenvalue",
@@ -512,10 +510,7 @@ def _plot_texts(path, dat_name) -> tuple[str, str]:
                    f"# plot \"{dat_name}\" index 1 using 1:2 "
                    f"with linespoints\n")
     elif family == "length_scaling":
-        body = ["# length saturation_position"]
-        body += [f"{r[col['length']]} {r[col['saturation_position']]}"
-                 for r in rows]
-        blocks = ["\n".join(body)]
+        blocks = [_block(rows, col, ("length", "saturation_position"))]
         clauses = [f"\"{dat_name}\" using 1:2 with points pointtype 7 "
                    f"title \"saturation position\""]
         script = ""
@@ -595,19 +590,21 @@ def _selftest_checks():
         return _bias_enumeration_error(rng, 10) < 1e-12
 
     def reduction_identity():
-        # the detectors, not monte_carlo: a joint run detects a memoryless
+        # the engine, not monte_carlo: a joint run detects a memoryless
         # correlated arm as the plain MUD, so its reports would compare
         # the plain MUD with itself
         for _ in range(3):
             block = generate_block(iid_matrix(), 30, 10, rng)
             spreading = generate_spreading(60, 30, rng)
             received = transmit(spreading, block, 0.8, rng)
-            corr = correlated_mud_detect(spreading, received, iid_matrix(),
-                                         0.8)
-            plain = mud_detect(spreading, received, 0.8)
+            run = ([sumf(spreading, received)], [spreading.corr],
+                   spreading.n_users / spreading.spread_factor, 0.8,
+                   DetectorOptions())
+            (plain,) = _run_engine(*run)
+            (corr,) = _run_engine(*run, assumed=[iid_matrix()])
             if not all(np.array_equal(getattr(corr, name),
                                       getattr(plain, name))
-                       for name in ("bits", "field", "iters", "converged",
+                       for name in ("field", "iters", "converged",
                                     "outer_iterations")):
                 return False
         return True
@@ -630,8 +627,8 @@ def _selftest_checks():
         plans.append(bandwidth_plan(replace(cfg, seed=13),
                                     [(0.0, iid_matrix())], [0.0], cfg.load))
         joint = monte_carlo_arms([cfg for plan in plans for cfg in plan.runs])
-        return all(plan.reduce(joint) == plan.run(run_report=monte_carlo)
-                   for plan in plans)
+        lone = {cfg: monte_carlo(cfg) for cfg in joint}
+        return all(plan.reduce(joint) == plan.reduce(lone) for plan in plans)
 
     return (
         ("binary entropy inverts to 1e-9", entropy_round_trip),

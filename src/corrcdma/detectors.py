@@ -104,10 +104,15 @@ def _check_int(value, name: str) -> int:
 
 def _check_real(value, name: str) -> float:
     """value as a float: a real number, numpy's included, but no bool,
-    which would run as 0 or 1 and be recorded as a flag, and no string."""
+    which would run as 0 or 1 and be recorded as a flag, no string and no
+    number too large for a float (an int of 10**400, say)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be a real number, got a value too "
+                         f"large for a float") from None
 
 
 def _check_bool(value, name: str) -> bool:

@@ -100,7 +100,6 @@ class TransitionMatrix:
 class SourceStats:
     """Derived quantities of a stationary two-state Markov source."""
 
-    stationary: tuple[float, float]
     entropy_bits: float
     correlation_length: float
 
@@ -119,18 +118,21 @@ def iid_matrix() -> TransitionMatrix:
     return make_symmetric_matrix(0.0)
 
 
+def _plogp(x):
+    """x log2 x elementwise for x >= 0, with 0 log 0 = 0: log2 reads 1
+    where x is 0, so it never divides by zero."""
+    return np.where(x > 0.0, x * np.log2(np.where(x > 0.0, x, 1.0)), 0.0)
+
+
 def source_stats(t: TransitionMatrix) -> SourceStats:
-    """Stationary distribution, per-symbol entropy (bits), and correlation length.
+    """Per-symbol entropy (bits) and correlation length.
 
     The entropy is H = -sum_a mu_a sum_b T_ab log2 T_ab with 0*log 0 = 0.
     The correlation length is 1/ln(1/lambda2) for lambda2 in (0, 1); by
     convention it is 0 for lambda2 <= 0 and infinite for lambda2 = 1.
     """
     mu = t.stationary()
-    m = t.matrix
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(m > 0.0, m * np.log2(np.where(m > 0.0, m, 1.0)), 0.0)
-    entropy = float(-(mu[:, None] * plogp).sum())
+    entropy = float(-(mu[:, None] * _plogp(t.matrix)).sum())
     lam2 = t.lambda2
     if lam2 >= 1.0:
         corr_len = math.inf
@@ -138,7 +140,7 @@ def source_stats(t: TransitionMatrix) -> SourceStats:
         corr_len = 0.0
     else:
         corr_len = 1.0 / math.log(1.0 / lam2)
-    return SourceStats((float(mu[0]), float(mu[1])), entropy, corr_len)
+    return SourceStats(entropy, corr_len)
 
 
 def generate_block(t: TransitionMatrix, n_users: int, word_len: int,

@@ -281,6 +281,8 @@ def test_compression_point_quantities():
     ((make_symmetric_matrix(0.1), 0.05), "exceeds 1"),
     ((make_symmetric_matrix(0.8), math.nan), "rate_excess must be >= 0"),
     ((make_symmetric_matrix(0.8), math.inf), "rate_excess must be >= 0"),
+    # an int too large for a float is refused by name, not as OverflowError
+    ((make_symmetric_matrix(0.8), 10**400), "rate_excess must be a real"),
 ])
 def test_compression_point_rejects(args, message):
     with pytest.raises(ValueError, match=message):
@@ -452,8 +454,12 @@ def test_loglog_slope_needs_two_points():
     ([10.0, -20.0, 40.0], [0.4, 0.2, 0.1], "lengths"),
     ([10.0, math.nan, 40.0], [0.4, 0.2, 0.1], "lengths"),
     ([10.0, math.inf, 40.0], [0.4, 0.2, 0.1], "lengths"),
+    ([10.0, 20.0, 40.0], [0.4, 0.2], "lengths and positions"),
+    ([[10.0, 20.0], [40.0, 80.0]], [[0.4, 0.2], [0.1, 0.05]],
+     "lengths and positions"),
 ], ids=["nan-position", "inf-position", "negative-position", "zero-length",
-        "negative-length", "nan-length", "inf-length"])
+        "negative-length", "nan-length", "inf-length", "unequal-size",
+        "two-d"])
 def test_loglog_slope_rejects_what_it_cannot_fit(lengths, positions, name):
     # refused by name, before numpy's log warns or a NaN counts as a zero
     with pytest.raises(ValueError, match=f"^{name} must be"):

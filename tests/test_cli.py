@@ -20,7 +20,7 @@ import pytest
 
 import corrcdma
 from corrcdma import __version__
-from corrcdma import cli, harness
+from corrcdma import cli, detectors, harness
 from corrcdma.baselines import (
     bandwidth_expansion_comparison,
     compression_point,
@@ -50,6 +50,73 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert "all selftest checks passed" in out
     assert "FAIL" not in out
+
+
+def test_selftest_reports_each_failed_check(monkeypatch, capsys):
+    # a check that returns False and one that raises each print a FAIL
+    # line, the second with its exception; both count, and the run exits 1
+    def raises():
+        raise RuntimeError("went wrong")
+
+    monkeypatch.setattr(cli, "_selftest_checks", lambda: (
+        ("returns false", lambda: False), ("raises", raises),
+        ("passes", lambda: True)))
+    assert main(["selftest"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL returns false", "FAIL raises: went wrong", "ok   passes",
+        "2 selftest check(s) failed"]
+
+
+# The entry points of the one-trial detection path, kept in their modules
+# for the benchmark and the tests; the command line calls none of them.
+SECOND_PATH = {
+    detectors: ("mud_detect", "correlated_mud_detect",
+                "correlated_sumf_detect", "sumf_detect"),
+    harness: ("run_trial", "normalized_ber_sweep", "length_scaling_study"),
+}
+
+PUBLIC_NAMES = [
+    "AMPLIFICATIONS", "BerReport", "CompressionComparison", "DetectionResult",
+    "DetectorDivergence", "DetectorOptions", "ExperimentConfig", "SCHEDULES",
+    "SpreadingMatrix", "TransitionMatrix", "bandwidth_expansion_comparison",
+    "binary_entropy", "bsc_residual_error", "estimate_transition",
+    "fit_loglog_slope", "fixed_load_comparison", "generate_block",
+    "generate_spreading", "iid_matrix", "inverse_binary_entropy",
+    "local_bias", "make_symmetric_matrix", "monte_carlo", "monte_carlo_arms",
+    "perturb_element", "read_csv_with_header", "saturation_position",
+    "source_stats", "sumf", "transmit", "write_ber_csv",
+    "write_comparison_csv", "write_length_csv", "write_mismatch_csv",
+    "write_sweep_csv",
+]
+
+
+def test_the_program_runs_one_detection_path(tmp_path, monkeypatch):
+    # the package exports what the command line and harness use, and the
+    # selftest and every command detect through monte_carlo_arms and the
+    # lockstep engine: with the one-trial entry points and Plan.run's
+    # run_report hook all raising, each still exits 0
+    assert sorted(corrcdma.__all__) == PUBLIC_NAMES
+    for name in corrcdma.__all__:
+        getattr(corrcdma, name)
+    second = [name for names in SECOND_PATH.values() for name in names]
+    assert not set(second) & (set(corrcdma.__all__) | set(vars(cli)))
+
+    def second_path(*args, **kwargs):
+        raise AssertionError("the second detection path ran")
+
+    for module, names in SECOND_PATH.items():
+        for name in names:
+            monkeypatch.setattr(module, name, second_path)
+    monkeypatch.setattr(harness.Plan, "run", second_path)
+    assert main(["selftest"]) == 0
+    for number, argv in enumerate([
+            ["simulate"], ["sweep", "lambda2", "--values", "0,0.5"],
+            ["sweep", "length", "--values", "8,16,32"],
+            ["sweep", "mismatch", "--values", "0.5", "--deltas=-0.1,0.1"],
+            ["compare-compression", "fixed", "--values", "0.8"],
+            ["compare-compression", "bandwidth", "--values", "0.8"]]):
+        assert main([*argv, *TINY, "--out-dir", str(tmp_path / str(number))]
+                    ) == 0, argv
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +177,19 @@ def test_manifest_records_the_environment(tmp_path, monkeypatch):
     assert manifest["outputs"] == ["ber.csv"]
     header, _, _ = read_csv_with_header(out / "ber.csv")
     assert not set(header) & {"environment", "blas", "python", "numpy"}
+
+
+def test_environment_without_dict_show_config_reads_no_blas(monkeypatch):
+    # numpy before 1.25 has a show_config without the mode parameter, so
+    # the call raises TypeError; the BLAS fields then read None
+    def show_config():
+        raise AssertionError("called without the mode argument")
+
+    monkeypatch.setattr(np, "show_config", show_config)
+    env = cli._environment()
+    assert env["blas"] is None and env["blas_version"] is None
+    assert env["numpy"] == np.__version__
+    assert env["python"] == platform.python_version()
 
 
 def test_parallel_run_exits_and_leaves_no_workers(tmp_path):
@@ -194,6 +274,21 @@ def test_malformed_config_line_is_located(tmp_path, capsys):
     assert ":1" in capsys.readouterr().err
 
 
+def test_key_value_config_skips_blank_and_comment_lines(tmp_path, capsys):
+    # blank and "#" lines carry no key but keep their line numbers
+    config = tmp_path / "conf.txt"
+    config.write_text("# a comment\n\n  spread_factor = 40 \n   \n"
+                      "  # an indented comment\nn_users=20\n")
+    assert cli._load_config_file(config) == {"spread_factor": "40",
+                                             "n_users": "20"}
+    assert main(["simulate", "--config", str(config), "--dry-run"]) == 0
+    out = capsys.readouterr().out
+    assert "  spread_factor=40\n" in out and "  n_users=20\n" in out
+    config.write_text("# a comment\n\nsigma 0.5\n")
+    assert main(["simulate", "--config", str(config), "--dry-run"]) == 2
+    assert f"{config}:3: expected key=value" in capsys.readouterr().err
+
+
 def test_json_config_is_accepted(tmp_path, capsys):
     config = tmp_path / "conf.json"
     config.write_text(json.dumps({"spread_factor": 40, "n_users": 20,
@@ -202,6 +297,21 @@ def test_json_config_is_accepted(tmp_path, capsys):
     assert main(["simulate", "--config", str(config), "--dry-run"]) == 0
     out = capsys.readouterr().out
     assert "spread_factor=40" in out
+
+
+def test_json_config_that_does_not_parse_exits_2(tmp_path, capsys):
+    # text that starts with "{" is read as JSON: a JSON object or an error
+    # naming where the decoder stopped
+    config = tmp_path / "conf.json"
+    config.write_text('{"sigma": 0.5,}')
+    with pytest.raises(json.JSONDecodeError) as decoded:
+        json.loads(config.read_text())
+    out = tmp_path / "out"
+    for dry_run in ([], ["--dry-run"]):
+        assert main(["simulate", "--config", str(config), "--out-dir",
+                     str(out), *dry_run]) == 2
+        assert capsys.readouterr().err == f"error: {decoded.value}\n"
+        assert not out.exists()
 
 
 def test_json_config_refuses_a_number_it_would_truncate(tmp_path, capsys):

@@ -85,12 +85,15 @@ def test_config_rejects_out_of_range_fields():
     ("seed", 1.5), ("blind", "false"), ("sigma", True), ("sigma", np.True_),
     ("sigma", "0.8"), ("sigma", None), ("sigma", 1 + 0j),
     ("mismatch", "0.1"), ("mismatch", False), ("mismatch", None),
+    pytest.param("sigma", 10**400, id="sigma-huge-int"),
+    pytest.param("mismatch", 10**400, id="mismatch-huge-int"),
 ])
 def test_config_refuses_ill_typed_fields_when_built(name, value):
     # a float count would build and fail mid-run with an unnamed TypeError,
     # a bool count would count as 1, a string blind flag would run blind,
     # a bool sigma would run as 1 and be recorded as true, and a string,
-    # None or complex float field would fail unnamed; numpy's integers,
+    # None or complex float field, or an int too large for a float, would
+    # fail unnamed; numpy's integers,
     # bools and floats build, each stored as the Python value that runs,
     # so the config's dict is JSON as a manifest writes it
     with pytest.raises(ValueError, match=f"^{name} must be an? "):
@@ -114,7 +117,8 @@ M08 = make_symmetric_matrix(0.8)
 # point reads its values as the config reads its fields; a bare cast would
 # run a string eigenvalue or perturbation, write a bool label or rate
 # excess as "true", run a worker budget of True serially and a length of
-# 4.7 as 4, or fail unnamed with a TypeError
+# 4.7 as 4, or fail unnamed with a TypeError (an OverflowError for an int
+# too large for a float)
 ILL_TYPED_ENTRIES = [
     ("lambda2_plan-str", lambda cfg: harness.lambda2_plan(cfg, ["0.5"]),
      "lambda2_values"),
@@ -124,6 +128,8 @@ ILL_TYPED_ENTRIES = [
      "lambda2_values"),
     ("lambda2_plan-complex",
      lambda cfg: harness.lambda2_plan(cfg, [0.5 + 0j]), "lambda2_values"),
+    ("lambda2_plan-huge-int",
+     lambda cfg: harness.lambda2_plan(cfg, [10**400]), "lambda2_values"),
     ("mismatch_plan-delta-str",
      lambda cfg: mismatch_plan(cfg, ["0.1"], [0.5]), "rel_deltas"),
     ("mismatch_plan-delta-bool",
@@ -141,6 +147,9 @@ ILL_TYPED_ENTRIES = [
      "threshold_factor"),
     ("length_plan-threshold-bool",
      lambda cfg: harness.length_plan(cfg, [4, 8, 12], True),
+     "threshold_factor"),
+    ("length_plan-threshold-huge-int",
+     lambda cfg: harness.length_plan(cfg, [4, 8, 12], 10**400),
      "threshold_factor"),
     ("fixed_plan-label-bool",
      lambda cfg: harness.fixed_plan(cfg, [(True, M08)]), "matrices label"),
